@@ -72,6 +72,7 @@ from .ground_plane import (
 from .kitti_io import (
     DepthBranch,
     DepthEnsemble,
+    EnsembleTable,
     Object3D,
     filter_objects,
     format_calib,
@@ -92,7 +93,6 @@ from .lab import (
     complementary_error,
     coupling_error,
     disturb_sweep,
-    ensembles_to_arrays,
     flip,
     flip_sweep,
     generate_ensembles,
@@ -119,8 +119,8 @@ __all__ = [
     "DEFAULT_DEPTH_EDGES", "DEFAULT_EPS_DEN", "DEFAULT_INTRINSICS",
     "DEFAULT_Y_ERROR_EDGES", "DegenerateHeight", "DegeneratePlane",
     "DepthBranch", "DepthEnsemble", "EmptyEnsemble", "EmptyInput",
-    "ErrorModelConfig", "FusedDepth", "GroundPlane", "HorizonFitInfo",
-    "HorizonHeatmap", "HorizonLine", "HorizonSingularity",
+    "EnsembleTable", "ErrorModelConfig", "FusedDepth", "GroundPlane",
+    "HorizonFitInfo", "HorizonHeatmap", "HorizonLine", "HorizonSingularity",
     "InsufficientSupport", "JoinError", "KOutOfRange", "LengthMismatch",
     "MalformedLine", "MalformedMatrix", "MidpointSingularity", "MissingKey",
     "MultiFlipResult", "NonMonotoneEdges", "NonPositiveDepth",
@@ -129,7 +129,7 @@ __all__ = [
     "TopSingularity", "UnknownBranch", "ZeroMAE",
     "backproject_xy", "binned_mae", "box_corners", "box_keypoints",
     "complementarity_score", "complementary_error", "coupling_error",
-    "depth_from_elevation", "disturb_sweep", "ensembles_to_arrays", "esop",
+    "depth_from_elevation", "disturb_sweep", "esop",
     "evaluate_ensembles", "filter_objects", "fit_horizon", "fit_plane",
     "flip", "flip_sweep", "focal_rescale", "format_calib", "format_labels",
     "fuse_with_mask", "generate_ensembles", "heatmap_from_pgm",

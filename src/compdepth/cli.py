@@ -46,6 +46,7 @@ from .ground_plane import (
 from .kitti_io import (
     DepthBranch,
     DepthEnsemble,
+    EnsembleTable,
     _fmt6,
     _round6,
     filter_objects,
@@ -59,14 +60,13 @@ from .kitti_io import (
 from .lab import (
     ErrorModelConfig,
     SweepCurve,
+    _SIGMA_FLOOR,
     disturb_sweep,
     flip_sweep,
     generate_ensembles,
     multi_flip,
 )
 from .metrics import DEFAULT_Y_ERROR_EDGES, binned_mae, evaluate_ensembles
-
-_SIGMA_FLOOR = 1e-3
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -347,14 +347,33 @@ def _cmd_oracle(args) -> int:
 # lab
 # ---------------------------------------------------------------------------
 
+def _flip_counts(text: str, n_branches: int) -> list[int]:
+    if text == "all":
+        return list(range(n_branches + 1))
+    try:
+        ks = [int(t) for t in text.split(",")]
+    except ValueError:
+        raise ValueError("--k must be 'all' or comma-separated integers") from None
+    if len(set(ks)) != len(ks):
+        raise ValueError("--k values must be distinct")
+    return sorted(ks)
+
+
+# Overflow surfaces as SweepCurve's one-line non-finite MAE error, not as
+# numpy warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def _cmd_lab(args) -> int:
     if args.predictions is not None:
         ensembles = read_predictions(args.predictions.read_text())
         if not ensembles:
             raise ValueError(f"no ensembles in {args.predictions}")
+        table = EnsembleTable.from_ensembles(ensembles)
     else:
-        if len(args.depth_range) != 2 or args.depth_range[0] >= args.depth_range[1]:
-            raise ValueError("--depth-range needs two increasing values")
+        if args.n_objects < 1:
+            raise ValueError("--n-objects must be at least 1")
+        if (len(args.depth_range) != 2 or not all(map(math.isfinite, args.depth_range))
+                or args.depth_range[0] >= args.depth_range[1]):
+            raise ValueError("--depth-range needs two finite increasing values")
         cfg = ErrorModelConfig(n_branches=args.n_branches,
                                coupling_rate=args.coupling_rate,
                                error_scale=args.error_scale,
@@ -364,25 +383,22 @@ def _cmd_lab(args) -> int:
         # streams statistically independent but still reproducible.
         truths = np.random.default_rng(args.seed + 2).uniform(
             args.depth_range[0], args.depth_range[1], size=args.n_objects)
-        ensembles = generate_ensembles(truths, cfg)
+        table = generate_ensembles(truths, cfg)
     sweep_seed = args.seed + 1
 
-    all_names = list(ensembles[0].branch_names) if ensembles else []
-    branch_names = (args.branches.split(",") if args.branches else all_names)
+    branch_names = (args.branches.split(",") if args.branches else list(table.names))
 
     curves: list[SweepCurve] = []
     if args.mode == "flip":
         for name in branch_names:
-            curves.append(flip_sweep(ensembles, name, args.proportions, seed=sweep_seed))
+            curves.append(flip_sweep(table, name, args.proportions, seed=sweep_seed))
     elif args.mode == "disturb":
-        curves.append(disturb_sweep(ensembles, branch_names[0], args.amplitudes,
+        curves.append(disturb_sweep(table, branch_names[0], args.amplitudes,
                                     seed=sweep_seed))
     else:
-        n_br = len(all_names)
-        ks = (list(range(n_br + 1)) if args.k == "all"
-              else sorted(int(t) for t in args.k.split(",")))
-        baseline = multi_flip(ensembles, 0, seed=sweep_seed).combined_mae
-        results = [multi_flip(ensembles, k, seed=sweep_seed) for k in ks]
+        ks = _flip_counts(args.k, len(table.names))
+        baseline = multi_flip(table, 0, seed=sweep_seed).combined_mae
+        results = [multi_flip(table, k, seed=sweep_seed) for k in ks]
         curves.append(SweepCurve(
             x=tuple(float(k) for k in ks),
             mae=tuple(r.combined_mae for r in results),

@@ -63,11 +63,23 @@ def fuse_with_mask(branches: Sequence[tuple[float, float]],
     return soft_fuse(kept)
 
 
-def soft_fuse_array(z: np.ndarray, sigma: np.ndarray, axis: int = -1) -> np.ndarray:
+def soft_fuse_array(z: np.ndarray, sigma: np.ndarray, axis: int = -1,
+                    valid: np.ndarray | None = None) -> np.ndarray:
     """Vectorized soft fusion along an axis of matching z / sigma arrays.
 
     Used by the sweep experiments, where the same branches are fused for
-    tens of thousands of objects at once.
+    tens of thousands of objects at once. An optional boolean valid mask of
+    the same shape restricts each fusion to its present branches: masked-out
+    cells get weight 0 (inv = where(valid, 1/sigma, 0)), so the result is the
+    soft fusion of the valid subset. Masked-out cells must still hold finite
+    z and positive sigma (EnsembleTable stores z = 0, sigma = 1 there). With
+    every cell valid the result equals the unmasked fusion bit for bit.
+
+    Raises:
+        LengthMismatch: z, sigma (and valid) shapes differ.
+        EmptyEnsemble: the fused axis has length 0.
+        NonPositiveSigma: any sigma <= 0.
+        AllBranchesInvalid: the mask excludes every branch of some object.
     """
     z = np.asarray(z, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
@@ -78,5 +90,12 @@ def soft_fuse_array(z: np.ndarray, sigma: np.ndarray, axis: int = -1) -> np.ndar
     if np.any(sigma <= 0):
         raise NonPositiveSigma("all sigmas must be positive")
     inverse = 1.0 / sigma
-    weights = inverse / inverse.sum(axis=axis, keepdims=True)
-    return (weights * z).sum(axis=axis)
+    if valid is not None:
+        valid = np.asarray(valid, dtype=bool)
+        if valid.shape != z.shape:
+            raise LengthMismatch(f"z shape {z.shape} vs mask shape {valid.shape}")
+        inverse = np.where(valid, inverse, 0.0)
+    total = inverse.sum(axis=axis, keepdims=True)
+    if valid is not None and not np.all(total > 0):
+        raise AllBranchesInvalid("mask excludes every branch of an object")
+    return (inverse / total * z).sum(axis=axis)

@@ -226,6 +226,140 @@ class DepthEnsemble:
         raise KeyError(name)
 
 
+class EnsembleTable(Sequence[DepthEnsemble]):
+    """Columnar ensembles with ground truth: N objects by B branch slots.
+
+    Columns: frame and index (N,); names, the branch names in first-appearance
+    order (the union over all objects); z, sigma and valid (N, B); z_star (N,).
+    valid[i, j] says object i carries branch names[j]. Cells outside the mask
+    hold z = 0 and sigma = 1, never NaN, so array code may run over the whole
+    grid. The arrays are read-only.
+
+    The table is also a read-only Sequence[DepthEnsemble]: row i is built on
+    access, with its valid branches in column order, so code written for a
+    list of ensembles (len, indexing, iteration, write_predictions) keeps
+    working. Equality compares the columns.
+
+    frame defaults to the zero-padded row number ('000000', '000001', ...),
+    formatted on first read; index defaults to 0.
+
+    Raises ValueError on shape mismatches, an object without a valid branch,
+    a non-finite z or z_star, a sigma that is not finite and positive, or a
+    negative index.
+    """
+
+    def __init__(self, *, names: Sequence[str], z, sigma, z_star, valid=None,
+                 frame: Sequence[str] | None = None, index=None):
+        names = tuple(names)
+        if not names or len(set(names)) != len(names) or not all(
+                isinstance(name, str) and name for name in names):
+            raise ValueError("branch names must be unique non-empty strings")
+        z = np.asarray(z, dtype=float)
+        if z.ndim != 2 or z.shape[0] == 0 or z.shape[1] != len(names):
+            raise ValueError(f"z must have shape (N >= 1, {len(names)}), got {z.shape}")
+        n = z.shape[0]
+        valid = (np.ones(z.shape, dtype=bool) if valid is None
+                 else np.array(valid, dtype=bool))
+        sigma = np.asarray(sigma, dtype=float)
+        z_star = np.array(z_star, dtype=float)
+        index = np.zeros(n, dtype=np.int64) if index is None else np.array(index, dtype=np.int64)
+        if (sigma.shape, valid.shape, z_star.shape, index.shape) != (z.shape, z.shape, (n,), (n,)):
+            raise ValueError("z, sigma, valid must share one (N, B) shape; "
+                             "z_star and index must have shape (N,)")
+        if frame is not None:
+            frame = tuple(frame)
+            if len(frame) != n:
+                raise ValueError(f"{len(frame)} frames for {n} ensembles")
+        z = np.where(valid, z, 0.0)
+        sigma = np.where(valid, sigma, 1.0)
+        checks = (
+            (valid.any(axis=1), "has no branch"),
+            (np.isfinite(z).all(axis=1), "has a non-finite z"),
+            ((np.isfinite(sigma) & (sigma > 0)).all(axis=1),
+             "has a sigma that is not finite and positive"),
+            (np.isfinite(z_star), "has a non-finite z_star"),
+            (index >= 0, "has a negative index"),
+        )
+        for ok, problem in checks:
+            if not ok.all():
+                raise ValueError(f"ensemble row {int(np.argmin(ok))} {problem}")
+        for array in (z, sigma, valid, z_star, index):
+            array.setflags(write=False)
+        self.names = names
+        self.z, self.sigma, self.valid, self.z_star, self.index = z, sigma, valid, z_star, index
+        self._frame = frame
+
+    @classmethod
+    def from_ensembles(cls, records: Iterable[DepthEnsemble]) -> EnsembleTable:
+        """The table of a list of ensembles; a table is returned as it is.
+
+        Branch columns follow first appearance across the records, so a
+        record's branches come back in column order when it is materialized.
+
+        Raises ValueError on empty input or a record without z_star.
+        """
+        if isinstance(records, cls):
+            return records
+        records = list(records)
+        if not records:
+            raise ValueError("need at least one ensemble")
+        columns: dict[str, int] = {}
+        rows, cols, zs, sigmas = [], [], [], []
+        z_star = np.empty(len(records))
+        for i, r in enumerate(records):
+            if r.z_star is None:
+                raise ValueError(f"ensemble ({r.frame}, {r.index}) has no z_star")
+            z_star[i] = r.z_star
+            for b in r.branches:
+                rows.append(i)
+                cols.append(columns.setdefault(b.name, len(columns)))
+                zs.append(b.z)
+                sigmas.append(b.sigma)
+        shape = (len(records), len(columns))
+        z, sigma, valid = np.zeros(shape), np.ones(shape), np.zeros(shape, dtype=bool)
+        z[rows, cols] = zs
+        sigma[rows, cols] = sigmas
+        valid[rows, cols] = True
+        return cls(names=tuple(columns), z=z, sigma=sigma, valid=valid, z_star=z_star,
+                   frame=[r.frame for r in records], index=[r.index for r in records])
+
+    @property
+    def frame(self) -> tuple[str, ...]:
+        if self._frame is None:
+            self._frame = tuple(f"{i:06d}" for i in range(len(self)))
+        return self._frame
+
+    def __len__(self) -> int:
+        return self.z.shape[0]
+
+    def __getitem__(self, i: int) -> DepthEnsemble:
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError(f"row {i} out of range for {n} ensembles")
+        i %= n
+        branches = tuple(
+            DepthBranch(name=self.names[j], z=float(self.z[i, j]),
+                        sigma=float(self.sigma[i, j]))
+            for j in np.flatnonzero(self.valid[i]))
+        return DepthEnsemble(frame=self.frame[i], index=int(self.index[i]),
+                             branches=branches, z_star=float(self.z_star[i]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EnsembleTable):
+            return NotImplemented
+        return (self.names == other.names
+                and all(np.array_equal(a, b) for a, b in (
+                    (self.z, other.z), (self.sigma, other.sigma),
+                    (self.valid, other.valid), (self.z_star, other.z_star),
+                    (self.index, other.index)))
+                and self.frame == other.frame)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"EnsembleTable(n={len(self)}, names={self.names})"
+
+
 def _require(condition: bool, line_no: int, fieldpath: str, message: str):
     if not condition:
         raise SchemaError(line_no, fieldpath, message)

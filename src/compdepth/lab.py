@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import KOutOfRange, UnknownBranch
 from .fusion import soft_fuse_array
-from .kitti_io import DepthBranch, DepthEnsemble
+from .kitti_io import DepthEnsemble, EnsembleTable
 
 _SIGMA_FLOOR = 1e-3  # keeps proportional sigmas strictly positive
 
@@ -94,11 +94,14 @@ class ErrorModelConfig:
 
 
 def generate_ensembles(truths: Sequence[float],
-                       cfg: ErrorModelConfig) -> list[DepthEnsemble]:
+                       cfg: ErrorModelConfig) -> EnsembleTable:
     """Synthetic ensembles around the given true depths.
 
     Deterministic for a fixed (truths, cfg): one root generator seeded from
-    cfg.seed drives all draws in a fixed order. Branches are named b0..bN-1.
+    cfg.seed drives all draws in a fixed order. Branches are named b0..bN-1;
+    frames are the zero-padded object numbers, indices 0.
+
+    Raises ValueError when a draw overflows to a non-finite depth or sigma.
     """
     truths = np.asarray(truths, dtype=float)
     if truths.ndim != 1 or truths.size == 0:
@@ -119,49 +122,8 @@ def generate_ensembles(truths: Sequence[float],
         sigmas = np.ones((n_obj, n_br))
     else:
         sigmas = np.maximum(magnitudes, _SIGMA_FLOOR)
-
-    names = cfg.branch_names
-    records = []
-    for i in range(n_obj):
-        branches = tuple(
-            DepthBranch(name=names[j], z=float(truths[i] + errors[i, j]),
-                        sigma=float(sigmas[i, j]))
-            for j in range(n_br)
-        )
-        records.append(DepthEnsemble(frame=f"{i:06d}", index=0,
-                                     branches=branches, z_star=float(truths[i])))
-    return records
-
-
-def ensembles_to_arrays(ensembles: Sequence[DepthEnsemble],
-                        ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
-    """(branch_names, z (N,n), sigma (N,n), z_star (N,)) from uniform ensembles.
-
-    Every record must carry the same branches (in the order of the first
-    record) and a ground truth; sweeps need both.
-
-    Raises UnknownBranch when a record is missing one of the branches.
-    """
-    records = list(ensembles)
-    if not records:
-        raise ValueError("need at least one ensemble")
-    names = records[0].branch_names
-    z = np.empty((len(records), len(names)))
-    sigma = np.empty_like(z)
-    z_star = np.empty(len(records))
-    for i, r in enumerate(records):
-        if r.z_star is None:
-            raise ValueError(f"ensemble ({r.frame}, {r.index}) has no z_star")
-        if r.branch_names != names:
-            missing = set(names) - set(r.branch_names)
-            raise UnknownBranch(
-                f"ensemble ({r.frame}, {r.index}) lacks branches {sorted(missing)}"
-            )
-        z_star[i] = r.z_star
-        for j, b in enumerate(r.branches):
-            z[i, j] = b.z
-            sigma[i, j] = b.sigma
-    return names, z, sigma, z_star
+    return EnsembleTable(names=cfg.branch_names, z=truths[:, None] + errors,
+                         sigma=sigmas, z_star=truths)
 
 
 @dataclass(frozen=True)
@@ -184,6 +146,8 @@ class SweepCurve:
             raise ValueError("x, mae, counts must have equal length")
         if any(self.x[i] >= self.x[i + 1] for i in range(len(self.x) - 1)):
             raise ValueError("x must be strictly increasing")
+        if not all(math.isfinite(m) for m in (*self.mae, self.baseline_mae or 0.0)):
+            raise ValueError("MAE overflowed to a non-finite value")
 
 
 def _branch_column(names: Sequence[str], branch_name: str) -> int:
@@ -192,6 +156,18 @@ def _branch_column(names: Sequence[str], branch_name: str) -> int:
     except ValueError:
         raise UnknownBranch(f"branch '{branch_name}' not in {list(names)}") from None
 
+
+def _fused_mae(table: EnsembleTable, z: np.ndarray) -> float:
+    """MAE over all objects of the fusion of z with the table's sigmas,
+    each object fused over its present branches."""
+    fused = soft_fuse_array(z, table.sigma, valid=table.valid)
+    return float(np.mean(np.abs(fused - table.z_star)))
+
+
+# Ragged ensembles: the sweeps below pick their seeded subsets from all N
+# objects and report count N, and fusion uses each object's present
+# branches. A flip or disturbance therefore acts only on selected objects
+# that carry the branch: one written into a missing cell has weight 0.
 
 def flip_sweep(ensembles: Sequence[DepthEnsemble], branch_name: str,
                proportions: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
@@ -205,23 +181,23 @@ def flip_sweep(ensembles: Sequence[DepthEnsemble], branch_name: str,
     props = sorted(float(p) for p in proportions)
     if len(set(props)) != len(props):
         raise ValueError("proportions must be distinct")
-    if props and (props[0] < 0.0 or props[-1] > 1.0):
+    if not all(0.0 <= p <= 1.0 for p in props):
         raise ValueError("proportions must lie in [0, 1]")
-    names, z, sigma, z_star = ensembles_to_arrays(ensembles)
-    col = _branch_column(names, branch_name)
+    table = EnsembleTable.from_ensembles(ensembles)
+    z, z_star = table.z, table.z_star
+    col = _branch_column(table.names, branch_name)
     n = z.shape[0]
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
 
-    baseline = float(np.mean(np.abs(soft_fuse_array(z, sigma) - z_star)))
+    baseline = _fused_mae(table, z)
     maes = []
     for p in props:
         m = int(round(p * n))
         zz = z.copy()
         rows = perm[:m]
         zz[rows, col] = flip(zz[rows, col], z_star[rows])
-        fused = soft_fuse_array(zz, sigma)
-        maes.append(float(np.mean(np.abs(fused - z_star))))
+        maes.append(_fused_mae(table, zz))
     return SweepCurve(x=tuple(props), mae=tuple(maes), counts=(n,) * len(props),
                       baseline_mae=baseline, label=f"flip:{branch_name}")
 
@@ -242,31 +218,34 @@ def disturb_sweep(ensembles: Sequence[DepthEnsemble], branch_name: str,
     amps = sorted(float(a) for a in amplitudes)
     if len(set(amps)) != len(amps):
         raise ValueError("amplitudes must be distinct")
-    if amps and amps[0] < 0.0:
-        raise ValueError("amplitudes must be non-negative")
-    names, z, sigma, z_star = ensembles_to_arrays(ensembles)
-    col = _branch_column(names, branch_name)
+    if not all(0.0 <= a < math.inf for a in amps):
+        raise ValueError("amplitudes must be finite and non-negative")
+    table = EnsembleTable.from_ensembles(ensembles)
+    z, z_star = table.z, table.z_star
+    col = _branch_column(table.names, branch_name)
     n = z.shape[0]
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     rows = perm[:int(round(0.5 * n))]
     unit_noise = rng.uniform(-1.0, 1.0, size=n)
 
-    baseline = float(np.mean(np.abs(soft_fuse_array(z, sigma) - z_star)))
+    baseline = _fused_mae(table, z)
     flipped = flip(z[rows, col], z_star[rows])
     maes = []
     for a in amps:
         zz = z.copy()
         zz[rows, col] = flipped + a * unit_noise[rows]
-        fused = soft_fuse_array(zz, sigma)
-        maes.append(float(np.mean(np.abs(fused - z_star))))
+        maes.append(_fused_mae(table, zz))
     return SweepCurve(x=tuple(amps), mae=tuple(maes), counts=(n,) * len(amps),
                       baseline_mae=baseline, label=f"disturb:{branch_name}")
 
 
 @dataclass(frozen=True)
 class MultiFlipResult:
-    """Outcome of flipping k branches on half the objects."""
+    """Outcome of flipping k branches on half the objects.
+
+    branch_mae covers, per branch, the objects that carry it.
+    """
 
     k: int
     flipped_branches: tuple[str, ...]
@@ -285,7 +264,8 @@ def multi_flip(ensembles: Sequence[DepthEnsemble], k: int,
     produce identical fused error magnitudes object by object (negating
     every term of a sum flips its sign, not its magnitude).
     """
-    names, z, sigma, z_star = ensembles_to_arrays(ensembles)
+    table = EnsembleTable.from_ensembles(ensembles)
+    names, z, valid, z_star = table.names, table.z, table.valid, table.z_star
     n_br = len(names)
     if not 0 <= k <= n_br:
         raise KOutOfRange(f"k={k} outside 0..{n_br}")
@@ -299,10 +279,11 @@ def multi_flip(ensembles: Sequence[DepthEnsemble], k: int,
     zz = z.copy()
     for c in cols:
         zz[rows, c] = flip(zz[rows, c], z_star[rows])
-    fused = soft_fuse_array(zz, sigma)
-    combined = float(np.mean(np.abs(fused - z_star)))
-    branch_mae = {
-        names[j]: float(np.mean(np.abs(zz[:, j] - z_star))) for j in range(n_br)
-    }
+    combined = _fused_mae(table, zz)
+    dense = valid.all()
+    branch_mae = {}
+    for j, name in enumerate(names):
+        err = np.abs(zz[:, j] - z_star)
+        branch_mae[name] = float(np.mean(err if dense else err[valid[:, j]]))
     return MultiFlipResult(k=k, flipped_branches=tuple(names[c] for c in cols),
                            combined_mae=combined, branch_mae=branch_mae, count=n)

@@ -2,6 +2,17 @@ import pytest
 
 from compdepth import CameraIntrinsics
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without hypothesis
+    pass
+else:
+    # Derandomized, with no example database, so every run of the suite
+    # tries the same examples and leaves no files behind.
+    settings.register_profile("reproducible", derandomize=True, database=None,
+                              deadline=None)
+    settings.load_profile("reproducible")
+
 
 @pytest.fixture
 def kitti_cam():

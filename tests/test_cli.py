@@ -257,6 +257,48 @@ def test_lab_rerun_byte_identical(tmp_path):
     assert out.read_bytes() == first
 
 
+def test_lab_ragged_predictions(dataset, capsys):
+    # heavy noise makes some objects lose branches; the lab flips and fuses
+    # whatever each object has and still reports every object
+    preds = dataset / "preds.jsonl"
+    code = run(["oracle", "--calib-dir", dataset / "calib",
+                "--label-dir", dataset / "label_2", "--noise-px", 40,
+                "--noise-h-rel", 0.9, "--include-alt", "--out", preds])
+    assert code == 3
+    records = read_predictions(preds.read_text())
+    assert len({r.branch_names for r in records}) > 1  # the file is ragged
+    capsys.readouterr()
+    code = run(["lab", "--mode", "flip", "--predictions", preds])
+    out = capsys.readouterr().out
+    assert code == 0
+    rows = [l.split(",") for l in out.splitlines()
+            if l.startswith("flip:")]
+    assert {r[0] for r in rows} == {"flip:key", "flip:glo", "flip:comp", "flip:alt"}
+    assert all(int(r[3]) == len(records) for r in rows)
+    assert all(r[2] == r[4] for r in rows if r[1] == "0")
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--mode", "flip", "--depth-range", "0,inf"], "--depth-range"),
+    (["--mode", "flip", "--depth-range", "nan,10"], "--depth-range"),
+    (["--mode", "disturb", "--amplitudes", "0,inf"], "amplitudes"),
+    (["--mode", "flip", "--proportions", "0,nan"], "proportions"),
+    (["--mode", "multiflip", "--k", "0,0"], "--k values must be distinct"),
+    (["--mode", "multiflip", "--k", "1,x"], "--k must be"),
+    (["--mode", "flip", "--n-objects", "-5"], "--n-objects"),
+    (["--mode", "flip", "--n-objects", "0"], "--n-objects"),
+    (["--mode", "flip", "--error-scale", "1e308"], "non-finite z"),
+    (["--mode", "flip", "--depth-range", "1e300,1e308"], "non-finite"),
+])
+def test_lab_bad_input_one_line_error(args, message, capsys):
+    code = run(["lab", "--n-objects", 200, *args])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+
 # ---------------------------------------------------------------------------
 # plane
 # ---------------------------------------------------------------------------

@@ -112,3 +112,14 @@ def test_soft_fuse_array_axis():
     sigma = np.ones_like(z)
     by_rows = soft_fuse_array(z, sigma, axis=0)
     assert by_rows == pytest.approx([15.0, 35.0])
+
+
+def test_soft_fuse_array_mask_validation():
+    z = np.array([[10.0, 20.0], [30.0, 40.0]])
+    sigma = np.ones_like(z)
+    with pytest.raises(LengthMismatch):
+        soft_fuse_array(z, sigma, valid=np.ones((2, 3), dtype=bool))
+    with pytest.raises(AllBranchesInvalid):
+        soft_fuse_array(z, sigma, valid=[[True, False], [False, False]])
+    assert soft_fuse_array(z, sigma, valid=[[True, False], [False, True]]).tolist() == [
+        10.0, 40.0]

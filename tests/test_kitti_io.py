@@ -2,6 +2,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from compdepth import (
@@ -9,6 +10,7 @@ from compdepth import (
     ComplementarityReport,
     DepthBranch,
     DepthEnsemble,
+    EnsembleTable,
     MalformedLine,
     MalformedMatrix,
     MissingKey,
@@ -283,3 +285,72 @@ def test_write_curves_golden():
     assert text == ("label,x,mae,count,baseline_mae\n"
                     "flip:key,0,1,10,1\n"
                     "flip:key,0.5,0.75,10,1\n")
+
+
+# ---------------------------------------------------------------------------
+# columnar ensembles
+# ---------------------------------------------------------------------------
+
+def _table(**overrides):
+    cols = dict(names=("a", "b"), z=[[21.0, 19.0], [30.0, 0.0]],
+                sigma=[[1.0, 2.0], [0.5, 1.0]], valid=[[True, True], [True, False]],
+                z_star=[20.0, 31.0])
+    cols.update(overrides)
+    return EnsembleTable(**cols)
+
+
+def test_ensemble_table_rows_are_ensembles():
+    table = _table(frame=["000007", "000007"], index=[2, 5])
+    assert len(table) == 2
+    assert table[1] == DepthEnsemble("000007", 5, (DepthBranch("a", 30.0, 0.5),),
+                                     z_star=31.0)
+    assert table[-1] == table[1]
+    assert [r.index for r in table] == [2, 5]
+    with pytest.raises(IndexError):
+        table[2]
+    # write_predictions takes the table like any list of ensembles
+    assert read_predictions(write_predictions(table)) == list(table)
+
+
+def test_ensemble_table_default_frames_and_equality():
+    table = _table()
+    assert table.frame == ("000000", "000001")
+    assert table[1].frame == "000001" and table[1].index == 0
+    assert table == _table()
+    assert table == EnsembleTable.from_ensembles(list(table))
+    assert table != _table(z_star=[20.0, 30.0])
+    assert EnsembleTable.from_ensembles(table) is table
+
+
+def test_ensemble_table_masked_cells_are_zero_and_one():
+    table = _table(z=[[21.0, 19.0], [30.0, np.nan]], sigma=[[1.0, 2.0], [0.5, -1.0]])
+    assert table.z.tolist() == [[21.0, 19.0], [30.0, 0.0]]
+    assert table.sigma.tolist() == [[1.0, 2.0], [0.5, 1.0]]
+
+
+def test_ensemble_table_is_read_only():
+    table = _table()
+    for column in (table.z, table.sigma, table.valid, table.z_star, table.index):
+        with pytest.raises(ValueError):
+            column[0] = 1
+
+
+@pytest.mark.parametrize("overrides", [
+    {"z": [[21.0, np.inf], [30.0, 0.0]]},
+    {"z": [[21.0, np.nan], [30.0, 0.0]]},
+    {"sigma": [[1.0, 0.0], [0.5, 1.0]]},
+    {"sigma": [[1.0, np.inf], [0.5, 1.0]]},
+    {"z_star": [20.0, np.nan]},
+    {"valid": [[True, True], [False, False]]},
+    {"index": [0, -1]},
+    {"frame": ["000000"]},
+    {"names": ("a", "a")},
+    {"names": ("a", "")},
+    {"names": ("a",)},
+    {"z_star": [20.0]},
+    {"z": np.empty((0, 2)), "sigma": np.empty((0, 2)), "valid": np.empty((0, 2)),
+     "z_star": []},
+])
+def test_ensemble_table_validation(overrides):
+    with pytest.raises(ValueError):
+        _table(**overrides)

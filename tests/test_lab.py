@@ -6,18 +6,20 @@ import pytest
 from compdepth import (
     DepthBranch,
     DepthEnsemble,
+    EnsembleTable,
     ErrorModelConfig,
     KOutOfRange,
+    SweepCurve,
     UnknownBranch,
     complementary_error,
     coupling_error,
     disturb_sweep,
-    ensembles_to_arrays,
     flip,
     flip_sweep,
     generate_ensembles,
     mae,
     multi_flip,
+    soft_fuse,
 )
 
 
@@ -119,8 +121,7 @@ def test_generate_ensembles_full_coupling():
 def test_generate_ensembles_calibration():
     truths = np.full(100000, 30.0)
     ens = generate_ensembles(truths, ErrorModelConfig(coupling_rate=0.8, seed=2))
-    _, z, _, z_star = ensembles_to_arrays(ens)
-    errors = z - z_star[:, None]
+    errors = ens.z - ens.z_star[:, None]
     props = [np.mean(errors[:, i] * errors[:, j] > 0)
              for i, j in itertools.combinations(range(4), 2)]
     assert np.mean(props) == pytest.approx(0.8, abs=0.01)
@@ -134,26 +135,39 @@ def test_generate_ensembles_proportional_sigma():
             assert b.sigma == pytest.approx(max(abs(b.z - r.z_star), 1e-3))
 
 
-def test_ensembles_to_arrays():
+def test_generate_ensembles_rejects_overflowing_draws():
+    # normal draws scaled by 1e308 overflow to inf; the table refuses them
+    with pytest.raises(ValueError, match="non-finite z"):
+        generate_ensembles(np.full(2000, 30.0), ErrorModelConfig(error_scale=1e308))
+
+
+def test_ensemble_table_from_ensembles():
     ens = [DepthEnsemble("0", 0, (DepthBranch("a", 21.0), DepthBranch("b", 19.0)),
                          z_star=20.0)]
-    names, z, sigma, z_star = ensembles_to_arrays(ens)
-    assert names == ("a", "b")
-    assert z.tolist() == [[21.0, 19.0]]
-    assert sigma.tolist() == [[1.0, 1.0]]
-    assert z_star.tolist() == [20.0]
+    table = EnsembleTable.from_ensembles(ens)
+    assert table.names == ("a", "b")
+    assert table.z.tolist() == [[21.0, 19.0]]
+    assert table.sigma.tolist() == [[1.0, 1.0]]
+    assert table.z_star.tolist() == [20.0]
+    assert table.valid.all()
+    assert list(table) == ens
 
 
-def test_ensembles_to_arrays_validation():
+def test_ensemble_table_from_ensembles_validation():
     with pytest.raises(ValueError):
-        ensembles_to_arrays([])
-    with pytest.raises(UnknownBranch):
-        ensembles_to_arrays([
-            DepthEnsemble("0", 0, (DepthBranch("a", 1.0),), z_star=1.0),
-            DepthEnsemble("0", 1, (DepthBranch("b", 1.0),), z_star=1.0),
-        ])
+        EnsembleTable.from_ensembles([])
+    # ragged records are kept: the union of branch names becomes the
+    # columns and the mask marks which object carries which branch
+    ragged = EnsembleTable.from_ensembles([
+        DepthEnsemble("0", 0, (DepthBranch("a", 1.0),), z_star=1.0),
+        DepthEnsemble("0", 1, (DepthBranch("b", 2.0, 0.5),), z_star=1.0),
+    ])
+    assert ragged.names == ("a", "b")
+    assert ragged.valid.tolist() == [[True, False], [False, True]]
+    assert ragged.z.tolist() == [[1.0, 0.0], [0.0, 2.0]]
+    assert ragged.sigma.tolist() == [[1.0, 1.0], [1.0, 0.5]]
     with pytest.raises(ValueError):
-        ensembles_to_arrays([DepthEnsemble("0", 0, (DepthBranch("a", 1.0),))])
+        EnsembleTable.from_ensembles([DepthEnsemble("0", 0, (DepthBranch("a", 1.0),))])
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +182,8 @@ def ensembles():
 
 def test_flip_sweep_baseline_is_untouched_mae(ensembles):
     curve = flip_sweep(ensembles, "b0", (0.0, 0.5, 1.0), seed=5)
-    _, z, sigma, z_star = ensembles_to_arrays(ensembles)
     from compdepth import soft_fuse_array
-    untouched = mae(soft_fuse_array(z, sigma), z_star)
+    untouched = mae(soft_fuse_array(ensembles.z, ensembles.sigma), ensembles.z_star)
     assert curve.mae[0] == pytest.approx(untouched, rel=1e-12)
     assert curve.baseline_mae == pytest.approx(untouched, rel=1e-12)
     assert curve.label == "flip:b0"
@@ -220,6 +233,18 @@ def test_disturb_sweep_validation(ensembles):
         disturb_sweep(ensembles, "b0", (1.0, 1.0))
     with pytest.raises(ValueError):
         disturb_sweep(ensembles, "b0", (-1.0, 1.0))
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            disturb_sweep(ensembles, "b0", (0.0, bad))
+        with pytest.raises(ValueError):
+            flip_sweep(ensembles, "b0", (0.0, bad))
+
+
+def test_sweep_curve_rejects_non_finite_mae():
+    with pytest.raises(ValueError):
+        SweepCurve(x=(0.0, 1.0), mae=(1.0, float("inf")), counts=(2, 2))
+    with pytest.raises(ValueError):
+        SweepCurve(x=(0.0,), mae=(1.0,), counts=(2,), baseline_mae=float("nan"))
 
 
 def test_multi_flip_endpoints_and_mirror(ensembles):
@@ -245,3 +270,63 @@ def test_multi_flip_k_out_of_range(ensembles):
         multi_flip(ensembles, 5)
     with pytest.raises(KOutOfRange):
         multi_flip(ensembles, -1)
+
+
+# ---------------------------------------------------------------------------
+# ragged ensembles: objects that lack some branches
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def ragged():
+    """Every third object lacks b0, every fifth lacks b3."""
+    truths = np.random.default_rng(98).uniform(5.0, 60.0, 300)
+    dense = generate_ensembles(truths, ErrorModelConfig(sigma_model="proportional",
+                                                        seed=12))
+    records = []
+    for i, r in enumerate(dense):
+        drop = {"b0"} if i % 3 == 0 else set()
+        drop |= {"b3"} if i % 5 == 0 else set()
+        branches = tuple(b for b in r.branches if b.name not in drop)
+        records.append(DepthEnsemble(r.frame, r.index, branches, z_star=r.z_star))
+    return records
+
+
+def _scalar_mae(records, flipped):
+    """Fused MAE by the scalar reference, with flipped[(i, name)] applied."""
+    errors = []
+    for i, r in enumerate(records):
+        pairs = [(flip(b.z, r.z_star) if (i, b.name) in flipped else b.z, b.sigma)
+                 for b in r.branches]
+        errors.append(abs(soft_fuse(pairs).z_soft - r.z_star))
+    return float(np.mean(errors))
+
+
+def test_ragged_flip_sweep_flips_present_branches_only(ragged):
+    table = EnsembleTable.from_ensembles(ragged)
+    assert table.names == ("b1", "b2", "b0", "b3")  # first-appearance order
+    curve = flip_sweep(ragged, "b0", (0.0, 1.0), seed=5)
+    assert curve.counts == (300, 300)
+    assert curve.mae[0] == curve.baseline_mae
+    assert curve.baseline_mae == pytest.approx(_scalar_mae(ragged, set()), rel=1e-12)
+    every_b0 = {(i, "b0") for i, r in enumerate(ragged) if "b0" in r.branch_names}
+    assert curve.mae[1] == pytest.approx(_scalar_mae(ragged, every_b0), rel=1e-12)
+    # a list input and its table give the same curve
+    assert flip_sweep(table, "b0", (0.0, 1.0), seed=5) == curve
+
+
+def test_ragged_disturb_zero_amplitude_matches_half_flip(ragged):
+    curve = disturb_sweep(ragged, "b3", (0.0, 2.0), seed=5)
+    half = flip_sweep(ragged, "b3", (0.0, 0.5), seed=5)
+    assert curve.counts == (300, 300)
+    assert curve.mae[0] == half.mae[1]
+
+
+def test_ragged_multi_flip_branch_mae_covers_valid_cells(ragged):
+    res = multi_flip(ragged, 0, seed=5)
+    assert res.count == 300
+    for name in ("b0", "b1", "b3"):
+        want = np.mean([abs(r.branch(name).z - r.z_star) for r in ragged
+                        if name in r.branch_names])
+        assert res.branch_mae[name] == pytest.approx(want, rel=1e-12)
+    maes = [multi_flip(ragged, k, seed=5).combined_mae for k in range(5)]
+    assert maes[0] == pytest.approx(maes[4], rel=1e-12)
