@@ -238,7 +238,7 @@ class EnsembleTable(Sequence[DepthEnsemble]):
     The table is also a read-only Sequence[DepthEnsemble]: row i is built on
     access, with its valid branches in column order, so code written for a
     list of ensembles (len, indexing, iteration, write_predictions) keeps
-    working. Equality compares the columns.
+    working; a slice returns a list of rows. Equality compares the columns.
 
     frame defaults to the zero-padded row number ('000000', '000001', ...),
     formatted on first read; index defaults to 0.
@@ -332,11 +332,13 @@ class EnsembleTable(Sequence[DepthEnsemble]):
     def __len__(self) -> int:
         return self.z.shape[0]
 
-    def __getitem__(self, i: int) -> DepthEnsemble:
-        n = len(self)
-        if not -n <= i < n:
-            raise IndexError(f"row {i} out of range for {n} ensembles")
-        i %= n
+    def __getitem__(self, i):
+        # range indexing gives list semantics: negative and numpy integers,
+        # slices, IndexError out of range, TypeError for anything else
+        rows = range(len(self))[i]
+        if isinstance(rows, range):
+            return [self[j] for j in rows]
+        i = rows
         branches = tuple(
             DepthBranch(name=self.names[j], z=float(self.z[i, j]),
                         sigma=float(self.sigma[i, j]))

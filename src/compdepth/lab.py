@@ -280,10 +280,9 @@ def multi_flip(ensembles: Sequence[DepthEnsemble], k: int,
     for c in cols:
         zz[rows, c] = flip(zz[rows, c], z_star[rows])
     combined = _fused_mae(table, zz)
-    dense = valid.all()
     branch_mae = {}
     for j, name in enumerate(names):
         err = np.abs(zz[:, j] - z_star)
-        branch_mae[name] = float(np.mean(err if dense else err[valid[:, j]]))
+        branch_mae[name] = float(np.mean(err[valid[:, j]]))
     return MultiFlipResult(k=k, flipped_branches=tuple(names[c] for c in cols),
                            combined_mae=combined, branch_mae=branch_mae, count=n)

@@ -308,6 +308,13 @@ def test_ensemble_table_rows_are_ensembles():
     assert [r.index for r in table] == [2, 5]
     with pytest.raises(IndexError):
         table[2]
+    # slices and numpy integers index like they do on a list
+    assert table[:] == list(table)
+    assert table[::-1] == [table[1], table[0]]
+    assert table[5:] == []
+    assert table[np.int64(1)] == table[1]
+    with pytest.raises(TypeError):
+        table[1.0]
     # write_predictions takes the table like any list of ensembles
     assert read_predictions(write_predictions(table)) == list(table)
 
