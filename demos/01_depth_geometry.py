@@ -7,12 +7,10 @@ rows back gives several independent depth estimates per object, and this
 script walks through all four on a single hand-built car.
 """
 
-import numpy as np
 
 from compdepth import (
     CameraIntrinsics,
     box_keypoints,
-    focal_rescale,
     make_scene,
     z_alt,
     z_comp,
@@ -44,11 +42,6 @@ print("z from midpoint row: ", z_comp(car.y, car.h, v_b, v_t, k))
 # estimator 4: the top edge alone, driven by y - h (small and fragile when
 # the object is about as tall as the camera is high)
 print("z from top row:      ", z_alt(car.y, car.h, v_t, k))
-
-# the same rows seen through a longer lens imply a proportionally larger
-# depth; focal_rescale undoes a train/test focal mismatch
-z_wrong = z_key(car.h, v_b, v_t, CameraIntrinsics(900.0, 900.0, k.c_u, k.c_v))
-print(f"focal mismatch: {z_wrong:.4f} -> {focal_rescale(z_wrong, 900.0, k.f_y):.4f}")
 
 # the estimators disagree in a useful way: raising the presumed height
 # pushes the height estimate up but the midpoint estimate down

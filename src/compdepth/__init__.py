@@ -19,9 +19,7 @@ from .camera import (
 )
 from .depth_branches import (
     BoxKeypoints,
-    box_corners,
     box_keypoints,
-    focal_rescale,
     z_alt,
     z_comp,
     z_global,
@@ -52,7 +50,7 @@ from .errors import (
     UnknownBranch,
     ZeroMAE,
 )
-from .fusion import FusedDepth, fuse_with_mask, soft_fuse, soft_fuse_array
+from .fusion import FusedDepth, soft_fuse, soft_fuse_array
 from .ground_plane import (
     DEFAULT_CAM_HEIGHT,
     GroundPlane,
@@ -127,12 +125,12 @@ __all__ = [
     "NonPositiveSigma", "Object3D", "Pixel", "PlaneFitInfo", "Point3D",
     "RayParallelToPlane", "Scene", "SchemaError", "SweepCurve",
     "TopSingularity", "UnknownBranch", "ZeroMAE",
-    "backproject_xy", "binned_mae", "box_corners", "box_keypoints",
+    "backproject_xy", "binned_mae", "box_keypoints",
     "complementarity_score", "complementary_error", "coupling_error",
     "depth_from_elevation", "disturb_sweep", "esop",
     "evaluate_ensembles", "filter_objects", "fit_horizon", "fit_plane",
-    "flip", "flip_sweep", "focal_rescale", "format_calib", "format_labels",
-    "fuse_with_mask", "generate_ensembles", "heatmap_from_pgm",
+    "flip", "flip_sweep", "format_calib", "format_labels",
+    "generate_ensembles", "heatmap_from_pgm",
     "heatmap_to_pgm", "horizon_to_plane", "mae", "make_scene", "multi_flip",
     "parse_calib", "parse_calib_matrix", "parse_labels", "plane_to_horizon",
     "project", "random_plane", "rasterize_horizon", "read_predictions",

@@ -18,10 +18,7 @@ degeneracy warnings (some objects or frames fell back or were skipped).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
-import json
 import math
 import sys
 from collections import Counter
@@ -47,13 +44,13 @@ from .kitti_io import (
     DepthBranch,
     DepthEnsemble,
     EnsembleTable,
-    _fmt6,
-    _round6,
+    config_header,
     filter_objects,
     parse_calib,
     parse_labels,
     read_predictions,
     write_curves,
+    write_plane_report,
     write_predictions,
     write_report,
 )
@@ -161,6 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _require_finite(args, ("--cam-height", "--eps-den"), positive=True)
         return args.func(args)
     except (CompdepthError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -170,6 +168,15 @@ def main(argv=None) -> int:
 # ---------------------------------------------------------------------------
 # shared helpers
 # ---------------------------------------------------------------------------
+
+def _require_finite(args, flags: tuple[str, ...], *, positive: bool) -> None:
+    """ValueError unless each flag's value is finite and > 0 (positive) or >= 0."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+            raise ValueError(f"{flag} must be finite and {'>' if positive else '>='} 0, "
+                             f"got {value}")
+
 
 def _frames(label_dir: Path) -> list[str]:
     if not label_dir.is_dir():
@@ -192,18 +199,6 @@ def _emit(text: str, out: Path | None) -> None:
     else:
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(text)
-
-
-def _config_echo(args, keys: list[str]) -> dict:
-    echo = {"command": args.command}
-    for key in keys:
-        value = getattr(args, key.replace("-", "_"))
-        if isinstance(value, Path):
-            value = str(value)
-        elif isinstance(value, list):
-            value = ",".join(_fmt6(v) if isinstance(v, float) else str(v) for v in value)
-        echo[key] = value
-    return echo
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +233,8 @@ def _cmd_eval(args) -> int:
                                 depth_edges=args.depth_edges)
     if dontcare_skipped:
         report.flags = report.flags + (f"dontcare_skipped:{dontcare_skipped}",)
-    header = _config_echo(args, ["predictions", "label-dir", "calib-dir", "reference",
-                                 "depth-edges", "cam-height", "seed", "eps-den", "format"])
+    header = config_header(args, ["predictions", "label-dir", "calib-dir", "reference",
+                                "depth-edges", "cam-height", "seed", "eps-den", "format"])
     _emit(write_report(report, args.format, header=header), args.out)
     return EXIT_DEGENERACY if report.flags else EXIT_OK
 
@@ -255,6 +250,8 @@ def _oracle_sigma(model: str, z_branch: float, z_star: float) -> float:
 
 
 def _cmd_oracle(args) -> int:
+    _require_finite(args, ("--noise-h-rel", "--noise-px", "--noise-horizon-slope",
+                           "--noise-horizon-intercept"), positive=False)
     rng = np.random.default_rng(args.seed)
     diagnostics: Counter = Counter()
     records = []
@@ -333,10 +330,10 @@ def _cmd_oracle(args) -> int:
             else:
                 diagnostics["all_branches_failed"] += 1
 
-    header = _config_echo(args, ["label-dir", "calib-dir", "noise-h-rel", "noise-px",
-                                 "noise-horizon-slope", "noise-horizon-intercept",
-                                 "sigma-model", "include-alt", "cam-height",
-                                 "seed", "eps-den"])
+    header = config_header(args, ["label-dir", "calib-dir", "noise-h-rel", "noise-px",
+                                "noise-horizon-slope", "noise-horizon-intercept",
+                                "sigma-model", "include-alt", "cam-height",
+                                "seed", "eps-den"])
     _emit(write_predictions(records, header=header), args.out)
     for name in sorted(diagnostics):
         print(f"warning: {name}: {diagnostics[name]}", file=sys.stderr)
@@ -407,10 +404,10 @@ def _cmd_lab(args) -> int:
             label="multiflip",
         ))
 
-    header = _config_echo(args, ["mode", "n-objects", "n-branches", "coupling-rate",
-                                 "error-scale", "sigma-model", "depth-range",
-                                 "proportions", "amplitudes", "k", "branches",
-                                 "seed", "cam-height", "eps-den"])
+    header = config_header(args, ["mode", "n-objects", "n-branches", "coupling-rate",
+                                "error-scale", "sigma-model", "depth-range",
+                                "proportions", "amplitudes", "k", "branches",
+                                "seed", "cam-height", "eps-den"])
     if args.predictions is not None:
         header["predictions"] = str(args.predictions)
     _emit(write_curves(curves, header=header), args.out)
@@ -422,6 +419,9 @@ def _cmd_lab(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_plane(args) -> int:
+    if len(args.image_size) != 2 or not all(
+            math.isfinite(v) and v >= 1 for v in args.image_size):
+        raise ValueError("--image-size needs two finite values >= 1 (width,height)")
     width, height = (int(v) for v in args.image_size)
     rows = []
     y_pred_all: list[float] = []
@@ -477,46 +477,12 @@ def _cmd_plane(args) -> int:
     if y_pred_all:
         abs_err = np.abs(np.array(y_pred_all) - np.array(y_true_all))
         summary["y_mae"] = float(np.mean(abs_err))
-        table = binned_mae(y_pred_all, y_true_all, DEFAULT_Y_ERROR_EDGES, key=abs_err)
-        summary["binned_by_y_error"] = {
-            "edges": [e if math.isfinite(e) else "inf" for e in table.edges],
-            "mae": [_round6(v) for v in table.maes],
-            "counts": list(table.counts),
-        }
+        summary["binned_by_y_error"] = binned_mae(y_pred_all, y_true_all,
+                                                  DEFAULT_Y_ERROR_EDGES, key=abs_err)
 
-    header = _config_echo(args, ["label-dir", "calib-dir", "cam-height",
-                                 "eps-den", "image-size", "format"])
-    if args.format == "json":
-        doc = {
-            "header": header,
-            "frames": [
-                {**r, "k_h": _round6(r["k_h"]), "b_h": _round6(r["b_h"]),
-                 "y_mae": _round6(r["y_mae"])}
-                for r in rows
-            ],
-            "summary": {**summary,
-                        "y_mae": _round6(summary.get("y_mae"))},
-        }
-        text = json.dumps(doc, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        for key in sorted(header):
-            buf.write(f"# {key}: {header[key]}\n")
-        for key in sorted(summary):
-            value = summary[key]
-            if key == "binned_by_y_error":
-                continue
-            buf.write(f"# {key}: {_fmt6(value) if isinstance(value, float) else value}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["frame", "n_points", "fallback", "k_h", "b_h", "y_mae"])
-        for r in rows:
-            writer.writerow([
-                r["frame"], r["n_points"], int(r["fallback"]),
-                _fmt6(r["k_h"]), _fmt6(r["b_h"]),
-                "" if r["y_mae"] is None else _fmt6(r["y_mae"]),
-            ])
-        text = buf.getvalue()
-    _emit(text, args.out)
+    header = config_header(args, ["label-dir", "calib-dir", "cam-height",
+                                "eps-den", "image-size", "format"])
+    _emit(write_plane_report(rows, summary, args.format, header=header), args.out)
     for name in sorted(diagnostics):
         print(f"warning: {name}: {diagnostics[name]}", file=sys.stderr)
     return EXIT_DEGENERACY if fallback_frames or diagnostics else EXIT_OK

@@ -8,10 +8,7 @@ signs, which is what the fusion and lab modules exploit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .camera import (
     DEFAULT_EPS_DEN,
@@ -32,70 +29,27 @@ from .kitti_io import Object3D
 
 @dataclass(frozen=True)
 class BoxKeypoints:
-    """Projected vertical-edge keypoints of a 3D box.
-
-    bottom_center/top_center are the projections of the bottom-face and
-    top-face centers. diag_pairs holds two derived (bottom, top) pairs, each
-    averaging one diagonally opposite pair of vertical box edges; for an
-    unrotated centered box they coincide with the center pair.
-    """
+    """Projected vertical-edge keypoints of a 3D box: the projections of the
+    bottom-face and top-face centers."""
 
     bottom_center: Pixel
     top_center: Pixel
-    diag_pairs: tuple[tuple[Pixel, Pixel], ...] = ()
-
-    def groups(self):
-        """Yield (bottom, top) pixel pairs: center group first, then diagonals."""
-        yield (self.bottom_center, self.top_center)
-        yield from self.diag_pairs
-
-
-def box_corners(o: Object3D) -> np.ndarray:
-    """Camera-frame corners of a yaw-rotated box, shape (8, 3).
-
-    Rows 0..3 are the bottom face, rows 4..7 the top face, in matching
-    order, so rows (j, j+4) are the vertical edges. The box location is the
-    bottom-face center.
-    """
-    half_l, half_w = o.l / 2.0, o.w / 2.0
-    dx = np.array([half_l, half_l, -half_l, -half_l])
-    dz = np.array([half_w, -half_w, -half_w, half_w])
-    cos_t, sin_t = math.cos(o.theta), math.sin(o.theta)
-    rx = dx * cos_t + dz * sin_t
-    rz = -dx * sin_t + dz * cos_t
-    corners = np.empty((8, 3))
-    corners[:4, 0] = o.x + rx
-    corners[:4, 1] = o.y
-    corners[:4, 2] = o.z + rz
-    corners[4:, 0] = o.x + rx
-    corners[4:, 1] = o.y - o.h
-    corners[4:, 2] = o.z + rz
-    return corners
 
 
 def box_keypoints(o: Object3D, k: CameraIntrinsics) -> BoxKeypoints:
-    """Project a labeled box to its keypoint groups.
+    """Project a labeled box to its bottom- and top-center keypoints.
 
     Keypoints are amodal: they are not clipped to the image bounds, so
-    truncated objects keep geometrically consistent keypoints.
+    truncated objects keep geometrically consistent keypoints. Only the
+    center column is projected, so a box whose corners reach behind the
+    camera still has keypoints as long as its center is in front.
 
-    Raises NonPositiveDepth when the box center or any corner is at or
-    behind the image plane.
+    Raises NonPositiveDepth when the box center is at or behind the image
+    plane.
     """
     bottom = project(Point3D(o.x, o.y, o.z), k)
     top = project(Point3D(o.x, o.y - o.h, o.z), k)
-    corners = box_corners(o)
-    pixels = [project(Point3D(*corners[i]), k) for i in range(8)]
-
-    def _mean(p: Pixel, q: Pixel) -> Pixel:
-        return Pixel((p.u + q.u) / 2.0, (p.v + q.v) / 2.0)
-
-    # Diagonally opposite vertical edges: (0, 2) and (1, 3).
-    diag = (
-        (_mean(pixels[0], pixels[2]), _mean(pixels[4], pixels[6])),
-        (_mean(pixels[1], pixels[3]), _mean(pixels[5], pixels[7])),
-    )
-    return BoxKeypoints(bottom, top, diag)
+    return BoxKeypoints(bottom, top)
 
 
 def z_key(height: float, v_b: float, v_t: float, k: CameraIntrinsics,
@@ -166,15 +120,3 @@ def z_alt(y_glo: float, height: float, v_t: float, k: CameraIntrinsics,
         raise TopSingularity(f"|v_t - c_v| = {abs(den):.3g} px is below {eps:.3g}")
     return k.f_y * (y_glo - height) / den
 
-
-def focal_rescale(z: float, f_train: float, f_test: float) -> float:
-    """Rescale a depth prediction across cameras with different focal lengths.
-
-    A detector trained at focal length f_train and run at f_test sees depth
-    scaled by the focal ratio; multiplying by f_test / f_train undoes it.
-    """
-    if f_train <= 0 or f_test <= 0:
-        raise ValueError("focal lengths must be positive")
-    if z <= 0:
-        raise NonPositiveDepth(f"cannot rescale z={z}")
-    return z * f_test / f_train

@@ -26,7 +26,7 @@ class FusedDepth:
 
 
 def soft_fuse(branches: Sequence[tuple[float, float]]) -> FusedDepth:
-    """Fuse (z, sigma) pairs into a single depth.
+    """Fuse (z, sigma) pairs into one depth; the scalar reference of soft_fuse_array.
 
     Raises:
         EmptyEnsemble: no branches given.
@@ -45,34 +45,16 @@ def soft_fuse(branches: Sequence[tuple[float, float]]) -> FusedDepth:
     return FusedDepth(z_soft=z_soft, weights=weights)
 
 
-def fuse_with_mask(branches: Sequence[tuple[float, float]],
-                   valid: Sequence[bool]) -> FusedDepth:
-    """soft_fuse restricted to branches whose mask entry is True.
-
-    The returned weights cover the surviving branches only (in order).
-
-    Raises AllBranchesInvalid when the mask excludes everything.
-    """
-    branches = list(branches)
-    valid = list(valid)
-    if len(branches) != len(valid):
-        raise LengthMismatch(f"{len(branches)} branches vs {len(valid)} mask entries")
-    kept = [b for b, ok in zip(branches, valid) if ok]
-    if not kept:
-        raise AllBranchesInvalid("mask excludes every branch")
-    return soft_fuse(kept)
-
-
 def soft_fuse_array(z: np.ndarray, sigma: np.ndarray, axis: int = -1,
                     valid: np.ndarray | None = None) -> np.ndarray:
     """Vectorized soft fusion along an axis of matching z / sigma arrays.
 
-    Used by the sweep experiments, where the same branches are fused for
-    tens of thousands of objects at once. An optional boolean valid mask of
-    the same shape restricts each fusion to its present branches: masked-out
-    cells get weight 0 (inv = where(valid, 1/sigma, 0)), so the result is the
-    soft fusion of the valid subset. Masked-out cells must still hold finite
-    z and positive sigma (EnsembleTable stores z = 0, sigma = 1 there). With
+    The package's one fusion kernel: eval and the sweeps fuse a whole
+    EnsembleTable in one call. An optional boolean valid mask of the same
+    shape restricts each fusion to its present branches: masked-out cells
+    get weight 0 (inv = where(valid, 1/sigma, 0)), so the result is the soft
+    fusion of the valid subset. Masked-out cells must still hold finite z
+    and positive sigma (EnsembleTable stores z = 0, sigma = 1 there). With
     every cell valid the result equals the unmasked fusion bit for bit.
 
     Raises:

@@ -6,7 +6,8 @@ Covers four text formats:
 * KITTI label files (15 whitespace-separated fields plus an optional score).
 * Prediction ensembles as JSONL, one object per line; lines starting with
   '#' are comments (used for config headers) and are skipped on read.
-* Evaluation reports and sweep curves as JSON or CSV with deterministic
+* Evaluation reports, sweep curves and ground-plane reports as JSON or CSV,
+  headed by the command's config echo, with deterministic
   6-significant-digit float formatting, so identical inputs produce
   byte-identical files.
 
@@ -21,6 +22,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -483,6 +485,21 @@ def _header_lines(header: dict | None) -> list[str]:
     return [f"# {k}: {header[k]}" for k in sorted(header)]
 
 
+def config_header(args, keys: Sequence[str]) -> dict:
+    """The config echo at the top of every output file: the command and the
+    named options of parsed CLI arguments, paths as text and lists joined by
+    commas (floats at 6 significant digits)."""
+    echo = {"command": args.command}
+    for key in keys:
+        value = getattr(args, key.replace("-", "_"))
+        if isinstance(value, Path):
+            value = str(value)
+        elif isinstance(value, list):
+            value = ",".join(_fmt6(v) if isinstance(v, float) else str(v) for v in value)
+        echo[key] = value
+    return echo
+
+
 def write_report(report: ComplementarityReport, format: str = "json",
                  header: dict | None = None) -> str:
     """Serialize an evaluation report as JSON or CSV.
@@ -566,6 +583,50 @@ def _report_csv(report: ComplementarityReport, header: dict | None) -> str:
                 value="" if m is None else _fmt6(m), count=table.counts[i])
     for flag in report.flags:
         row("flag", branch=flag)
+    return buf.getvalue()
+
+
+def write_plane_report(frames: Sequence[dict], summary: dict, format: str = "json",
+                       header: dict | None = None) -> str:
+    """Serialize a ground-plane report as JSON or CSV.
+
+    frames holds one dict per frame with frame, n_points, fallback, k_h, b_h
+    and y_mae (None when no elevation was scored). summary holds
+    fallback_frames, n_objects and, when any elevation was scored, y_mae and
+    binned_by_y_error (a BinnedMae). CSV writes the scalar summary as '#
+    key: value' lines under the header and leaves out the binned table.
+    Floats are written at 6 significant digits.
+    """
+    if format == "json":
+        doc_summary = {**summary, "y_mae": _round6(summary.get("y_mae"))}
+        table = summary.get("binned_by_y_error")
+        if table is not None:
+            doc_summary["binned_by_y_error"] = {
+                "edges": [_edge_json(e) for e in table.edges],
+                "mae": [_round6(v) for v in table.maes],
+                "counts": list(table.counts),
+            }
+        doc = {
+            "header": header,
+            "frames": [{**r, "k_h": _round6(r["k_h"]), "b_h": _round6(r["b_h"]),
+                        "y_mae": _round6(r["y_mae"])} for r in frames],
+            "summary": doc_summary,
+        }
+        return json.dumps(doc, indent=2) + "\n"
+    if format != "csv":
+        raise ValueError(f"unknown format '{format}' (expected 'json' or 'csv')")
+    summary_lines = [f"# {key}: {_fmt6(value) if isinstance(value, float) else value}"
+                     for key, value in sorted(summary.items()) if key != "binned_by_y_error"]
+    buf = io.StringIO()
+    buf.writelines(line + "\n" for line in _header_lines(header) + summary_lines)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["frame", "n_points", "fallback", "k_h", "b_h", "y_mae"])
+    for r in frames:
+        writer.writerow([
+            r["frame"], r["n_points"], int(r["fallback"]),
+            _fmt6(r["k_h"]), _fmt6(r["b_h"]),
+            "" if r["y_mae"] is None else _fmt6(r["y_mae"]),
+        ])
     return buf.getvalue()
 
 

@@ -9,6 +9,7 @@ pairs that disagree often relative to how wrong they are.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -16,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .errors import EmptyInput, LengthMismatch, NonMonotoneEdges, ZeroMAE
-from .fusion import soft_fuse
+from .fusion import soft_fuse_array
 
 if TYPE_CHECKING:
     from .kitti_io import DepthEnsemble
@@ -101,7 +102,7 @@ def binned_mae(predictions: Sequence[float], truths: Sequence[float],
     if p.size == 0:
         raise EmptyInput("binned MAE needs at least one pair")
     e = np.asarray(edges, dtype=float)
-    if e.size < 2 or np.any(np.diff(e) <= 0):
+    if e.size < 2 or not np.all(np.diff(e) > 0):
         raise NonMonotoneEdges(
             f"edges must be at least 2 strictly increasing values, got {list(edges)}")
     k = t if key is None else np.asarray(key, dtype=float)
@@ -143,11 +144,6 @@ class ComplementarityReport:
     binned: dict[str, BinnedMae] = field(default_factory=dict)
     flags: tuple[str, ...] = ()
 
-    def esop_between(self, a: str, b: str) -> float:
-        if (a, b) in self.esop:
-            return self.esop[(a, b)]
-        return self.esop[(b, a)]
-
 
 def evaluate_ensembles(ensembles: Iterable["DepthEnsemble"],
                        reference: str | None = None,
@@ -155,101 +151,73 @@ def evaluate_ensembles(ensembles: Iterable["DepthEnsemble"],
                        ) -> ComplementarityReport:
     """Build a ComplementarityReport from ensembles with known truth.
 
-    Records without z_star are skipped (and flagged). Branches may be absent
-    from individual records (a geometric failure upstream); per-branch
-    statistics cover the records where the branch exists, and fusion uses
-    whatever branches each record has.
+    Records without z_star are skipped (and flagged); the rest are scored as
+    one EnsembleTable (a table is scored as it is). Per-branch statistics
+    cover the records that have the branch, ESOP the records that share both
+    branches, and fusion whatever branches each record has.
 
     The reference branch for CS defaults to 'dir' when present, else the
     first branch seen.
     """
-    records = [r for r in ensembles]
-    usable = [r for r in records if r.z_star is not None]
+    from .kitti_io import EnsembleTable  # kitti_io imports this module
+
     flags: list[str] = []
-    skipped = len(records) - len(usable)
-    if skipped:
-        flags.append(f"skipped_no_truth:{skipped}")
-    if not usable:
-        raise EmptyInput("no ensembles with ground truth to evaluate")
+    if not isinstance(ensembles, EnsembleTable):
+        records = list(ensembles)
+        usable = [r for r in records if r.z_star is not None]
+        if len(usable) < len(records):
+            flags.append(f"skipped_no_truth:{len(records) - len(usable)}")
+        if not usable:
+            raise EmptyInput("no ensembles with ground truth to evaluate")
+        ensembles = EnsembleTable.from_ensembles(usable)
+    table = ensembles
+    names, valid, z_star = table.names, table.valid, table.z_star
+    err = table.z - z_star[:, None]
 
-    branch_names: list[str] = []
-    for r in usable:
-        for b in r.branches:
-            if b.name not in branch_names:
-                branch_names.append(b.name)
-
-    errors: dict[str, dict[int, float]] = {name: {} for name in branch_names}
-    truths = np.array([r.z_star for r in usable])
-    for i, r in enumerate(usable):
-        for b in r.branches:
-            errors[b.name][i] = b.z - r.z_star
-
-    branch_mae: dict[str, float] = {}
-    branch_counts: dict[str, int] = {}
-    for name in branch_names:
-        errs = errors[name]
-        branch_counts[name] = len(errs)
-        if errs:
-            branch_mae[name] = float(np.mean(np.abs(list(errs.values()))))
+    counts = valid.sum(axis=0)
+    branch_counts = {name: int(n) for name, n in zip(names, counts)}
+    branch_mae = {name: float(np.mean(np.abs(err[valid[:, j], j])))
+                  for j, name in enumerate(names) if counts[j]}
 
     esop_table: dict[tuple[str, str], float] = {}
-    for i, a in enumerate(branch_names):
-        for b in branch_names[i + 1:]:
-            shared = sorted(errors[a].keys() & errors[b].keys())
-            if not shared:
-                flags.append(f"no_overlap:{a}|{b}")
-                continue
-            esop_table[(a, b)] = esop([errors[a][s] for s in shared],
-                                      [errors[b][s] for s in shared])
+    for a, b in itertools.combinations(range(len(names)), 2):
+        shared = valid[:, a] & valid[:, b]
+        if shared.any():
+            esop_table[(names[a], names[b])] = esop(err[shared, a], err[shared, b])
+        else:
+            flags.append(f"no_overlap:{names[a]}|{names[b]}")
 
     if reference is None:
-        reference = "dir" if "dir" in branch_names else branch_names[0]
-    elif reference not in branch_names:
+        reference = "dir" if "dir" in names else names[0]
+    elif reference not in names:
         raise ValueError(f"reference branch '{reference}' not found")
 
-    branch_cs: dict[str, float | None] = {}
-    for name in branch_names:
-        if name == reference:
-            branch_cs[name] = None
-            continue
-        key = (name, reference) if (name, reference) in esop_table else (reference, name)
-        m = branch_mae.get(name)
-        if key not in esop_table or m is None:
-            branch_cs[name] = None
-            continue
-        try:
-            branch_cs[name] = complementarity_score(esop_table[key], m)
-        except ZeroMAE:
-            branch_cs[name] = None
-            flags.append(f"zero_mae:{name}")
+    branch_cs: dict[str, float | None] = dict.fromkeys(names)
+    for name in names:
+        pair = esop_table.get((name, reference), esop_table.get((reference, name)))
+        if name != reference and pair is not None and name in branch_mae:
+            try:
+                branch_cs[name] = complementarity_score(pair, branch_mae[name])
+            except ZeroMAE:
+                flags.append(f"zero_mae:{name}")
 
-    fused_pred = []
-    fused_truth = []
-    for r in usable:
-        fused = soft_fuse([(b.z, b.sigma) for b in r.branches])
-        fused_pred.append(fused.z_soft)
-        fused_truth.append(r.z_star)
-    fused_mae = mae(fused_pred, fused_truth)
-
-    binned = {"fused": binned_mae(fused_pred, fused_truth, depth_edges)}
-    for name in branch_names:
-        errs = errors[name]
-        if not errs:
-            continue
-        rows = sorted(errs.keys())
-        preds = [float(truths[i] + errs[i]) for i in rows]
-        binned[name] = binned_mae(preds, [float(truths[i]) for i in rows], depth_edges)
+    fused = soft_fuse_array(table.z, table.sigma, valid=valid)
+    binned = {"fused": binned_mae(fused, z_star, depth_edges)}
+    for j, name in enumerate(names):
+        if counts[j]:
+            v = valid[:, j]
+            binned[name] = binned_mae(table.z[v, j], z_star[v], depth_edges)
 
     return ComplementarityReport(
-        n_objects=len(usable),
+        n_objects=len(table),
         reference=reference,
-        branch_names=tuple(branch_names),
+        branch_names=names,
         branch_mae=branch_mae,
         branch_counts=branch_counts,
         esop=esop_table,
         branch_cs=branch_cs,
-        fused_mae=fused_mae,
-        fused_count=len(fused_pred),
+        fused_mae=mae(fused, z_star),
+        fused_count=len(fused),
         binned=binned,
         flags=tuple(flags),
     )

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import pytest
 
@@ -279,19 +281,40 @@ def test_lab_ragged_predictions(dataset, capsys):
 
 
 @pytest.mark.parametrize("args,message", [
-    (["--mode", "flip", "--depth-range", "0,inf"], "--depth-range"),
-    (["--mode", "flip", "--depth-range", "nan,10"], "--depth-range"),
-    (["--mode", "disturb", "--amplitudes", "0,inf"], "amplitudes"),
-    (["--mode", "flip", "--proportions", "0,nan"], "proportions"),
-    (["--mode", "multiflip", "--k", "0,0"], "--k values must be distinct"),
-    (["--mode", "multiflip", "--k", "1,x"], "--k must be"),
-    (["--mode", "flip", "--n-objects", "-5"], "--n-objects"),
-    (["--mode", "flip", "--n-objects", "0"], "--n-objects"),
-    (["--mode", "flip", "--error-scale", "1e308"], "non-finite z"),
-    (["--mode", "flip", "--depth-range", "1e300,1e308"], "non-finite"),
+    (["lab", "--mode", "flip", "--depth-range", "0,inf"], "--depth-range"),
+    (["lab", "--mode", "flip", "--depth-range", "nan,10"], "--depth-range"),
+    (["lab", "--mode", "disturb", "--amplitudes", "0,inf"], "amplitudes"),
+    (["lab", "--mode", "flip", "--proportions", "0,nan"], "proportions"),
+    (["lab", "--mode", "multiflip", "--k", "0,0"], "--k values must be distinct"),
+    (["lab", "--mode", "multiflip", "--k", "1,x"], "--k must be"),
+    (["lab", "--mode", "flip", "--n-objects", "-5"], "--n-objects"),
+    (["lab", "--mode", "flip", "--n-objects", "0"], "--n-objects"),
+    (["lab", "--mode", "flip", "--error-scale", "1e308"], "non-finite z"),
+    (["lab", "--mode", "flip", "--depth-range", "1e300,1e308"], "non-finite"),
+    (["eval", "--predictions", "{preds}", "--depth-edges", "0,nan,40"], "edges"),
+    (["oracle", "--noise-px", "nan"], "--noise-px"),
+    (["oracle", "--noise-h-rel", "inf"], "--noise-h-rel"),
+    (["oracle", "--noise-horizon-slope", "-0.1"], "--noise-horizon-slope"),
+    (["oracle", "--noise-horizon-intercept", "nan"], "--noise-horizon-intercept"),
+    (["oracle", "--cam-height", "-1", "--eps-den", "-5"], "--cam-height"),
+    (["plane", "--eps-den", "-5"], "--eps-den"),
+    (["lab", "--mode", "flip", "--cam-height", "nan"], "--cam-height"),
+    (["plane", "--image-size", "10"], "--image-size"),
+    (["plane", "--image-size", "inf,375"], "--image-size"),
 ])
-def test_lab_bad_input_one_line_error(args, message, capsys):
-    code = run(["lab", "--n-objects", 200, *args])
+def test_lab_bad_input_one_line_error(args, message, dataset, capsys):
+    # every command, despite the name: bad input ends in one error line
+    command, *rest = args
+    if command == "lab":
+        rest = ["--n-objects", "200", *rest]
+    else:
+        rest = ["--calib-dir", dataset / "calib", "--label-dir", dataset / "label_2", *rest]
+        if command == "eval":
+            preds = dataset / "preds.jsonl"
+            assert run(["oracle", *rest[:4], "--out", preds]) == 0
+            rest = [str(preds) if a == "{preds}" else a for a in rest]
+    capsys.readouterr()
+    code = run([command, *rest])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
@@ -359,3 +382,26 @@ def test_unknown_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_oracle_box_corner_behind_camera(tmp_path):
+    # the box center is in front of the camera but, turned lengthwise, its
+    # near corners are behind it; the oracle only projects the center
+    # column, so the object still gets its branches instead of aborting the run
+    scene = make_scene(6, seed=4)
+    x, z = 0.5, 1.5
+    close = dataclasses.replace(scene.objects[0], x=x, z=z, l=4.8, theta=math.pi / 2,
+                                y=scene.plane.height_at(x, z))
+    calib_dir, label_dir = tmp_path / "calib", tmp_path / "label_2"
+    calib_dir.mkdir()
+    label_dir.mkdir()
+    (calib_dir / "000000.txt").write_text(format_calib(scene.intrinsics))
+    (label_dir / "000000.txt").write_text(format_labels([*scene.objects, close]))
+    preds = tmp_path / "preds.jsonl"
+    code = run(["oracle", "--calib-dir", calib_dir, "--label-dir", label_dir,
+                "--out", preds])
+    assert code == 0
+    records = read_predictions(preds.read_text())
+    assert [r.index for r in records] == list(range(7))
+    for b in records[6].branches:
+        assert b.z == pytest.approx(z, rel=1e-9)

@@ -1,20 +1,15 @@
 import math
 
-import numpy as np
 import pytest
 
 from compdepth import (
     DegenerateHeight,
     MidpointSingularity,
     NonPositiveDepth,
-    Point3D,
     TopSingularity,
-    box_corners,
     box_keypoints,
     depth_from_elevation,
-    focal_rescale,
     make_scene,
-    project,
     z_alt,
     z_comp,
     z_global,
@@ -32,33 +27,6 @@ def make_object(x=0.0, y=1.65, z=20.0, h=1.5, w=1.6, l=3.6, theta=0.0):
 # box corners and keypoints
 # ---------------------------------------------------------------------------
 
-def test_box_corners_vertical_edges():
-    o = make_object(theta=0.7)
-    corners = box_corners(o)
-    assert corners.shape == (8, 3)
-    # rows (j, j+4) are vertical edges: same x and z, y split by the height
-    assert np.allclose(corners[:4, 0], corners[4:, 0])
-    assert np.allclose(corners[:4, 2], corners[4:, 2])
-    assert np.allclose(corners[:4, 1], o.y)
-    assert np.allclose(corners[4:, 1], o.y - o.h)
-
-
-def test_box_corners_unrotated_extents():
-    o = make_object(x=1.0, z=30.0)
-    corners = box_corners(o)
-    assert corners[:, 0].min() == pytest.approx(o.x - o.l / 2)
-    assert corners[:, 0].max() == pytest.approx(o.x + o.l / 2)
-    assert corners[:, 2].min() == pytest.approx(o.z - o.w / 2)
-    assert corners[:, 2].max() == pytest.approx(o.z + o.w / 2)
-
-
-def test_box_corners_quarter_turn_swaps_extents():
-    o = make_object(theta=math.pi / 2)
-    corners = box_corners(o)
-    assert corners[:, 0].max() - corners[:, 0].min() == pytest.approx(o.w)
-    assert corners[:, 2].max() - corners[:, 2].min() == pytest.approx(o.l)
-
-
 def test_box_keypoints_center_pair(simple_cam):
     kp = box_keypoints(make_object(), simple_cam)
     assert kp.bottom_center.v == pytest.approx(257.75)
@@ -66,45 +34,15 @@ def test_box_keypoints_center_pair(simple_cam):
     assert kp.bottom_center.u == pytest.approx(600.0)
 
 
-def test_box_keypoints_diagonal_pairs_match_corner_means(simple_cam):
-    # independent re-derivation: diagonal groups average opposite vertical
-    # edges (0, 2) and (1, 3); their 3D midpoints are the face centers
-    rng = np.random.default_rng(61)
-    for _ in range(50):
-        o = make_object(x=rng.uniform(-8, 8), z=rng.uniform(8, 60),
-                        theta=rng.uniform(-math.pi, math.pi))
-        corners = box_corners(o)
-        for pair, (i, j) in zip(box_keypoints(o, simple_cam).diag_pairs,
-                                ((0, 2), (1, 3))):
-            mid3d = (corners[i] + corners[j]) / 2.0
-            assert np.allclose(mid3d, [o.x, o.y, o.z], atol=1e-12)
-            for pix, (bi, bj) in zip(pair, ((i, j), (i + 4, j + 4))):
-                pa = project(Point3D(*corners[bi]), simple_cam)
-                pb = project(Point3D(*corners[bj]), simple_cam)
-                assert pix.u == pytest.approx((pa.u + pb.u) / 2, abs=1e-12)
-                assert pix.v == pytest.approx((pa.v + pb.v) / 2, abs=1e-12)
-
-
-def test_box_keypoints_diagonals_near_center_column(simple_cam):
-    # pixel means of opposite edges sit near the projected center; the
-    # residual is second order in (edge offset / depth)
-    kp = box_keypoints(make_object(z=40.0), simple_cam)
-    for bottom, _ in kp.diag_pairs:
-        assert abs(bottom.u - kp.bottom_center.u) < 1.0
-        assert abs(bottom.v - kp.bottom_center.v) < 1.0
-
-
-def test_box_keypoints_groups_order(simple_cam):
-    kp = box_keypoints(make_object(), simple_cam)
-    groups = list(kp.groups())
-    assert len(groups) == 3
-    assert groups[0] == (kp.bottom_center, kp.top_center)
-
-
 def test_box_keypoints_behind_camera(simple_cam):
     with pytest.raises(NonPositiveDepth):
-        # long axis along z: nearest corner at z = 1.0 - 1.8 is behind the camera
-        box_keypoints(make_object(z=1.0, theta=math.pi / 2), simple_cam)
+        box_keypoints(make_object(z=-1.0), simple_cam)
+    with pytest.raises(NonPositiveDepth):
+        box_keypoints(make_object(z=0.0), simple_cam)
+    # long axis along z: the near corners reach behind the camera, but only
+    # the center column is projected
+    kp = box_keypoints(make_object(z=1.0, theta=math.pi / 2), simple_cam)
+    assert kp.bottom_center.v == pytest.approx(200.0 + 700.0 * 1.65)
 
 
 # ---------------------------------------------------------------------------
@@ -167,15 +105,6 @@ def test_z_alt_singularity_and_signed_output(simple_cam):
         z_alt(1.65, 1.65, 200.0, simple_cam)
     # inconsistent inputs produce a negative depth, returned as-is
     assert z_alt(1.65, 1.8, 205.0, simple_cam) == pytest.approx(-21.0)
-
-
-def test_focal_rescale():
-    assert focal_rescale(27.22, 1.361 * 700.0, 700.0) == pytest.approx(20.0)
-    assert focal_rescale(20.0, 700.0, 700.0) == 20.0
-    with pytest.raises(ValueError):
-        focal_rescale(20.0, 0.0, 700.0)
-    with pytest.raises(NonPositiveDepth):
-        focal_rescale(-1.0, 700.0, 700.0)
 
 
 # ---------------------------------------------------------------------------

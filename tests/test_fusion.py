@@ -7,7 +7,6 @@ from compdepth import (
     LengthMismatch,
     NonPositiveSigma,
     coupling_error,
-    fuse_with_mask,
     soft_fuse,
     soft_fuse_array,
 )
@@ -79,21 +78,6 @@ def test_two_branch_fusion_matches_coupling_error():
         w1 = fused.weights[0]
         assert abs(fused.z_soft - z_star) == pytest.approx(
             coupling_error(e1, e2, w1), abs=1e-12)
-
-
-def test_fuse_with_mask():
-    branches = [(10.0, 1.0), (99.0, 1.0), (20.0, 3.0)]
-    fused = fuse_with_mask(branches, [True, False, True])
-    # weights cover the two survivors only, renormalized: 0.75 / 0.25
-    assert fused.z_soft == pytest.approx(12.5)
-    assert fused.weights == pytest.approx((0.75, 0.25))
-
-
-def test_fuse_with_mask_validation():
-    with pytest.raises(LengthMismatch):
-        fuse_with_mask([(10.0, 1.0)], [True, False])
-    with pytest.raises(AllBranchesInvalid):
-        fuse_with_mask([(10.0, 1.0), (20.0, 1.0)], [False, False])
 
 
 def test_soft_fuse_array_matches_scalar():

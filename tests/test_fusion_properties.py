@@ -1,4 +1,5 @@
-"""Property tests of the masked fusion kernel against the scalar reference."""
+"""Property tests of the masked fusion kernel, and of the ensemble evaluation
+built on it, against the scalar references."""
 
 import numpy as np
 import pytest
@@ -8,9 +9,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from compdepth import soft_fuse, soft_fuse_array  # noqa: E402
-
-
+from compdepth import (  # noqa: E402
+    DepthBranch,
+    DepthEnsemble,
+    EnsembleTable,
+    esop,
+    evaluate_ensembles,
+    soft_fuse,
+    soft_fuse_array,
+)
 
 
 @st.composite
@@ -53,3 +60,34 @@ def test_masked_fusion_is_convex_in_valid_z(case):
     # masked-out cells carry zero weight: their values change nothing
     elsewhere = np.where(valid, z, 1e6)
     assert np.array_equal(soft_fuse_array(elsewhere, sigma, valid=valid), fused)
+
+
+@given(masked_ensembles(), st.data())
+def test_evaluation_matches_scalar_references_on_ragged_ensembles(case, data):
+    z, sigma, valid = case
+    n = z.shape[0]
+    z_star = data.draw(arrays(float, n, elements=st.floats(0.5, 200.0)))
+    records = [
+        DepthEnsemble(f"{i:06d}", i, tuple(
+            DepthBranch(f"b{j}", z[i, j], sigma[i, j]) for j in np.flatnonzero(valid[i])),
+            z_star=z_star[i])
+        for i in range(n)
+    ]
+    report = evaluate_ensembles(records)
+
+    fused = [soft_fuse([(z[i, j], sigma[i, j]) for j in np.flatnonzero(valid[i])]).z_soft
+             for i in range(n)]
+    assert report.fused_mae == pytest.approx(np.mean(np.abs(np.subtract(fused, z_star))),
+                                             rel=1e-12)
+    names = report.branch_names
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            ja, jb = int(a[1:]), int(b[1:])
+            shared = valid[:, ja] & valid[:, jb]
+            if not shared.any():
+                assert (a, b) not in report.esop and f"no_overlap:{a}|{b}" in report.flags
+                continue
+            expected = esop(z[shared, ja] - z_star[shared], z[shared, jb] - z_star[shared])
+            assert report.esop[(a, b)] == pytest.approx(expected, rel=1e-12)
+    # a table is scored as it is, with the same result
+    assert evaluate_ensembles(EnsembleTable.from_ensembles(records)) == report

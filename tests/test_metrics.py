@@ -167,7 +167,7 @@ def test_evaluate_ensembles_basic():
     assert report.reference == "dir"
     assert report.branch_mae["dir"] == pytest.approx(2.5 / 3)
     assert report.branch_mae["key"] == pytest.approx(2.0 / 3)
-    assert report.esop_between("key", "dir") == 100.0
+    assert report.esop[("dir", "key")] == 100.0
     assert report.branch_cs["key"] == pytest.approx(100.0 / (2.0 / 3))
     assert report.branch_cs["dir"] is None  # reference scores no CS
     assert report.fused_count == 3
