@@ -26,9 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .camera import DEFAULT_EPS_DEN, Point3D, project
+from .camera import DEFAULT_EPS_DEN, CameraIntrinsics, Point3D, project
 from .depth_branches import box_keypoints, z_alt, z_comp, z_global, z_key
-from .errors import CompdepthError, JoinError
+from .errors import CompdepthError, DegeneratePlane, JoinError
 from .ground_plane import (
     DEFAULT_CAM_HEIGHT,
     GroundPlane,
@@ -193,6 +193,25 @@ def _load_frame(calib_dir: Path, label_dir: Path, frame: str):
     return intrinsics, objects
 
 
+def _frame_plane(bottoms: list[Point3D], k: CameraIntrinsics,
+                 args) -> tuple[GroundPlane, HorizonLine, bool]:
+    """The frame's ground plane, its horizon, and whether it fell back.
+
+    The fallback is the flat plane at --cam-height, taken when the frame has
+    no usable bottoms, too few or collinear ones to pin a plane, or a
+    fitted plane too close to vertical to have a horizon.
+    """
+    if bottoms:
+        plane, info = fit_plane(bottoms, with_info=True)
+        if not info.used_fallback:
+            try:
+                return plane, plane_to_horizon(plane, k, eps=args.eps_den), False
+            except DegeneratePlane:
+                pass
+    flat = GroundPlane(0.0, -1.0, 0.0, args.cam_height)
+    return flat, plane_to_horizon(flat, k, eps=args.eps_den), True
+
+
 def _emit(text: str, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -263,14 +282,9 @@ def _cmd_oracle(args) -> int:
         if skipped:
             diagnostics["object_invalid_geometry"] += skipped
 
-        bottoms = [Point3D(o.x, o.y, o.z) for _, o in valid]
-        if bottoms:
-            plane, info = fit_plane(bottoms, fallback_height=args.cam_height,
-                                    with_info=True)
-            if info.used_fallback:
-                diagnostics["plane_fallback"] += 1
-        else:
-            plane = GroundPlane(0.0, -1.0, 0.0, args.cam_height)
+        plane, horizon, used_fallback = _frame_plane(
+            [Point3D(o.x, o.y, o.z) for _, o in valid], k, args)
+        if used_fallback:
             diagnostics["plane_fallback"] += 1
 
         # Horizon perturbation draws happen for every frame, amplitude 0 or
@@ -278,7 +292,6 @@ def _cmd_oracle(args) -> int:
         d_slope = rng.uniform(-args.noise_horizon_slope, args.noise_horizon_slope)
         d_intercept = rng.uniform(-args.noise_horizon_intercept,
                                   args.noise_horizon_intercept)
-        horizon = plane_to_horizon(plane, k, eps=args.eps_den)
         plane_used = horizon_to_plane(
             HorizonLine(horizon.k_h + d_slope, horizon.b_h + d_intercept),
             k, cam_height=plane.cam_height)
@@ -423,26 +436,22 @@ def _cmd_plane(args) -> int:
             math.isfinite(v) and v >= 1 for v in args.image_size):
         raise ValueError("--image-size needs two finite values >= 1 (width,height)")
     width, height = (int(v) for v in args.image_size)
+    frames = _frames(args.label_dir)
+    if args.heatmap_dir is not None:
+        args.heatmap_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     y_pred_all: list[float] = []
     y_true_all: list[float] = []
     fallback_frames = 0
     diagnostics: Counter = Counter()
 
-    for frame in _frames(args.label_dir):
+    for frame in frames:
         k, objects = _load_frame(args.calib_dir, args.label_dir, frame)
         valid = [o for o in filter_objects(objects) if o.h > 0 and o.z > 0]
         bottoms = [Point3D(o.x, o.y, o.z) for o in valid]
-        if bottoms:
-            plane, info = fit_plane(bottoms, fallback_height=args.cam_height,
-                                    with_info=True)
-            used_fallback = info.used_fallback
-        else:
-            plane = GroundPlane(0.0, -1.0, 0.0, args.cam_height)
-            used_fallback = True
+        plane, horizon, used_fallback = _frame_plane(bottoms, k, args)
         if used_fallback:
             fallback_frames += 1
-        horizon = plane_to_horizon(plane, k, eps=args.eps_den)
 
         frame_pred, frame_true = [], []
         for o in valid:
@@ -469,7 +478,6 @@ def _cmd_plane(args) -> int:
         })
 
         if args.heatmap_dir is not None:
-            args.heatmap_dir.mkdir(parents=True, exist_ok=True)
             heatmap = rasterize_horizon(horizon, width, height)
             (args.heatmap_dir / f"{frame}.pgm").write_bytes(heatmap_to_pgm(heatmap))
 

@@ -237,21 +237,32 @@ def rasterize_horizon(h: HorizonLine, width: int, height: int,
     whose line row falls outside the image keep whatever truncated tail
     still intersects the image; columns farther away than the radius stay
     zero.
+
+    Raises ValueError for a non-finite line, a radius that is not finite
+    and positive, or an empty image.
     """
     if width < 1 or height < 1:
         raise ValueError("heatmap dimensions must be at least 1x1")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not math.isfinite(h.k_h):
+        raise ValueError(f"k_h must be finite, got {h.k_h}")
+    if not math.isfinite(h.b_h):
+        raise ValueError(f"b_h must be finite, got {h.b_h}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be finite and positive, got {radius}")
     sigma = radius / 3.0
     grid = np.zeros((height, width), dtype=float)
-    for u in range(width):
-        v = h.row_at(u)
-        lo = max(0, math.ceil(v - radius))
-        hi = min(height - 1, math.floor(v + radius))
-        if lo > hi:
-            continue
-        rows = np.arange(lo, hi + 1)
-        grid[rows, u] = np.exp(-((rows - v) ** 2) / (2.0 * sigma * sigma))
+    v = h.k_h * np.arange(width) + h.b_h
+    lo = np.maximum(0.0, np.ceil(v - radius))
+    hi = np.minimum(height - 1.0, np.floor(v + radius))
+    cols = np.nonzero(lo <= hi)[0]
+    v, rows, hi = v[cols], lo[cols].astype(np.intp), hi[cols].astype(np.intp)
+    # One pass per row offset inside the window (floor(2 * radius) + 1 at
+    # most); each column leaves once its row passes hi <= height - 1, so
+    # the loop also ends within height passes.
+    while cols.size:
+        grid[rows, cols] = np.exp(-((rows - v) ** 2) / (2.0 * sigma * sigma))
+        more = rows < hi
+        rows, cols, v, hi = rows[more] + 1, cols[more], v[more], hi[more]
     return HorizonHeatmap(grid)
 
 
@@ -275,11 +286,11 @@ def fit_horizon(m: HorizonHeatmap, trim: float = 0.0, with_info: bool = False):
     if not 0.0 <= trim < 1.0:
         raise ValueError("trim must be in [0, 1)")
     grid = m.grid
-    usable = grid.max(axis=0) > 0.0
-    cols = np.nonzero(usable)[0]
+    argmax = np.argmax(grid, axis=0)
+    cols = np.nonzero(grid[argmax, np.arange(m.width)] > 0.0)[0]
     if cols.size < 2:
         raise InsufficientSupport(f"only {cols.size} usable columns")
-    argmax = np.argmax(grid[:, cols], axis=0)
+    argmax = argmax[cols]
     rows = argmax.astype(float)
 
     inner = (argmax > 0) & (argmax < grid.shape[0] - 1)
@@ -327,8 +338,10 @@ def heatmap_to_pgm(m: HorizonHeatmap) -> bytes:
     Values are clipped to [0, 1] and scaled so 1.0 maps to 255.
     """
     header = f"P5\n{m.width} {m.height}\n255\n".encode("ascii")
-    body = np.rint(np.clip(m.grid, 0.0, 1.0) * 255.0).astype(np.uint8).tobytes()
-    return header + body
+    scaled = np.clip(m.grid, 0.0, 1.0)
+    scaled *= 255.0
+    np.rint(scaled, out=scaled)
+    return header + scaled.astype(np.uint8).tobytes()
 
 
 def heatmap_from_pgm(data: bytes) -> HorizonHeatmap:
@@ -337,10 +350,12 @@ def heatmap_from_pgm(data: bytes) -> HorizonHeatmap:
     if match is None:
         raise ValueError("not a binary P5 PGM")
     width, height, maxval = (int(g) for g in match.groups())
+    if width < 1 or height < 1:
+        raise ValueError("PGM width and height must be at least 1")
     if maxval != 255:
         raise ValueError(f"expected maxval 255, got {maxval}")
     body = data[match.end():]
     if len(body) != width * height:
         raise ValueError(f"expected {width * height} pixel bytes, got {len(body)}")
-    grid = np.frombuffer(body, dtype=np.uint8).reshape(height, width) / 255.0
-    return HorizonHeatmap(grid.astype(float))
+    # dividing the uint8 view makes the one float64 array
+    return HorizonHeatmap(np.frombuffer(body, dtype=np.uint8).reshape(height, width) / 255.0)

@@ -298,7 +298,8 @@ class EnsembleTable(Sequence[DepthEnsemble]):
         Branch columns follow first appearance across the records, so a
         record's branches come back in column order when it is materialized.
 
-        Raises ValueError on empty input or a record without z_star.
+        Raises ValueError on empty input, a record without z_star, or
+        records none of which has a branch.
         """
         if isinstance(records, cls):
             return records
@@ -317,6 +318,8 @@ class EnsembleTable(Sequence[DepthEnsemble]):
                 cols.append(columns.setdefault(b.name, len(columns)))
                 zs.append(b.z)
                 sigmas.append(b.sigma)
+        if not columns:
+            raise ValueError("no record has a branch")
         shape = (len(records), len(columns))
         z, sigma, valid = np.zeros(shape), np.ones(shape), np.zeros(shape, dtype=bool)
         z[rows, cols] = zs

@@ -360,6 +360,54 @@ def test_plane_fallback_exit_code(tmp_path, capsys):
     assert data["frames"][0]["fallback"]
 
 
+@pytest.fixture
+def steep_dataset(tmp_path):
+    """Label dirs 'both' (a make_scene frame 000000 and a frame 000001 whose
+    three bottoms (0, 1, 10), (1e-7, 2, 10), (0, 1, 20) fit a plane with
+    |b| ~ 1e-7, too steep to have a horizon) and 'normal' (000000 alone)."""
+    scene = make_scene(25, seed=7)
+    steep = [dataclasses.replace(scene.objects[0], x=x, y=y, z=z)
+             for x, y, z in ((0.0, 1.0, 10.0), (1e-7, 2.0, 10.0), (0.0, 1.0, 20.0))]
+    calib_dir = tmp_path / "calib"
+    calib_dir.mkdir()
+    for frame in ("000000", "000001"):
+        (calib_dir / f"{frame}.txt").write_text(format_calib(scene.intrinsics))
+    dirs = {}
+    for name, frames in (("both", {"000000": scene.objects, "000001": steep}),
+                         ("normal", {"000000": scene.objects})):
+        label_dir = tmp_path / name
+        label_dir.mkdir()
+        for frame, objects in frames.items():
+            (label_dir / f"{frame}.txt").write_text(format_labels(objects))
+        dirs[name] = ["--calib-dir", calib_dir, "--label-dir", label_dir]
+    return dirs
+
+
+def test_oracle_near_vertical_plane_falls_back(steep_dataset, tmp_path, capsys):
+    # the whole run exited 1 with "|b| = 1e-07 is below 1e-06"
+    flags = ["--noise-px", "1", "--seed", "5"]
+    assert run(["oracle", *steep_dataset["normal"], *flags, "--out", tmp_path / "n"]) == 0
+    capsys.readouterr()
+    assert run(["oracle", *steep_dataset["both"], *flags, "--out", tmp_path / "b"]) == 3
+    assert "warning: plane_fallback: 1" in capsys.readouterr().err.splitlines()
+    normal = read_predictions((tmp_path / "n").read_text())
+    both = read_predictions((tmp_path / "b").read_text())
+    assert [r for r in both if r.frame == "000000"] == normal
+    assert [r.index for r in both if r.frame == "000001"] == [0, 1, 2]
+
+
+def test_plane_near_vertical_plane_falls_back(steep_dataset, capsys):
+    assert run(["plane", *steep_dataset["normal"]]) == 0
+    normal = json.loads(capsys.readouterr().out)
+    assert run(["plane", *steep_dataset["both"]]) == 3
+    both = json.loads(capsys.readouterr().out)
+    assert both["frames"][0] == normal["frames"][0]
+    steep = both["frames"][1]
+    assert (steep["frame"], steep["n_points"], steep["fallback"]) == ("000001", 3, True)
+    assert (steep["k_h"], steep["b_h"]) == (0.0, 172.854)  # the flat plane's horizon
+    assert both["summary"]["fallback_frames"] == 1
+
+
 def test_plane_csv(dataset, capsys):
     code = run(["plane", "--calib-dir", dataset / "calib",
                 "--label-dir", dataset / "label_2", "--format", "csv"])

@@ -7,10 +7,15 @@ diff here. Every case runs on one seeded make_scene corpus (two 25-object
 frames and a 2-object frame whose plane fit falls back). The temporary
 directory in the config echo is replaced by '<tmp>'.
 
+The horizon heatmaps of `plane --heatmap-dir` are pinned too: small ones
+(HEATMAP_SMALL, tall enough that every frame's horizon crosses the image)
+byte for byte, and the full-size default ones by their sha256 digests.
+
 Regenerate (only when a change to the numbers is intended) with
     PYTHONPATH=src python tests/test_cli_goldens.py
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -36,13 +41,19 @@ EVAL_CASES = [
     ("eval_custom", "dense", ["--depth-edges", "0,10,25,45,inf", "--reference", "glo"]),
 ]
 
+#: --image-size of the byte-for-byte heatmap goldens; in these 64 columns the
+#: corpus's horizons run through rows 163-253, so a shorter image would pin
+#: all-zero files.
+HEATMAP_SMALL = "64,260"
+FRAMES = ("000000", "000001", "000002")
+
 
 def write_corpus(tmp: Path) -> list[str]:
     """Write the calib/label dirs; return the shared directory flags."""
     calib_dir, label_dir = tmp / "calib", tmp / "label_2"
     calib_dir.mkdir()
     label_dir.mkdir()
-    for frame, n, seed in (("000000", 25, 7), ("000001", 25, 8), ("000002", 2, 9)):
+    for frame, n, seed in zip(FRAMES, (25, 25, 2), (7, 8, 9)):
         scene = make_scene(n, seed=seed)
         (calib_dir / f"{frame}.txt").write_text(format_calib(scene.intrinsics))
         (label_dir / f"{frame}.txt").write_text(format_labels(scene.objects))
@@ -72,6 +83,20 @@ def render_plane(fmt: str, tmp: Path) -> tuple[int, str]:
     return run(["plane", *write_corpus(tmp), "--format", fmt], tmp / f"plane.{fmt}", tmp)
 
 
+def render_heatmaps(size: str | None, tmp: Path) -> tuple[int, str, dict[str, bytes]]:
+    """plane --heatmap-dir at the given --image-size (None: the default)."""
+    heat_dir = tmp / "heat"
+    size_flags = [] if size is None else ["--image-size", size]
+    code, text = run(["plane", *write_corpus(tmp), "--heatmap-dir", str(heat_dir),
+                      *size_flags], tmp / "plane.json", tmp)
+    return code, text, {p.stem: p.read_bytes() for p in sorted(heat_dir.iterdir())}
+
+
+def _digests(pgms: dict[str, bytes]) -> str:
+    return "".join(f"{hashlib.sha256(data).hexdigest()}  {frame}.pgm\n"
+                   for frame, data in pgms.items())
+
+
 def _split(golden: Path) -> tuple[int, str]:
     """A golden file is '<exit code>\\n' followed by the command's output."""
     code, text = golden.read_text().split("\n", 1)
@@ -98,6 +123,21 @@ def test_plane_golden(fmt, tmp_path):
     assert render_plane(fmt, tmp_path) == _split(DATA / f"plane.{fmt}")
 
 
+def test_plane_heatmap_golden_small(tmp_path):
+    code, _, pgms = render_heatmaps(HEATMAP_SMALL, tmp_path)
+    assert code == 3  # the 2-object frame falls back
+    assert list(pgms) == list(FRAMES)
+    for frame, data in pgms.items():
+        assert data == (DATA / f"heatmap_{frame}.pgm").read_bytes(), frame
+
+
+def test_plane_heatmap_golden_full_size(tmp_path):
+    code, text, pgms = render_heatmaps(None, tmp_path)
+    # writing heatmaps leaves the report as it is without them
+    assert (code, text) == _split(DATA / "plane.json")
+    assert _digests(pgms) == (DATA / "heatmaps_full.sha256").read_text()
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -113,3 +153,8 @@ if __name__ == "__main__":
         for stem, variant, extra in EVAL_CASES:
             save(f"{stem}.{fmt}", render_eval, variant, extra, fmt)
         save(f"plane.{fmt}", render_plane, fmt)
+    with tempfile.TemporaryDirectory() as tmp:
+        for frame, data in render_heatmaps(HEATMAP_SMALL, Path(tmp))[2].items():
+            (DATA / f"heatmap_{frame}.pgm").write_bytes(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        (DATA / "heatmaps_full.sha256").write_text(_digests(render_heatmaps(None, Path(tmp))[2]))

@@ -247,6 +247,40 @@ def test_rasterize_partial_tail_above_image():
     assert np.all(hm.grid[2:] == 0.0)
 
 
+@pytest.mark.parametrize("line,radius,message", [
+    (HorizonLine(math.nan, 100.0), 2.0, "k_h must be finite"),
+    (HorizonLine(math.inf, 100.0), 2.0, "k_h must be finite"),
+    (HorizonLine(0.0, math.nan), 2.0, "b_h must be finite"),
+    (HorizonLine(0.0, -math.inf), 2.0, "b_h must be finite"),
+    (HorizonLine(0.0, 100.0), math.nan, "radius must be finite and positive"),
+    (HorizonLine(0.0, 100.0), math.inf, "radius must be finite and positive"),
+    (HorizonLine(0.0, 100.0), 0.0, "radius must be finite and positive"),
+    (HorizonLine(0.0, 100.0), -1.0, "radius must be finite and positive"),
+])
+def test_rasterize_rejects_bad_input(line, radius, message):
+    with pytest.raises(ValueError, match=message):
+        rasterize_horizon(line, width=8, height=6, radius=radius)
+
+
+def test_rasterize_radius_beyond_image_height():
+    # every row of every column lies inside the window
+    hm = rasterize_horizon(HorizonLine(0.0, 2.0), width=5, height=4, radius=1e12)
+    assert np.all(hm.grid == 1.0)
+    tall = rasterize_horizon(HorizonLine(0.0, 2.0), width=5, height=4, radius=10.0)
+    sigma = 10.0 / 3.0
+    expected = np.exp(-((np.arange(4) - 2.0) ** 2) / (2.0 * sigma * sigma))
+    assert np.array_equal(tall.grid, np.repeat(expected[:, None], 5, axis=1))
+
+
+def test_rasterize_overflowing_rows_stay_empty():
+    # k_h * u overflows to inf from column 1 on: those rows are infinitely
+    # far from the image, so only column 0 carries the profile
+    with np.errstate(over="ignore"):
+        hm = rasterize_horizon(HorizonLine(1e308, 1.0), width=4, height=3, radius=2.0)
+    assert hm.grid[1, 0] == 1.0 and hm.grid[0, 0] > 0.0 and hm.grid[2, 0] > 0.0
+    assert np.all(hm.grid[:, 1:] == 0.0)
+
+
 def test_rasterize_far_line_all_zero():
     hm = rasterize_horizon(HorizonLine(0.0, -10.0), width=10, height=375)
     assert np.all(hm.grid == 0.0)
@@ -316,3 +350,6 @@ def test_pgm_rejects_garbage():
         heatmap_from_pgm(b"P6\n2 2\n255\n" + bytes(12))
     with pytest.raises(ValueError):
         heatmap_from_pgm(b"P5\n2 2\n255\n" + bytes(3))  # truncated body
+    for empty in (b"P5\n0 0\n255\n", b"P5\n5 0\n255\n"):
+        with pytest.raises(ValueError, match="PGM width and height must be at least 1"):
+            heatmap_from_pgm(empty)

@@ -14,6 +14,7 @@ from compdepth import (
     complementary_error,
     coupling_error,
     disturb_sweep,
+    evaluate_ensembles,
     flip,
     flip_sweep,
     generate_ensembles,
@@ -168,6 +169,16 @@ def test_ensemble_table_from_ensembles_validation():
     assert ragged.sigma.tolist() == [[1.0, 1.0], [1.0, 0.5]]
     with pytest.raises(ValueError):
         EnsembleTable.from_ensembles([DepthEnsemble("0", 0, (DepthBranch("a", 1.0),))])
+
+
+def test_ensemble_table_from_ensembles_without_branches():
+    # DepthEnsemble accepts an empty branch tuple; a table of only such
+    # records has no column, which is an input error, not a broken invariant
+    records = [DepthEnsemble("0", 0, (), z_star=1.0), DepthEnsemble("0", 1, (), z_star=2.0)]
+    with pytest.raises(ValueError, match="^no record has a branch$"):
+        EnsembleTable.from_ensembles(records)
+    with pytest.raises(ValueError, match="^no record has a branch$"):
+        evaluate_ensembles(records)
 
 
 # ---------------------------------------------------------------------------
