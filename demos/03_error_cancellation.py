@@ -43,8 +43,8 @@ ensembles = generate_ensembles(truths, cfg)
 
 # scoring: how often do two branches disagree in sign, and how much
 # complementarity per meter of error does that represent
-errs = {name: np.array([e.branch(name).z - e.z_star for e in ensembles])
-        for name in cfg.branch_names}
+errs = {name: ensembles.z[:, j] - ensembles.z_star
+        for j, name in enumerate(ensembles.names)}
 opp = esop(errs["b0"], errs["b1"])
 b0_mae = mae(errs["b0"], np.zeros_like(errs["b0"]))
 print(f"\nb0 vs b1: ESOP {opp:.1f}%, MAE {b0_mae:.3f}, "

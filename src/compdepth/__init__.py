@@ -68,8 +68,6 @@ from .ground_plane import (
     y_global,
 )
 from .kitti_io import (
-    DepthBranch,
-    DepthEnsemble,
     EnsembleTable,
     Object3D,
     filter_objects,
@@ -116,8 +114,8 @@ __all__ = [
     "CompdepthError", "ComplementarityReport", "DEFAULT_CAM_HEIGHT",
     "DEFAULT_DEPTH_EDGES", "DEFAULT_EPS_DEN", "DEFAULT_INTRINSICS",
     "DEFAULT_Y_ERROR_EDGES", "DegenerateHeight", "DegeneratePlane",
-    "DepthBranch", "DepthEnsemble", "EmptyEnsemble", "EmptyInput",
-    "EnsembleTable", "ErrorModelConfig", "FusedDepth", "GroundPlane",
+    "EmptyEnsemble", "EmptyInput", "EnsembleTable", "ErrorModelConfig",
+    "FusedDepth", "GroundPlane",
     "HorizonFitInfo", "HorizonHeatmap", "HorizonLine", "HorizonSingularity",
     "InsufficientSupport", "JoinError", "KOutOfRange", "LengthMismatch",
     "MalformedLine", "MalformedMatrix", "MidpointSingularity", "MissingKey",

@@ -18,7 +18,6 @@ degeneracy warnings (some objects or frames fell back or were skipped).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from collections import Counter
@@ -41,8 +40,6 @@ from .ground_plane import (
     y_global,
 )
 from .kitti_io import (
-    DepthBranch,
-    DepthEnsemble,
     EnsembleTable,
     config_header,
     filter_objects,
@@ -55,9 +52,9 @@ from .kitti_io import (
     write_report,
 )
 from .lab import (
+    SIGMA_FLOOR,
     ErrorModelConfig,
     SweepCurve,
-    _SIGMA_FLOOR,
     disturb_sweep,
     flip_sweep,
     generate_ensembles,
@@ -159,6 +156,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _require_finite(args, ("--cam-height", "--eps-den"), positive=True)
+        if args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (CompdepthError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -225,30 +224,31 @@ def _emit(text: str, out: Path | None) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_eval(args) -> int:
-    records = read_predictions(args.predictions.read_text())
+    table = read_predictions(args.predictions.read_text())
     labels_cache: dict[str, list] = {}
     unmatched = []
-    joined = []
+    kept, truths = [], []
     dontcare_skipped = 0
-    for r in records:
-        if r.frame not in labels_cache:
-            label_path = args.label_dir / f"{r.frame}.txt"
-            labels_cache[r.frame] = (
+    for row, (frame, index) in enumerate(zip(table.frame, table.index.tolist())):
+        if frame not in labels_cache:
+            label_path = args.label_dir / f"{frame}.txt"
+            labels_cache[frame] = (
                 parse_labels(label_path.read_text()) if label_path.exists() else None
             )
-        labels = labels_cache[r.frame]
-        if labels is None or r.index >= len(labels):
-            unmatched.append((r.frame, r.index))
+        labels = labels_cache[frame]
+        if labels is None or index >= len(labels):
+            unmatched.append((frame, index))
             continue
-        label = labels[r.index]
+        label = labels[index]
         if label.is_dontcare:
             dontcare_skipped += 1
             continue
-        joined.append(dataclasses.replace(r, z_star=label.z))
+        kept.append(row)
+        truths.append(label.z)
     if unmatched:
         raise JoinError(unmatched)
 
-    report = evaluate_ensembles(joined, reference=args.reference,
+    report = evaluate_ensembles(table.take(kept, z_star=truths), reference=args.reference,
                                 depth_edges=args.depth_edges)
     if dontcare_skipped:
         report.flags = report.flags + (f"dontcare_skipped:{dontcare_skipped}",)
@@ -265,7 +265,7 @@ def _cmd_eval(args) -> int:
 def _oracle_sigma(model: str, z_branch: float, z_star: float) -> float:
     if model == "constant":
         return 1.0
-    return max(abs(z_branch - z_star), _SIGMA_FLOOR)
+    return max(abs(z_branch - z_star), SIGMA_FLOOR)
 
 
 def _cmd_oracle(args) -> int:
@@ -273,7 +273,9 @@ def _cmd_oracle(args) -> int:
                            "--noise-horizon-intercept"), positive=False)
     rng = np.random.default_rng(args.seed)
     diagnostics: Counter = Counter()
-    records = []
+    names = ("key", "glo", "comp", "alt") if args.include_alt else ("key", "glo", "comp")
+    z_rows, sigma_rows, valid_rows = [], [], []
+    frames, indices, truths = [], [], []
     for frame in _frames(args.label_dir):
         k, objects = _load_frame(args.calib_dir, args.label_dir, frame)
         valid = [(i, o) for i, o in enumerate(objects)
@@ -307,7 +309,8 @@ def _cmd_oracle(args) -> int:
             v_t = keypoints.top_center.v + d_vt
             height = o.h * (1.0 + d_h)
 
-            branches = []
+            z_row, sigma_row = [0.0] * len(names), [1.0] * len(names)
+            valid_row = [False] * len(names)
 
             def _try(name: str, compute) -> None:
                 try:
@@ -315,8 +318,9 @@ def _cmd_oracle(args) -> int:
                 except CompdepthError:
                     diagnostics[f"branch_failed:{name}"] += 1
                     return
-                branches.append(DepthBranch(
-                    name=name, z=z, sigma=_oracle_sigma(args.sigma_model, z, o.z)))
+                j = names.index(name)
+                z_row[j], sigma_row[j], valid_row[j] = (
+                    z, _oracle_sigma(args.sigma_model, z, o.z), True)
 
             if height > 0:
                 _try("key", lambda: z_key(height, v_b, v_t, k, eps=args.eps_den))
@@ -337,9 +341,13 @@ def _cmd_oracle(args) -> int:
                         _try("alt", lambda: z_alt(y_glo, height, v_t, k,
                                                   eps=args.eps_den))
 
-            if branches:
-                records.append(DepthEnsemble(frame=frame, index=index,
-                                             branches=tuple(branches), z_star=o.z))
+            if any(valid_row):
+                z_rows.append(z_row)
+                sigma_rows.append(sigma_row)
+                valid_rows.append(valid_row)
+                frames.append(frame)
+                indices.append(index)
+                truths.append(o.z)
             else:
                 diagnostics["all_branches_failed"] += 1
 
@@ -347,7 +355,12 @@ def _cmd_oracle(args) -> int:
                                 "noise-horizon-slope", "noise-horizon-intercept",
                                 "sigma-model", "include-alt", "cam-height",
                                 "seed", "eps-den"])
-    _emit(write_predictions(records, header=header), args.out)
+    shape = (len(frames), len(names))
+    table = EnsembleTable(names=names, z=np.reshape(z_rows, shape),
+                          sigma=np.reshape(sigma_rows, shape),
+                          valid=np.reshape(valid_rows, shape),
+                          z_star=truths, frame=frames, index=indices)
+    _emit(write_predictions(table, header=header), args.out)
     for name in sorted(diagnostics):
         print(f"warning: {name}: {diagnostics[name]}", file=sys.stderr)
     return EXIT_DEGENERACY if diagnostics else EXIT_OK
@@ -374,10 +387,9 @@ def _flip_counts(text: str, n_branches: int) -> list[int]:
 @np.errstate(over="ignore", invalid="ignore")
 def _cmd_lab(args) -> int:
     if args.predictions is not None:
-        ensembles = read_predictions(args.predictions.read_text())
-        if not ensembles:
+        table = read_predictions(args.predictions.read_text())
+        if len(table) == 0:
             raise ValueError(f"no ensembles in {args.predictions}")
-        table = EnsembleTable.from_ensembles(ensembles)
     else:
         if args.n_objects < 1:
             raise ValueError("--n-objects must be at least 1")

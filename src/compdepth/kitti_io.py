@@ -180,85 +180,33 @@ def filter_objects(objects: Iterable[Object3D], *,
 # prediction ensembles (JSONL)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DepthBranch:
-    """One depth estimate with its uncertainty."""
+class EnsembleTable:
+    """Columnar depth ensembles: N objects by B branch slots.
 
-    name: str
-    z: float
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        if not self.name:
-            raise ValueError("branch name must be non-empty")
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
-        if not math.isfinite(self.z):
-            raise ValueError("z must be finite")
-
-
-@dataclass(frozen=True)
-class DepthEnsemble:
-    """A set of per-branch depth estimates for one object.
-
-    Identified by (frame, index); index is the 0-based line index into the
-    frame's label file. z_star is the ground-truth depth when known.
-    """
-
-    frame: str
-    index: int
-    branches: tuple[DepthBranch, ...]
-    z_star: float | None = None
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValueError("index must be non-negative")
-        names = [b.name for b in self.branches]
-        if len(set(names)) != len(names):
-            raise ValueError("branch names must be unique")
-
-    @property
-    def branch_names(self) -> tuple[str, ...]:
-        return tuple(b.name for b in self.branches)
-
-    def branch(self, name: str) -> DepthBranch:
-        for b in self.branches:
-            if b.name == name:
-                return b
-        raise KeyError(name)
-
-
-class EnsembleTable(Sequence[DepthEnsemble]):
-    """Columnar ensembles with ground truth: N objects by B branch slots.
-
-    Columns: frame and index (N,); names, the branch names in first-appearance
-    order (the union over all objects); z, sigma and valid (N, B); z_star (N,).
-    valid[i, j] says object i carries branch names[j]. Cells outside the mask
-    hold z = 0 and sigma = 1, never NaN, so array code may run over the whole
-    grid. The arrays are read-only.
-
-    The table is also a read-only Sequence[DepthEnsemble]: row i is built on
-    access, with its valid branches in column order, so code written for a
-    list of ensembles (len, indexing, iteration, write_predictions) keeps
-    working; a slice returns a list of rows. Equality compares the columns.
+    Columns: frame and index (N,), which identify an object by its 0-based
+    line index into the frame's label file; names, the branch names; z,
+    sigma and valid (N, B); z_star (N,), the ground-truth depth, NaN where
+    unknown. valid[i, j] says object i carries branch names[j]. Cells
+    outside the mask hold z = 0 and sigma = 1, never NaN, so array code may
+    run over the whole grid. The arrays are read-only.
 
     frame defaults to the zero-padded row number ('000000', '000001', ...),
     formatted on first read; index defaults to 0.
 
     Raises ValueError on shape mismatches, an object without a valid branch,
-    a non-finite z or z_star, a sigma that is not finite and positive, or a
-    negative index.
+    a non-finite z, a sigma that is not finite and positive, an infinite
+    z_star, or a negative index.
     """
 
     def __init__(self, *, names: Sequence[str], z, sigma, z_star, valid=None,
                  frame: Sequence[str] | None = None, index=None):
         names = tuple(names)
-        if not names or len(set(names)) != len(names) or not all(
+        if len(set(names)) != len(names) or not all(
                 isinstance(name, str) and name for name in names):
             raise ValueError("branch names must be unique non-empty strings")
         z = np.asarray(z, dtype=float)
-        if z.ndim != 2 or z.shape[0] == 0 or z.shape[1] != len(names):
-            raise ValueError(f"z must have shape (N >= 1, {len(names)}), got {z.shape}")
+        if z.ndim != 2 or z.shape[1] != len(names):
+            raise ValueError(f"z must have shape (N, {len(names)}), got {z.shape}")
         n = z.shape[0]
         valid = (np.ones(z.shape, dtype=bool) if valid is None
                  else np.array(valid, dtype=bool))
@@ -279,7 +227,7 @@ class EnsembleTable(Sequence[DepthEnsemble]):
             (np.isfinite(z).all(axis=1), "has a non-finite z"),
             ((np.isfinite(sigma) & (sigma > 0)).all(axis=1),
              "has a sigma that is not finite and positive"),
-            (np.isfinite(z_star), "has a non-finite z_star"),
+            (~np.isinf(z_star), "has an infinite z_star"),
             (index >= 0, "has a negative index"),
         )
         for ok, problem in checks:
@@ -291,43 +239,6 @@ class EnsembleTable(Sequence[DepthEnsemble]):
         self.z, self.sigma, self.valid, self.z_star, self.index = z, sigma, valid, z_star, index
         self._frame = frame
 
-    @classmethod
-    def from_ensembles(cls, records: Iterable[DepthEnsemble]) -> EnsembleTable:
-        """The table of a list of ensembles; a table is returned as it is.
-
-        Branch columns follow first appearance across the records, so a
-        record's branches come back in column order when it is materialized.
-
-        Raises ValueError on empty input, a record without z_star, or
-        records none of which has a branch.
-        """
-        if isinstance(records, cls):
-            return records
-        records = list(records)
-        if not records:
-            raise ValueError("need at least one ensemble")
-        columns: dict[str, int] = {}
-        rows, cols, zs, sigmas = [], [], [], []
-        z_star = np.empty(len(records))
-        for i, r in enumerate(records):
-            if r.z_star is None:
-                raise ValueError(f"ensemble ({r.frame}, {r.index}) has no z_star")
-            z_star[i] = r.z_star
-            for b in r.branches:
-                rows.append(i)
-                cols.append(columns.setdefault(b.name, len(columns)))
-                zs.append(b.z)
-                sigmas.append(b.sigma)
-        if not columns:
-            raise ValueError("no record has a branch")
-        shape = (len(records), len(columns))
-        z, sigma, valid = np.zeros(shape), np.ones(shape), np.zeros(shape, dtype=bool)
-        z[rows, cols] = zs
-        sigma[rows, cols] = sigmas
-        valid[rows, cols] = True
-        return cls(names=tuple(columns), z=z, sigma=sigma, valid=valid, z_star=z_star,
-                   frame=[r.frame for r in records], index=[r.index for r in records])
-
     @property
     def frame(self) -> tuple[str, ...]:
         if self._frame is None:
@@ -337,34 +248,23 @@ class EnsembleTable(Sequence[DepthEnsemble]):
     def __len__(self) -> int:
         return self.z.shape[0]
 
-    def __getitem__(self, i):
-        # range indexing gives list semantics: negative and numpy integers,
-        # slices, IndexError out of range, TypeError for anything else
-        rows = range(len(self))[i]
-        if isinstance(rows, range):
-            return [self[j] for j in rows]
-        i = rows
-        branches = tuple(
-            DepthBranch(name=self.names[j], z=float(self.z[i, j]),
-                        sigma=float(self.sigma[i, j]))
-            for j in np.flatnonzero(self.valid[i]))
-        return DepthEnsemble(frame=self.frame[i], index=int(self.index[i]),
-                             branches=branches, z_star=float(self.z_star[i]))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EnsembleTable):
-            return NotImplemented
-        return (self.names == other.names
-                and all(np.array_equal(a, b) for a, b in (
-                    (self.z, other.z), (self.sigma, other.sigma),
-                    (self.valid, other.valid), (self.z_star, other.z_star),
-                    (self.index, other.index)))
-                and self.frame == other.frame)
-
-    __hash__ = None
-
     def __repr__(self) -> str:
         return f"EnsembleTable(n={len(self)}, names={self.names})"
+
+    def take(self, rows: Sequence[int], z_star=None) -> EnsembleTable:
+        """The table of the given rows, in that order, with z_star replaced
+        when given.
+
+        Keeps the branch columns that some kept row carries, in column order.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        keep = self.valid[rows].any(axis=0)
+        cells = np.ix_(rows, keep)
+        return EnsembleTable(
+            names=[name for name, k in zip(self.names, keep) if k],
+            z=self.z[cells], sigma=self.sigma[cells], valid=self.valid[cells],
+            z_star=self.z_star[rows] if z_star is None else z_star,
+            frame=[self.frame[i] for i in rows], index=self.index[rows])
 
 
 def _require(condition: bool, line_no: int, fieldpath: str, message: str):
@@ -373,21 +273,31 @@ def _require(condition: bool, line_no: int, fieldpath: str, message: str):
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
-def read_predictions(source) -> list[DepthEnsemble]:
+def read_predictions(source) -> EnsembleTable:
     """Read prediction ensembles from JSONL text or an iterable of lines.
 
     Each line is an object like
     {"frame":"000123","index":0,"z_star":20.0,
      "branches":[{"name":"dir","z":19.2,"sigma":0.8}]}.
-    sigma defaults to 1.0; z_star is optional. Blank lines and lines starting
-    with '#' are skipped. Raises SchemaError with the line number and field
-    path on the first violation.
+    sigma defaults to 1.0; z_star is optional (NaN in the table when
+    absent). Branch columns follow first appearance across the file. Blank
+    lines and lines starting with '#' are skipped; a file without records
+    gives an empty table. Raises SchemaError with the line number and field
+    path on the first violation, including a repeated (frame, index).
     """
     lines = source.splitlines() if isinstance(source, str) else source
-    records: list[DepthEnsemble] = []
+    columns: dict[str, int] = {}
+    rows, cols, zs, sigmas = [], [], [], []
+    frames, indices, z_star = [], [], []
+    seen_keys = set()
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -397,18 +307,20 @@ def read_predictions(source) -> list[DepthEnsemble]:
         except json.JSONDecodeError as exc:
             raise SchemaError(line_no, "", f"invalid JSON: {exc}") from None
         _require(isinstance(doc, dict), line_no, "", "record must be a JSON object")
-        _require(isinstance(doc.get("frame"), str) and doc["frame"] != "",
+        frame = doc.get("frame")
+        _require(isinstance(frame, str) and frame != "",
                  line_no, "frame", "required non-empty string")
         index = doc.get("index")
         _require(isinstance(index, int) and not isinstance(index, bool) and index >= 0,
                  line_no, "index", "required non-negative integer")
-        z_star = doc.get("z_star")
-        if z_star is not None:
-            _require(_is_number(z_star), line_no, "z_star", "must be a finite number")
+        _require(index < 2**63, line_no, "index", "must be below 2**63")
+        truth = doc.get("z_star")
+        if truth is not None:
+            _require(_is_number(truth), line_no, "z_star", "must be a finite number")
         raw_branches = doc.get("branches")
         _require(isinstance(raw_branches, list) and len(raw_branches) > 0,
                  line_no, "branches", "required non-empty list")
-        branches = []
+        row = len(frames)
         seen = set()
         for j, rb in enumerate(raw_branches):
             path = f"branches[{j}]"
@@ -424,31 +336,44 @@ def read_predictions(source) -> list[DepthEnsemble]:
             sigma = rb.get("sigma", 1.0)
             _require(_is_number(sigma) and sigma > 0, line_no, f"{path}.sigma",
                      "must be a finite positive number")
-            branches.append(DepthBranch(name=name, z=float(z), sigma=float(sigma)))
-        records.append(DepthEnsemble(
-            frame=doc["frame"], index=index, branches=tuple(branches),
-            z_star=float(z_star) if z_star is not None else None,
-        ))
-    return records
+            rows.append(row)
+            cols.append(columns.setdefault(name, len(columns)))
+            zs.append(z)
+            sigmas.append(sigma)
+        _require((frame, index) not in seen_keys, line_no, "index",
+                 f"duplicate record ({frame}, {index})")
+        seen_keys.add((frame, index))
+        frames.append(frame)
+        indices.append(index)
+        z_star.append(math.nan if truth is None else truth)
+    shape = (len(frames), len(columns))
+    z, sigma, valid = np.zeros(shape), np.ones(shape), np.zeros(shape, dtype=bool)
+    z[rows, cols] = zs
+    sigma[rows, cols] = sigmas
+    valid[rows, cols] = True
+    return EnsembleTable(names=tuple(columns), z=z, sigma=sigma, valid=valid,
+                         z_star=z_star, frame=frames, index=indices)
 
 
-def write_predictions(records: Iterable[DepthEnsemble],
-                      header: dict | None = None) -> str:
+def write_predictions(table: EnsembleTable, header: dict | None = None) -> str:
     """Serialize ensembles as JSONL at full float precision, so
-    read_predictions(write_predictions(records)) round-trips exactly.
+    read_predictions(write_predictions(table)) round-trips exactly.
 
-    A header dict becomes a leading '# {...}' comment line.
+    Each record lists its valid branches in column order and leaves out a
+    NaN z_star. A header dict becomes a leading '# {...}' comment line.
     """
     out = []
     if header is not None:
         out.append("# " + json.dumps(header, sort_keys=True))
-    for r in records:
-        doc: dict = {"frame": r.frame, "index": r.index}
-        if r.z_star is not None:
-            doc["z_star"] = r.z_star
-        doc["branches"] = [
-            {"name": b.name, "z": b.z, "sigma": b.sigma} for b in r.branches
-        ]
+    names = table.names
+    for frame, index, z_star, zs, sigmas, valid in zip(
+            table.frame, table.index.tolist(), table.z_star.tolist(),
+            table.z.tolist(), table.sigma.tolist(), table.valid.tolist()):
+        doc: dict = {"frame": frame, "index": index}
+        if not math.isnan(z_star):
+            doc["z_star"] = z_star
+        doc["branches"] = [{"name": name, "z": z, "sigma": sigma}
+                           for name, z, sigma, v in zip(names, zs, sigmas, valid) if v]
         out.append(json.dumps(doc, separators=(",", ":")))
     return "\n".join(out) + "\n"
 

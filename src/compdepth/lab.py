@@ -17,9 +17,10 @@ import numpy as np
 
 from .errors import KOutOfRange, UnknownBranch
 from .fusion import soft_fuse_array
-from .kitti_io import DepthEnsemble, EnsembleTable
+from .kitti_io import EnsembleTable
 
-_SIGMA_FLOOR = 1e-3  # keeps proportional sigmas strictly positive
+#: Lower bound of proportional sigmas, which keeps them strictly positive.
+SIGMA_FLOOR = 1e-3
 
 
 def flip(z_hat, z_star):
@@ -83,8 +84,8 @@ class ErrorModelConfig:
                 "coupling_rate must be in [0.5, 1]: the symmetric sign model "
                 "cannot produce same-sign proportions below 0.5"
             )
-        if self.error_scale <= 0:
-            raise ValueError("error_scale must be positive")
+        if not (math.isfinite(self.error_scale) and self.error_scale > 0):
+            raise ValueError(f"error_scale must be finite and positive, got {self.error_scale}")
         if self.sigma_model not in ("constant", "proportional"):
             raise ValueError("sigma_model must be 'constant' or 'proportional'")
 
@@ -121,7 +122,7 @@ def generate_ensembles(truths: Sequence[float],
     if cfg.sigma_model == "constant":
         sigmas = np.ones((n_obj, n_br))
     else:
-        sigmas = np.maximum(magnitudes, _SIGMA_FLOOR)
+        sigmas = np.maximum(magnitudes, SIGMA_FLOOR)
     return EnsembleTable(names=cfg.branch_names, z=truths[:, None] + errors,
                          sigma=sigmas, z_star=truths)
 
@@ -157,6 +158,15 @@ def _branch_column(names: Sequence[str], branch_name: str) -> int:
         raise UnknownBranch(f"branch '{branch_name}' not in {list(names)}") from None
 
 
+def _require_truth(table: EnsembleTable) -> None:
+    if len(table) == 0:
+        raise ValueError("need at least one ensemble")
+    missing = np.isnan(table.z_star)
+    if missing.any():
+        i = int(np.argmax(missing))
+        raise ValueError(f"ensemble ({table.frame[i]}, {table.index[i]}) has no z_star")
+
+
 def _fused_mae(table: EnsembleTable, z: np.ndarray) -> float:
     """MAE over all objects of the fusion of z with the table's sigmas,
     each object fused over its present branches."""
@@ -169,7 +179,7 @@ def _fused_mae(table: EnsembleTable, z: np.ndarray) -> float:
 # branches. A flip or disturbance therefore acts only on selected objects
 # that carry the branch: one written into a missing cell has weight 0.
 
-def flip_sweep(ensembles: Sequence[DepthEnsemble], branch_name: str,
+def flip_sweep(table: EnsembleTable, branch_name: str,
                proportions: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
                seed: int = 0) -> SweepCurve:
     """Fused MAE as a growing share of objects gets one branch flipped.
@@ -183,7 +193,7 @@ def flip_sweep(ensembles: Sequence[DepthEnsemble], branch_name: str,
         raise ValueError("proportions must be distinct")
     if not all(0.0 <= p <= 1.0 for p in props):
         raise ValueError("proportions must lie in [0, 1]")
-    table = EnsembleTable.from_ensembles(ensembles)
+    _require_truth(table)
     z, z_star = table.z, table.z_star
     col = _branch_column(table.names, branch_name)
     n = z.shape[0]
@@ -202,7 +212,7 @@ def flip_sweep(ensembles: Sequence[DepthEnsemble], branch_name: str,
                       baseline_mae=baseline, label=f"flip:{branch_name}")
 
 
-def disturb_sweep(ensembles: Sequence[DepthEnsemble], branch_name: str,
+def disturb_sweep(table: EnsembleTable, branch_name: str,
                   amplitudes: Sequence[float] = (0.0, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0),
                   seed: int = 0) -> SweepCurve:
     """Fused MAE when half the objects get one branch flipped plus noise.
@@ -220,7 +230,7 @@ def disturb_sweep(ensembles: Sequence[DepthEnsemble], branch_name: str,
         raise ValueError("amplitudes must be distinct")
     if not all(0.0 <= a < math.inf for a in amps):
         raise ValueError("amplitudes must be finite and non-negative")
-    table = EnsembleTable.from_ensembles(ensembles)
+    _require_truth(table)
     z, z_star = table.z, table.z_star
     col = _branch_column(table.names, branch_name)
     n = z.shape[0]
@@ -254,7 +264,7 @@ class MultiFlipResult:
     count: int
 
 
-def multi_flip(ensembles: Sequence[DepthEnsemble], k: int,
+def multi_flip(table: EnsembleTable, k: int,
                seed: int = 0) -> MultiFlipResult:
     """Flip k branches simultaneously on a seeded half of the objects.
 
@@ -264,7 +274,7 @@ def multi_flip(ensembles: Sequence[DepthEnsemble], k: int,
     produce identical fused error magnitudes object by object (negating
     every term of a sum flips its sign, not its magnitude).
     """
-    table = EnsembleTable.from_ensembles(ensembles)
+    _require_truth(table)
     names, z, valid, z_star = table.names, table.z, table.valid, table.z_star
     n_br = len(names)
     if not 0 <= k <= n_br:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .errors import EmptyInput, LengthMismatch, NonMonotoneEdges, ZeroMAE
 from .fusion import soft_fuse_array
 
 if TYPE_CHECKING:
-    from .kitti_io import DepthEnsemble
+    from .kitti_io import EnsembleTable
 
 #: Depth bins (meters) used for binned MAE tables: 0-20, 20-40, 40+.
 DEFAULT_DEPTH_EDGES = (0.0, 20.0, 40.0, math.inf)
@@ -145,32 +145,27 @@ class ComplementarityReport:
     flags: tuple[str, ...] = ()
 
 
-def evaluate_ensembles(ensembles: Iterable["DepthEnsemble"],
+def evaluate_ensembles(table: "EnsembleTable",
                        reference: str | None = None,
                        depth_edges: Sequence[float] = DEFAULT_DEPTH_EDGES,
                        ) -> ComplementarityReport:
     """Build a ComplementarityReport from ensembles with known truth.
 
-    Records without z_star are skipped (and flagged); the rest are scored as
-    one EnsembleTable (a table is scored as it is). Per-branch statistics
-    cover the records that have the branch, ESOP the records that share both
-    branches, and fusion whatever branches each record has.
+    Rows without z_star (NaN) are skipped and flagged; the branch columns
+    the remaining rows carry are scored. Per-branch statistics cover the
+    rows that have the branch, ESOP the rows that share both branches, and
+    fusion whatever branches each row has.
 
     The reference branch for CS defaults to 'dir' when present, else the
-    first branch seen.
+    first branch column.
     """
-    from .kitti_io import EnsembleTable  # kitti_io imports this module
-
     flags: list[str] = []
-    if not isinstance(ensembles, EnsembleTable):
-        records = list(ensembles)
-        usable = [r for r in records if r.z_star is not None]
-        if len(usable) < len(records):
-            flags.append(f"skipped_no_truth:{len(records) - len(usable)}")
-        if not usable:
-            raise EmptyInput("no ensembles with ground truth to evaluate")
-        ensembles = EnsembleTable.from_ensembles(usable)
-    table = ensembles
+    missing = np.isnan(table.z_star)
+    if missing.any():
+        flags.append(f"skipped_no_truth:{int(missing.sum())}")
+        table = table.take(np.flatnonzero(~missing))
+    if len(table) == 0:
+        raise EmptyInput("no ensembles with ground truth to evaluate")
     names, valid, z_star = table.names, table.valid, table.z_star
     err = table.z - z_star[:, None]
 

@@ -230,10 +230,11 @@ def test_c09_height_noise_complementarity(dataset, tmp_path, capsys):
                  "--noise-h-rel", "0.1", "--seed", "6", "--out", str(preds)])
     capsys.readouterr()
     assert code == 0
-    records = read_predictions(preds.read_text())
-    assert len(records) == 400
-    key_err = [r.branch("key").z - r.z_star for r in records]
-    comp_err = [r.branch("comp").z - r.z_star for r in records]
+    table = read_predictions(preds.read_text())
+    assert len(table) == 400 and table.valid.all()
+    err = table.z - table.z_star[:, None]
+    key_err = err[:, table.names.index("key")]
+    comp_err = err[:, table.names.index("comp")]
     opposite = esop(key_err, comp_err)
     assert opposite > 90.0
 

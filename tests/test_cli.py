@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from compdepth import (
@@ -45,20 +46,18 @@ def test_oracle_zero_noise_recovers_truth(dataset, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.splitlines()[0].startswith("# ")
-    records = read_predictions(out)
-    assert len(records) == 50
-    for r in records:
-        assert set(r.branch_names) == {"key", "glo", "comp"}
-        for b in r.branches:
-            assert b.z == pytest.approx(r.z_star, rel=1e-9)
+    table = read_predictions(out)
+    assert len(table) == 50
+    assert set(table.names) == {"key", "glo", "comp"} and table.valid.all()
+    assert table.z == pytest.approx(np.repeat(table.z_star[:, None], 3, axis=1), rel=1e-9)
 
 
 def test_oracle_include_alt(dataset, capsys):
     code = run(["oracle", "--calib-dir", dataset / "calib",
                 "--label-dir", dataset / "label_2", "--include-alt"])
     assert code == 0
-    records = read_predictions(capsys.readouterr().out)
-    assert all("alt" in r.branch_names for r in records)
+    table = read_predictions(capsys.readouterr().out)
+    assert table.valid[:, table.names.index("alt")].all()
 
 
 def test_oracle_writes_file_and_reruns_identically(dataset):
@@ -82,17 +81,19 @@ def test_oracle_noise_streams_nested(dataset, capsys):
         return read_predictions(capsys.readouterr().out)
 
     small, large = grab(0.01), grab(0.2)
-    for a, b in zip(small, large):
-        assert a.branch("glo") == b.branch("glo")
-        assert a.branch("key") != b.branch("key")
+    assert small.names == large.names and small.valid.all() and large.valid.all()
+    glo, key = small.names.index("glo"), small.names.index("key")
+    assert np.array_equal(small.z[:, glo], large.z[:, glo])
+    assert np.array_equal(small.sigma[:, glo], large.sigma[:, glo])
+    assert (small.z[:, key] != large.z[:, key]).all()
 
 
 def test_oracle_proportional_sigma(dataset, capsys):
     run(["oracle", "--calib-dir", dataset / "calib",
          "--label-dir", dataset / "label_2", "--seed", 3,
          "--noise-px", 2.0, "--sigma-model", "proportional"])
-    records = read_predictions(capsys.readouterr().out)
-    sigmas = {b.sigma for r in records for b in r.branches}
+    table = read_predictions(capsys.readouterr().out)
+    sigmas = set(table.sigma[table.valid].tolist())
     assert len(sigmas) > 1
 
 
@@ -160,23 +161,51 @@ def test_eval_custom_edges_and_reference(dataset, capsys):
 
 def test_eval_unmatched_prediction(dataset, tmp_path, capsys):
     preds = tmp_path / "bad.jsonl"
-    records = [r for r in []]
-    from compdepth import DepthBranch, DepthEnsemble
-    records = [DepthEnsemble("000000", 999, (DepthBranch("key", 20.0),))]
-    preds.write_text(write_predictions(records))
+    preds.write_text('{"frame":"000000","index":999,"branches":[{"name":"key","z":20.0}]}\n')
     code = run(["eval", "--calib-dir", dataset / "calib",
                 "--label-dir", dataset / "label_2", "--predictions", preds])
     assert code == 1
     assert "unmatched" in capsys.readouterr().err.lower()
 
 
+def test_eval_scores_against_label_depths(dataset, tmp_path, capsys):
+    # the truth comes from the labels: a record's own z_star, wrong or
+    # absent, plays no part
+    from compdepth import parse_labels
+    labels = parse_labels((dataset / "label_2" / "000000.txt").read_text())
+    preds = tmp_path / "p.jsonl"
+    preds.write_text(
+        json.dumps({"frame": "000000", "index": 0, "z_star": 999.0,
+                    "branches": [{"name": "key", "z": labels[0].z + 1.0}]}) + "\n"
+        + json.dumps({"frame": "000000", "index": 1,
+                      "branches": [{"name": "key", "z": labels[1].z - 3.0}]}) + "\n")
+    code = run(["eval", "--calib-dir", dataset / "calib",
+                "--label-dir", dataset / "label_2", "--predictions", preds])
+    report = read_report(capsys.readouterr().out)
+    assert code == 0
+    assert report.n_objects == 2 and report.flags == ()
+    assert report.branch_mae["key"] == pytest.approx(2.0)
+
+
+def test_eval_duplicate_record(dataset, tmp_path, capsys):
+    # a repeated (frame, index) line was scored twice: exit 0, n_objects 2
+    preds = tmp_path / "dup.jsonl"
+    line = '{"frame":"000000","index":0,"branches":[{"name":"key","z":20.0}]}\n'
+    preds.write_text("# header\n" + line + line)
+    code = run(["eval", "--calib-dir", dataset / "calib",
+                "--label-dir", dataset / "label_2", "--predictions", preds])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("error: line 3: field 'index': "
+                            "duplicate record (000000, 0)\n")
+
+
 def test_eval_malformed_labels(dataset, tmp_path, capsys):
     # the referenced frame's label file fails to parse
     (dataset / "label_2" / "000000.txt").write_text("garbage\n")
     preds = tmp_path / "p.jsonl"
-    from compdepth import DepthBranch, DepthEnsemble
-    preds.write_text(write_predictions(
-        [DepthEnsemble("000000", 0, (DepthBranch("key", 20.0),))]))
+    preds.write_text('{"frame":"000000","index":0,"branches":[{"name":"key","z":20.0}]}\n')
     code = run(["eval", "--calib-dir", dataset / "calib",
                 "--label-dir", dataset / "label_2", "--predictions", preds])
     assert code == 1
@@ -267,8 +296,8 @@ def test_lab_ragged_predictions(dataset, capsys):
                 "--label-dir", dataset / "label_2", "--noise-px", 40,
                 "--noise-h-rel", 0.9, "--include-alt", "--out", preds])
     assert code == 3
-    records = read_predictions(preds.read_text())
-    assert len({r.branch_names for r in records}) > 1  # the file is ragged
+    table = read_predictions(preds.read_text())
+    assert len({tuple(row) for row in table.valid.tolist()}) > 1  # the file is ragged
     capsys.readouterr()
     code = run(["lab", "--mode", "flip", "--predictions", preds])
     out = capsys.readouterr().out
@@ -276,7 +305,7 @@ def test_lab_ragged_predictions(dataset, capsys):
     rows = [l.split(",") for l in out.splitlines()
             if l.startswith("flip:")]
     assert {r[0] for r in rows} == {"flip:key", "flip:glo", "flip:comp", "flip:alt"}
-    assert all(int(r[3]) == len(records) for r in rows)
+    assert all(int(r[3]) == len(table) for r in rows)
     assert all(r[2] == r[4] for r in rows if r[1] == "0")
 
 
@@ -301,6 +330,12 @@ def test_lab_ragged_predictions(dataset, capsys):
     (["lab", "--mode", "flip", "--cam-height", "nan"], "--cam-height"),
     (["plane", "--image-size", "10"], "--image-size"),
     (["plane", "--image-size", "inf,375"], "--image-size"),
+    (["lab", "--mode", "flip", "--error-scale", "nan"], "error_scale"),
+    (["lab", "--mode", "flip", "--error-scale", "inf"], "error_scale"),
+    (["eval", "--predictions", "{preds}", "--seed", "-1"], "--seed"),
+    (["oracle", "--seed", "-1"], "--seed"),
+    (["lab", "--mode", "flip", "--seed", "-1"], "--seed"),
+    (["plane", "--seed", "-1"], "--seed"),
 ])
 def test_lab_bad_input_one_line_error(args, message, dataset, capsys):
     # every command, despite the name: bad input ends in one error line
@@ -392,8 +427,9 @@ def test_oracle_near_vertical_plane_falls_back(steep_dataset, tmp_path, capsys):
     assert "warning: plane_fallback: 1" in capsys.readouterr().err.splitlines()
     normal = read_predictions((tmp_path / "n").read_text())
     both = read_predictions((tmp_path / "b").read_text())
-    assert [r for r in both if r.frame == "000000"] == normal
-    assert [r.index for r in both if r.frame == "000001"] == [0, 1, 2]
+    first = [i for i, frame in enumerate(both.frame) if frame == "000000"]
+    assert write_predictions(both.take(first)) == write_predictions(normal)
+    assert [i for f, i in zip(both.frame, both.index.tolist()) if f == "000001"] == [0, 1, 2]
 
 
 def test_plane_near_vertical_plane_falls_back(steep_dataset, capsys):
@@ -449,7 +485,7 @@ def test_oracle_box_corner_behind_camera(tmp_path):
     code = run(["oracle", "--calib-dir", calib_dir, "--label-dir", label_dir,
                 "--out", preds])
     assert code == 0
-    records = read_predictions(preds.read_text())
-    assert [r.index for r in records] == list(range(7))
-    for b in records[6].branches:
-        assert b.z == pytest.approx(z, rel=1e-9)
+    table = read_predictions(preds.read_text())
+    assert table.index.tolist() == list(range(7))
+    assert table.valid[6].any()
+    assert table.z[6, table.valid[6]] == pytest.approx(z, rel=1e-9)

@@ -10,14 +10,12 @@ from hypothesis import given, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from compdepth import (  # noqa: E402
-    DepthBranch,
-    DepthEnsemble,
-    EnsembleTable,
     esop,
     evaluate_ensembles,
     soft_fuse,
     soft_fuse_array,
 )
+from prediction_records import read_records  # noqa: E402
 
 
 @st.composite
@@ -68,12 +66,12 @@ def test_evaluation_matches_scalar_references_on_ragged_ensembles(case, data):
     n = z.shape[0]
     z_star = data.draw(arrays(float, n, elements=st.floats(0.5, 200.0)))
     records = [
-        DepthEnsemble(f"{i:06d}", i, tuple(
-            DepthBranch(f"b{j}", z[i, j], sigma[i, j]) for j in np.flatnonzero(valid[i])),
-            z_star=z_star[i])
+        {"frame": f"{i:06d}", "index": i, "z_star": z_star[i],
+         "branches": [{"name": f"b{j}", "z": z[i, j], "sigma": sigma[i, j]}
+                      for j in np.flatnonzero(valid[i])]}
         for i in range(n)
     ]
-    report = evaluate_ensembles(records)
+    report = evaluate_ensembles(read_records(records))
 
     fused = [soft_fuse([(z[i, j], sigma[i, j]) for j in np.flatnonzero(valid[i])]).z_soft
              for i in range(n)]
@@ -89,5 +87,3 @@ def test_evaluation_matches_scalar_references_on_ragged_ensembles(case, data):
                 continue
             expected = esop(z[shared, ja] - z_star[shared], z[shared, jb] - z_star[shared])
             assert report.esop[(a, b)] == pytest.approx(expected, rel=1e-12)
-    # a table is scored as it is, with the same result
-    assert evaluate_ensembles(EnsembleTable.from_ensembles(records)) == report

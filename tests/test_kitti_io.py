@@ -8,8 +8,6 @@ import pytest
 from compdepth import (
     BinnedMae,
     ComplementarityReport,
-    DepthBranch,
-    DepthEnsemble,
     EnsembleTable,
     MalformedLine,
     MalformedMatrix,
@@ -28,6 +26,7 @@ from compdepth import (
     write_predictions,
     write_report,
 )
+from prediction_records import columns, read_records
 
 CALIB_TEXT = (
     "P0: 7.215377e+02 0.000000e+00 6.095593e+02 0.000000e+00 "
@@ -163,15 +162,13 @@ def test_filter_objects():
 # prediction records (JSONL)
 # ---------------------------------------------------------------------------
 
-def make_record():
-    return DepthEnsemble(
-        "000001", 2,
-        (DepthBranch("key", 20.25, 1.5), DepthBranch("glo", 19.75)),
-        z_star=20.0)
+RECORD = {"frame": "000001", "index": 2, "z_star": 20.0,
+          "branches": [{"name": "key", "z": 20.25, "sigma": 1.5},
+                       {"name": "glo", "z": 19.75}]}
 
 
 def test_predictions_golden_line():
-    text = write_predictions([make_record()], header={"seed": 3})
+    text = write_predictions(read_records([RECORD]), header={"seed": 3})
     lines = text.splitlines()
     assert lines[0] == '# {"seed": 3}'
     row = json.loads(lines[1])
@@ -181,27 +178,57 @@ def test_predictions_golden_line():
 
 
 def test_predictions_round_trip():
-    rec = make_record()
-    assert read_predictions(write_predictions([rec])) == [rec]
+    table = read_records([RECORD])
+    assert columns(read_predictions(write_predictions(table))) == columns(table)
 
 
 def test_predictions_full_precision_round_trip():
-    rec = DepthEnsemble("000000", 0,
-                        (DepthBranch("key", 19.999999999999996, 0.1234567890123),),
-                        z_star=1.0 / 3.0)
-    back = read_predictions(write_predictions([rec]))[0]
-    assert back.branches[0].z == 19.999999999999996
-    assert back.z_star == 1.0 / 3.0
+    table = read_records([{"frame": "000000", "index": 0, "z_star": 1.0 / 3.0,
+                           "branches": [{"name": "key", "z": 19.999999999999996,
+                                         "sigma": 0.1234567890123}]}])
+    back = read_predictions(write_predictions(table))
+    assert back.z[0, 0] == 19.999999999999996
+    assert back.sigma[0, 0] == 0.1234567890123
+    assert back.z_star[0] == 1.0 / 3.0
 
 
 def test_read_predictions_skips_comments_and_blanks():
-    text = "# a comment\n\n" + write_predictions([make_record()]) + "\n# tail\n"
+    text = "# a comment\n\n" + write_predictions(read_records([RECORD])) + "\n# tail\n"
     assert len(read_predictions(text)) == 1
 
 
 def test_read_predictions_from_stream():
-    text = write_predictions([make_record()])
-    assert read_predictions(io.StringIO(text)) == [make_record()]
+    text = write_predictions(read_records([RECORD]))
+    assert columns(read_predictions(io.StringIO(text))) == columns(read_records([RECORD]))
+
+
+def test_read_predictions_fills_columns():
+    # ragged records: the union of branch names in first-appearance order
+    # becomes the columns, and the mask marks which object carries which
+    table = read_records([
+        {"frame": "000003", "index": 0, "z_star": 1.0, "branches": [{"name": "a", "z": 1}]},
+        {"frame": "000003", "index": 1,
+         "branches": [{"name": "b", "z": 2.5, "sigma": 0.5}, {"name": "a", "z": 3.0}]},
+    ])
+    assert table.names == ("a", "b")
+    assert table.frame == ("000003", "000003") and table.index.tolist() == [0, 1]
+    assert table.valid.tolist() == [[True, False], [True, True]]
+    assert table.z.tolist() == [[1.0, 0.0], [3.0, 2.5]]
+    assert table.sigma.tolist() == [[1.0, 1.0], [1.0, 0.5]]
+    assert table.z_star[0] == 1.0 and np.isnan(table.z_star[1])  # absent z_star
+    # written back, each record lists its branches in column order and
+    # leaves out the unknown z_star
+    assert write_predictions(table).splitlines()[1] == (
+        '{"frame":"000003","index":1,"branches":[{"name":"a","z":3.0,"sigma":1.0},'
+        '{"name":"b","z":2.5,"sigma":0.5}]}')
+
+
+def test_read_predictions_without_records():
+    for text in ("", "# only a header\n\n"):
+        table = read_predictions(text)
+        assert len(table) == 0 and table.names == ()
+        assert table.z.shape == (0, 0) and table.z_star.shape == (0,)
+    assert write_predictions(read_predictions(""), header={"seed": 1}) == '# {"seed": 1}\n'
 
 
 def test_read_predictions_schema_errors():
@@ -223,14 +250,31 @@ def test_read_predictions_schema_errors():
         read_predictions('{"frame":"0","index":0,"branches":'
                          '[{"name":"a","z":1.0},{"name":"a","z":2.0}]}\n')
 
+    with pytest.raises(SchemaError) as exc:  # a record without branches
+        read_predictions('{"frame":"0","index":0,"branches":[]}\n')
+    assert exc.value.field == "branches"
 
-def test_ensemble_validation():
-    with pytest.raises(ValueError):
-        DepthEnsemble("0", 0, (DepthBranch("a", 1.0), DepthBranch("a", 2.0)))
-    with pytest.raises(ValueError):
-        DepthBranch("a", 1.0, sigma=0.0)
-    with pytest.raises(ValueError):
-        DepthBranch("a", math.nan)
+    for z in ("NaN", "1" + "0" * 400):  # z must be a finite number
+        with pytest.raises(SchemaError) as exc:
+            read_predictions('{"frame":"0","index":0,"branches":[{"name":"a","z":%s}]}\n' % z)
+        assert exc.value.field == "branches[0].z"
+
+    with pytest.raises(SchemaError) as exc:  # the index column is 64-bit
+        read_predictions('{"frame":"0","index":%d,"branches":[{"name":"a","z":1}]}\n' % 2**63)
+    assert exc.value.field == "index"
+    assert len(read_predictions(
+        '{"frame":"0","index":%d,"branches":[{"name":"a","z":1}]}\n' % (2**63 - 1))) == 1
+
+
+def test_read_predictions_rejects_duplicate_records():
+    line = '{"frame":"000000","index":3,"branches":[{"name":"a","z":1.0}]}\n'
+    other = '{"frame":"000001","index":3,"branches":[{"name":"a","z":1.0}]}\n'
+    assert len(read_predictions(line + other)) == 2
+    with pytest.raises(SchemaError) as exc:
+        read_predictions(line + other + "# comment\n" + line)
+    assert exc.value.line_no == 4
+    assert exc.value.field == "index"
+    assert "duplicate record (000000, 3)" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
@@ -299,34 +343,38 @@ def _table(**overrides):
     return EnsembleTable(**cols)
 
 
-def test_ensemble_table_rows_are_ensembles():
-    table = _table(frame=["000007", "000007"], index=[2, 5])
-    assert len(table) == 2
-    assert table[1] == DepthEnsemble("000007", 5, (DepthBranch("a", 30.0, 0.5),),
-                                     z_star=31.0)
-    assert table[-1] == table[1]
-    assert [r.index for r in table] == [2, 5]
-    with pytest.raises(IndexError):
-        table[2]
-    # slices and numpy integers index like they do on a list
-    assert table[:] == list(table)
-    assert table[::-1] == [table[1], table[0]]
-    assert table[5:] == []
-    assert table[np.int64(1)] == table[1]
-    with pytest.raises(TypeError):
-        table[1.0]
-    # write_predictions takes the table like any list of ensembles
-    assert read_predictions(write_predictions(table)) == list(table)
-
-
-def test_ensemble_table_default_frames_and_equality():
+def test_ensemble_table_default_frames():
     table = _table()
+    assert len(table) == 2
     assert table.frame == ("000000", "000001")
-    assert table[1].frame == "000001" and table[1].index == 0
-    assert table == _table()
-    assert table == EnsembleTable.from_ensembles(list(table))
-    assert table != _table(z_star=[20.0, 30.0])
-    assert EnsembleTable.from_ensembles(table) is table
+    assert table.index.tolist() == [0, 0]
+    # the generated frames are what write_predictions writes
+    back = read_predictions(write_predictions(table))
+    assert columns(back) == columns(table)
+
+
+def test_ensemble_table_empty_and_unknown_truth():
+    empty = EnsembleTable(names=(), z=np.empty((0, 0)), sigma=np.empty((0, 0)), z_star=[])
+    assert len(empty) == 0 and empty.frame == ()
+    table = _table(z_star=[20.0, np.nan])
+    assert np.isnan(table.z_star[1])
+
+
+def test_ensemble_table_take():
+    table = _table(frame=["000007", "000008"], index=[2, 5])
+    back = table.take([1, 0], z_star=[1.0, 2.0])
+    assert back.names == ("a", "b")
+    assert back.frame == ("000008", "000007") and back.index.tolist() == [5, 2]
+    assert back.z.tolist() == [[30.0, 0.0], [21.0, 19.0]]
+    assert back.sigma.tolist() == [[0.5, 1.0], [1.0, 2.0]]
+    assert back.valid.tolist() == [[True, False], [True, True]]
+    assert back.z_star.tolist() == [1.0, 2.0]
+    # only the branch columns some kept row carries stay
+    second = table.take([1])
+    assert second.names == ("a",) and second.z.tolist() == [[30.0]]
+    assert second.z_star.tolist() == [31.0]
+    none = table.take([])
+    assert len(none) == 0 and none.names == ()
 
 
 def test_ensemble_table_masked_cells_are_zero_and_one():
@@ -347,7 +395,7 @@ def test_ensemble_table_is_read_only():
     {"z": [[21.0, np.nan], [30.0, 0.0]]},
     {"sigma": [[1.0, 0.0], [0.5, 1.0]]},
     {"sigma": [[1.0, np.inf], [0.5, 1.0]]},
-    {"z_star": [20.0, np.nan]},
+    {"z_star": [20.0, np.inf]},
     {"valid": [[True, True], [False, False]]},
     {"index": [0, -1]},
     {"frame": ["000000"]},
@@ -355,8 +403,8 @@ def test_ensemble_table_is_read_only():
     {"names": ("a", "")},
     {"names": ("a",)},
     {"z_star": [20.0]},
-    {"z": np.empty((0, 2)), "sigma": np.empty((0, 2)), "valid": np.empty((0, 2)),
-     "z_star": []},
+    {"names": (), "z": np.empty((0, 2)), "sigma": np.empty((0, 2)),
+     "valid": np.empty((0, 2)), "z_star": []},
 ])
 def test_ensemble_table_validation(overrides):
     with pytest.raises(ValueError):

@@ -4,9 +4,6 @@ import numpy as np
 import pytest
 
 from compdepth import (
-    DepthBranch,
-    DepthEnsemble,
-    EnsembleTable,
     ErrorModelConfig,
     KOutOfRange,
     SweepCurve,
@@ -14,7 +11,6 @@ from compdepth import (
     complementary_error,
     coupling_error,
     disturb_sweep,
-    evaluate_ensembles,
     flip,
     flip_sweep,
     generate_ensembles,
@@ -22,6 +18,7 @@ from compdepth import (
     multi_flip,
     soft_fuse,
 )
+from prediction_records import columns, read_records
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +81,9 @@ def test_config_validation():
         ErrorModelConfig(coupling_rate=1.01)
     with pytest.raises(ValueError):
         ErrorModelConfig(n_branches=1)
-    with pytest.raises(ValueError):
-        ErrorModelConfig(error_scale=0.0)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="error_scale must be finite and positive"):
+            ErrorModelConfig(error_scale=bad)
     with pytest.raises(ValueError):
         ErrorModelConfig(sigma_model="gaussian")
     assert ErrorModelConfig(coupling_rate=1.0).branch_names == ("b0", "b1", "b2", "b3")
@@ -96,27 +94,26 @@ def test_generate_ensembles_shape_and_determinism():
     cfg = ErrorModelConfig(seed=3)
     a = generate_ensembles(truths, cfg)
     b = generate_ensembles(truths, cfg)
-    assert a == b
-    assert len(a) == 40
-    assert a[0].frame == "000000" and a[0].index == 0
-    assert a[0].z_star == truths[0]
-    assert [br.name for br in a[0].branches] == ["b0", "b1", "b2", "b3"]
-    assert all(br.sigma == 1.0 for br in a[0].branches)
+    assert columns(a) == columns(b)
+    assert len(a) == 40 and a.z.shape == (40, 4) and a.valid.all()
+    assert a.frame[0] == "000000" and a.index[0] == 0
+    assert a.z_star.tolist() == truths.tolist()
+    assert a.names == ("b0", "b1", "b2", "b3")
+    assert (a.sigma == 1.0).all()
 
 
 def test_generate_ensembles_seed_changes_errors():
     truths = np.linspace(5.0, 60.0, 40)
     a = generate_ensembles(truths, ErrorModelConfig(seed=3))
     b = generate_ensembles(truths, ErrorModelConfig(seed=4))
-    assert a != b
+    assert not np.array_equal(a.z, b.z)
 
 
 def test_generate_ensembles_full_coupling():
     truths = np.full(200, 30.0)
     ens = generate_ensembles(truths, ErrorModelConfig(coupling_rate=1.0, seed=1))
-    for r in ens:
-        signs = {np.sign(b.z - r.z_star) for b in r.branches}
-        assert len(signs) == 1  # every branch errs the same way
+    signs = np.sign(ens.z - ens.z_star[:, None])
+    assert (signs == signs[:, :1]).all()  # every branch errs the same way
 
 
 def test_generate_ensembles_calibration():
@@ -131,54 +128,14 @@ def test_generate_ensembles_calibration():
 def test_generate_ensembles_proportional_sigma():
     truths = np.linspace(5.0, 60.0, 50)
     cfg = ErrorModelConfig(sigma_model="proportional", seed=3)
-    for r in generate_ensembles(truths, cfg):
-        for b in r.branches:
-            assert b.sigma == pytest.approx(max(abs(b.z - r.z_star), 1e-3))
+    ens = generate_ensembles(truths, cfg)
+    assert ens.sigma == pytest.approx(np.maximum(np.abs(ens.z - ens.z_star[:, None]), 1e-3))
 
 
 def test_generate_ensembles_rejects_overflowing_draws():
     # normal draws scaled by 1e308 overflow to inf; the table refuses them
     with pytest.raises(ValueError, match="non-finite z"):
         generate_ensembles(np.full(2000, 30.0), ErrorModelConfig(error_scale=1e308))
-
-
-def test_ensemble_table_from_ensembles():
-    ens = [DepthEnsemble("0", 0, (DepthBranch("a", 21.0), DepthBranch("b", 19.0)),
-                         z_star=20.0)]
-    table = EnsembleTable.from_ensembles(ens)
-    assert table.names == ("a", "b")
-    assert table.z.tolist() == [[21.0, 19.0]]
-    assert table.sigma.tolist() == [[1.0, 1.0]]
-    assert table.z_star.tolist() == [20.0]
-    assert table.valid.all()
-    assert list(table) == ens
-
-
-def test_ensemble_table_from_ensembles_validation():
-    with pytest.raises(ValueError):
-        EnsembleTable.from_ensembles([])
-    # ragged records are kept: the union of branch names becomes the
-    # columns and the mask marks which object carries which branch
-    ragged = EnsembleTable.from_ensembles([
-        DepthEnsemble("0", 0, (DepthBranch("a", 1.0),), z_star=1.0),
-        DepthEnsemble("0", 1, (DepthBranch("b", 2.0, 0.5),), z_star=1.0),
-    ])
-    assert ragged.names == ("a", "b")
-    assert ragged.valid.tolist() == [[True, False], [False, True]]
-    assert ragged.z.tolist() == [[1.0, 0.0], [0.0, 2.0]]
-    assert ragged.sigma.tolist() == [[1.0, 1.0], [1.0, 0.5]]
-    with pytest.raises(ValueError):
-        EnsembleTable.from_ensembles([DepthEnsemble("0", 0, (DepthBranch("a", 1.0),))])
-
-
-def test_ensemble_table_from_ensembles_without_branches():
-    # DepthEnsemble accepts an empty branch tuple; a table of only such
-    # records has no column, which is an input error, not a broken invariant
-    records = [DepthEnsemble("0", 0, (), z_star=1.0), DepthEnsemble("0", 1, (), z_star=2.0)]
-    with pytest.raises(ValueError, match="^no record has a branch$"):
-        EnsembleTable.from_ensembles(records)
-    with pytest.raises(ValueError, match="^no record has a branch$"):
-        evaluate_ensembles(records)
 
 
 # ---------------------------------------------------------------------------
@@ -294,35 +251,43 @@ def ragged():
     dense = generate_ensembles(truths, ErrorModelConfig(sigma_model="proportional",
                                                         seed=12))
     records = []
-    for i, r in enumerate(dense):
+    for i in range(len(dense)):
         drop = {"b0"} if i % 3 == 0 else set()
         drop |= {"b3"} if i % 5 == 0 else set()
-        branches = tuple(b for b in r.branches if b.name not in drop)
-        records.append(DepthEnsemble(r.frame, r.index, branches, z_star=r.z_star))
-    return records
+        records.append({
+            "frame": dense.frame[i], "index": i, "z_star": dense.z_star[i],
+            "branches": [{"name": name, "z": dense.z[i, j], "sigma": dense.sigma[i, j]}
+                         for j, name in enumerate(dense.names) if name not in drop]})
+    return read_records(records)
 
 
-def _scalar_mae(records, flipped):
+def _rows(table):
+    """Each row's (name, z, sigma) branches and its z_star, as Python values."""
+    for i in range(len(table)):
+        yield ([(name, float(table.z[i, j]), float(table.sigma[i, j]))
+                for j, name in enumerate(table.names) if table.valid[i, j]],
+               float(table.z_star[i]))
+
+
+def _scalar_mae(table, flipped):
     """Fused MAE by the scalar reference, with flipped[(i, name)] applied."""
     errors = []
-    for i, r in enumerate(records):
-        pairs = [(flip(b.z, r.z_star) if (i, b.name) in flipped else b.z, b.sigma)
-                 for b in r.branches]
-        errors.append(abs(soft_fuse(pairs).z_soft - r.z_star))
+    for i, (branches, z_star) in enumerate(_rows(table)):
+        pairs = [(flip(z, z_star) if (i, name) in flipped else z, sigma)
+                 for name, z, sigma in branches]
+        errors.append(abs(soft_fuse(pairs).z_soft - z_star))
     return float(np.mean(errors))
 
 
 def test_ragged_flip_sweep_flips_present_branches_only(ragged):
-    table = EnsembleTable.from_ensembles(ragged)
-    assert table.names == ("b1", "b2", "b0", "b3")  # first-appearance order
+    assert ragged.names == ("b1", "b2", "b0", "b3")  # first-appearance order
     curve = flip_sweep(ragged, "b0", (0.0, 1.0), seed=5)
     assert curve.counts == (300, 300)
     assert curve.mae[0] == curve.baseline_mae
     assert curve.baseline_mae == pytest.approx(_scalar_mae(ragged, set()), rel=1e-12)
-    every_b0 = {(i, "b0") for i, r in enumerate(ragged) if "b0" in r.branch_names}
+    every_b0 = {(i, "b0") for i, (branches, _) in enumerate(_rows(ragged))
+                if "b0" in [name for name, _, _ in branches]}
     assert curve.mae[1] == pytest.approx(_scalar_mae(ragged, every_b0), rel=1e-12)
-    # a list input and its table give the same curve
-    assert flip_sweep(table, "b0", (0.0, 1.0), seed=5) == curve
 
 
 def test_ragged_disturb_zero_amplitude_matches_half_flip(ragged):
@@ -336,8 +301,25 @@ def test_ragged_multi_flip_branch_mae_covers_valid_cells(ragged):
     res = multi_flip(ragged, 0, seed=5)
     assert res.count == 300
     for name in ("b0", "b1", "b3"):
-        want = np.mean([abs(r.branch(name).z - r.z_star) for r in ragged
-                        if name in r.branch_names])
+        want = np.mean([abs(z - z_star) for branches, z_star in _rows(ragged)
+                        for b, z, _ in branches if b == name])
         assert res.branch_mae[name] == pytest.approx(want, rel=1e-12)
     maes = [multi_flip(ragged, k, seed=5).combined_mae for k in range(5)]
     assert maes[0] == pytest.approx(maes[4], rel=1e-12)
+
+
+def test_sweeps_require_truth():
+    # a record without z_star, and a file without records, end in the same
+    # errors whichever sweep reads them
+    table = read_records([
+        {"frame": "000000", "index": 0, "z_star": 20.0, "branches": [{"name": "a", "z": 21.0}]},
+        {"frame": "000004", "index": 7, "branches": [{"name": "a", "z": 19.0}]},
+    ])
+    empty = read_records([])
+    sweeps = (lambda t: flip_sweep(t, "a"), lambda t: disturb_sweep(t, "a"),
+              lambda t: multi_flip(t, 1))
+    for sweep in sweeps:
+        with pytest.raises(ValueError, match=r"^ensemble \(000004, 7\) has no z_star$"):
+            sweep(table)
+        with pytest.raises(ValueError, match="^need at least one ensemble$"):
+            sweep(empty)

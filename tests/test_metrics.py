@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from compdepth import (
-    DepthBranch,
-    DepthEnsemble,
     EmptyInput,
     LengthMismatch,
     NonMonotoneEdges,
@@ -16,6 +14,7 @@ from compdepth import (
     evaluate_ensembles,
     mae,
 )
+from prediction_records import read_records
 
 # published ESOP / MAE / CS triples for depth ensembles on a driving
 # benchmark; CS = ESOP(%) / MAE(m) must reproduce to the printed precision
@@ -151,9 +150,8 @@ def test_binned_mae_validation():
 # ---------------------------------------------------------------------------
 
 def ensemble(frame, index, z_star, **branch_z):
-    return DepthEnsemble(frame, index,
-                         tuple(DepthBranch(n, z) for n, z in branch_z.items()),
-                         z_star=z_star)
+    return {"frame": frame, "index": index, "z_star": z_star,
+            "branches": [{"name": n, "z": z} for n, z in branch_z.items()]}
 
 
 def test_evaluate_ensembles_basic():
@@ -162,7 +160,7 @@ def test_evaluate_ensembles_basic():
         ensemble("000000", 1, 30.0, dir=29.0, key=30.5),
         ensemble("000001", 0, 10.0, dir=10.5, key=9.0),
     ]
-    report = evaluate_ensembles(records)
+    report = evaluate_ensembles(read_records(records))
     assert report.n_objects == 3
     assert report.reference == "dir"
     assert report.branch_mae["dir"] == pytest.approx(2.5 / 3)
@@ -178,13 +176,13 @@ def test_evaluate_ensembles_basic():
 
 def test_evaluate_ensembles_reference_fallback():
     records = [ensemble("0", 0, 20.0, key=21.0, glo=19.0)]
-    report = evaluate_ensembles(records)
+    report = evaluate_ensembles(read_records(records))
     assert report.reference == "key"  # no 'dir' branch: first name wins
 
 
 def test_evaluate_ensembles_explicit_reference():
     records = [ensemble("0", 0, 20.0, key=21.0, glo=19.0)]
-    report = evaluate_ensembles(records, reference="glo")
+    report = evaluate_ensembles(read_records(records), reference="glo")
     assert report.branch_cs["key"] is not None
     assert report.branch_cs["glo"] is None
 
@@ -192,9 +190,9 @@ def test_evaluate_ensembles_explicit_reference():
 def test_evaluate_ensembles_skips_missing_truth():
     records = [
         ensemble("0", 0, 20.0, key=21.0),
-        DepthEnsemble("0", 1, (DepthBranch("key", 30.0),), z_star=None),
+        {"frame": "0", "index": 1, "branches": [{"name": "key", "z": 30.0}]},
     ]
-    report = evaluate_ensembles(records)
+    report = evaluate_ensembles(read_records(records))
     assert report.n_objects == 1
     assert any("truth" in f for f in report.flags)
 
@@ -204,7 +202,7 @@ def test_evaluate_ensembles_partial_branches():
         ensemble("0", 0, 20.0, key=21.0, glo=19.0),
         ensemble("0", 1, 40.0, key=41.0),
     ]
-    report = evaluate_ensembles(records)
+    report = evaluate_ensembles(read_records(records))
     assert report.branch_counts == {"key": 2, "glo": 1}
     # fusion still covers every record, over whichever branches are present
     assert report.fused_count == 2
@@ -213,7 +211,7 @@ def test_evaluate_ensembles_partial_branches():
 def test_evaluate_ensembles_zero_mae_branch_flagged():
     # a branch with zero MAE has an undefined CS: skipped and flagged
     records = [ensemble("0", 0, 20.0, dir=21.0, key=20.0)]
-    report = evaluate_ensembles(records)
+    report = evaluate_ensembles(read_records(records))
     assert report.branch_cs["key"] is None
     assert any("zero" in f.lower() for f in report.flags)
 
@@ -221,7 +219,7 @@ def test_evaluate_ensembles_zero_mae_branch_flagged():
 def test_evaluate_ensembles_exact_reference_gives_zero_cs():
     # perfect reference: no branch error can oppose a zero, so CS is 0
     records = [ensemble("0", 0, 20.0, dir=20.0, key=21.0)]
-    report = evaluate_ensembles(records)
+    report = evaluate_ensembles(read_records(records))
     assert report.branch_cs["key"] == 0.0
 
 
@@ -231,7 +229,7 @@ def test_evaluate_ensembles_binned_tables():
         ensemble("0", 1, 30.0, key=32.0),
         ensemble("0", 2, 50.0, key=53.0),
     ]
-    report = evaluate_ensembles(records)
+    report = evaluate_ensembles(read_records(records))
     assert set(report.binned) == {"fused", "key"}
     assert report.binned["key"].counts == (1, 1, 1)
     assert report.binned["key"].maes == pytest.approx((1.0, 2.0, 3.0))
@@ -239,4 +237,4 @@ def test_evaluate_ensembles_binned_tables():
 
 def test_evaluate_ensembles_empty():
     with pytest.raises(EmptyInput):
-        evaluate_ensembles([])
+        evaluate_ensembles(read_records([]))
