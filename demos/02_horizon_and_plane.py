@@ -35,7 +35,7 @@ print(f"plane normal ({plane.a:+.5f}, {plane.b:+.5f}, {plane.c:+.5f}), "
 
 # the plane seen at infinite depth is a line in the image
 h = plane_to_horizon(plane, k)
-print(f"horizon row at image center: {h.row_at(k.c_u):.2f} px, "
+print(f"horizon row at image center: {h.k_h * k.c_u + h.b_h:.2f} px, "
       f"slope {h.k_h:+.5f}")
 
 # with the camera height, the line converts back to the identical plane
@@ -64,6 +64,6 @@ pts = []
 for _ in range(40):
     x, z = rng.uniform(-15, 15), rng.uniform(5, 60)
     pts.append(Point3D(x, 0.01 * x - 0.02 * z + 1.62, z))
-refit, fit_info = fit_plane(pts, with_info=True)
+refit, fit_info = fit_plane(pts)
 print(f"refit cam_height {refit.cam_height:.4f} m from {len(pts)} points, "
       f"fallback={fit_info.used_fallback}")

@@ -12,24 +12,29 @@ import numpy as np
 
 from compdepth import (
     complementarity_score,
-    complementary_error,
-    coupling_error,
     disturb_sweep,
     esop,
+    flip,
     flip_sweep,
     generate_ensembles,
     mae,
     multi_flip,
+    soft_fuse_array,
 )
 from compdepth.lab import ErrorModelConfig
 
-# the core inequality: for same-sign errors, flipping one strictly helps
+# the core inequality: for same-sign errors, flipping one strictly helps.
+# Two branches err by e1 and e2 and are fused with weights w1 and 1 - w1
+# (sigmas 1/w1 and 1/(1 - w1)); flip() mirrors branch 2 about the truth
 rng = np.random.default_rng(0)
 e1 = np.abs(rng.standard_normal(100000))
 e2 = np.abs(rng.standard_normal(100000))
 w1 = rng.uniform(0.0, 1.0, 100000)
-same = coupling_error(e1, e2, w1)
-mixed = complementary_error(e1, e2, w1)
+z_star = np.full(100000, 20.0)
+sigma = np.column_stack([1.0 / w1, 1.0 / (1.0 - w1)])
+z1, z2 = z_star + e1, z_star + e2
+same = np.abs(soft_fuse_array(np.column_stack([z1, z2]), sigma) - z_star)
+mixed = np.abs(soft_fuse_array(np.column_stack([z1, flip(z2, z_star)]), sigma) - z_star)
 print(f"|fused error|, same-sign branches:      {same.mean():.4f}")
 print(f"|fused error|, one branch sign-flipped: {mixed.mean():.4f}")
 
@@ -70,4 +75,4 @@ for x, m in zip(curve.x, curve.mae):
 # 4-k exactly, with the sweet spot at half
 print("\nk flipped branches -> fused MAE")
 for k in range(5):
-    print(f"  k={k}  {multi_flip(ensembles, k, seed=17).combined_mae:.4f}")
+    print(f"  k={k}  {multi_flip(ensembles, k, seed=17):.4f}")

@@ -2,7 +2,7 @@
 
 The package turns the closed-form depth estimators of a monocular 3D
 detector (box-height, ground-elevation, and combined midpoint forms) into a
-standalone library: project/backproject camera math, ground-plane and
+standalone library: pinhole projection math, ground-plane and
 horizon-line conversions, uncertainty-weighted depth fusion, the MAE / ESOP
 / CS metric family, and seeded flip experiments that quantify how much a
 depth ensemble loses to error-sign coupling.
@@ -13,8 +13,6 @@ from .camera import (
     CameraIntrinsics,
     Pixel,
     Point3D,
-    backproject_xy,
-    depth_from_elevation,
     project,
 )
 from .depth_branches import (
@@ -50,12 +48,11 @@ from .errors import (
     UnknownBranch,
     ZeroMAE,
 )
-from .fusion import FusedDepth, soft_fuse, soft_fuse_array
+from .fusion import soft_fuse_array
 from .ground_plane import (
     DEFAULT_CAM_HEIGHT,
     GroundPlane,
     HorizonFitInfo,
-    HorizonHeatmap,
     HorizonLine,
     PlaneFitInfo,
     fit_horizon,
@@ -70,24 +67,18 @@ from .ground_plane import (
 from .kitti_io import (
     EnsembleTable,
     Object3D,
-    filter_objects,
     format_calib,
     format_labels,
     parse_calib,
-    parse_calib_matrix,
     parse_labels,
     read_predictions,
-    read_report,
     write_curves,
     write_predictions,
     write_report,
 )
 from .lab import (
     ErrorModelConfig,
-    MultiFlipResult,
     SweepCurve,
-    complementary_error,
-    coupling_error,
     disturb_sweep,
     flip,
     flip_sweep,
@@ -115,24 +106,18 @@ __all__ = [
     "DEFAULT_DEPTH_EDGES", "DEFAULT_EPS_DEN", "DEFAULT_INTRINSICS",
     "DEFAULT_Y_ERROR_EDGES", "DegenerateHeight", "DegeneratePlane",
     "EmptyEnsemble", "EmptyInput", "EnsembleTable", "ErrorModelConfig",
-    "FusedDepth", "GroundPlane",
-    "HorizonFitInfo", "HorizonHeatmap", "HorizonLine", "HorizonSingularity",
+    "GroundPlane", "HorizonFitInfo", "HorizonLine", "HorizonSingularity",
     "InsufficientSupport", "JoinError", "KOutOfRange", "LengthMismatch",
     "MalformedLine", "MalformedMatrix", "MidpointSingularity", "MissingKey",
-    "MultiFlipResult", "NonMonotoneEdges", "NonPositiveDepth",
-    "NonPositiveSigma", "Object3D", "Pixel", "PlaneFitInfo", "Point3D",
-    "RayParallelToPlane", "Scene", "SchemaError", "SweepCurve",
-    "TopSingularity", "UnknownBranch", "ZeroMAE",
-    "backproject_xy", "binned_mae", "box_keypoints",
-    "complementarity_score", "complementary_error", "coupling_error",
-    "depth_from_elevation", "disturb_sweep", "esop",
-    "evaluate_ensembles", "filter_objects", "fit_horizon", "fit_plane",
-    "flip", "flip_sweep", "format_calib", "format_labels",
-    "generate_ensembles", "heatmap_from_pgm",
-    "heatmap_to_pgm", "horizon_to_plane", "mae", "make_scene", "multi_flip",
-    "parse_calib", "parse_calib_matrix", "parse_labels", "plane_to_horizon",
-    "project", "random_plane", "rasterize_horizon", "read_predictions",
-    "read_report", "soft_fuse", "soft_fuse_array", "write_curves",
-    "write_predictions", "write_report", "y_global", "z_alt", "z_comp",
-    "z_global", "z_key",
+    "NonMonotoneEdges", "NonPositiveDepth", "NonPositiveSigma", "Object3D",
+    "Pixel", "PlaneFitInfo", "Point3D", "RayParallelToPlane", "Scene",
+    "SchemaError", "SweepCurve", "TopSingularity", "UnknownBranch", "ZeroMAE",
+    "binned_mae", "box_keypoints", "complementarity_score", "disturb_sweep",
+    "esop", "evaluate_ensembles", "fit_horizon", "fit_plane", "flip",
+    "flip_sweep", "format_calib", "format_labels", "generate_ensembles",
+    "heatmap_from_pgm", "heatmap_to_pgm", "horizon_to_plane", "mae",
+    "make_scene", "multi_flip", "parse_calib", "parse_labels",
+    "plane_to_horizon", "project", "random_plane", "rasterize_horizon",
+    "read_predictions", "soft_fuse_array", "write_curves", "write_predictions",
+    "write_report", "y_global", "z_alt", "z_comp", "z_global", "z_key",
 ]

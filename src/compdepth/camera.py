@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import HorizonSingularity, NonPositiveDepth
+from .errors import NonPositiveDepth
 
 #: Default guard, in pixels, for divisions by image-row differences.
 #: Shared by every singularity check in the package.
@@ -57,31 +57,3 @@ def project(p: Point3D, k: CameraIntrinsics) -> Pixel:
     if p.z <= 0:
         raise NonPositiveDepth(f"cannot project point with z={p.z}")
     return Pixel(k.f_x * p.x / p.z + k.c_u, k.f_y * p.y / p.z + k.c_v)
-
-
-def backproject_xy(u: float, v: float, z: float, k: CameraIntrinsics) -> tuple[float, float]:
-    """Recover the (x, y) of a point from its pixel and known depth."""
-    if z <= 0:
-        raise NonPositiveDepth(f"cannot backproject with z={z}")
-    return ((u - k.c_u) * z / k.f_x, (v - k.c_v) * z / k.f_y)
-
-
-def depth_from_elevation(y: float, v_b: float, k: CameraIntrinsics,
-                         eps: float = DEFAULT_EPS_DEN) -> float:
-    """Depth of a point of known elevation y seen at image row v_b.
-
-    Uses z = f_y * y / (v_b - c_v): a point's depth is tied to how far
-    below the principal row it appears. Degenerates as v_b approaches c_v,
-    where the same elevation is compatible with any depth.
-
-    Raises:
-        HorizonSingularity: |v_b - c_v| < eps.
-        NonPositiveDepth: the implied depth is zero or negative.
-    """
-    den = v_b - k.c_v
-    if abs(den) < eps:
-        raise HorizonSingularity(f"|v_b - c_v| = {abs(den):.3g} px is below {eps:.3g}")
-    z = k.f_y * y / den
-    if z <= 0:
-        raise NonPositiveDepth(f"elevation {y} at row offset {den} implies z={z}")
-    return z

@@ -41,8 +41,8 @@ from .ground_plane import (
 )
 from .kitti_io import (
     EnsembleTable,
+    Object3D,
     config_header,
-    filter_objects,
     parse_calib,
     parse_labels,
     read_predictions,
@@ -192,6 +192,13 @@ def _load_frame(calib_dir: Path, label_dir: Path, frame: str):
     return intrinsics, objects
 
 
+def _usable(objects: list[Object3D]) -> list[tuple[int, Object3D]]:
+    """(label index, object) of the rows with usable geometry: not
+    DontCare, positive height and positive depth."""
+    return [(i, o) for i, o in enumerate(objects)
+            if not o.is_dontcare and o.h > 0 and o.z > 0]
+
+
 def _frame_plane(bottoms: list[Point3D], k: CameraIntrinsics,
                  args) -> tuple[GroundPlane, HorizonLine, bool]:
     """The frame's ground plane, its horizon, and whether it fell back.
@@ -201,7 +208,7 @@ def _frame_plane(bottoms: list[Point3D], k: CameraIntrinsics,
     fitted plane too close to vertical to have a horizon.
     """
     if bottoms:
-        plane, info = fit_plane(bottoms, with_info=True)
+        plane, info = fit_plane(bottoms)
         if not info.used_fallback:
             try:
                 return plane, plane_to_horizon(plane, k, eps=args.eps_den), False
@@ -278,8 +285,7 @@ def _cmd_oracle(args) -> int:
     frames, indices, truths = [], [], []
     for frame in _frames(args.label_dir):
         k, objects = _load_frame(args.calib_dir, args.label_dir, frame)
-        valid = [(i, o) for i, o in enumerate(objects)
-                 if not o.is_dontcare and o.h > 0 and o.z > 0]
+        valid = _usable(objects)
         skipped = sum(1 for o in objects if not o.is_dontcare) - len(valid)
         if skipped:
             diagnostics["object_invalid_geometry"] += skipped
@@ -419,13 +425,11 @@ def _cmd_lab(args) -> int:
                                     seed=sweep_seed))
     else:
         ks = _flip_counts(args.k, len(table.names))
-        baseline = multi_flip(table, 0, seed=sweep_seed).combined_mae
-        results = [multi_flip(table, k, seed=sweep_seed) for k in ks]
         curves.append(SweepCurve(
             x=tuple(float(k) for k in ks),
-            mae=tuple(r.combined_mae for r in results),
-            counts=tuple(r.count for r in results),
-            baseline_mae=baseline,
+            mae=tuple(multi_flip(table, k, seed=sweep_seed) for k in ks),
+            counts=(len(table),) * len(ks),
+            baseline_mae=multi_flip(table, 0, seed=sweep_seed),
             label="multiflip",
         ))
 
@@ -459,7 +463,7 @@ def _cmd_plane(args) -> int:
 
     for frame in frames:
         k, objects = _load_frame(args.calib_dir, args.label_dir, frame)
-        valid = [o for o in filter_objects(objects) if o.h > 0 and o.z > 0]
+        valid = [o for _, o in _usable(objects)]
         bottoms = [Point3D(o.x, o.y, o.z) for o in valid]
         plane, horizon, used_fallback = _frame_plane(bottoms, k, args)
         if used_fallback:

@@ -15,11 +15,11 @@ from .camera import (
     CameraIntrinsics,
     Pixel,
     Point3D,
-    depth_from_elevation,
     project,
 )
 from .errors import (
     DegenerateHeight,
+    HorizonSingularity,
     MidpointSingularity,
     NonPositiveDepth,
     TopSingularity,
@@ -72,10 +72,22 @@ def z_global(y_glo: float, v_b: float, k: CameraIntrinsics,
              eps: float = DEFAULT_EPS_DEN) -> float:
     """Depth from ground elevation at the bottom keypoint.
 
-    Definitional alias of camera.depth_from_elevation: the bottom of the box
-    sits on the ground, so its elevation and image row fix the depth.
+    z = f_y * y_glo / (v_b - c_v): the bottom of the box sits on the
+    ground, and a point's depth is tied to how far below the principal row
+    it appears. Degenerates as v_b approaches c_v, where the same elevation
+    is compatible with any depth.
+
+    Raises:
+        HorizonSingularity: |v_b - c_v| < eps.
+        NonPositiveDepth: the implied depth is zero or negative.
     """
-    return depth_from_elevation(y_glo, v_b, k, eps)
+    den = v_b - k.c_v
+    if abs(den) < eps:
+        raise HorizonSingularity(f"|v_b - c_v| = {abs(den):.3g} px is below {eps:.3g}")
+    z = k.f_y * y_glo / den
+    if z <= 0:
+        raise NonPositiveDepth(f"elevation {y_glo} at row offset {den} implies z={z}")
+    return z
 
 
 def z_comp(y_glo: float, height: float, v_b: float, v_t: float,

@@ -9,40 +9,9 @@ depth, and scaling every sigma by a common factor changes nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .errors import AllBranchesInvalid, EmptyEnsemble, LengthMismatch, NonPositiveSigma
-
-
-@dataclass(frozen=True)
-class FusedDepth:
-    """Fusion result: the fused depth and the weights that produced it."""
-
-    z_soft: float
-    weights: tuple[float, ...]
-
-
-def soft_fuse(branches: Sequence[tuple[float, float]]) -> FusedDepth:
-    """Fuse (z, sigma) pairs into one depth; the scalar reference of soft_fuse_array.
-
-    Raises:
-        EmptyEnsemble: no branches given.
-        NonPositiveSigma: any sigma <= 0.
-    """
-    branches = list(branches)
-    if not branches:
-        raise EmptyEnsemble("fusion needs at least one branch")
-    for _, sigma in branches:
-        if sigma <= 0:
-            raise NonPositiveSigma(f"sigma must be positive, got {sigma}")
-    inverse = [1.0 / sigma for _, sigma in branches]
-    total = sum(inverse)
-    weights = tuple(w / total for w in inverse)
-    z_soft = sum(w * z for w, (z, _) in zip(weights, branches))
-    return FusedDepth(z_soft=z_soft, weights=weights)
 
 
 def soft_fuse_array(z: np.ndarray, sigma: np.ndarray, axis: int = -1,

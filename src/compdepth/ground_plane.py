@@ -74,12 +74,6 @@ class GroundPlane:
             raise DegeneratePlane("vertical plane has no height field")
         return -(self.a * x + self.c * z + self.cam_height) / self.b
 
-    def heightfield(self) -> tuple[float, float, float]:
-        """(p, q, r) of the equivalent height field y = p*x + q*z + r."""
-        if abs(self.b) < DEFAULT_EPS_DEN:
-            raise DegeneratePlane("vertical plane has no height field")
-        return (-self.a / self.b, -self.c / self.b, -self.cam_height / self.b)
-
 
 @dataclass(frozen=True)
 class HorizonLine:
@@ -87,28 +81,6 @@ class HorizonLine:
 
     k_h: float
     b_h: float
-
-    def row_at(self, u: float) -> float:
-        return self.k_h * u + self.b_h
-
-
-@dataclass(frozen=True, eq=False)
-class HorizonHeatmap:
-    """Dense per-pixel horizon evidence, values in [0, 1], shape (height, width).
-
-    Columns of an all-zero heatmap region (line far outside the image) are
-    legal; line fitting skips them.
-    """
-
-    grid: np.ndarray
-
-    @property
-    def height(self) -> int:
-        return self.grid.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.grid.shape[1]
 
 
 @dataclass(frozen=True)
@@ -130,14 +102,13 @@ class HorizonFitInfo:
 # plane fitting
 # ---------------------------------------------------------------------------
 
-def fit_plane(bottom_points: Sequence[Point3D],
-              fallback_height: float = DEFAULT_CAM_HEIGHT,
-              with_info: bool = False):
+def fit_plane(bottom_points: Sequence[Point3D]) -> tuple[GroundPlane, PlaneFitInfo]:
     """Least-squares ground plane through object bottom-center points.
 
     Fits the height field y = p*x + q*z + r and normalizes. With fewer than
     3 points, or a rank-deficient system (e.g. all points collinear in the
-    x-z plane), falls back to the flat plane y = fallback_height.
+    x-z plane), falls back to the flat plane y = DEFAULT_CAM_HEIGHT and
+    sets the info's used_fallback.
 
     Raises EmptyInput when no points are given.
     """
@@ -146,7 +117,6 @@ def fit_plane(bottom_points: Sequence[Point3D],
         raise EmptyInput("plane fit needs at least one point")
 
     n = len(pts)
-    plane = None
     rank = 0
     if n >= 3:
         xs = np.array([p.x for p in pts])
@@ -154,17 +124,13 @@ def fit_plane(bottom_points: Sequence[Point3D],
         zs = np.array([p.z for p in pts])
         design = np.column_stack([xs, zs, np.ones(n)])
         solution, _, rank, _ = np.linalg.lstsq(design, ys, rcond=None)
-        if rank == 3:
-            p, q, r = (float(v) for v in solution)
-            plane = GroundPlane.from_heightfield(p, q, r)
-
-    used_fallback = plane is None
+        rank = int(rank)
+    used_fallback = rank != 3
     if used_fallback:
-        plane = GroundPlane(0.0, -1.0, 0.0, fallback_height)
-
-    if with_info:
-        return plane, PlaneFitInfo(n_points=n, rank=int(rank), used_fallback=used_fallback)
-    return plane
+        plane = GroundPlane(0.0, -1.0, 0.0, DEFAULT_CAM_HEIGHT)
+    else:
+        plane = GroundPlane.from_heightfield(*(float(v) for v in solution))
+    return plane, PlaneFitInfo(n_points=n, rank=rank, used_fallback=used_fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +195,9 @@ def y_global(u_b: float, v_b: float, g: GroundPlane, k: CameraIntrinsics,
 # ---------------------------------------------------------------------------
 
 def rasterize_horizon(h: HorizonLine, width: int, height: int,
-                      radius: float = 2.0) -> HorizonHeatmap:
-    """Render a horizon line as a heatmap with a vertical Gaussian profile.
+                      radius: float = 2.0) -> np.ndarray:
+    """Render a horizon line as a (height, width) heatmap with a vertical
+    Gaussian profile, values in [0, 1].
 
     Each column u gets a 1-D Gaussian centered on the line row v(u), with
     sigma = radius / 3, truncated at +/- radius and peak value 1. Columns
@@ -263,16 +230,16 @@ def rasterize_horizon(h: HorizonLine, width: int, height: int,
         grid[rows, cols] = np.exp(-((rows - v) ** 2) / (2.0 * sigma * sigma))
         more = rows < hi
         rows, cols, v, hi = rows[more] + 1, cols[more], v[more], hi[more]
-    return HorizonHeatmap(grid)
+    return grid
 
 
-def fit_horizon(m: HorizonHeatmap, trim: float = 0.0, with_info: bool = False):
-    """Recover a horizon line from a heatmap.
+def fit_horizon(grid: np.ndarray, trim: float = 0.0, with_info: bool = False):
+    """Recover a horizon line from a (height, width) heatmap.
 
     Takes the per-column peak location, skips columns with no positive
-    evidence, and fits a line by ordinary least squares. With trim > 0,
-    refits after dropping that fraction of columns with the worst
-    residuals.
+    evidence (an all-zero column is legal), and fits a line by ordinary
+    least squares. With trim > 0, refits after dropping that fraction of
+    columns with the worst residuals.
 
     Peaks are localized to sub-pixel precision: the vertical profile is
     Gaussian, so its log is quadratic in the row index and a three-point
@@ -285,9 +252,9 @@ def fit_horizon(m: HorizonHeatmap, trim: float = 0.0, with_info: bool = False):
     """
     if not 0.0 <= trim < 1.0:
         raise ValueError("trim must be in [0, 1)")
-    grid = m.grid
+    width = grid.shape[1]
     argmax = np.argmax(grid, axis=0)
-    cols = np.nonzero(grid[argmax, np.arange(m.width)] > 0.0)[0]
+    cols = np.nonzero(grid[argmax, np.arange(width)] > 0.0)[0]
     if cols.size < 2:
         raise InsufficientSupport(f"only {cols.size} usable columns")
     argmax = argmax[cols]
@@ -321,9 +288,9 @@ def fit_horizon(m: HorizonHeatmap, trim: float = 0.0, with_info: bool = False):
     residuals = rows - (line.k_h * cols + line.b_h)
     info = HorizonFitInfo(
         columns_used=int(cols.size),
-        width=m.width,
+        width=width,
         rms_residual=float(np.sqrt(np.mean(residuals ** 2))),
-        degraded=cols.size < 0.5 * m.width or border_frac > 0.25,
+        degraded=cols.size < 0.5 * width or border_frac > 0.25,
     )
     return line, info
 
@@ -332,20 +299,22 @@ def fit_horizon(m: HorizonHeatmap, trim: float = 0.0, with_info: bool = False):
 # PGM import/export (binary P5, 8-bit, row-major)
 # ---------------------------------------------------------------------------
 
-def heatmap_to_pgm(m: HorizonHeatmap) -> bytes:
-    """Serialize a heatmap as binary PGM (P5, maxval 255).
+def heatmap_to_pgm(grid: np.ndarray) -> bytes:
+    """Serialize a (height, width) heatmap as binary PGM (P5, maxval 255).
 
     Values are clipped to [0, 1] and scaled so 1.0 maps to 255.
     """
-    header = f"P5\n{m.width} {m.height}\n255\n".encode("ascii")
-    scaled = np.clip(m.grid, 0.0, 1.0)
+    height, width = grid.shape
+    header = f"P5\n{width} {height}\n255\n".encode("ascii")
+    scaled = np.clip(grid, 0.0, 1.0)
     scaled *= 255.0
     np.rint(scaled, out=scaled)
     return header + scaled.astype(np.uint8).tobytes()
 
 
-def heatmap_from_pgm(data: bytes) -> HorizonHeatmap:
-    """Parse a binary PGM (P5, maxval 255) produced by heatmap_to_pgm."""
+def heatmap_from_pgm(data: bytes) -> np.ndarray:
+    """Parse a binary PGM (P5, maxval 255) produced by heatmap_to_pgm into
+    a (height, width) heatmap."""
     match = re.match(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s", data)
     if match is None:
         raise ValueError("not a binary P5 PGM")
@@ -358,4 +327,4 @@ def heatmap_from_pgm(data: bytes) -> HorizonHeatmap:
     if len(body) != width * height:
         raise ValueError(f"expected {width * height} pixel bytes, got {len(body)}")
     # dividing the uint8 view makes the one float64 array
-    return HorizonHeatmap(np.frombuffer(body, dtype=np.uint8).reshape(height, width) / 255.0)
+    return np.frombuffer(body, dtype=np.uint8).reshape(height, width) / 255.0

@@ -29,7 +29,7 @@ import numpy as np
 
 from .camera import CameraIntrinsics
 from .errors import MalformedLine, MalformedMatrix, MissingKey, SchemaError
-from .metrics import BinnedMae, ComplementarityReport
+from .metrics import ComplementarityReport
 
 # ---------------------------------------------------------------------------
 # label objects
@@ -66,46 +66,37 @@ class Object3D:
         return self.class_name == "DontCare"
 
 
-def parse_calib_matrix(text: str, key: str = "P2") -> np.ndarray:
-    """Extract a 3x4 projection matrix from a KITTI calibration file.
+def parse_calib(text: str) -> CameraIntrinsics:
+    """Intrinsics from the 'P2:' projection matrix of a KITTI calibration file.
 
-    Raises MissingKey when no line starts with '<key>:', MalformedMatrix on
-    wrong arity or non-numeric entries.
+    Reads f_x, f_y, c_u, c_v; the translation column is validated but plays
+    no role in the ideal-pinhole math here. Other keys are ignored.
+
+    Raises MissingKey when no line starts with 'P2:', MalformedMatrix on
+    wrong arity or non-numeric or non-finite entries.
     """
-    prefix = key + ":"
     for raw in text.splitlines():
         line = raw.strip()
-        if not line.startswith(prefix):
+        if not line.startswith("P2:"):
             continue
-        tokens = line[len(prefix):].split()
+        tokens = line[3:].split()
         if len(tokens) != 12:
-            raise MalformedMatrix(f"'{key}' needs 12 entries, got {len(tokens)}")
+            raise MalformedMatrix(f"'P2' needs 12 entries, got {len(tokens)}")
         try:
-            values = [float(t) for t in tokens]
+            p = [float(t) for t in tokens]
         except ValueError as exc:
-            raise MalformedMatrix(f"'{key}' has a non-numeric entry: {exc}") from None
-        if not all(math.isfinite(v) for v in values):
-            raise MalformedMatrix(f"'{key}' has a non-finite entry")
-        return np.array(values).reshape(3, 4)
-    raise MissingKey(f"no '{key}:' line in calibration text")
+            raise MalformedMatrix(f"'P2' has a non-numeric entry: {exc}") from None
+        if not all(math.isfinite(v) for v in p):
+            raise MalformedMatrix("'P2' has a non-finite entry")
+        # row-major 3x4: f_x, c_u in row 0 and f_y, c_v in row 1
+        return CameraIntrinsics(f_x=p[0], f_y=p[5], c_u=p[2], c_v=p[6])
+    raise MissingKey("no 'P2:' line in calibration text")
 
 
-def parse_calib(text: str, key: str = "P2") -> CameraIntrinsics:
-    """Intrinsics from a KITTI calibration file.
-
-    Reads f_x, f_y, c_u, c_v from the projection matrix; the translation
-    column is validated by parse_calib_matrix but plays no role in the
-    ideal-pinhole math here.
-    """
-    p = parse_calib_matrix(text, key)
-    return CameraIntrinsics(f_x=float(p[0, 0]), f_y=float(p[1, 1]),
-                            c_u=float(p[0, 2]), c_v=float(p[1, 2]))
-
-
-def format_calib(k: CameraIntrinsics, key: str = "P2") -> str:
+def format_calib(k: CameraIntrinsics) -> str:
     """Calibration text with the given intrinsics and zero translation."""
     row = [k.f_x, 0.0, k.c_u, 0.0, 0.0, k.f_y, k.c_v, 0.0, 0.0, 0.0, 1.0, 0.0]
-    return f"{key}: " + " ".join(str(v) for v in row) + "\n"
+    return "P2: " + " ".join(str(v) for v in row) + "\n"
 
 
 def parse_labels(text: str) -> list[Object3D]:
@@ -160,20 +151,6 @@ def format_labels(objects: Iterable[Object3D]) -> str:
             tokens.append(str(o.score))
         lines.append(" ".join(tokens))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def filter_objects(objects: Iterable[Object3D], *,
-                   include_dontcare: bool = False,
-                   classes: Sequence[str] | None = None) -> list[Object3D]:
-    """Default evaluation filter: drop DontCare rows, keep everything else."""
-    kept = []
-    for o in objects:
-        if o.is_dontcare and not include_dontcare:
-            continue
-        if classes is not None and o.class_name not in classes:
-            continue
-        kept.append(o)
-    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +313,8 @@ def read_predictions(source) -> EnsembleTable:
             sigma = rb.get("sigma", 1.0)
             _require(_is_number(sigma) and sigma > 0, line_no, f"{path}.sigma",
                      "must be a finite positive number")
+            _require(math.isfinite(1.0 / sigma), line_no, f"{path}.sigma",
+                     "too small: 1/sigma overflows")
             rows.append(row)
             cols.append(columns.setdefault(name, len(columns)))
             zs.append(z)
@@ -397,14 +376,6 @@ def _edge_json(e: float):
     if math.isinf(e):
         return "inf" if e > 0 else "-inf"
     return e
-
-
-def _edge_parse(e) -> float:
-    if e == "inf":
-        return math.inf
-    if e == "-inf":
-        return -math.inf
-    return float(e)
 
 
 def _header_lines(header: dict | None) -> list[str]:
@@ -556,32 +527,6 @@ def write_plane_report(frames: Sequence[dict], summary: dict, format: str = "jso
             "" if r["y_mae"] is None else _fmt6(r["y_mae"]),
         ])
     return buf.getvalue()
-
-
-def read_report(text: str) -> ComplementarityReport:
-    """Parse a JSON report written by write_report back into a report object."""
-    doc = json.loads(text)
-    branch_names = tuple(b["name"] for b in doc["branches"])
-    return ComplementarityReport(
-        n_objects=doc["n_objects"],
-        reference=doc["reference"],
-        branch_names=branch_names,
-        branch_mae={b["name"]: b["mae"] for b in doc["branches"] if b["mae"] is not None},
-        branch_counts={b["name"]: b["count"] for b in doc["branches"]},
-        esop={(e["a"], e["b"]): e["value"] for e in doc["esop"]},
-        branch_cs={b["name"]: b["cs"] for b in doc["branches"]},
-        fused_mae=doc["fused"]["mae"],
-        fused_count=doc["fused"]["count"],
-        binned={
-            t["name"]: BinnedMae(
-                edges=tuple(_edge_parse(e) for e in t["edges"]),
-                maes=tuple(t["mae"]),
-                counts=tuple(t["counts"]),
-            )
-            for t in doc["binned"]
-        },
-        flags=tuple(doc["flags"]),
-    )
 
 
 def write_curves(curves, header: dict | None = None) -> str:

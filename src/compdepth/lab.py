@@ -31,30 +31,6 @@ def flip(z_hat, z_star):
     return 2.0 * z_star - z_hat
 
 
-def _check_w1(w1) -> None:
-    w = np.asarray(w1, dtype=float)
-    if np.any(w <= 0) or np.any(w >= 1):
-        raise ValueError("w1 must lie strictly between 0 and 1")
-
-
-def coupling_error(e1, e2, w1):
-    """Combined error magnitude of a two-branch fusion: |w1*e1 + (1-w1)*e2|."""
-    _check_w1(w1)
-    return np.abs(w1 * np.asarray(e1, dtype=float)
-                  + (1.0 - w1) * np.asarray(e2, dtype=float))
-
-
-def complementary_error(e1, e2, w1):
-    """Combined error magnitude after flipping branch 2: |w1*e1 - (1-w1)*e2|.
-
-    Whenever e1 and e2 share a sign this is strictly smaller than
-    coupling_error: flipping one branch of a sign-coupled pair always helps.
-    """
-    _check_w1(w1)
-    return np.abs(w1 * np.asarray(e1, dtype=float)
-                  - (1.0 - w1) * np.asarray(e2, dtype=float))
-
-
 @dataclass(frozen=True)
 class ErrorModelConfig:
     """Seeded generator settings for synthetic branch errors.
@@ -189,6 +165,8 @@ def flip_sweep(table: EnsembleTable, branch_name: str,
     are comparable point to point.
     """
     props = sorted(float(p) for p in proportions)
+    if not props:
+        raise ValueError("proportions must not be empty")
     if len(set(props)) != len(props):
         raise ValueError("proportions must be distinct")
     if not all(0.0 <= p <= 1.0 for p in props):
@@ -226,6 +204,8 @@ def disturb_sweep(table: EnsembleTable, branch_name: str,
     noise outweighs what the flips repaired.
     """
     amps = sorted(float(a) for a in amplitudes)
+    if not amps:
+        raise ValueError("amplitudes must not be empty")
     if len(set(amps)) != len(amps):
         raise ValueError("amplitudes must be distinct")
     if not all(0.0 <= a < math.inf for a in amps):
@@ -250,23 +230,9 @@ def disturb_sweep(table: EnsembleTable, branch_name: str,
                       baseline_mae=baseline, label=f"disturb:{branch_name}")
 
 
-@dataclass(frozen=True)
-class MultiFlipResult:
-    """Outcome of flipping k branches on half the objects.
-
-    branch_mae covers, per branch, the objects that carry it.
-    """
-
-    k: int
-    flipped_branches: tuple[str, ...]
-    combined_mae: float
-    branch_mae: dict[str, float]
-    count: int
-
-
-def multi_flip(table: EnsembleTable, k: int,
-               seed: int = 0) -> MultiFlipResult:
-    """Flip k branches simultaneously on a seeded half of the objects.
+def multi_flip(table: EnsembleTable, k: int, seed: int = 0) -> float:
+    """Fused MAE over all objects after flipping k branches simultaneously
+    on a seeded half of the objects.
 
     The flip set is chosen by branch order: the first k branches when
     k <= n/2, otherwise the last k. That pairing makes the k and n-k sets
@@ -275,11 +241,11 @@ def multi_flip(table: EnsembleTable, k: int,
     every term of a sum flips its sign, not its magnitude).
     """
     _require_truth(table)
-    names, z, valid, z_star = table.names, table.z, table.valid, table.z_star
-    n_br = len(names)
+    z, z_star = table.z, table.z_star
+    n_br = len(table.names)
     if not 0 <= k <= n_br:
         raise KOutOfRange(f"k={k} outside 0..{n_br}")
-    cols = tuple(range(k)) if 2 * k <= n_br else tuple(range(n_br - k, n_br))
+    cols = range(k) if 2 * k <= n_br else range(n_br - k, n_br)
 
     n = z.shape[0]
     rng = np.random.default_rng(seed)
@@ -289,10 +255,4 @@ def multi_flip(table: EnsembleTable, k: int,
     zz = z.copy()
     for c in cols:
         zz[rows, c] = flip(zz[rows, c], z_star[rows])
-    combined = _fused_mae(table, zz)
-    branch_mae = {}
-    for j, name in enumerate(names):
-        err = np.abs(zz[:, j] - z_star)
-        branch_mae[name] = float(np.mean(err[valid[:, j]]))
-    return MultiFlipResult(k=k, flipped_branches=tuple(names[c] for c in cols),
-                           combined_mae=combined, branch_mae=branch_mae, count=n)
+    return _fused_mae(table, zz)

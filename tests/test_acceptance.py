@@ -18,11 +18,10 @@ from compdepth import (
     SchemaError,
     box_keypoints,
     complementarity_score,
-    complementary_error,
-    coupling_error,
     disturb_sweep,
     esop,
     fit_horizon,
+    flip,
     flip_sweep,
     format_calib,
     format_labels,
@@ -35,7 +34,6 @@ from compdepth import (
     plane_to_horizon,
     rasterize_horizon,
     read_predictions,
-    soft_fuse,
     soft_fuse_array,
     y_global,
     z_alt,
@@ -45,6 +43,7 @@ from compdepth import (
 )
 from compdepth.cli import main
 from compdepth.lab import ErrorModelConfig
+from fusion_reference import soft_fuse
 
 # Published ablation rows from a driving benchmark, as (MAE m, ESOP %, CS);
 # every row that reports all three values, two of which coincide across tables
@@ -115,8 +114,14 @@ def test_c03_flip_lemma():
     e2 = sign * (np.abs(rng.standard_normal(n)) + 1e-12)
     w1 = rng.uniform(0.01, 0.99, n)
     assert np.all(e1 * e2 > 0)
-    e_coupled = coupling_error(e1, e2, w1)
-    e_flipped = complementary_error(e1, e2, w1)
+    # two branches fused with weights w1 and 1 - w1, branch 2 as drawn and
+    # with its error sign flipped about the truth
+    z_star = rng.uniform(5.0, 60.0, n)
+    sigma = np.column_stack([1.0 / w1, 1.0 / (1.0 - w1)])
+    z1, z2 = z_star + e1, z_star + e2
+    e_coupled = np.abs(soft_fuse_array(np.column_stack([z1, z2]), sigma) - z_star)
+    e_flipped = np.abs(soft_fuse_array(np.column_stack([z1, flip(z2, z_star)]), sigma)
+                       - z_star)
     assert np.all(e_flipped <= e_coupled)
     assert np.all(e_flipped < e_coupled)  # strict: no error here is zero
     print("criterion 3 PASS: flipped error strictly below coupled error "
@@ -173,7 +178,7 @@ def test_c06_disturbance_crossover(lab_ensembles):
 
 def test_c07_multi_flip_symmetry(lab_ensembles):
     ensembles, _ = lab_ensembles
-    maes = [multi_flip(ensembles, k, seed=17).combined_mae for k in range(5)]
+    maes = [multi_flip(ensembles, k, seed=17) for k in range(5)]
     assert min(maes) == maes[2]
     assert all(maes[2] < maes[k] for k in (0, 1, 3, 4))
     assert abs(maes[0] - maes[4]) <= 1e-9

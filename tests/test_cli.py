@@ -12,7 +12,6 @@ from compdepth import (
     heatmap_from_pgm,
     make_scene,
     read_predictions,
-    read_report,
     write_predictions,
 )
 from compdepth.cli import main
@@ -34,6 +33,14 @@ def dataset(tmp_path):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def read_json_report(text):
+    """An eval JSON report with its branches and binned tables keyed by name."""
+    doc = json.loads(text)
+    for key in ("branches", "binned"):
+        doc[key] = {row["name"]: row for row in doc[key]}
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +130,12 @@ def oracle_then_eval(dataset, capsys, oracle_extra=(), eval_extra=()):
 def test_eval_zero_noise_report(dataset, capsys):
     code, out = oracle_then_eval(dataset, capsys)
     assert code == 0
-    report = read_report(out)
-    assert report.n_objects == 50
-    assert report.reference == "key"  # no 'dir' branch in oracle output
+    report = read_json_report(out)
+    assert report["n_objects"] == 50
+    assert report["reference"] == "key"  # no 'dir' branch in oracle output
     for name in ("key", "glo", "comp"):
-        assert report.branch_mae[name] == pytest.approx(0.0, abs=1e-9)
-    assert report.fused_mae == pytest.approx(0.0, abs=1e-9)
+        assert report["branches"][name]["mae"] == pytest.approx(0.0, abs=1e-9)
+    assert report["fused"]["mae"] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_eval_noisy_report_has_binned_tables(dataset, capsys):
@@ -136,10 +143,10 @@ def test_eval_noisy_report_has_binned_tables(dataset, capsys):
         dataset, capsys,
         oracle_extra=["--seed", 2, "--noise-h-rel", 0.1, "--noise-px", 1.0])
     assert code == 0
-    report = read_report(out)
-    assert set(report.binned) == {"fused", "key", "glo", "comp"}
-    assert sum(report.binned["fused"].counts) == report.fused_count
-    assert report.branch_cs["comp"] is not None
+    report = read_json_report(out)
+    assert set(report["binned"]) == {"fused", "key", "glo", "comp"}
+    assert sum(report["binned"]["fused"]["counts"]) == report["fused"]["count"]
+    assert report["branches"]["comp"]["cs"] is not None
 
 
 def test_eval_csv_format(dataset, capsys):
@@ -154,9 +161,9 @@ def test_eval_custom_edges_and_reference(dataset, capsys):
         oracle_extra=["--seed", 2, "--noise-px", 1.0],
         eval_extra=["--reference", "glo", "--depth-edges", "0,30,inf"])
     assert code == 0
-    report = read_report(out)
-    assert report.reference == "glo"
-    assert report.binned["fused"].edges == (0.0, 30.0, float("inf"))
+    report = read_json_report(out)
+    assert report["reference"] == "glo"
+    assert report["binned"]["fused"]["edges"] == [0.0, 30.0, "inf"]
 
 
 def test_eval_unmatched_prediction(dataset, tmp_path, capsys):
@@ -181,10 +188,10 @@ def test_eval_scores_against_label_depths(dataset, tmp_path, capsys):
                       "branches": [{"name": "key", "z": labels[1].z - 3.0}]}) + "\n")
     code = run(["eval", "--calib-dir", dataset / "calib",
                 "--label-dir", dataset / "label_2", "--predictions", preds])
-    report = read_report(capsys.readouterr().out)
+    report = read_json_report(capsys.readouterr().out)
     assert code == 0
-    assert report.n_objects == 2 and report.flags == ()
-    assert report.branch_mae["key"] == pytest.approx(2.0)
+    assert report["n_objects"] == 2 and report["flags"] == []
+    assert report["branches"]["key"]["mae"] == pytest.approx(2.0)
 
 
 def test_eval_duplicate_record(dataset, tmp_path, capsys):
@@ -199,6 +206,20 @@ def test_eval_duplicate_record(dataset, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("error: line 3: field 'index': "
                             "duplicate record (000000, 0)\n")
+
+
+def test_subnormal_sigma_is_a_schema_error(dataset, tmp_path, capsys):
+    # 1e-320 is finite and positive, but its inverse weight 1/sigma is inf
+    preds = tmp_path / "tiny.jsonl"
+    preds.write_text('{"frame":"000000","index":0,"z_star":20.0,"branches":'
+                     '[{"name":"key","z":20.0},{"name":"glo","z":21.0,"sigma":1e-320}]}\n')
+    error = "error: line 1: field 'branches[1].sigma': too small: 1/sigma overflows\n"
+    for args in (["eval", "--calib-dir", dataset / "calib", "--label-dir",
+                  dataset / "label_2", "--predictions", preds],
+                 ["lab", "--mode", "flip", "--predictions", preds]):
+        code = run(args)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", error)
 
 
 def test_eval_malformed_labels(dataset, tmp_path, capsys):
@@ -336,6 +357,8 @@ def test_lab_ragged_predictions(dataset, capsys):
     (["oracle", "--seed", "-1"], "--seed"),
     (["lab", "--mode", "flip", "--seed", "-1"], "--seed"),
     (["plane", "--seed", "-1"], "--seed"),
+    (["lab", "--mode", "flip", "--proportions", ""], "proportions must not be empty"),
+    (["lab", "--mode", "disturb", "--amplitudes", ""], "amplitudes must not be empty"),
 ])
 def test_lab_bad_input_one_line_error(args, message, dataset, capsys):
     # every command, despite the name: bad input ends in one error line
@@ -376,7 +399,7 @@ def test_plane_report_and_heatmaps(dataset, capsys):
         assert row["y_mae"] < 1e-9  # exact plane recovery from clean labels
     assert data["summary"]["y_mae"] < 1e-9
     hm = heatmap_from_pgm((heat_dir / "000000.pgm").read_bytes())
-    assert (hm.width, hm.height) == (620, 188)
+    assert hm.shape == (188, 620)
 
 
 def test_plane_fallback_exit_code(tmp_path, capsys):
@@ -442,6 +465,32 @@ def test_plane_near_vertical_plane_falls_back(steep_dataset, capsys):
     assert (steep["frame"], steep["n_points"], steep["fallback"]) == ("000001", 3, True)
     assert (steep["k_h"], steep["b_h"]) == (0.0, 172.854)  # the flat plane's horizon
     assert both["summary"]["fallback_frames"] == 1
+
+
+def test_oracle_and_plane_skip_the_same_unusable_rows(tmp_path, capsys):
+    # a DontCare row and rows without positive height or depth feed neither
+    # the plane fit nor the oracle; only the oracle warns about the latter
+    scene = make_scene(6, seed=4)
+    objects = [*scene.objects,
+               dataclasses.replace(scene.objects[0], class_name="DontCare"),
+               dataclasses.replace(scene.objects[1], h=0.0),
+               dataclasses.replace(scene.objects[2], z=-3.0)]
+    calib_dir, label_dir = tmp_path / "calib", tmp_path / "label_2"
+    calib_dir.mkdir()
+    label_dir.mkdir()
+    (calib_dir / "000000.txt").write_text(format_calib(scene.intrinsics))
+    (label_dir / "000000.txt").write_text(format_labels(objects))
+    dirs = ["--calib-dir", calib_dir, "--label-dir", label_dir]
+    preds = tmp_path / "preds.jsonl"
+    assert run(["oracle", *dirs, "--out", preds]) == 3
+    assert capsys.readouterr().err == "warning: object_invalid_geometry: 2\n"
+    assert read_predictions(preds.read_text()).index.tolist() == list(range(6))
+    assert run(["plane", *dirs]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["frames"][0]["n_points"] == 6
+    assert report["summary"]["n_objects"] == 6
 
 
 def test_plane_csv(dataset, capsys):

@@ -8,7 +8,6 @@ from compdepth import (
     NonPositiveDepth,
     TopSingularity,
     box_keypoints,
-    depth_from_elevation,
     make_scene,
     z_alt,
     z_comp,
@@ -59,11 +58,6 @@ def test_z_comp_hand_value(simple_cam):
 
 def test_z_alt_hand_value(simple_cam):
     assert z_alt(1.65, 1.5, 205.25, simple_cam) == pytest.approx(20.0)
-
-
-def test_z_global_is_elevation_alias(simple_cam):
-    assert z_global(1.65, 257.75, simple_cam) == depth_from_elevation(
-        1.65, 257.75, simple_cam)
 
 
 def test_exact_recovery_on_synthetic_scene():

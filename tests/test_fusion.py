@@ -6,10 +6,9 @@ from compdepth import (
     EmptyEnsemble,
     LengthMismatch,
     NonPositiveSigma,
-    coupling_error,
-    soft_fuse,
     soft_fuse_array,
 )
+from fusion_reference import soft_fuse
 
 
 def test_soft_fuse_hand_value():
@@ -32,11 +31,11 @@ def test_soft_fuse_equal_sigmas_is_mean():
 
 def test_soft_fuse_validation():
     with pytest.raises(EmptyEnsemble):
-        soft_fuse([])
+        soft_fuse_array(np.empty((2, 0)), np.empty((2, 0)))
     with pytest.raises(NonPositiveSigma):
-        soft_fuse([(20.0, 0.0)])
+        soft_fuse_array([[20.0]], [[0.0]])
     with pytest.raises(NonPositiveSigma):
-        soft_fuse([(20.0, 1.0), (21.0, -2.0)])
+        soft_fuse_array([[20.0, 21.0]], [[1.0, -2.0]])
 
 
 def test_soft_fuse_properties():
@@ -77,7 +76,7 @@ def test_two_branch_fusion_matches_coupling_error():
         fused = soft_fuse([(z_star + e1, s1), (z_star + e2, s2)])
         w1 = fused.weights[0]
         assert abs(fused.z_soft - z_star) == pytest.approx(
-            coupling_error(e1, e2, w1), abs=1e-12)
+            abs(w1 * e1 + (1.0 - w1) * e2), abs=1e-12)
 
 
 def test_soft_fuse_array_matches_scalar():

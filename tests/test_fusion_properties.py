@@ -12,9 +12,9 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from compdepth import (  # noqa: E402
     esop,
     evaluate_ensembles,
-    soft_fuse,
     soft_fuse_array,
 )
+from fusion_reference import soft_fuse  # noqa: E402
 from prediction_records import read_records  # noqa: E402
 
 

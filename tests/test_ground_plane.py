@@ -37,6 +37,11 @@ def ray_cast_y(u, v, plane, k):
     return t * d[1]
 
 
+def heightfield(g):
+    """(p, q, r) of the plane's height field y = p*x + q*z + r."""
+    return (-g.a / g.b, -g.c / g.b, -g.cam_height / g.b)
+
+
 # ---------------------------------------------------------------------------
 # GroundPlane construction
 # ---------------------------------------------------------------------------
@@ -54,7 +59,7 @@ def test_from_coefficients_normalizes_and_orients():
 
 def test_from_heightfield_round_trip():
     g = GroundPlane.from_heightfield(0.02, -0.01, 1.6)
-    p, q, r = g.heightfield()
+    p, q, r = heightfield(g)
     assert p == pytest.approx(0.02, rel=1e-12)
     assert q == pytest.approx(-0.01, rel=1e-12)
     assert r == pytest.approx(1.6, rel=1e-12)
@@ -63,7 +68,7 @@ def test_from_heightfield_round_trip():
 def test_flat_plane_height_field():
     g = GroundPlane(0.0, -1.0, 0.0, 1.65)
     assert g.height_at(12.0, 40.0) == pytest.approx(1.65)
-    assert g.heightfield() == pytest.approx((0.0, 0.0, 1.65))
+    assert heightfield(g) == pytest.approx((0.0, 0.0, 1.65))
 
 
 def test_cam_height_is_perpendicular_distance():
@@ -79,8 +84,6 @@ def test_vertical_plane_has_no_height_field():
     g = GroundPlane(1.0, 0.0, 0.0, 1.0)
     with pytest.raises(DegeneratePlane):
         g.height_at(0.0, 10.0)
-    with pytest.raises(DegeneratePlane):
-        g.heightfield()
 
 
 # ---------------------------------------------------------------------------
@@ -95,35 +98,36 @@ def test_fit_plane_exact_recovery():
         x = rng.uniform(-20, 20)
         z = rng.uniform(5, 70)
         pts.append(Point3D(x, true.height_at(x, z), z))
-    fitted, info = fit_plane(pts, with_info=True)
+    fitted, info = fit_plane(pts)
     assert not info.used_fallback
     assert info.rank == 3
-    for got, want in zip(fitted.heightfield(), true.heightfield()):
+    for got, want in zip(heightfield(fitted), heightfield(true)):
         assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_fit_plane_flat_cloud():
     pts = [Point3D(x, 1.65, z) for x, z in [(-3, 10), (4, 25), (0, 50), (7, 8)]]
-    fitted = fit_plane(pts)
+    fitted, info = fit_plane(pts)
+    assert not info.used_fallback
     assert fitted.a == pytest.approx(0.0, abs=1e-12)
     assert fitted.b == pytest.approx(-1.0)
     assert fitted.cam_height == pytest.approx(1.65)
 
 
 def test_fit_plane_fallback_too_few_points():
-    plane, info = fit_plane([Point3D(0, 1.7, 10), Point3D(1, 1.7, 20)],
-                            fallback_height=1.55, with_info=True)
+    plane, info = fit_plane([Point3D(0, 1.7, 10), Point3D(1, 1.7, 20)])
     assert info.used_fallback
-    assert plane.heightfield() == pytest.approx((0.0, 0.0, 1.55))
+    assert (info.n_points, info.rank) == (2, 0)
+    assert heightfield(plane) == pytest.approx((0.0, 0.0, DEFAULT_CAM_HEIGHT))
 
 
 def test_fit_plane_fallback_collinear():
     # all points share x = 0: the x-slope column is all zero, rank 2
     pts = [Point3D(0.0, 1.6 + 0.01 * z, z) for z in (10.0, 20.0, 30.0, 40.0)]
-    plane, info = fit_plane(pts, with_info=True)
+    plane, info = fit_plane(pts)
     assert info.used_fallback
     assert info.rank == 2
-    assert plane.heightfield() == pytest.approx((0.0, 0.0, DEFAULT_CAM_HEIGHT))
+    assert heightfield(plane) == pytest.approx((0.0, 0.0, DEFAULT_CAM_HEIGHT))
 
 
 def test_fit_plane_empty():
@@ -154,7 +158,7 @@ def test_plane_to_horizon_lateral_slope(simple_cam):
     h = plane_to_horizon(g, simple_cam)
     # k_h = p * f_y / f_x = 0.02, and the line passes below c_v at u < c_u
     assert h.k_h == pytest.approx(0.02, rel=1e-12)
-    assert h.row_at(simple_cam.c_u) == pytest.approx(simple_cam.c_v)
+    assert h.k_h * simple_cam.c_u + h.b_h == pytest.approx(simple_cam.c_v)
 
 
 def test_plane_to_horizon_vertical_plane(simple_cam):
@@ -232,19 +236,19 @@ def test_y_global_parallel_ray(simple_cam):
 def test_rasterize_profile_values():
     hm = rasterize_horizon(HorizonLine(0.0, 100.0), width=4, height=375, radius=2.0)
     sigma = 2.0 / 3.0
-    col = hm.grid[:, 2]
+    col = hm[:, 2]
     assert col[100] == pytest.approx(1.0)
     assert col[101] == pytest.approx(math.exp(-1.0 / (2 * sigma**2)))
     assert col[99] == col[101]
     assert col[102] == pytest.approx(math.exp(-4.0 / (2 * sigma**2)))
     assert col[103] == 0.0  # beyond the truncation radius
-    assert hm.grid.max() <= 1.0
+    assert hm.max() <= 1.0
 
 
 def test_rasterize_partial_tail_above_image():
     hm = rasterize_horizon(HorizonLine(0.0, -1.5), width=10, height=375)
-    assert hm.grid[0].min() > 0.0  # row 0 keeps the truncated tail
-    assert np.all(hm.grid[2:] == 0.0)
+    assert hm[0].min() > 0.0  # row 0 keeps the truncated tail
+    assert np.all(hm[2:] == 0.0)
 
 
 @pytest.mark.parametrize("line,radius,message", [
@@ -265,11 +269,11 @@ def test_rasterize_rejects_bad_input(line, radius, message):
 def test_rasterize_radius_beyond_image_height():
     # every row of every column lies inside the window
     hm = rasterize_horizon(HorizonLine(0.0, 2.0), width=5, height=4, radius=1e12)
-    assert np.all(hm.grid == 1.0)
+    assert np.all(hm == 1.0)
     tall = rasterize_horizon(HorizonLine(0.0, 2.0), width=5, height=4, radius=10.0)
     sigma = 10.0 / 3.0
     expected = np.exp(-((np.arange(4) - 2.0) ** 2) / (2.0 * sigma * sigma))
-    assert np.array_equal(tall.grid, np.repeat(expected[:, None], 5, axis=1))
+    assert np.array_equal(tall, np.repeat(expected[:, None], 5, axis=1))
 
 
 def test_rasterize_overflowing_rows_stay_empty():
@@ -277,13 +281,13 @@ def test_rasterize_overflowing_rows_stay_empty():
     # far from the image, so only column 0 carries the profile
     with np.errstate(over="ignore"):
         hm = rasterize_horizon(HorizonLine(1e308, 1.0), width=4, height=3, radius=2.0)
-    assert hm.grid[1, 0] == 1.0 and hm.grid[0, 0] > 0.0 and hm.grid[2, 0] > 0.0
-    assert np.all(hm.grid[:, 1:] == 0.0)
+    assert hm[1, 0] == 1.0 and hm[0, 0] > 0.0 and hm[2, 0] > 0.0
+    assert np.all(hm[:, 1:] == 0.0)
 
 
 def test_rasterize_far_line_all_zero():
     hm = rasterize_horizon(HorizonLine(0.0, -10.0), width=10, height=375)
-    assert np.all(hm.grid == 0.0)
+    assert np.all(hm == 0.0)
     with pytest.raises(InsufficientSupport):
         fit_horizon(hm)
 
@@ -315,10 +319,8 @@ def test_fit_horizon_degraded_above_image():
 def test_fit_horizon_trim_rejects_outliers():
     true = HorizonLine(0.01, 150.0)
     hm = rasterize_horizon(true, width=600, height=375)
-    grid = hm.grid.copy()
-    grid[340:360, 100:130] = 1.0  # bright distractor blob
-    from compdepth import HorizonHeatmap
-    noisy = HorizonHeatmap(grid)
+    noisy = hm.copy()
+    noisy[340:360, 100:130] = 1.0  # bright distractor blob
     naive = fit_horizon(noisy)
     trimmed = fit_horizon(noisy, trim=0.1)
     assert abs(trimmed.b_h - true.b_h) < abs(naive.b_h - true.b_h)
@@ -341,8 +343,8 @@ def test_pgm_header_and_round_trip():
     assert data.startswith(b"P5\n200 120\n255\n")
     assert len(data) == len(b"P5\n200 120\n255\n") + 200 * 120
     back = heatmap_from_pgm(data)
-    assert back.width == 200 and back.height == 120
-    assert np.abs(back.grid - hm.grid).max() <= 0.5 / 255.0 + 1e-12
+    assert back.shape == (120, 200)
+    assert np.abs(back - hm).max() <= 0.5 / 255.0 + 1e-12
 
 
 def test_pgm_rejects_garbage():

@@ -14,7 +14,6 @@ from hypothesis import given, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from compdepth import (  # noqa: E402
-    HorizonHeatmap,
     HorizonLine,
     fit_horizon,
     heatmap_from_pgm,
@@ -30,7 +29,7 @@ def rasterize_reference(h: HorizonLine, width: int, height: int,
     sigma = radius / 3.0
     grid = np.zeros((height, width), dtype=float)
     for u in range(width):
-        v = h.row_at(u)
+        v = h.k_h * u + h.b_h
         lo = max(0, math.ceil(v - radius))
         hi = min(height - 1, math.floor(v + radius))
         if lo > hi:
@@ -40,9 +39,9 @@ def rasterize_reference(h: HorizonLine, width: int, height: int,
     return grid
 
 
-def pgm_encode_reference(m: HorizonHeatmap) -> bytes:
-    header = f"P5\n{m.width} {m.height}\n255\n".encode("ascii")
-    return header + np.rint(np.clip(m.grid, 0.0, 1.0) * 255.0).astype(np.uint8).tobytes()
+def pgm_encode_reference(grid: np.ndarray) -> bytes:
+    header = f"P5\n{grid.shape[1]} {grid.shape[0]}\n255\n".encode("ascii")
+    return header + np.rint(np.clip(grid, 0.0, 1.0) * 255.0).astype(np.uint8).tobytes()
 
 
 def pgm_decode_reference(data: bytes) -> np.ndarray:
@@ -52,10 +51,9 @@ def pgm_decode_reference(data: bytes) -> np.ndarray:
     return (np.frombuffer(body, dtype=np.uint8).reshape(height, width) / 255.0).astype(float)
 
 
-def fit_reference(m: HorizonHeatmap, trim: float):
-    """fit_horizon(m, trim, with_info=True) with the column max and the
+def fit_reference(grid: np.ndarray, trim: float):
+    """fit_horizon(grid, trim, with_info=True) with the column max and the
     fancy-indexed argmax it used before."""
-    grid = m.grid
     usable = grid.max(axis=0) > 0.0
     cols = np.nonzero(usable)[0]
     if cols.size < 2:
@@ -84,7 +82,7 @@ def fit_reference(m: HorizonHeatmap, trim: float):
     line = HorizonLine(float(k_h), float(b_h))
     residuals = rows - (line.k_h * cols + line.b_h)
     return line, (int(cols.size), float(np.sqrt(np.mean(residuals ** 2))),
-                  cols.size < 0.5 * m.width or border_frac > 0.25)
+                  cols.size < 0.5 * grid.shape[1] or border_frac > 0.25)
 
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -97,7 +95,7 @@ lines = st.builds(
 
 @given(lines, st.integers(1, 400), st.integers(1, 400), st.floats(0.3, 6.0))
 def test_rasterize_matches_column_loop(line, width, height, radius):
-    grid = rasterize_horizon(line, width, height, radius=radius).grid
+    grid = rasterize_horizon(line, width, height, radius=radius)
     assert grid.dtype == np.float64
     assert grid.tobytes() == rasterize_reference(line, width, height, radius).tobytes()
 
@@ -110,10 +108,9 @@ grids = st.integers(1, 24).flatmap(lambda h: st.integers(1, 24).flatmap(
 
 @given(grids)
 def test_pgm_encode_decode_match_references(grid):
-    m = HorizonHeatmap(grid)
-    data = heatmap_to_pgm(m)
-    assert data == pgm_encode_reference(m)
-    back = heatmap_from_pgm(data).grid
+    data = heatmap_to_pgm(grid)
+    assert data == pgm_encode_reference(grid)
+    back = heatmap_from_pgm(data)
     assert back.dtype == np.float64
     assert back.tobytes() == pgm_decode_reference(data).tobytes()
 
@@ -125,14 +122,13 @@ tie_grids = st.integers(1, 12).flatmap(lambda h: st.integers(1, 16).flatmap(
 
 @given(tie_grids, st.sampled_from([0.0, 0.25]))
 def test_fit_horizon_matches_reference(grid, trim):
-    m = HorizonHeatmap(grid)
     try:
-        expected = fit_reference(m, trim)
+        expected = fit_reference(grid, trim)
     except InsufficientSupport as exc:
         with pytest.raises(InsufficientSupport, match=str(exc)):
-            fit_horizon(m, trim=trim)
+            fit_horizon(grid, trim=trim)
         return
-    line, info = fit_horizon(m, trim=trim, with_info=True)
+    line, info = fit_horizon(grid, trim=trim, with_info=True)
     assert repr(line) == repr(expected[0])
     assert (info.columns_used, info.rms_residual, info.degraded) == expected[1]
-    assert info.width == m.width
+    assert info.width == grid.shape[1]

@@ -14,14 +14,11 @@ from compdepth import (
     MissingKey,
     Object3D,
     SchemaError,
-    filter_objects,
     format_calib,
     format_labels,
     parse_calib,
-    parse_calib_matrix,
     parse_labels,
     read_predictions,
-    read_report,
     write_curves,
     write_predictions,
     write_report,
@@ -54,10 +51,10 @@ def test_parse_calib_golden():
 
 
 def test_parse_calib_other_key():
-    m = parse_calib_matrix(CALIB_TEXT, key="P0")
-    assert m[0][3] == 0.0
-    k = parse_calib(CALIB_TEXT, key="P0")
-    assert k.c_u == pytest.approx(609.5593)
+    # only the P2 line counts: other keys, well-formed or not, are ignored
+    text = "P0: " + " ".join(["1.0"] * 12) + "\nP1: short\n" + CALIB_TEXT.splitlines()[1]
+    assert parse_calib(text) == parse_calib(CALIB_TEXT)
+    assert parse_calib(text).c_u == pytest.approx(609.5593)
 
 
 def test_parse_calib_missing_key():
@@ -145,17 +142,6 @@ def test_parse_labels_keeps_dontcare():
     objs = parse_labels(text)
     assert len(objs) == 1
     assert objs[0].is_dontcare
-
-
-def test_filter_objects():
-    objs = parse_labels(
-        LABEL_LINE + "\n"
-        + LABEL_LINE.replace("Car", "Pedestrian") + "\n"
-        + "DontCare -1 -1 -10 0 0 1 1 -1 -1 -1 -1000 -1000 -1000 -10\n")
-    assert len(filter_objects(objs)) == 2
-    assert len(filter_objects(objs, include_dontcare=True)) == 3
-    only_cars = filter_objects(objs, classes=("Car",))
-    assert [o.class_name for o in only_cars] == ["Car"]
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +251,15 @@ def test_read_predictions_schema_errors():
     assert len(read_predictions(
         '{"frame":"0","index":%d,"branches":[{"name":"a","z":1}]}\n' % (2**63 - 1))) == 1
 
+    # a subnormal sigma is finite and positive, but its inverse weight is not
+    with pytest.raises(SchemaError) as exc:
+        read_predictions('{"frame":"0","index":0,"branches":'
+                         '[{"name":"a","z":1.0},{"name":"b","z":1.0,"sigma":1e-320}]}\n')
+    assert exc.value.field == "branches[1].sigma"
+    assert "1/sigma" in str(exc.value)
+    assert len(read_predictions('{"frame":"0","index":0,"branches":'
+                                '[{"name":"a","z":1.0,"sigma":1e-308}]}\n')) == 1
+
 
 def test_read_predictions_rejects_duplicate_records():
     line = '{"frame":"000000","index":3,"branches":[{"name":"a","z":1.0}]}\n'
@@ -309,11 +304,13 @@ def test_write_report_csv_contains_score():
 
 
 def test_report_json_round_trip():
+    # the report is plain JSON (no NaN or Infinity tokens) in canonical
+    # layout: parsing and re-serializing it gives the same text
     first = write_report(make_report(), format="json")
-    back = read_report(first)
-    assert write_report(back, format="json") == first  # serialize-parse fixpoint
-    assert back.branch_cs["comp"] == pytest.approx(12.36)
-    assert back.binned["fused"].edges[-1] == math.inf
+    doc = json.loads(first, parse_constant=lambda token: pytest.fail(token))
+    assert json.dumps(doc, indent=2) + "\n" == first
+    assert doc["branches"][1] == {"name": "comp", "count": 4, "mae": 1.51, "cs": 12.36}
+    assert doc["binned"][0]["edges"][-1] == "inf"
 
 
 def test_write_report_deterministic():

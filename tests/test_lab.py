@@ -8,16 +8,15 @@ from compdepth import (
     KOutOfRange,
     SweepCurve,
     UnknownBranch,
-    complementary_error,
-    coupling_error,
     disturb_sweep,
     flip,
     flip_sweep,
     generate_ensembles,
     mae,
     multi_flip,
-    soft_fuse,
+    soft_fuse_array,
 )
+from fusion_reference import soft_fuse
 from prediction_records import columns, read_records
 
 
@@ -40,19 +39,23 @@ def test_flip_is_involution():
                        rtol=1e-12, atol=0.0)
 
 
+def two_branch_error(e1, e2, w1, flip_second=False, z_star=20.0):
+    """|fused error| of two branches with errors e1, e2 and fusion weights
+    w1, 1 - w1 (sigmas 1/w1 and 1/(1 - w1)), optionally flipping branch 2."""
+    w1 = np.asarray(w1, dtype=float)
+    z2 = z_star + np.asarray(e2, dtype=float)
+    if flip_second:
+        z2 = flip(z2, z_star)
+    z = np.stack([z_star + e1, z2], axis=-1)
+    sigma = np.stack([1.0 / w1, 1.0 / (1.0 - w1)], axis=-1)
+    return np.abs(soft_fuse_array(z, sigma) - z_star)
+
+
 def test_error_identities_hand_values():
-    assert coupling_error(2.0, -1.0, 0.5) == pytest.approx(0.5)
-    assert complementary_error(2.0, -1.0, 0.5) == pytest.approx(1.5)
-    assert coupling_error(2.0, 1.0, 0.75) == pytest.approx(1.75)
-    assert complementary_error(2.0, 1.0, 0.75) == pytest.approx(1.25)
-
-
-def test_error_identity_w1_domain():
-    for w1 in (0.0, 1.0, -0.1, 1.1):
-        with pytest.raises(ValueError):
-            coupling_error(1.0, 1.0, w1)
-        with pytest.raises(ValueError):
-            complementary_error(1.0, 1.0, w1)
+    assert two_branch_error(2.0, -1.0, 0.5) == pytest.approx(0.5)
+    assert two_branch_error(2.0, -1.0, 0.5, flip_second=True) == pytest.approx(1.5)
+    assert two_branch_error(2.0, 1.0, 0.75) == pytest.approx(1.75)
+    assert two_branch_error(2.0, 1.0, 0.75, flip_second=True) == pytest.approx(1.25)
 
 
 def test_flipping_one_of_two_coupled_errors_helps():
@@ -64,8 +67,8 @@ def test_flipping_one_of_two_coupled_errors_helps():
     e2 = rng.standard_normal(10000)
     w1 = rng.uniform(0.01, 0.99, 10000)
     same = e1 * e2 > 0
-    coupled = coupling_error(e1, e2, w1)
-    flipped = complementary_error(e1, e2, w1)
+    coupled = two_branch_error(e1, e2, w1)
+    flipped = two_branch_error(e1, e2, w1, flip_second=True)
     assert np.all(flipped[same] < coupled[same])
     assert np.all(flipped[~same] >= coupled[~same])
 
@@ -175,6 +178,8 @@ def test_flip_sweep_nested_subsets(ensembles):
 def test_flip_sweep_validation(ensembles):
     with pytest.raises(UnknownBranch):
         flip_sweep(ensembles, "nope")
+    with pytest.raises(ValueError, match="^proportions must not be empty$"):
+        flip_sweep(ensembles, "b0", ())
     with pytest.raises(ValueError):
         flip_sweep(ensembles, "b0", (0.5, 0.5))
     with pytest.raises(ValueError):
@@ -197,6 +202,8 @@ def test_disturb_sweep_zero_amplitude_matches_half_flip(ensembles):
 
 
 def test_disturb_sweep_validation(ensembles):
+    with pytest.raises(ValueError, match="^amplitudes must not be empty$"):
+        disturb_sweep(ensembles, "b0", [])
     with pytest.raises(ValueError):
         disturb_sweep(ensembles, "b0", (1.0, 1.0))
     with pytest.raises(ValueError):
@@ -216,21 +223,11 @@ def test_sweep_curve_rejects_non_finite_mae():
 
 
 def test_multi_flip_endpoints_and_mirror(ensembles):
-    results = [multi_flip(ensembles, k, seed=5) for k in range(5)]
-    maes = [r.combined_mae for r in results]
-    assert results[0].flipped_branches == ()
-    assert results[4].flipped_branches == ("b0", "b1", "b2", "b3")
+    maes = [multi_flip(ensembles, k, seed=5) for k in range(5)]
     # flipping everything mirrors the fused estimate around the truth
     assert maes[0] == pytest.approx(maes[4], abs=1e-12)
     assert maes[1] == pytest.approx(maes[3], abs=1e-12)
     assert min(maes) == maes[2]
-
-
-def test_multi_flip_reports_branch_maes(ensembles):
-    res = multi_flip(ensembles, 1, seed=5)
-    assert set(res.branch_mae) == {"b0", "b1", "b2", "b3"}
-    assert res.count == len(ensembles)
-    assert res.k == 1
 
 
 def test_multi_flip_k_out_of_range(ensembles):
@@ -297,14 +294,9 @@ def test_ragged_disturb_zero_amplitude_matches_half_flip(ragged):
     assert curve.mae[0] == half.mae[1]
 
 
-def test_ragged_multi_flip_branch_mae_covers_valid_cells(ragged):
-    res = multi_flip(ragged, 0, seed=5)
-    assert res.count == 300
-    for name in ("b0", "b1", "b3"):
-        want = np.mean([abs(z - z_star) for branches, z_star in _rows(ragged)
-                        for b, z, _ in branches if b == name])
-        assert res.branch_mae[name] == pytest.approx(want, rel=1e-12)
-    maes = [multi_flip(ragged, k, seed=5).combined_mae for k in range(5)]
+def test_ragged_multi_flip_mirrors(ragged):
+    maes = [multi_flip(ragged, k, seed=5) for k in range(5)]
+    assert maes[0] == pytest.approx(_scalar_mae(ragged, set()), rel=1e-12)
     assert maes[0] == pytest.approx(maes[4], rel=1e-12)
 
 
