@@ -16,7 +16,6 @@ import numpy as np
 from compdepth import (
     CameraIntrinsics,
     GroundPlane,
-    Point3D,
     fit_horizon,
     fit_plane,
     heatmap_to_pgm,
@@ -52,18 +51,17 @@ fit, info = fit_horizon(grid, with_info=True)
 print(f"fit over {info.columns_used} columns: intercept off by "
       f"{abs(fit.b_h - h.b_h):.2e} px, degraded={info.degraded}")
 
-# ground elevation is then a closed form of the pixel alone
-for v in (220.0, 260.0, 330.0):
-    print(f"  pixel row {v:.0f} -> ground {y_global(k.c_u, v, plane, k):.3f} m "
-          f"below camera")
+# ground elevation is then a closed form of the pixel alone, evaluated for
+# many pixels in one call (NaN on the principal row, where the ray is level)
+rows = np.array([220.0, 260.0, 330.0, k.c_v])
+for v, y in zip(rows, y_global(k.c_u, rows, plane, k)):
+    print(f"  pixel row {v:.0f} -> ground {y:.3f} m below camera")
 
 # fitting a plane to sampled bottom-face points recovers the heightfield;
 # with fewer than three points the fit degrades to a flat fallback
 rng = np.random.default_rng(7)
-pts = []
-for _ in range(40):
-    x, z = rng.uniform(-15, 15), rng.uniform(5, 60)
-    pts.append(Point3D(x, 0.01 * x - 0.02 * z + 1.62, z))
+x, z = rng.uniform(-15, 15, 40), rng.uniform(5, 60, 40)
+pts = np.column_stack([x, 0.01 * x - 0.02 * z + 1.62, z])
 refit, fit_info = fit_plane(pts)
 print(f"refit cam_height {refit.cam_height:.4f} m from {len(pts)} points, "
       f"fallback={fit_info.used_fallback}")

@@ -8,15 +8,8 @@ horizon-line conversions, uncertainty-weighted depth fusion, the MAE / ESOP
 depth ensemble loses to error-sign coupling.
 """
 
-from .camera import (
-    DEFAULT_EPS_DEN,
-    CameraIntrinsics,
-    Pixel,
-    Point3D,
-    project,
-)
+from .camera import DEFAULT_EPS_DEN, CameraIntrinsics, project
 from .depth_branches import (
-    BoxKeypoints,
     box_keypoints,
     z_alt,
     z_comp,
@@ -26,25 +19,19 @@ from .depth_branches import (
 from .errors import (
     AllBranchesInvalid,
     CompdepthError,
-    DegenerateHeight,
     DegeneratePlane,
     EmptyEnsemble,
     EmptyInput,
-    HorizonSingularity,
     InsufficientSupport,
     JoinError,
     KOutOfRange,
     LengthMismatch,
     MalformedLine,
     MalformedMatrix,
-    MidpointSingularity,
     MissingKey,
     NonMonotoneEdges,
-    NonPositiveDepth,
     NonPositiveSigma,
-    RayParallelToPlane,
     SchemaError,
-    TopSingularity,
     UnknownBranch,
     ZeroMAE,
 )
@@ -101,23 +88,21 @@ from .synthetic import DEFAULT_INTRINSICS, Scene, make_scene, random_plane
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllBranchesInvalid", "BinnedMae", "BoxKeypoints", "CameraIntrinsics",
-    "CompdepthError", "ComplementarityReport", "DEFAULT_CAM_HEIGHT",
-    "DEFAULT_DEPTH_EDGES", "DEFAULT_EPS_DEN", "DEFAULT_INTRINSICS",
-    "DEFAULT_Y_ERROR_EDGES", "DegenerateHeight", "DegeneratePlane",
-    "EmptyEnsemble", "EmptyInput", "EnsembleTable", "ErrorModelConfig",
-    "GroundPlane", "HorizonFitInfo", "HorizonLine", "HorizonSingularity",
+    "AllBranchesInvalid", "BinnedMae", "CameraIntrinsics", "CompdepthError",
+    "ComplementarityReport", "DEFAULT_CAM_HEIGHT", "DEFAULT_DEPTH_EDGES",
+    "DEFAULT_EPS_DEN", "DEFAULT_INTRINSICS", "DEFAULT_Y_ERROR_EDGES",
+    "DegeneratePlane", "EmptyEnsemble", "EmptyInput", "EnsembleTable",
+    "ErrorModelConfig", "GroundPlane", "HorizonFitInfo", "HorizonLine",
     "InsufficientSupport", "JoinError", "KOutOfRange", "LengthMismatch",
-    "MalformedLine", "MalformedMatrix", "MidpointSingularity", "MissingKey",
-    "NonMonotoneEdges", "NonPositiveDepth", "NonPositiveSigma", "Object3D",
-    "Pixel", "PlaneFitInfo", "Point3D", "RayParallelToPlane", "Scene",
-    "SchemaError", "SweepCurve", "TopSingularity", "UnknownBranch", "ZeroMAE",
-    "binned_mae", "box_keypoints", "complementarity_score", "disturb_sweep",
-    "esop", "evaluate_ensembles", "fit_horizon", "fit_plane", "flip",
-    "flip_sweep", "format_calib", "format_labels", "generate_ensembles",
-    "heatmap_from_pgm", "heatmap_to_pgm", "horizon_to_plane", "mae",
-    "make_scene", "multi_flip", "parse_calib", "parse_labels",
-    "plane_to_horizon", "project", "random_plane", "rasterize_horizon",
-    "read_predictions", "soft_fuse_array", "write_curves", "write_predictions",
-    "write_report", "y_global", "z_alt", "z_comp", "z_global", "z_key",
+    "MalformedLine", "MalformedMatrix", "MissingKey", "NonMonotoneEdges",
+    "NonPositiveSigma", "Object3D", "PlaneFitInfo", "Scene", "SchemaError",
+    "SweepCurve", "UnknownBranch", "ZeroMAE", "binned_mae", "box_keypoints",
+    "complementarity_score", "disturb_sweep", "esop", "evaluate_ensembles",
+    "fit_horizon", "fit_plane", "flip", "flip_sweep", "format_calib",
+    "format_labels", "generate_ensembles", "heatmap_from_pgm",
+    "heatmap_to_pgm", "horizon_to_plane", "mae", "make_scene", "multi_flip",
+    "parse_calib", "parse_labels", "plane_to_horizon", "project",
+    "random_plane", "rasterize_horizon", "read_predictions", "soft_fuse_array",
+    "write_curves", "write_predictions", "write_report", "y_global", "z_alt",
+    "z_comp", "z_global", "z_key"
 ]

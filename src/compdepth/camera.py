@@ -3,6 +3,11 @@
 Conventions follow the KITTI camera frame: x right, y down, z forward
 (optical axis). Pixel u indexes columns, v indexes rows. All geometry here
 assumes zero skew and ignores lens distortion.
+
+The geometry functions of this package (project here, the depth kernels
+in depth_branches, y_global in ground_plane) are elementwise: each takes
+scalars or broadcastable arrays and returns NaN wherever the geometry is
+undefined instead of raising, so one call covers a whole frame.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonPositiveDepth
+import numpy as np
 
 #: Default guard, in pixels, for divisions by image-row differences.
 #: Shared by every singularity check in the package.
@@ -34,26 +39,11 @@ class CameraIntrinsics:
             raise ValueError("focal lengths must be strictly positive")
 
 
-@dataclass(frozen=True)
-class Point3D:
-    """Camera-frame point in meters (y points down)."""
-
-    x: float
-    y: float
-    z: float
-
-
-@dataclass(frozen=True)
-class Pixel:
-    u: float
-    v: float
-
-
-def project(p: Point3D, k: CameraIntrinsics) -> Pixel:
-    """Project a camera-frame point onto the image plane.
-
-    Raises NonPositiveDepth when the point is at or behind the camera.
-    """
-    if p.z <= 0:
-        raise NonPositiveDepth(f"cannot project point with z={p.z}")
-    return Pixel(k.f_x * p.x / p.z + k.c_u, k.f_y * p.y / p.z + k.c_v)
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def project(x, y, z, k: CameraIntrinsics):
+    """Pixel (u, v) of the camera-frame point (x, y, z); NaN where z <= 0
+    (at or behind the camera)."""
+    z = np.asarray(z, dtype=float)
+    behind = z <= 0
+    return (np.where(behind, np.nan, k.f_x * x / z + k.c_u)[()],
+            np.where(behind, np.nan, k.f_y * y / z + k.c_v)[()])

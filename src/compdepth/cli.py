@@ -25,9 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .camera import DEFAULT_EPS_DEN, CameraIntrinsics, Point3D, project
+from .camera import DEFAULT_EPS_DEN, CameraIntrinsics, project
 from .depth_branches import box_keypoints, z_alt, z_comp, z_global, z_key
-from .errors import CompdepthError, DegeneratePlane, JoinError
+from .errors import CompdepthError, JoinError
 from .ground_plane import (
     DEFAULT_CAM_HEIGHT,
     GroundPlane,
@@ -41,7 +41,6 @@ from .ground_plane import (
 )
 from .kitti_io import (
     EnsembleTable,
-    Object3D,
     config_header,
     parse_calib,
     parse_labels,
@@ -187,33 +186,32 @@ def _frames(label_dir: Path) -> list[str]:
 
 
 def _load_frame(calib_dir: Path, label_dir: Path, frame: str):
+    """The frame's intrinsics, the label indices of its rows with usable
+    geometry (not DontCare, positive height and positive depth), their
+    (x, y, z, h) columns, and the number of other non-DontCare rows."""
     intrinsics = parse_calib((calib_dir / f"{frame}.txt").read_text())
     objects = parse_labels((label_dir / f"{frame}.txt").read_text())
-    return intrinsics, objects
+    rows = np.array([(o.x, o.y, o.z, o.h, not o.is_dontcare) for o in objects],
+                    dtype=float).reshape(-1, 5)
+    x, y, z, h, care = rows.T
+    usable = (care > 0) & (h > 0) & (z > 0)
+    index = np.flatnonzero(usable)
+    return intrinsics, index, rows[usable, :4].T, int(care.sum()) - index.size
 
 
-def _usable(objects: list[Object3D]) -> list[tuple[int, Object3D]]:
-    """(label index, object) of the rows with usable geometry: not
-    DontCare, positive height and positive depth."""
-    return [(i, o) for i, o in enumerate(objects)
-            if not o.is_dontcare and o.h > 0 and o.z > 0]
-
-
-def _frame_plane(bottoms: list[Point3D], k: CameraIntrinsics,
+def _frame_plane(bottoms: np.ndarray, k: CameraIntrinsics,
                  args) -> tuple[GroundPlane, HorizonLine, bool]:
-    """The frame's ground plane, its horizon, and whether it fell back.
+    """The frame's ground plane through the (N, 3) bottoms, its horizon,
+    and whether it fell back.
 
     The fallback is the flat plane at --cam-height, taken when the frame has
     no usable bottoms, too few or collinear ones to pin a plane, or a
-    fitted plane too close to vertical to have a horizon.
+    fitted plane too close to vertical to have a horizon (|b| < --eps-den).
     """
-    if bottoms:
+    if len(bottoms):
         plane, info = fit_plane(bottoms)
-        if not info.used_fallback:
-            try:
-                return plane, plane_to_horizon(plane, k, eps=args.eps_den), False
-            except DegeneratePlane:
-                pass
+        if not info.used_fallback and abs(plane.b) >= args.eps_den:
+            return plane, plane_to_horizon(plane, k, eps=args.eps_den), False
     flat = GroundPlane(0.0, -1.0, 0.0, args.cam_height)
     return flat, plane_to_horizon(flat, k, eps=args.eps_den), True
 
@@ -269,29 +267,21 @@ def _cmd_eval(args) -> int:
 # oracle
 # ---------------------------------------------------------------------------
 
-def _oracle_sigma(model: str, z_branch: float, z_star: float) -> float:
-    if model == "constant":
-        return 1.0
-    return max(abs(z_branch - z_star), SIGMA_FLOOR)
-
-
 def _cmd_oracle(args) -> int:
     _require_finite(args, ("--noise-h-rel", "--noise-px", "--noise-horizon-slope",
                            "--noise-horizon-intercept"), positive=False)
     rng = np.random.default_rng(args.seed)
     diagnostics: Counter = Counter()
     names = ("key", "glo", "comp", "alt") if args.include_alt else ("key", "glo", "comp")
-    z_rows, sigma_rows, valid_rows = [], [], []
-    frames, indices, truths = [], [], []
+    amplitudes = np.array([args.noise_h_rel, args.noise_px, args.noise_px])
+    eps = args.eps_den
+    frames, indices, truths, z_parts, valid_parts = [], [], [], [], []
     for frame in _frames(args.label_dir):
-        k, objects = _load_frame(args.calib_dir, args.label_dir, frame)
-        valid = _usable(objects)
-        skipped = sum(1 for o in objects if not o.is_dontcare) - len(valid)
+        k, index, (x, y, z, h), skipped = _load_frame(args.calib_dir, args.label_dir, frame)
         if skipped:
             diagnostics["object_invalid_geometry"] += skipped
 
-        plane, horizon, used_fallback = _frame_plane(
-            [Point3D(o.x, o.y, o.z) for _, o in valid], k, args)
+        plane, horizon, used_fallback = _frame_plane(np.column_stack([x, y, z]), k, args)
         if used_fallback:
             diagnostics["plane_fallback"] += 1
 
@@ -304,69 +294,50 @@ def _cmd_oracle(args) -> int:
             HorizonLine(horizon.k_h + d_slope, horizon.b_h + d_intercept),
             k, cam_height=plane.cam_height)
 
-        for index, o in valid:
-            d_h = rng.uniform(-args.noise_h_rel, args.noise_h_rel)
-            d_vb = rng.uniform(-args.noise_px, args.noise_px)
-            d_vt = rng.uniform(-args.noise_px, args.noise_px)
+        # One (d_h, d_vb, d_vt) row per object: the same stream as three
+        # scalar draws per object.
+        d_h, d_vb, d_vt = rng.uniform(-amplitudes, amplitudes, size=(len(index), 3)).T
+        u_b, v_b, v_t = box_keypoints(x, y, z, h, k)
+        v_b, v_t, height = v_b + d_vb, v_t + d_vt, h * (1.0 + d_h)
 
-            keypoints = box_keypoints(o, k)
-            u_b = keypoints.bottom_center.u
-            v_b = keypoints.bottom_center.v + d_vb
-            v_t = keypoints.top_center.v + d_vt
-            height = o.h * (1.0 + d_h)
+        y_glo = y_global(u_b, v_b, plane_used, k, eps=eps)
+        ray = np.isfinite(y_glo)
+        diagnostics["ground_ray_failed"] += int(np.count_nonzero(~ray))
+        # Columns in names order. A branch holds where its depth is finite.
+        # Its failures are counted only where it is computable in principle:
+        # key always, the others where the ground ray hit, comp and alt only
+        # for a positive height.
+        z_branch = np.column_stack([
+            z_key(height, v_b, v_t, k, eps=eps), z_global(y_glo, v_b, k, eps=eps),
+            z_comp(y_glo, height, v_b, v_t, k, eps=eps),
+            *([z_alt(y_glo, height, v_t, k, eps=eps)] if args.include_alt else [])])
+        valid = np.isfinite(z_branch)
+        tall = ray & (height > 0)
+        tried = np.column_stack([np.ones_like(ray), ray, tall, tall][:len(names)])
+        for name, failed in zip(names, np.count_nonzero(tried & ~valid, axis=0).tolist()):
+            diagnostics[f"branch_failed:{name}"] += failed
 
-            z_row, sigma_row = [0.0] * len(names), [1.0] * len(names)
-            valid_row = [False] * len(names)
-
-            def _try(name: str, compute) -> None:
-                try:
-                    z = compute()
-                except CompdepthError:
-                    diagnostics[f"branch_failed:{name}"] += 1
-                    return
-                j = names.index(name)
-                z_row[j], sigma_row[j], valid_row[j] = (
-                    z, _oracle_sigma(args.sigma_model, z, o.z), True)
-
-            if height > 0:
-                _try("key", lambda: z_key(height, v_b, v_t, k, eps=args.eps_den))
-            else:
-                diagnostics["branch_failed:key"] += 1
-
-            y_glo = None
-            try:
-                y_glo = y_global(u_b, v_b, plane_used, k, eps=args.eps_den)
-            except CompdepthError:
-                diagnostics["ground_ray_failed"] += 1
-            if y_glo is not None:
-                _try("glo", lambda: z_global(y_glo, v_b, k, eps=args.eps_den))
-                if height > 0:
-                    _try("comp", lambda: z_comp(y_glo, height, v_b, v_t, k,
-                                                eps=args.eps_den))
-                    if args.include_alt:
-                        _try("alt", lambda: z_alt(y_glo, height, v_t, k,
-                                                  eps=args.eps_den))
-
-            if any(valid_row):
-                z_rows.append(z_row)
-                sigma_rows.append(sigma_row)
-                valid_rows.append(valid_row)
-                frames.append(frame)
-                indices.append(index)
-                truths.append(o.z)
-            else:
-                diagnostics["all_branches_failed"] += 1
+        kept = valid.any(axis=1)
+        diagnostics["all_branches_failed"] += int(np.count_nonzero(~kept))
+        frames += [frame] * int(np.count_nonzero(kept))
+        indices.append(index[kept])
+        truths.append(z[kept])
+        z_parts.append(z_branch[kept])
+        valid_parts.append(valid[kept])
 
     header = config_header(args, ["label-dir", "calib-dir", "noise-h-rel", "noise-px",
                                 "noise-horizon-slope", "noise-horizon-intercept",
                                 "sigma-model", "include-alt", "cam-height",
                                 "seed", "eps-den"])
-    shape = (len(frames), len(names))
-    table = EnsembleTable(names=names, z=np.reshape(z_rows, shape),
-                          sigma=np.reshape(sigma_rows, shape),
-                          valid=np.reshape(valid_rows, shape),
-                          z_star=truths, frame=frames, index=indices)
+    valid = np.concatenate(valid_parts)
+    z_branch = np.where(valid, np.concatenate(z_parts), 0.0)
+    z_star = np.concatenate(truths)
+    sigma = (np.ones_like(z_branch) if args.sigma_model == "constant"
+             else np.maximum(np.abs(z_branch - z_star[:, None]), SIGMA_FLOOR))
+    table = EnsembleTable(names=names, z=z_branch, sigma=sigma, valid=valid,
+                          z_star=z_star, frame=frames, index=np.concatenate(indices))
     _emit(write_predictions(table, header=header), args.out)
+    diagnostics = +diagnostics  # drop the zero counts
     for name in sorted(diagnostics):
         print(f"warning: {name}: {diagnostics[name]}", file=sys.stderr)
     return EXIT_DEGENERACY if diagnostics else EXIT_OK
@@ -456,60 +427,49 @@ def _cmd_plane(args) -> int:
     if args.heatmap_dir is not None:
         args.heatmap_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    y_pred_all: list[float] = []
-    y_true_all: list[float] = []
+    y_pred_parts, y_true_parts = [], []
     fallback_frames = 0
-    diagnostics: Counter = Counter()
+    elevation_failed = 0
 
     for frame in frames:
-        k, objects = _load_frame(args.calib_dir, args.label_dir, frame)
-        valid = [o for _, o in _usable(objects)]
-        bottoms = [Point3D(o.x, o.y, o.z) for o in valid]
-        plane, horizon, used_fallback = _frame_plane(bottoms, k, args)
+        k, _, (x, y, z, _), _ = _load_frame(args.calib_dir, args.label_dir, frame)
+        plane, horizon, used_fallback = _frame_plane(np.column_stack([x, y, z]), k, args)
         if used_fallback:
             fallback_frames += 1
 
-        frame_pred, frame_true = [], []
-        for o in valid:
-            try:
-                px = project(Point3D(o.x, o.y, o.z), k)
-                y_hat = y_global(px.u, px.v, plane, k, eps=args.eps_den)
-            except CompdepthError:
-                diagnostics["elevation_failed"] += 1
-                continue
-            frame_pred.append(y_hat)
-            frame_true.append(o.y)
-        y_pred_all.extend(frame_pred)
-        y_true_all.extend(frame_true)
+        y_hat = y_global(*project(x, y, z, k), plane, k, eps=args.eps_den)
+        ok = np.isfinite(y_hat)
+        elevation_failed += int(np.count_nonzero(~ok))
+        y_pred_parts.append(y_hat[ok])
+        y_true_parts.append(y[ok])
 
-        frame_mae = (float(np.mean(np.abs(np.array(frame_pred) - np.array(frame_true))))
-                     if frame_pred else None)
         rows.append({
             "frame": frame,
-            "n_points": len(bottoms),
+            "n_points": len(x),
             "fallback": used_fallback,
             "k_h": horizon.k_h,
             "b_h": horizon.b_h,
-            "y_mae": frame_mae,
+            "y_mae": float(np.mean(np.abs(y_hat[ok] - y[ok]))) if ok.any() else None,
         })
 
         if args.heatmap_dir is not None:
             heatmap = rasterize_horizon(horizon, width, height)
             (args.heatmap_dir / f"{frame}.pgm").write_bytes(heatmap_to_pgm(heatmap))
 
-    summary: dict = {"fallback_frames": fallback_frames, "n_objects": len(y_pred_all)}
-    if y_pred_all:
-        abs_err = np.abs(np.array(y_pred_all) - np.array(y_true_all))
+    y_pred, y_true = np.concatenate(y_pred_parts), np.concatenate(y_true_parts)
+    summary: dict = {"fallback_frames": fallback_frames, "n_objects": len(y_pred)}
+    if len(y_pred):
+        abs_err = np.abs(y_pred - y_true)
         summary["y_mae"] = float(np.mean(abs_err))
-        summary["binned_by_y_error"] = binned_mae(y_pred_all, y_true_all,
+        summary["binned_by_y_error"] = binned_mae(y_pred, y_true,
                                                   DEFAULT_Y_ERROR_EDGES, key=abs_err)
 
     header = config_header(args, ["label-dir", "calib-dir", "cam-height",
                                 "eps-den", "image-size", "format"])
     _emit(write_plane_report(rows, summary, args.format, header=header), args.out)
-    for name in sorted(diagnostics):
-        print(f"warning: {name}: {diagnostics[name]}", file=sys.stderr)
-    return EXIT_DEGENERACY if fallback_frames or diagnostics else EXIT_OK
+    if elevation_failed:
+        print(f"warning: elevation_failed: {elevation_failed}", file=sys.stderr)
+    return EXIT_DEGENERACY if fallback_frames or elevation_failed else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 """Exception taxonomy shared across the package.
 
-Geometric guards, parsers, fusion, metrics, and the lab raise these instead
-of bare ValueError so callers can tell data problems from numerical
-degeneracies. Batch drivers (the CLI) catch the geometric ones per object;
-library calls let them propagate.
+Parsers, the ground-plane and horizon code, fusion, metrics, and the lab
+raise these instead of bare ValueError so callers can tell data problems
+from numerical degeneracies. The per-object geometry (projection, ground
+elevation and the depth kernels) raises none: it returns NaN where the
+geometry is undefined, and the CLI counts those entries as failed
+branches or elevations.
 """
 
 from __future__ import annotations
@@ -14,39 +16,11 @@ class CompdepthError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# camera / depth geometry
-# ---------------------------------------------------------------------------
-
-class NonPositiveDepth(CompdepthError):
-    """A depth that must be strictly positive came out zero or negative."""
-
-
-class HorizonSingularity(CompdepthError):
-    """Image row too close to the principal row; elevation-depth is undefined."""
-
-
-class DegenerateHeight(CompdepthError):
-    """Bottom and top keypoint rows coincide (or are inverted)."""
-
-
-class MidpointSingularity(CompdepthError):
-    """Keypoint midpoint row too close to the principal row."""
-
-
-class TopSingularity(CompdepthError):
-    """Top keypoint row too close to the principal row."""
-
-
-# ---------------------------------------------------------------------------
 # ground plane / horizon
 # ---------------------------------------------------------------------------
 
 class DegeneratePlane(CompdepthError):
     """Plane has no horizon in the slope-intercept parameterization (|b| ~ 0)."""
-
-
-class RayParallelToPlane(CompdepthError):
-    """Viewing ray never meets the ground plane."""
 
 
 class InsufficientSupport(CompdepthError):

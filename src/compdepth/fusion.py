@@ -14,9 +14,9 @@ import numpy as np
 from .errors import AllBranchesInvalid, EmptyEnsemble, LengthMismatch, NonPositiveSigma
 
 
-def soft_fuse_array(z: np.ndarray, sigma: np.ndarray, axis: int = -1,
+def soft_fuse_array(z: np.ndarray, sigma: np.ndarray,
                     valid: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized soft fusion along an axis of matching z / sigma arrays.
+    """Vectorized soft fusion along the last axis of matching z / sigma arrays.
 
     The package's one fusion kernel: eval and the sweeps fuse a whole
     EnsembleTable in one call. An optional boolean valid mask of the same
@@ -28,7 +28,7 @@ def soft_fuse_array(z: np.ndarray, sigma: np.ndarray, axis: int = -1,
 
     Raises:
         LengthMismatch: z, sigma (and valid) shapes differ.
-        EmptyEnsemble: the fused axis has length 0.
+        EmptyEnsemble: the last axis has length 0.
         NonPositiveSigma: any sigma <= 0.
         AllBranchesInvalid: the mask excludes every branch of some object.
     """
@@ -36,7 +36,7 @@ def soft_fuse_array(z: np.ndarray, sigma: np.ndarray, axis: int = -1,
     sigma = np.asarray(sigma, dtype=float)
     if z.shape != sigma.shape:
         raise LengthMismatch(f"z shape {z.shape} vs sigma shape {sigma.shape}")
-    if z.shape[axis] == 0:
+    if z.shape[-1] == 0:
         raise EmptyEnsemble("fusion needs at least one branch")
     if np.any(sigma <= 0):
         raise NonPositiveSigma("all sigmas must be positive")
@@ -46,7 +46,7 @@ def soft_fuse_array(z: np.ndarray, sigma: np.ndarray, axis: int = -1,
         if valid.shape != z.shape:
             raise LengthMismatch(f"z shape {z.shape} vs mask shape {valid.shape}")
         inverse = np.where(valid, inverse, 0.0)
-    total = inverse.sum(axis=axis, keepdims=True)
+    total = inverse.sum(axis=-1, keepdims=True)
     if valid is not None and not np.all(total > 0):
         raise AllBranchesInvalid("mask excludes every branch of an object")
-    return (inverse / total * z).sum(axis=axis)
+    return (inverse / total * z).sum(axis=-1)

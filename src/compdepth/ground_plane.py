@@ -14,18 +14,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .camera import DEFAULT_EPS_DEN, CameraIntrinsics, Point3D
-from .errors import (
-    DegeneratePlane,
-    EmptyInput,
-    HorizonSingularity,
-    InsufficientSupport,
-    RayParallelToPlane,
-)
+from .camera import DEFAULT_EPS_DEN, CameraIntrinsics
+from .errors import DegeneratePlane, EmptyInput, InsufficientSupport
 
 #: Default camera mounting height above ground, in meters.
 DEFAULT_CAM_HEIGHT = 1.65
@@ -85,8 +78,6 @@ class HorizonLine:
 
 @dataclass(frozen=True)
 class PlaneFitInfo:
-    n_points: int
-    rank: int
     used_fallback: bool
 
 
@@ -102,8 +93,9 @@ class HorizonFitInfo:
 # plane fitting
 # ---------------------------------------------------------------------------
 
-def fit_plane(bottom_points: Sequence[Point3D]) -> tuple[GroundPlane, PlaneFitInfo]:
-    """Least-squares ground plane through object bottom-center points.
+def fit_plane(points) -> tuple[GroundPlane, PlaneFitInfo]:
+    """Least-squares ground plane through object bottom-center points,
+    given as an (N, 3) array of camera-frame (x, y, z) rows.
 
     Fits the height field y = p*x + q*z + r and normalizes. With fewer than
     3 points, or a rank-deficient system (e.g. all points collinear in the
@@ -112,25 +104,17 @@ def fit_plane(bottom_points: Sequence[Point3D]) -> tuple[GroundPlane, PlaneFitIn
 
     Raises EmptyInput when no points are given.
     """
-    pts = list(bottom_points)
-    if not pts:
-        raise EmptyInput("plane fit needs at least one point")
-
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
     n = len(pts)
+    if n == 0:
+        raise EmptyInput("plane fit needs at least one point")
     rank = 0
     if n >= 3:
-        xs = np.array([p.x for p in pts])
-        ys = np.array([p.y for p in pts])
-        zs = np.array([p.z for p in pts])
-        design = np.column_stack([xs, zs, np.ones(n)])
-        solution, _, rank, _ = np.linalg.lstsq(design, ys, rcond=None)
-        rank = int(rank)
-    used_fallback = rank != 3
-    if used_fallback:
-        plane = GroundPlane(0.0, -1.0, 0.0, DEFAULT_CAM_HEIGHT)
-    else:
-        plane = GroundPlane.from_heightfield(*(float(v) for v in solution))
-    return plane, PlaneFitInfo(n_points=n, rank=rank, used_fallback=used_fallback)
+        design = np.column_stack([pts[:, 0], pts[:, 2], np.ones(n)])
+        solution, _, rank, _ = np.linalg.lstsq(design, pts[:, 1], rcond=None)
+    if rank != 3:
+        return GroundPlane(0.0, -1.0, 0.0, DEFAULT_CAM_HEIGHT), PlaneFitInfo(True)
+    return GroundPlane.from_heightfield(*solution.tolist()), PlaneFitInfo(False)
 
 
 # ---------------------------------------------------------------------------
@@ -166,28 +150,25 @@ def plane_to_horizon(g: GroundPlane, k: CameraIntrinsics,
     return HorizonLine(k_h, b_h)
 
 
-def y_global(u_b: float, v_b: float, g: GroundPlane, k: CameraIntrinsics,
-             eps: float = DEFAULT_EPS_DEN) -> float:
-    """Elevation of the ground point seen at bottom pixel (u_b, v_b).
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def y_global(u_b, v_b, g: GroundPlane, k: CameraIntrinsics, eps: float = DEFAULT_EPS_DEN):
+    """Elevation of the ground point seen at bottom pixel (u_b, v_b),
+    elementwise over scalars or arrays.
 
     Intersects the viewing ray through the pixel with the ground plane and
     returns the y of the hit. Closed form: parameterizing the ray by y gives
     x = n*y and z = m*y with n = f_y*(u_b - c_u) / (f_x*(v_b - c_v)) and
     m = f_y / (v_b - c_v), so y = -cam_height / (a*n + c*m + b).
 
-    Raises:
-        HorizonSingularity: |v_b - c_v| < eps.
-        RayParallelToPlane: |a*n + c*m + b| < eps.
+    NaN where |v_b - c_v| < eps (the pixel is on the principal row) or
+    |a*n + c*m + b| < eps (the ray runs parallel to the plane).
     """
-    row = v_b - k.c_v
-    if abs(row) < eps:
-        raise HorizonSingularity(f"|v_b - c_v| = {abs(row):.3g} px is below {eps:.3g}")
-    n = k.f_y * (u_b - k.c_u) / (k.f_x * row)
+    row = np.subtract(v_b, k.c_v)
+    n = k.f_y * np.subtract(u_b, k.c_u) / (k.f_x * row)
     m = k.f_y / row
     den = g.a * n + g.c * m + g.b
-    if abs(den) < eps:
-        raise RayParallelToPlane(f"|a*n + c*m + b| = {abs(den):.3g} is below {eps:.3g}")
-    return -g.cam_height / den
+    fail = (np.abs(row) < eps) | (np.abs(den) < eps)
+    return np.where(fail, np.nan, -g.cam_height / den)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +214,12 @@ def rasterize_horizon(h: HorizonLine, width: int, height: int,
     return grid
 
 
-def fit_horizon(grid: np.ndarray, trim: float = 0.0, with_info: bool = False):
+def fit_horizon(grid: np.ndarray, with_info: bool = False):
     """Recover a horizon line from a (height, width) heatmap.
 
     Takes the per-column peak location, skips columns with no positive
     evidence (an all-zero column is legal), and fits a line by ordinary
-    least squares. With trim > 0, refits after dropping that fraction of
-    columns with the worst residuals.
+    least squares.
 
     Peaks are localized to sub-pixel precision: the vertical profile is
     Gaussian, so its log is quadratic in the row index and a three-point
@@ -250,8 +230,6 @@ def fit_horizon(grid: np.ndarray, trim: float = 0.0, with_info: bool = False):
 
     Raises InsufficientSupport when fewer than 2 columns carry evidence.
     """
-    if not 0.0 <= trim < 1.0:
-        raise ValueError("trim must be in [0, 1)")
     width = grid.shape[1]
     argmax = np.argmax(grid, axis=0)
     cols = np.nonzero(grid[argmax, np.arange(width)] > 0.0)[0]
@@ -275,13 +253,6 @@ def fit_horizon(grid: np.ndarray, trim: float = 0.0, with_info: bool = False):
     border_frac = float(np.mean((argmax == 0) | (argmax == grid.shape[0] - 1)))
 
     k_h, b_h = np.polyfit(cols.astype(float), rows, 1)
-    if trim > 0.0:
-        residuals = np.abs(rows - (k_h * cols + b_h))
-        keep = max(2, int(round((1.0 - trim) * cols.size)))
-        order = np.argsort(residuals, kind="stable")[:keep]
-        k_h, b_h = np.polyfit(cols[order].astype(float), rows[order], 1)
-        cols, rows = cols[order], rows[order]
-
     line = HorizonLine(float(k_h), float(b_h))
     if not with_info:
         return line

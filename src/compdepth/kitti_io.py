@@ -268,7 +268,9 @@ def read_predictions(source) -> EnsembleTable:
     absent). Branch columns follow first appearance across the file. Blank
     lines and lines starting with '#' are skipped; a file without records
     gives an empty table. Raises SchemaError with the line number and field
-    path on the first violation, including a repeated (frame, index).
+    path on the first violation, including a repeated (frame, index) and a
+    record whose 1/sigma values sum past the float range, which fusion
+    divides by.
     """
     lines = source.splitlines() if isinstance(source, str) else source
     columns: dict[str, int] = {}
@@ -298,6 +300,7 @@ def read_predictions(source) -> EnsembleTable:
         _require(isinstance(raw_branches, list) and len(raw_branches) > 0,
                  line_no, "branches", "required non-empty list")
         row = len(frames)
+        inverse_sum = 0.0
         seen = set()
         for j, rb in enumerate(raw_branches):
             path = f"branches[{j}]"
@@ -313,12 +316,16 @@ def read_predictions(source) -> EnsembleTable:
             sigma = rb.get("sigma", 1.0)
             _require(_is_number(sigma) and sigma > 0, line_no, f"{path}.sigma",
                      "must be a finite positive number")
-            _require(math.isfinite(1.0 / sigma), line_no, f"{path}.sigma",
+            inverse = 1.0 / sigma
+            _require(math.isfinite(inverse), line_no, f"{path}.sigma",
                      "too small: 1/sigma overflows")
+            inverse_sum += inverse
             rows.append(row)
             cols.append(columns.setdefault(name, len(columns)))
             zs.append(z)
             sigmas.append(sigma)
+        _require(math.isfinite(inverse_sum), line_no, "branches",
+                 "sigmas too small: the sum of 1/sigma overflows")
         _require((frame, index) not in seen_keys, line_no, "index",
                  f"duplicate record ({frame}, {index})")
         seen_keys.add((frame, index))

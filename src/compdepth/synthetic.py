@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraIntrinsics, Point3D, project
+from .camera import CameraIntrinsics, project
 from .ground_plane import GroundPlane
 from .kitti_io import Object3D
 
@@ -51,13 +51,17 @@ def make_scene(n_objects: int, seed: int, *,
 
     Rejection sampling keeps every object's top at least min_clearance
     meters below the camera's horizontal plane (ground elevation minus box
-    height stays positive), so no estimator hits a singularity guard.
+    height stays positive), so no estimator hits a singularity guard. Each
+    2D box is the amodal image extent of the 3D box's eight corners.
+
+    Raises ValueError when a box corner lies at or behind the camera (a
+    depth_range that starts within a box length of it).
     """
     rng = np.random.default_rng(seed)
     plane = random_plane(rng, slope_max_deg, cam_height)
 
-    objects = []
-    while len(objects) < n_objects:
+    boxes = []  # x, y, z, h, w, l, theta, alpha, cos(theta), sin(theta)
+    while len(boxes) < n_objects:
         z = rng.uniform(*depth_range)
         x = rng.uniform(-0.3 * z, 0.3 * z)
         h = rng.uniform(*height_range)
@@ -68,24 +72,28 @@ def make_scene(n_objects: int, seed: int, *,
         l = rng.uniform(3.0, 4.8)
         theta = rng.uniform(-math.pi, math.pi)
         alpha = math.remainder(theta - math.atan2(x, z), 2.0 * math.pi)
-        bbox = _amodal_bbox(x, y, z, h, w, l, theta, intrinsics)
-        objects.append(Object3D(
-            class_name="Car", truncation=0.0, occlusion=0, alpha=alpha,
-            bbox2d=bbox, h=h, w=w, l=l, x=x, y=y, z=z, theta=theta,
-        ))
-    return Scene(intrinsics=intrinsics, plane=plane, objects=tuple(objects))
+        boxes.append((x, y, z, h, w, l, theta, alpha, math.cos(theta), math.sin(theta)))
+    objects = tuple(
+        Object3D(class_name="Car", truncation=0.0, occlusion=0, alpha=alpha,
+                 bbox2d=bbox, h=h, w=w, l=l, x=x, y=y, z=z, theta=theta)
+        for (x, y, z, h, w, l, theta, alpha, _, _), bbox
+        in zip(boxes, _amodal_bboxes(np.array(boxes).reshape(-1, 10), intrinsics)))
+    return Scene(intrinsics=intrinsics, plane=plane, objects=objects)
 
 
-def _amodal_bbox(x, y, z, h, w, l, theta, k) -> tuple[float, float, float, float]:
-    half_l, half_w = l / 2.0, w / 2.0
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
-    us, vs = [], []
-    for dx, dz in ((half_l, half_w), (half_l, -half_w),
-                   (-half_l, -half_w), (-half_l, half_w)):
-        cx = x + dx * cos_t + dz * sin_t
-        cz = z - dx * sin_t + dz * cos_t
-        for cy in (y, y - h):
-            px = project(Point3D(cx, cy, cz), k)
-            us.append(px.u)
-            vs.append(px.v)
-    return (min(us), min(vs), max(us), max(vs))
+def _amodal_bboxes(boxes: np.ndarray, k: CameraIntrinsics) -> list[tuple]:
+    """(left, top, right, bottom) of each box's projected corners, with all
+    corners of all boxes projected in one call."""
+    x, y, z, h, w, l, _, _, cos_t, sin_t = (col[:, None] for col in boxes.T)
+    # the four footprint corners (+-l/2 along the heading, +-w/2 across)
+    dx = l / 2.0 * np.array([1.0, 1.0, -1.0, -1.0])
+    dz = w / 2.0 * np.array([1.0, -1.0, -1.0, 1.0])
+    cx = x + dx * cos_t + dz * sin_t
+    cz = z - dx * sin_t + dz * cos_t
+    if not (cz > 0).all():
+        raise ValueError("a box corner lies at or behind the camera; raise depth_range")
+    # each footprint corner on the bottom face (y) and on the top face (y - h)
+    cy = np.broadcast_to(y, cx.shape)
+    u, v = project(np.hstack([cx, cx]), np.hstack([cy, cy - h]), np.hstack([cz, cz]), k)
+    return list(map(tuple, np.column_stack([u.min(axis=1), v.min(axis=1),
+                                            u.max(axis=1), v.max(axis=1)]).tolist()))

@@ -209,17 +209,25 @@ def test_eval_duplicate_record(dataset, tmp_path, capsys):
 
 
 def test_subnormal_sigma_is_a_schema_error(dataset, tmp_path, capsys):
-    # 1e-320 is finite and positive, but its inverse weight 1/sigma is inf
     preds = tmp_path / "tiny.jsonl"
-    preds.write_text('{"frame":"000000","index":0,"z_star":20.0,"branches":'
-                     '[{"name":"key","z":20.0},{"name":"glo","z":21.0,"sigma":1e-320}]}\n')
-    error = "error: line 1: field 'branches[1].sigma': too small: 1/sigma overflows\n"
-    for args in (["eval", "--calib-dir", dataset / "calib", "--label-dir",
-                  dataset / "label_2", "--predictions", preds],
-                 ["lab", "--mode", "flip", "--predictions", preds]):
-        code = run(args)
-        captured = capsys.readouterr()
-        assert (code, captured.out, captured.err) == (1, "", error)
+    cases = [
+        # 1e-320 is finite and positive, but its inverse weight 1/sigma is inf
+        ('[{"name":"key","z":20.0},{"name":"glo","z":21.0,"sigma":1e-320}]',
+         "field 'branches[1].sigma': too small: 1/sigma overflows"),
+        # each 1/sigma is finite, but their sum is not: fusion divided by
+        # inf and reported a fused depth of 0 with exit 0
+        ('[{"name":"key","z":20.0,"sigma":1e-308},{"name":"glo","z":21.0,"sigma":1e-308}]',
+         "field 'branches': sigmas too small: the sum of 1/sigma overflows"),
+    ]
+    for branches, message in cases:
+        preds.write_text('{"frame":"000000","index":0,"z_star":20.0,"branches":'
+                         + branches + '}\n')
+        for args in (["eval", "--calib-dir", dataset / "calib", "--label-dir",
+                      dataset / "label_2", "--predictions", preds],
+                     ["lab", "--mode", "flip", "--predictions", preds]):
+            code = run(args)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (1, "", f"error: line 1: {message}\n")
 
 
 def test_eval_malformed_labels(dataset, tmp_path, capsys):
@@ -491,6 +499,41 @@ def test_oracle_and_plane_skip_the_same_unusable_rows(tmp_path, capsys):
     report = json.loads(captured.out)
     assert report["frames"][0]["n_points"] == 6
     assert report["summary"]["n_objects"] == 6
+
+
+@pytest.fixture
+def huge_focal_dirs(tmp_path):
+    """A make_scene frame whose P2 has focal lengths 1e300: finite, but the
+    keypoint rows overflow the elevation arithmetic."""
+    scene = make_scene(6, seed=4)
+    calib_dir, label_dir = tmp_path / "calib", tmp_path / "label_2"
+    calib_dir.mkdir()
+    label_dir.mkdir()
+    k = dataclasses.replace(scene.intrinsics, f_x=1e300, f_y=1e300)
+    (calib_dir / "000000.txt").write_text(format_calib(k))
+    (label_dir / "000000.txt").write_text(format_labels(scene.objects))
+    return ["--calib-dir", calib_dir, "--label-dir", label_dir]
+
+
+def test_oracle_huge_focal_length_counts_failed_branches(huge_focal_dirs, tmp_path, capsys):
+    # exited 1 with the table's internal "ensemble row 0 has a non-finite z"
+    preds = tmp_path / "preds.jsonl"
+    assert run(["oracle", *huge_focal_dirs, "--include-alt", "--out", preds]) == 3
+    assert capsys.readouterr().err == "warning: ground_ray_failed: 6\n"
+    table = read_predictions(preds.read_text())
+    assert table.names == ("key",) and len(table) == 6
+    assert table.z[:, 0] == pytest.approx(table.z_star, rel=1e-9)
+
+
+def test_plane_huge_focal_length_counts_failed_elevations(huge_focal_dirs, capsys):
+    # exited 0 with "y_mae": NaN in the frame row and the summary
+    assert run(["plane", *huge_focal_dirs]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "warning: elevation_failed: 6\n"
+    assert "NaN" not in captured.out and "Infinity" not in captured.out
+    report = json.loads(captured.out)
+    assert report["frames"][0]["y_mae"] is None
+    assert report["summary"] == {"fallback_frames": 0, "n_objects": 0, "y_mae": None}
 
 
 def test_plane_csv(dataset, capsys):

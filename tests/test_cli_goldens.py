@@ -3,7 +3,8 @@
 The files under tests/data/ pin what these commands wrote before eval scored
 ensembles on the columnar table: any change to the oracle's random stream,
 the fusion or metric arithmetic, or the report formatting shows up as a
-diff here. Every case runs on one seeded make_scene corpus (two 25-object
+diff here. The oracle's stderr warning lines are pinned too, and so is the
+label text of the make_scene frames the corpus is built from. Every case runs on one seeded make_scene corpus (two 25-object
 frames and a 2-object frame whose plane fit falls back). The temporary
 directory in the config echo is replaced by '<tmp>'.
 
@@ -31,6 +32,12 @@ ORACLE_FLAGS = {
     "ragged": ["--noise-px", "40", "--noise-h-rel", "0.9", "--include-alt"],
     "proportional": ["--noise-h-rel", "0.1", "--noise-px", "2",
                      "--sigma-model", "proportional"],
+    # noise far past every singularity guard: each failure counter fires,
+    # all_branches_failed included; the later --seed wins (seed 3 leaves
+    # no object without a branch here)
+    "extreme": ["--noise-px", "300", "--noise-h-rel", "1.5", "--include-alt",
+                "--noise-horizon-slope", "0.3", "--noise-horizon-intercept", "200",
+                "--seed", "0"],
 }
 
 #: (golden file stem, oracle variant, extra eval flags).
@@ -47,13 +54,17 @@ EVAL_CASES = [
 HEATMAP_SMALL = "64,260"
 FRAMES = ("000000", "000001", "000002")
 
+#: (n_objects, seed) of the corpus frames, then of other fixtures: the
+#: test_cli ones, the acceptance suite's and a benchmark frame.
+SCENES = ((25, 7), (25, 8), (2, 9), (2, 3), (6, 4), (200, 21), (1000, 2024), (40, 1 << 20))
+
 
 def write_corpus(tmp: Path) -> list[str]:
     """Write the calib/label dirs; return the shared directory flags."""
     calib_dir, label_dir = tmp / "calib", tmp / "label_2"
     calib_dir.mkdir()
     label_dir.mkdir()
-    for frame, n, seed in zip(FRAMES, (25, 25, 2), (7, 8, 9)):
+    for frame, (n, seed) in zip(FRAMES, SCENES):
         scene = make_scene(n, seed=seed)
         (calib_dir / f"{frame}.txt").write_text(format_calib(scene.intrinsics))
         (label_dir / f"{frame}.txt").write_text(format_labels(scene.objects))
@@ -97,6 +108,12 @@ def _digests(pgms: dict[str, bytes]) -> str:
                    for frame, data in pgms.items())
 
 
+def _scene_digests() -> str:
+    return "".join(
+        f"{hashlib.sha256(format_labels(make_scene(n, seed=seed).objects).encode()).hexdigest()}"
+        f"  n={n} seed={seed}\n" for n, seed in SCENES)
+
+
 def _split(golden: Path) -> tuple[int, str]:
     """A golden file is '<exit code>\\n' followed by the command's output."""
     code, text = golden.read_text().split("\n", 1)
@@ -108,8 +125,14 @@ def _join(code: int, text: str) -> str:
 
 
 @pytest.mark.parametrize("variant", sorted(ORACLE_FLAGS))
-def test_oracle_golden(variant, tmp_path):
+def test_oracle_golden(variant, tmp_path, capsys):
+    capsys.readouterr()
     assert render_oracle(variant, tmp_path) == _split(DATA / f"oracle_{variant}.jsonl")
+    assert capsys.readouterr().err == (DATA / f"oracle_{variant}.stderr").read_text()
+
+
+def test_make_scene_golden():
+    assert _scene_digests() == (DATA / "make_scene.sha256").read_text()
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -139,6 +162,8 @@ def test_plane_heatmap_golden_full_size(tmp_path):
 
 
 if __name__ == "__main__":
+    import contextlib
+    import io
     import tempfile
 
     DATA.mkdir(exist_ok=True)
@@ -148,7 +173,11 @@ if __name__ == "__main__":
             (DATA / name).write_text(_join(*render(*args, Path(tmp))))
 
     for variant in ORACLE_FLAGS:
-        save(f"oracle_{variant}.jsonl", render_oracle, variant)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            save(f"oracle_{variant}.jsonl", render_oracle, variant)
+        (DATA / f"oracle_{variant}.stderr").write_text(err.getvalue())
+    (DATA / "make_scene.sha256").write_text(_scene_digests())
     for fmt in ("json", "csv"):
         for stem, variant, extra in EVAL_CASES:
             save(f"{stem}.{fmt}", render_eval, variant, extra, fmt)

@@ -91,10 +91,10 @@ def test_soft_fuse_array_matches_scalar():
 
 
 def test_soft_fuse_array_axis():
-    z = np.array([[10.0, 30.0], [20.0, 40.0]])
+    # the branches are the last axis, whatever the array's rank
+    z = np.array([[[10.0, 20.0], [30.0, 40.0]], [[50.0, 60.0], [70.0, 80.0]]])
     sigma = np.ones_like(z)
-    by_rows = soft_fuse_array(z, sigma, axis=0)
-    assert by_rows == pytest.approx([15.0, 35.0])
+    assert soft_fuse_array(z, sigma).tolist() == [[15.0, 35.0], [55.0, 75.0]]
 
 
 def test_soft_fuse_array_mask_validation():

@@ -9,10 +9,7 @@ from compdepth import (
     EmptyInput,
     GroundPlane,
     HorizonLine,
-    HorizonSingularity,
     InsufficientSupport,
-    Point3D,
-    RayParallelToPlane,
     fit_horizon,
     fit_plane,
     heatmap_from_pgm,
@@ -74,8 +71,8 @@ def test_flat_plane_height_field():
 def test_cam_height_is_perpendicular_distance():
     # distance from origin to a*x+b*y+c*z+d=0 with unit normal is |d|
     g = GroundPlane.from_heightfield(0.05, 0.03, 1.65)
-    point = Point3D(2.0, g.height_at(2.0, 10.0), 10.0)
-    residual = g.a * point.x + g.b * point.y + g.c * point.z + g.cam_height
+    x, y, z = 2.0, g.height_at(2.0, 10.0), 10.0
+    residual = g.a * x + g.b * y + g.c * z + g.cam_height
     assert abs(residual) < 1e-12
     assert g.cam_height < 1.65  # tilted plane: constant shrinks under normalization
 
@@ -97,16 +94,15 @@ def test_fit_plane_exact_recovery():
     for _ in range(40):
         x = rng.uniform(-20, 20)
         z = rng.uniform(5, 70)
-        pts.append(Point3D(x, true.height_at(x, z), z))
-    fitted, info = fit_plane(pts)
+        pts.append((x, true.height_at(x, z), z))
+    fitted, info = fit_plane(np.array(pts))
     assert not info.used_fallback
-    assert info.rank == 3
     for got, want in zip(heightfield(fitted), heightfield(true)):
         assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_fit_plane_flat_cloud():
-    pts = [Point3D(x, 1.65, z) for x, z in [(-3, 10), (4, 25), (0, 50), (7, 8)]]
+    pts = [(x, 1.65, z) for x, z in [(-3, 10), (4, 25), (0, 50), (7, 8)]]
     fitted, info = fit_plane(pts)
     assert not info.used_fallback
     assert fitted.a == pytest.approx(0.0, abs=1e-12)
@@ -115,24 +111,22 @@ def test_fit_plane_flat_cloud():
 
 
 def test_fit_plane_fallback_too_few_points():
-    plane, info = fit_plane([Point3D(0, 1.7, 10), Point3D(1, 1.7, 20)])
+    plane, info = fit_plane(np.array([(0.0, 1.7, 10.0), (1.0, 1.7, 20.0)]))
     assert info.used_fallback
-    assert (info.n_points, info.rank) == (2, 0)
     assert heightfield(plane) == pytest.approx((0.0, 0.0, DEFAULT_CAM_HEIGHT))
 
 
 def test_fit_plane_fallback_collinear():
     # all points share x = 0: the x-slope column is all zero, rank 2
-    pts = [Point3D(0.0, 1.6 + 0.01 * z, z) for z in (10.0, 20.0, 30.0, 40.0)]
+    pts = [(0.0, 1.6 + 0.01 * z, z) for z in (10.0, 20.0, 30.0, 40.0)]
     plane, info = fit_plane(pts)
     assert info.used_fallback
-    assert info.rank == 2
     assert heightfield(plane) == pytest.approx((0.0, 0.0, DEFAULT_CAM_HEIGHT))
 
 
 def test_fit_plane_empty():
     with pytest.raises(EmptyInput):
-        fit_plane([])
+        fit_plane(np.empty((0, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +190,13 @@ def test_horizon_to_plane_flat(kitti_cam):
 
 def test_y_global_flat_plane(simple_cam):
     g = GroundPlane(0.0, -1.0, 0.0, 1.65)
-    for u, v in [(600.0, 260.0), (100.0, 210.0), (1100.0, 350.0)]:
-        assert y_global(u, v, g, simple_cam) == pytest.approx(1.65, rel=1e-12)
+    u, v = np.array([600.0, 100.0, 1100.0]), np.array([260.0, 210.0, 350.0])
+    assert y_global(u, v, g, simple_cam) == pytest.approx(1.65, rel=1e-12)
 
 
 def test_y_global_matches_ray_cast_oracle(kitti_cam):
     rng = np.random.default_rng(41)
-    checked = 0
-    while checked < 300:
+    for _ in range(300):
         g = GroundPlane.from_heightfield(
             rng.uniform(-0.09, 0.09), rng.uniform(-0.09, 0.09),
             rng.uniform(1.3, 2.0))
@@ -211,13 +204,13 @@ def test_y_global_matches_ray_cast_oracle(kitti_cam):
         v = rng.uniform(kitti_cam.c_v + 20.0, 375.0)
         want = ray_cast_y(u, v, g, kitti_cam)
         assert y_global(u, v, g, kitti_cam) == pytest.approx(want, rel=1e-9)
-        checked += 1
 
 
 def test_y_global_horizon_guard(simple_cam):
     g = GroundPlane(0.0, -1.0, 0.0, 1.65)
-    with pytest.raises(HorizonSingularity):
-        y_global(600.0, simple_cam.c_v, g, simple_cam)
+    assert math.isnan(y_global(600.0, simple_cam.c_v, g, simple_cam))
+    y = y_global(600.0, np.array([simple_cam.c_v, 260.0]), g, simple_cam)
+    assert math.isnan(y[0]) and y[1] == pytest.approx(1.65)
 
 
 def test_y_global_parallel_ray(simple_cam):
@@ -225,8 +218,7 @@ def test_y_global_parallel_ray(simple_cam):
     # ray direction (0, dy, 1) with dy = 100/700; normal ~ (0, -1, dy)
     dy = 100.0 / 700.0
     g = GroundPlane.from_coefficients(0.0, -1.0, dy, 1.65)
-    with pytest.raises(RayParallelToPlane):
-        y_global(600.0, 300.0, g, simple_cam)
+    assert math.isnan(y_global(600.0, 300.0, g, simple_cam))
 
 
 # ---------------------------------------------------------------------------
@@ -314,23 +306,6 @@ def test_fit_horizon_degraded_above_image():
     assert info.degraded
     assert info.columns_used == 600
     assert line.b_h == pytest.approx(0.0, abs=1e-9)  # clipped peaks sit on row 0
-
-
-def test_fit_horizon_trim_rejects_outliers():
-    true = HorizonLine(0.01, 150.0)
-    hm = rasterize_horizon(true, width=600, height=375)
-    noisy = hm.copy()
-    noisy[340:360, 100:130] = 1.0  # bright distractor blob
-    naive = fit_horizon(noisy)
-    trimmed = fit_horizon(noisy, trim=0.1)
-    assert abs(trimmed.b_h - true.b_h) < abs(naive.b_h - true.b_h)
-    assert trimmed.b_h == pytest.approx(true.b_h, abs=0.5)
-
-
-def test_fit_horizon_trim_validation():
-    hm = rasterize_horizon(HorizonLine(0.0, 100.0), 60, 375)
-    with pytest.raises(ValueError):
-        fit_horizon(hm, trim=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -51,8 +51,8 @@ def pgm_decode_reference(data: bytes) -> np.ndarray:
     return (np.frombuffer(body, dtype=np.uint8).reshape(height, width) / 255.0).astype(float)
 
 
-def fit_reference(grid: np.ndarray, trim: float):
-    """fit_horizon(grid, trim, with_info=True) with the column max and the
+def fit_reference(grid: np.ndarray):
+    """fit_horizon(grid, with_info=True) with the column max and the
     fancy-indexed argmax it used before."""
     usable = grid.max(axis=0) > 0.0
     cols = np.nonzero(usable)[0]
@@ -73,12 +73,6 @@ def fit_reference(grid: np.ndarray, trim: float):
     rows[np.nonzero(inner)[0][ok]] += offset
     border_frac = float(np.mean((argmax == 0) | (argmax == grid.shape[0] - 1)))
     k_h, b_h = np.polyfit(cols.astype(float), rows, 1)
-    if trim > 0.0:
-        residuals = np.abs(rows - (k_h * cols + b_h))
-        keep = max(2, int(round((1.0 - trim) * cols.size)))
-        order = np.argsort(residuals, kind="stable")[:keep]
-        k_h, b_h = np.polyfit(cols[order].astype(float), rows[order], 1)
-        cols, rows = cols[order], rows[order]
     line = HorizonLine(float(k_h), float(b_h))
     residuals = rows - (line.k_h * cols + line.b_h)
     return line, (int(cols.size), float(np.sqrt(np.mean(residuals ** 2))),
@@ -120,15 +114,15 @@ tie_grids = st.integers(1, 12).flatmap(lambda h: st.integers(1, 16).flatmap(
     lambda w: arrays(float, (h, w), elements=st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0]))))
 
 
-@given(tie_grids, st.sampled_from([0.0, 0.25]))
-def test_fit_horizon_matches_reference(grid, trim):
+@given(tie_grids)
+def test_fit_horizon_matches_reference(grid):
     try:
-        expected = fit_reference(grid, trim)
+        expected = fit_reference(grid)
     except InsufficientSupport as exc:
         with pytest.raises(InsufficientSupport, match=str(exc)):
-            fit_horizon(grid, trim=trim)
+            fit_horizon(grid)
         return
-    line, info = fit_horizon(grid, trim=trim, with_info=True)
+    line, info = fit_horizon(grid, with_info=True)
     assert repr(line) == repr(expected[0])
     assert (info.columns_used, info.rms_residual, info.degraded) == expected[1]
     assert info.width == grid.shape[1]

@@ -43,13 +43,17 @@ def test_objects_keep_head_clearance():
         assert o.y - o.h >= 0.15 - 1e-12  # top stays below the camera plane
 
 
+def scene_columns(scene):
+    """x, y, z, h arrays of a scene's objects."""
+    return np.array([(o.x, o.y, o.z, o.h) for o in scene.objects]).T
+
+
 def test_scene_supports_ground_queries():
     scene = make_scene(50, seed=4)
     k = scene.intrinsics
-    for o in scene.objects[:20]:
-        kp = box_keypoints(o, k)
-        got = y_global(kp.bottom_center.u, kp.bottom_center.v, scene.plane, k)
-        assert got == pytest.approx(o.y, rel=1e-9)
+    x, y, z, h = scene_columns(scene)
+    u_b, v_b, _ = box_keypoints(x, y, z, h, k)
+    assert y_global(u_b, v_b, scene.plane, k) == pytest.approx(y, rel=1e-9)
 
 
 def test_random_plane_slope_bound():
@@ -63,12 +67,16 @@ def test_random_plane_slope_bound():
 
 def test_make_scene_bbox_covers_keypoints():
     scene = make_scene(60, seed=7)
-    k = scene.intrinsics
-    for o in scene.objects:
-        u1, v1, u2, v2 = o.bbox2d
-        kp = box_keypoints(o, k)
-        assert u1 <= kp.bottom_center.u <= u2
-        assert v1 <= kp.top_center.v and kp.bottom_center.v <= v2
+    u1, v1, u2, v2 = np.array([o.bbox2d for o in scene.objects]).T
+    u_b, v_b, v_t = box_keypoints(*scene_columns(scene), scene.intrinsics)
+    assert ((u1 <= u_b) & (u_b <= u2)).all()
+    assert ((v1 <= v_t) & (v_b <= v2)).all()
+
+
+def test_make_scene_rejects_corners_behind_camera():
+    # boxes 0.5-2 m ahead reach behind the camera: no amodal 2D box exists
+    with pytest.raises(ValueError, match="at or behind the camera"):
+        make_scene(5, seed=1, depth_range=(0.5, 2.0))
 
 
 def test_default_intrinsics_are_kitti_like():
