@@ -9,8 +9,9 @@
 * plane:  fit per-frame ground planes from label bottoms, report elevation
           accuracy, optionally export horizon heatmaps as PGM.
 
-Every output file starts with a config echo (JSON "header" object or '#'
-comment lines) so a run can be reproduced from its artifacts alone. Exit
+Each command takes only the options it reads. Every output file starts
+with a config echo of those options (JSON "header" object or '#' comment
+lines) so a run can be reproduced from its artifacts alone. Exit
 codes: 0 success, 1 input error, 2 usage error, 3 success with numerical
 degeneracy warnings (some objects or frames fell back or were skipped).
 """
@@ -81,30 +82,32 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", type=Path, default=None,
-                        help="output file (default: stdout)")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--cam-height", type=float, default=DEFAULT_CAM_HEIGHT,
-                        help="camera height above ground in meters")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--eps-den", type=float, default=DEFAULT_EPS_DEN,
-                        help="singularity guard for row-difference denominators, px")
-
+    # Shared option groups; each command takes only the groups it reads.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=Path, default=None,
+                     help="output file (default: stdout)")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "csv"), default="json")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    geometry = argparse.ArgumentParser(add_help=False)
+    geometry.add_argument("--cam-height", type=float, default=DEFAULT_CAM_HEIGHT,
+                          help="camera height above ground in meters")
+    geometry.add_argument("--eps-den", type=float, default=DEFAULT_EPS_DEN,
+                          help="singularity guard for row-difference denominators, px")
     dirs = argparse.ArgumentParser(add_help=False)
     dirs.add_argument("--calib-dir", type=Path, required=True)
     dirs.add_argument("--label-dir", type=Path, required=True)
 
-    p_eval = sub.add_parser("eval", parents=[common, dirs],
+    p_eval = sub.add_parser("eval", parents=[out, fmt, dirs],
                             help="evaluate prediction ensembles against labels")
     p_eval.add_argument("--predictions", type=Path, required=True)
     p_eval.add_argument("--reference", default=None,
                         help="branch used as the CS reference (default: 'dir' or first)")
     p_eval.add_argument("--depth-edges", type=_float_list, default=[0.0, 20.0, 40.0, math.inf],
                         help="comma-separated depth bin edges, e.g. 0,20,40,inf")
-    p_eval.set_defaults(func=_cmd_eval)
 
-    p_oracle = sub.add_parser("oracle", parents=[common, dirs],
+    p_oracle = sub.add_parser("oracle", parents=[out, seed, geometry, dirs],
                               help="generate noisy geometric depth ensembles from labels")
     p_oracle.add_argument("--noise-h-rel", type=float, default=0.0,
                           help="relative box-height noise amplitude (uniform in +/- a)")
@@ -116,9 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           default="constant")
     p_oracle.add_argument("--include-alt", action="store_true",
                           help="also emit the top-edge depth branch")
-    p_oracle.set_defaults(func=_cmd_oracle)
 
-    p_lab = sub.add_parser("lab", parents=[common],
+    p_lab = sub.add_parser("lab", parents=[out, seed],
                            help="flip / disturbance / multi-flip sweeps")
     p_lab.add_argument("--mode", choices=("flip", "disturb", "multiflip"), required=True)
     p_lab.add_argument("--predictions", type=Path, default=None,
@@ -138,15 +140,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated flip counts for multiflip, or 'all'")
     p_lab.add_argument("--branches", default=None,
                        help="comma-separated branch names to sweep (default: all)")
-    p_lab.set_defaults(func=_cmd_lab)
 
-    p_plane = sub.add_parser("plane", parents=[common, dirs],
+    p_plane = sub.add_parser("plane", parents=[out, fmt, geometry, dirs],
                              help="fit per-frame ground planes and report elevation accuracy")
     p_plane.add_argument("--heatmap-dir", type=Path, default=None,
                          help="write per-frame horizon heatmaps (PGM) here")
     p_plane.add_argument("--image-size", type=_float_list, default=[1242.0, 375.0],
                          help="width,height for heatmap rasterization")
-    p_plane.set_defaults(func=_cmd_plane)
 
     return parser
 
@@ -154,10 +154,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _require_finite(args, ("--cam-height", "--eps-den"), positive=True)
-        if args.seed < 0:
+        if hasattr(args, "cam_height"):
+            _require_finite(args, ("--cam-height", "--eps-den"), positive=True)
+        if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
-        return args.func(args)
+        return _COMMANDS[args.command](args)
     except (CompdepthError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -257,9 +258,7 @@ def _cmd_eval(args) -> int:
                                 depth_edges=args.depth_edges)
     if dontcare_skipped:
         report.flags = report.flags + (f"dontcare_skipped:{dontcare_skipped}",)
-    header = config_header(args, ["predictions", "label-dir", "calib-dir", "reference",
-                                "depth-edges", "cam-height", "seed", "eps-den", "format"])
-    _emit(write_report(report, args.format, header=header), args.out)
+    _emit(write_report(report, args.format, header=config_header(args)), args.out)
     return EXIT_DEGENERACY if report.flags else EXIT_OK
 
 
@@ -325,10 +324,6 @@ def _cmd_oracle(args) -> int:
         z_parts.append(z_branch[kept])
         valid_parts.append(valid[kept])
 
-    header = config_header(args, ["label-dir", "calib-dir", "noise-h-rel", "noise-px",
-                                "noise-horizon-slope", "noise-horizon-intercept",
-                                "sigma-model", "include-alt", "cam-height",
-                                "seed", "eps-den"])
     valid = np.concatenate(valid_parts)
     z_branch = np.where(valid, np.concatenate(z_parts), 0.0)
     z_star = np.concatenate(truths)
@@ -336,7 +331,7 @@ def _cmd_oracle(args) -> int:
              else np.maximum(np.abs(z_branch - z_star[:, None]), SIGMA_FLOOR))
     table = EnsembleTable(names=names, z=z_branch, sigma=sigma, valid=valid,
                           z_star=z_star, frame=frames, index=np.concatenate(indices))
-    _emit(write_predictions(table, header=header), args.out)
+    _emit(write_predictions(table, header=config_header(args)), args.out)
     diagnostics = +diagnostics  # drop the zero counts
     for name in sorted(diagnostics):
         print(f"warning: {name}: {diagnostics[name]}", file=sys.stderr)
@@ -404,13 +399,7 @@ def _cmd_lab(args) -> int:
             label="multiflip",
         ))
 
-    header = config_header(args, ["mode", "n-objects", "n-branches", "coupling-rate",
-                                "error-scale", "sigma-model", "depth-range",
-                                "proportions", "amplitudes", "k", "branches",
-                                "seed", "cam-height", "eps-den"])
-    if args.predictions is not None:
-        header["predictions"] = str(args.predictions)
-    _emit(write_curves(curves, header=header), args.out)
+    _emit(write_curves(curves, header=config_header(args)), args.out)
     return EXIT_OK
 
 
@@ -464,12 +453,14 @@ def _cmd_plane(args) -> int:
         summary["binned_by_y_error"] = binned_mae(y_pred, y_true,
                                                   DEFAULT_Y_ERROR_EDGES, key=abs_err)
 
-    header = config_header(args, ["label-dir", "calib-dir", "cam-height",
-                                "eps-den", "image-size", "format"])
-    _emit(write_plane_report(rows, summary, args.format, header=header), args.out)
+    _emit(write_plane_report(rows, summary, args.format, header=config_header(args)),
+          args.out)
     if elevation_failed:
         print(f"warning: elevation_failed: {elevation_failed}", file=sys.stderr)
     return EXIT_DEGENERACY if fallback_frames or elevation_failed else EXIT_OK
+
+
+_COMMANDS = {"eval": _cmd_eval, "oracle": _cmd_oracle, "lab": _cmd_lab, "plane": _cmd_plane}
 
 
 if __name__ == "__main__":

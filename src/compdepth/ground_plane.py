@@ -23,6 +23,9 @@ from .errors import DegeneratePlane, EmptyInput, InsufficientSupport
 #: Default camera mounting height above ground, in meters.
 DEFAULT_CAM_HEIGHT = 1.65
 
+#: Half-width of a horizon heatmap's vertical Gaussian window, in pixels.
+HEATMAP_RADIUS = 2.0
+
 
 @dataclass(frozen=True)
 class GroundPlane:
@@ -175,19 +178,17 @@ def y_global(u_b, v_b, g: GroundPlane, k: CameraIntrinsics, eps: float = DEFAULT
 # horizon heatmap
 # ---------------------------------------------------------------------------
 
-def rasterize_horizon(h: HorizonLine, width: int, height: int,
-                      radius: float = 2.0) -> np.ndarray:
+def rasterize_horizon(h: HorizonLine, width: int, height: int) -> np.ndarray:
     """Render a horizon line as a (height, width) heatmap with a vertical
     Gaussian profile, values in [0, 1].
 
     Each column u gets a 1-D Gaussian centered on the line row v(u), with
-    sigma = radius / 3, truncated at +/- radius and peak value 1. Columns
-    whose line row falls outside the image keep whatever truncated tail
-    still intersects the image; columns farther away than the radius stay
-    zero.
+    sigma = HEATMAP_RADIUS / 3, truncated at +/- HEATMAP_RADIUS and peak
+    value 1. Columns whose line row falls outside the image keep whatever
+    truncated tail still intersects the image; columns farther away than
+    the radius stay zero.
 
-    Raises ValueError for a non-finite line, a radius that is not finite
-    and positive, or an empty image.
+    Raises ValueError for a non-finite line or an empty image.
     """
     if width < 1 or height < 1:
         raise ValueError("heatmap dimensions must be at least 1x1")
@@ -195,13 +196,11 @@ def rasterize_horizon(h: HorizonLine, width: int, height: int,
         raise ValueError(f"k_h must be finite, got {h.k_h}")
     if not math.isfinite(h.b_h):
         raise ValueError(f"b_h must be finite, got {h.b_h}")
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be finite and positive, got {radius}")
-    sigma = radius / 3.0
+    sigma = HEATMAP_RADIUS / 3.0
     grid = np.zeros((height, width), dtype=float)
     v = h.k_h * np.arange(width) + h.b_h
-    lo = np.maximum(0.0, np.ceil(v - radius))
-    hi = np.minimum(height - 1.0, np.floor(v + radius))
+    lo = np.maximum(0.0, np.ceil(v - HEATMAP_RADIUS))
+    hi = np.minimum(height - 1.0, np.floor(v + HEATMAP_RADIUS))
     cols = np.nonzero(lo <= hi)[0]
     v, rows, hi = v[cols], lo[cols].astype(np.intp), hi[cols].astype(np.intp)
     # One pass per row offset inside the window (floor(2 * radius) + 1 at

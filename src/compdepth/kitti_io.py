@@ -391,18 +391,19 @@ def _header_lines(header: dict | None) -> list[str]:
     return [f"# {k}: {header[k]}" for k in sorted(header)]
 
 
-def config_header(args, keys: Sequence[str]) -> dict:
-    """The config echo at the top of every output file: the command and the
-    named options of parsed CLI arguments, paths as text and lists joined by
-    commas (floats at 6 significant digits)."""
-    echo = {"command": args.command}
-    for key in keys:
-        value = getattr(args, key.replace("-", "_"))
+def config_header(args) -> dict:
+    """The config echo at the top of every output file: the command and
+    every option of its parsed CLI arguments, paths as text and lists joined
+    by commas (floats at 6 significant digits). The output destinations
+    --out and --heatmap-dir are left out: they do not change what is written."""
+    echo = {}
+    for key, value in vars(args).items():
         if isinstance(value, Path):
             value = str(value)
         elif isinstance(value, list):
             value = ",".join(_fmt6(v) if isinstance(v, float) else str(v) for v in value)
-        echo[key] = value
+        if key not in ("out", "heatmap_dir"):
+            echo[key.replace("_", "-")] = value
     return echo
 
 
@@ -513,7 +514,7 @@ def write_plane_report(frames: Sequence[dict], summary: dict, format: str = "jso
                 "counts": list(table.counts),
             }
         doc = {
-            "header": header,
+            "header": None if header is None else dict(sorted(header.items())),
             "frames": [{**r, "k_h": _round6(r["k_h"]), "b_h": _round6(r["b_h"]),
                         "y_mae": _round6(r["y_mae"])} for r in frames],
             "summary": doc_summary,

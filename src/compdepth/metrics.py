@@ -43,9 +43,8 @@ def mae(predictions: Sequence[float], truths: Sequence[float]) -> float:
 def esop(errors_a: Sequence[float], errors_b: Sequence[float]) -> float:
     """Error sign opposition proportion between two branches, in percent.
 
-    Counts pairs with strictly opposite signs (product < 0); zero errors
-    never count as opposite. Invariant under positive rescaling of either
-    error sequence.
+    Counts pairs with strictly opposite signs; zero errors never count as
+    opposite. Invariant under positive rescaling of either error sequence.
     """
     a = np.asarray(errors_a, dtype=float)
     b = np.asarray(errors_b, dtype=float)
@@ -53,7 +52,7 @@ def esop(errors_a: Sequence[float], errors_b: Sequence[float]) -> float:
         raise LengthMismatch(f"{a.shape} vs {b.shape} errors")
     if a.size == 0:
         raise EmptyInput("ESOP needs at least one pair")
-    opposite = np.count_nonzero(a * b < 0)
+    opposite = np.count_nonzero(np.sign(a) * np.sign(b) < 0)
     return 100.0 * opposite / a.size
 
 
@@ -145,6 +144,7 @@ class ComplementarityReport:
     flags: tuple[str, ...] = ()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate_ensembles(table: "EnsembleTable",
                        reference: str | None = None,
                        depth_edges: Sequence[float] = DEFAULT_DEPTH_EDGES,
@@ -157,7 +157,8 @@ def evaluate_ensembles(table: "EnsembleTable",
     fusion whatever branches each row has.
 
     The reference branch for CS defaults to 'dir' when present, else the
-    first branch column.
+    first branch column. Raises ValueError when a branch MAE or CS or the
+    fused MAE overflows to a non-finite value.
     """
     flags: list[str] = []
     missing = np.isnan(table.z_star)
@@ -197,6 +198,13 @@ def evaluate_ensembles(table: "EnsembleTable",
                 flags.append(f"zero_mae:{name}")
 
     fused = soft_fuse_array(table.z, table.sigma, valid=valid)
+    fused_mae = mae(fused, z_star)
+    # Overflow ends as one error, not numpy warnings. ESOP is always finite.
+    for metric, value in [*((f"MAE of branch '{n}'", v) for n, v in branch_mae.items()),
+                          *((f"CS of branch '{n}'", v) for n, v in branch_cs.items()),
+                          ("fused MAE", fused_mae)]:
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{metric} overflowed to a non-finite value")
     binned = {"fused": binned_mae(fused, z_star, depth_edges)}
     for j, name in enumerate(names):
         if counts[j]:
@@ -211,7 +219,7 @@ def evaluate_ensembles(table: "EnsembleTable",
         branch_counts=branch_counts,
         esop=esop_table,
         branch_cs=branch_cs,
-        fused_mae=mae(fused, z_star),
+        fused_mae=fused_mae,
         fused_count=len(fused),
         binned=binned,
         flags=tuple(flags),

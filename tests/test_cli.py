@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -14,7 +15,7 @@ from compdepth import (
     read_predictions,
     write_predictions,
 )
-from compdepth.cli import main
+from compdepth.cli import _build_parser, main
 
 
 @pytest.fixture
@@ -194,6 +195,22 @@ def test_eval_scores_against_label_depths(dataset, tmp_path, capsys):
     assert report["branches"]["key"]["mae"] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_eval_overflowing_metric_one_line_error(fmt, dataset, tmp_path, capsys):
+    # schema-valid depths whose errors overflow: no Infinity in a report
+    preds = tmp_path / "huge.jsonl"
+    preds.write_text("".join(json.dumps(
+        {"frame": "000000", "index": i, "branches": [{"name": "a", "z": 1e308, "sigma": 1.0},
+                                                     {"name": "b", "z": -1e308, "sigma": 1.0}]})
+        + "\n" for i in range(2)))
+    code = run(["eval", "--calib-dir", dataset / "calib", "--label-dir", dataset / "label_2",
+                "--predictions", preds, "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: MAE of branch 'a' overflowed to a non-finite value\n"
+
+
 def test_eval_duplicate_record(dataset, tmp_path, capsys):
     # a repeated (frame, index) line was scored twice: exit 0, n_objects 2
     preds = tmp_path / "dup.jsonl"
@@ -255,14 +272,37 @@ def test_lab_flip_sweep_csv(capsys):
     assert labels == {"flip:b0", "flip:b1", "flip:b2", "flip:b3"}
 
 
-def test_lab_flip_config_header_echoes_settings(capsys):
-    run(["lab", "--mode", "flip", "--n-objects", 200, "--seed", 4,
-         "--coupling-rate", 0.9])
-    comments = [l for l in capsys.readouterr().out.splitlines()
-                if l.startswith("# ")]
+def command_options() -> dict[str, set[str]]:
+    """Each command's long options, as its subparser declares them."""
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {command: {flag[2:] for action in p._actions for flag in action.option_strings
+                      if flag != "--help" and flag.startswith("--")}
+            for command, p in sub.choices.items()}
+
+
+def test_lab_flip_config_header_echoes_settings(dataset, capsys):
+    # every command echoes each option it has, output destinations aside
+    dirs = ["--calib-dir", dataset / "calib", "--label-dir", dataset / "label_2"]
+    preds = dataset / "preds.jsonl"
+    assert run(["oracle", *dirs, "--out", preds]) == 0
+    echoes = {"oracle": json.loads(preds.read_text().splitlines()[0][2:])}
+    run(["eval", *dirs, "--predictions", preds])
+    echoes["eval"] = json.loads(capsys.readouterr().out)["header"]
+    run(["plane", *dirs, "--heatmap-dir", dataset / "heat"])
+    echoes["plane"] = json.loads(capsys.readouterr().out)["header"]
+    run(["lab", "--mode", "flip", "--n-objects", 200, "--seed", 4, "--coupling-rate", 0.9])
+    comments = [l for l in capsys.readouterr().out.splitlines() if l.startswith("# ")]
+    echoes["lab"] = dict(l[2:].split(": ", 1) for l in comments)
     assert "# coupling-rate: 0.9" in comments
     assert "# seed: 4" in comments
     assert "# mode: flip" in comments
+
+    for command, options in command_options().items():
+        echo = echoes[command]
+        assert echo["command"] == command
+        assert set(echo) == options - {"out", "heatmap-dir"} | {"command"}, command
+        assert list(echo) == sorted(echo), command
 
 
 def test_lab_disturb_first_branch_only(capsys):
@@ -356,15 +396,15 @@ def test_lab_ragged_predictions(dataset, capsys):
     (["oracle", "--noise-horizon-intercept", "nan"], "--noise-horizon-intercept"),
     (["oracle", "--cam-height", "-1", "--eps-den", "-5"], "--cam-height"),
     (["plane", "--eps-den", "-5"], "--eps-den"),
-    (["lab", "--mode", "flip", "--cam-height", "nan"], "--cam-height"),
+    (["plane", "--cam-height", "nan"], "--cam-height"),
     (["plane", "--image-size", "10"], "--image-size"),
     (["plane", "--image-size", "inf,375"], "--image-size"),
     (["lab", "--mode", "flip", "--error-scale", "nan"], "error_scale"),
     (["lab", "--mode", "flip", "--error-scale", "inf"], "error_scale"),
-    (["eval", "--predictions", "{preds}", "--seed", "-1"], "--seed"),
+    (["oracle", "--seed", "-1", "--noise-px", "nan"], "--seed"),
     (["oracle", "--seed", "-1"], "--seed"),
     (["lab", "--mode", "flip", "--seed", "-1"], "--seed"),
-    (["plane", "--seed", "-1"], "--seed"),
+    (["lab", "--mode", "disturb", "--seed", "-1"], "--seed"),
     (["lab", "--mode", "flip", "--proportions", ""], "proportions must not be empty"),
     (["lab", "--mode", "disturb", "--amplitudes", ""], "amplitudes must not be empty"),
 ])
@@ -552,6 +592,28 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval"])  # missing required arguments
     assert exc.value.code == 2
+
+
+#: (command, flag, value) of options a command used to accept without reading.
+REMOVED_FLAGS = [
+    ("eval", "--cam-height", "1.5"), ("eval", "--seed", "1"), ("eval", "--eps-den", "1"),
+    ("oracle", "--format", "csv"), ("lab", "--format", "json"),
+    ("lab", "--cam-height", "9"), ("lab", "--eps-den", "3"), ("plane", "--seed", "1"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", REMOVED_FLAGS)
+def test_unread_flag_is_a_usage_error(command, flag, value, dataset, capsys):
+    dirs = ["--calib-dir", dataset / "calib", "--label-dir", dataset / "label_2"]
+    required = {"eval": [*dirs, "--predictions", dataset / "preds.jsonl"],
+                "oracle": dirs, "lab": ["--mode", "flip"], "plane": dirs}[command]
+    assert flag[2:] not in command_options()[command]
+    with pytest.raises(SystemExit) as exc:
+        run([command, *required, flag, value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
 
 
 def test_unknown_subcommand(capsys):

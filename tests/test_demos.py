@@ -1,11 +1,16 @@
-"""Smoke tests: every script in demos/ and the README quickstart run."""
+"""Smoke tests: every script in demos/, the README quickstart and the
+README's command lines run."""
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from compdepth import format_calib, format_labels, make_scene
+from compdepth.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -30,3 +35,30 @@ def test_readme_quickstart_runs():
     namespace: dict = {}
     exec(compile(block, "README.md quickstart", "exec"), namespace)
     assert 19.0 < float(namespace["fused"][0]) < 21.0
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of every `compdepth ...` line in the README's sh blocks,
+    continuation lines joined."""
+    readme = (ROOT / "README.md").read_text()
+    commands = []
+    for block in readme.split("```sh\n")[1:]:
+        text = block.split("```", 1)[0].replace("\\\n", " ")
+        commands += [shlex.split(line)[1:] for line in text.splitlines()
+                     if line.startswith("compdepth ")]
+    return commands
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    # in order, on a make_scene corpus under calib/ and label_2/
+    for name in ("calib", "label_2"):
+        (tmp_path / name).mkdir()
+    for frame, seed in (("000000", 7), ("000001", 8)):
+        scene = make_scene(25, seed=seed)
+        (tmp_path / "calib" / f"{frame}.txt").write_text(format_calib(scene.intrinsics))
+        (tmp_path / "label_2" / f"{frame}.txt").write_text(format_labels(scene.objects))
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert {c[0] for c in commands} == {"oracle", "eval", "lab", "plane"}
+    for args in commands:
+        assert main(args) in (0, 3), args

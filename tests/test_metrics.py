@@ -62,6 +62,11 @@ def test_esop_scale_invariant():
     assert esop(a, b) == esop(a, 0.001 * b)
 
 
+def test_esop_huge_errors_do_not_overflow():
+    # signs are compared, not multiplied: no overflow warning, exact counts
+    assert esop([1e308, 1e308, -1e308], [-1e308, 1e308, 1e308]) == pytest.approx(200.0 / 3)
+
+
 def test_esop_validation():
     with pytest.raises(LengthMismatch):
         esop([1.0], [1.0, 2.0])
@@ -233,6 +238,17 @@ def test_evaluate_ensembles_binned_tables():
     assert set(report.binned) == {"fused", "key"}
     assert report.binned["key"].counts == (1, 1, 1)
     assert report.binned["key"].maes == pytest.approx((1.0, 2.0, 3.0))
+
+
+@pytest.mark.parametrize("records,message", [
+    # branch errors of +-1e308 overflow the MAE sum
+    ([ensemble("0", i, 20.0, a=1e308, b=-1e308) for i in range(2)], "MAE of branch 'a'"),
+    # a subnormal MAE overflows ESOP / MAE
+    ([ensemble("0", 0, 0.0, a=1e-310, b=-1e-310)], "CS of branch 'b'"),
+])
+def test_evaluate_ensembles_non_finite_metric_raises(records, message):
+    with pytest.raises(ValueError, match=f"^{message} overflowed to a non-finite value$"):
+        evaluate_ensembles(read_records(records))
 
 
 def test_evaluate_ensembles_empty():
