@@ -53,6 +53,7 @@ from .ground_plane import (
 )
 from .kitti_io import (
     EnsembleTable,
+    LabelTable,
     Object3D,
     format_calib,
     format_labels,
@@ -93,7 +94,7 @@ __all__ = [
     "DEFAULT_EPS_DEN", "DEFAULT_INTRINSICS", "DEFAULT_Y_ERROR_EDGES",
     "DegeneratePlane", "EmptyEnsemble", "EmptyInput", "EnsembleTable",
     "ErrorModelConfig", "GroundPlane", "HorizonFitInfo", "HorizonLine",
-    "InsufficientSupport", "JoinError", "KOutOfRange", "LengthMismatch",
+    "InsufficientSupport", "JoinError", "KOutOfRange", "LabelTable", "LengthMismatch",
     "MalformedLine", "MalformedMatrix", "MissingKey", "NonMonotoneEdges",
     "NonPositiveSigma", "Object3D", "PlaneFitInfo", "Scene", "SchemaError",
     "SweepCurve", "UnknownBranch", "ZeroMAE", "binned_mae", "box_keypoints",

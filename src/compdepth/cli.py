@@ -75,7 +75,8 @@ def _float_list(text: str) -> list[float]:
     return [float(t) for t in text.split(",") if t.strip() != ""]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser."""
     parser = argparse.ArgumentParser(
         prog="compdepth",
         description="Complementary-depth geometry, fusion, and flip experiments.",
@@ -148,11 +149,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plane.add_argument("--image-size", type=_float_list, default=[1242.0, 375.0],
                          help="width,height for heatmap rasterization")
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    args, unread = parser.parse_known_args(argv)
+    if unread:  # the command's own parser reports them, with its usage line
+        commands[args.command].error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         if hasattr(args, "cam_height"):
             _require_finite(args, ("--cam-height", "--eps-den"), positive=True)
@@ -191,13 +195,12 @@ def _load_frame(calib_dir: Path, label_dir: Path, frame: str):
     geometry (not DontCare, positive height and positive depth), their
     (x, y, z, h) columns, and the number of other non-DontCare rows."""
     intrinsics = parse_calib((calib_dir / f"{frame}.txt").read_text())
-    objects = parse_labels((label_dir / f"{frame}.txt").read_text())
-    rows = np.array([(o.x, o.y, o.z, o.h, not o.is_dontcare) for o in objects],
-                    dtype=float).reshape(-1, 5)
-    x, y, z, h, care = rows.T
-    usable = (care > 0) & (h > 0) & (z > 0)
+    labels = parse_labels((label_dir / f"{frame}.txt").read_text())
+    usable = ~labels.dontcare & (labels.h > 0) & (labels.z > 0)
     index = np.flatnonzero(usable)
-    return intrinsics, index, rows[usable, :4].T, int(care.sum()) - index.size
+    columns = (labels.x[usable], labels.y[usable], labels.z[usable], labels.h[usable])
+    skipped = len(labels) - int(np.count_nonzero(labels.dontcare)) - index.size
+    return intrinsics, index, columns, skipped
 
 
 def _frame_plane(bottoms: np.ndarray, k: CameraIntrinsics,
@@ -231,30 +234,32 @@ def _emit(text: str, out: Path | None) -> None:
 
 def _cmd_eval(args) -> int:
     table = read_predictions(args.predictions.read_text())
-    labels_cache: dict[str, list] = {}
-    unmatched = []
-    kept, truths = [], []
-    dontcare_skipped = 0
-    for row, (frame, index) in enumerate(zip(table.frame, table.index.tolist())):
-        if frame not in labels_cache:
-            label_path = args.label_dir / f"{frame}.txt"
-            labels_cache[frame] = (
-                parse_labels(label_path.read_text()) if label_path.exists() else None
-            )
-        labels = labels_cache[frame]
-        if labels is None or index >= len(labels):
-            unmatched.append((frame, index))
+    rows_of: dict[str, list[int]] = {}
+    for row, frame in enumerate(table.frame):
+        rows_of.setdefault(frame, []).append(row)
+    # Each record's label depth, and which records found their label row
+    # and which of those rows are DontCare.
+    truth = np.full(len(table), np.nan)
+    matched = np.zeros(len(table), dtype=bool)
+    dontcare = np.zeros(len(table), dtype=bool)
+    for frame, rows in rows_of.items():
+        label_path = args.label_dir / f"{frame}.txt"
+        if not label_path.exists():
             continue
-        label = labels[index]
-        if label.is_dontcare:
-            dontcare_skipped += 1
-            continue
-        kept.append(row)
-        truths.append(label.z)
-    if unmatched:
-        raise JoinError(unmatched)
+        labels = parse_labels(label_path.read_text())
+        rows = np.array(rows)
+        rows = rows[table.index[rows] < len(labels)]
+        index = table.index[rows]
+        matched[rows] = True
+        dontcare[rows] = labels.dontcare[index]
+        truth[rows] = labels.z[index]
+    if not matched.all():
+        raise JoinError([(table.frame[row], int(table.index[row]))
+                         for row in np.flatnonzero(~matched)])
 
-    report = evaluate_ensembles(table.take(kept, z_star=truths), reference=args.reference,
+    kept = np.flatnonzero(~dontcare)
+    dontcare_skipped = int(np.count_nonzero(dontcare))
+    report = evaluate_ensembles(table.take(kept, z_star=truth[kept]), reference=args.reference,
                                 depth_edges=args.depth_edges)
     if dontcare_skipped:
         report.flags = report.flags + (f"dontcare_skipped:{dontcare_skipped}",)

@@ -22,6 +22,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -35,7 +36,8 @@ from .metrics import ComplementarityReport
 # label objects
 # ---------------------------------------------------------------------------
 
-#: KITTI label field order after the class name.
+#: Tokens of a KITTI label row without its optional score; also the width
+#: of LabelTable.values, which drops the class name and keeps a score column.
 _N_LABEL_FIELDS = 15
 
 
@@ -99,14 +101,74 @@ def format_calib(k: CameraIntrinsics) -> str:
     return "P2: " + " ".join(str(v) for v in row) + "\n"
 
 
-def parse_labels(text: str) -> list[Object3D]:
-    """Parse a KITTI label file. Empty lines are skipped; 'DontCare' rows are
-    kept (flagged via Object3D.is_dontcare) so indices match the file.
+@dataclass(frozen=True)
+class LabelTable:
+    """The rows of a KITTI label file as columns, in file order.
+
+    class_names holds each row's class and dontcare marks its 'DontCare'
+    rows, which are kept so that row i is the file's i-th non-blank line.
+    values is a read-only (N, 15) float array of the numeric fields in file
+    order: truncation, occlusion, alpha, the 2D box (left, top, right,
+    bottom), h, w, l, x, y, z, theta and the score, NaN where a row has
+    none. h, x, y and z name the columns the commands read; (x, y, z) is
+    the bottom-face center, as in Object3D.
+    """
+
+    class_names: tuple[str, ...]
+    values: np.ndarray
+    dontcare: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.class_names)
+
+    h = property(lambda self: self.values[:, 7])
+    x = property(lambda self: self.values[:, 10])
+    y = property(lambda self: self.values[:, 11])
+    z = property(lambda self: self.values[:, 12])
+
+
+def parse_labels(text: str) -> LabelTable:
+    """Parse a KITTI label file into columns. Empty lines are skipped;
+    'DontCare' rows are kept (flagged in LabelTable.dontcare) so indices
+    match the file.
 
     Raises MalformedLine (with the 1-based line number) on wrong token count
-    or unparseable numbers; nothing is returned on failure.
+    or unparseable or non-finite numbers; nothing is returned on failure.
     """
-    objects: list[Object3D] = []
+    rows = [tokens for tokens in map(str.split, text.splitlines()) if tokens]
+    values = _label_values(rows)
+    if values is None:
+        _check_label_lines(text)
+        raise AssertionError("the label columns rejected a file the line check accepts")
+    values.setflags(write=False)
+    dontcare = np.array([tokens[0] == "DontCare" for tokens in rows], dtype=bool)
+    dontcare.setflags(write=False)
+    return LabelTable(tuple(tokens[0] for tokens in rows), values, dontcare)
+
+
+def _label_values(rows: list[list[str]]) -> np.ndarray | None:
+    """The (N, 15) numeric fields of the token rows, one block per row width,
+    or None when a row has a wrong token count or a non-numeric or
+    non-finite field."""
+    values = np.full((len(rows), _N_LABEL_FIELDS), np.nan)
+    for width in {len(tokens) for tokens in rows}:
+        if width not in (_N_LABEL_FIELDS, _N_LABEL_FIELDS + 1):
+            return None
+        at = [i for i, tokens in enumerate(rows) if len(tokens) == width]
+        fields = chain.from_iterable(rows[i][1:] for i in at)
+        try:
+            block = np.fromiter(map(float, fields), float, len(at) * (width - 1))
+        except ValueError:
+            return None
+        if not np.isfinite(block).all():
+            return None
+        values[at, :width - 1] = block.reshape(len(at), width - 1)
+    return values
+
+
+def _check_label_lines(text: str) -> None:
+    """Raise MalformedLine for the first line with a wrong token count or a
+    non-numeric or non-finite field, checked line by line."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -124,18 +186,6 @@ def parse_labels(text: str) -> list[Object3D]:
             raise MalformedLine(line_no, f"non-numeric field: {exc}") from None
         if not all(math.isfinite(v) for v in values):
             raise MalformedLine(line_no, "non-finite field")
-        objects.append(Object3D(
-            class_name=tokens[0],
-            truncation=values[0],
-            occlusion=int(values[1]),
-            alpha=values[2],
-            bbox2d=(values[3], values[4], values[5], values[6]),
-            h=values[7], w=values[8], l=values[9],
-            x=values[10], y=values[11], z=values[12],
-            theta=values[13],
-            score=values[14] if len(values) > 14 else None,
-        ))
-    return objects
 
 
 def format_labels(objects: Iterable[Object3D]) -> str:
@@ -272,10 +322,106 @@ def read_predictions(source) -> EnsembleTable:
     record whose 1/sigma values sum past the float range, which fusion
     divides by.
     """
-    lines = source.splitlines() if isinstance(source, str) else source
+    lines = source.splitlines() if isinstance(source, str) else list(source)
+    try:
+        table = _read_columns(lines)
+    except (ValueError, OverflowError, RecursionError):  # bad JSON, an int beyond float
+        table = None
+    if table is None:
+        _check_records(lines)
+        raise AssertionError("the prediction columns rejected records the record check "
+                             "accepts")
+    return table
+
+
+_decode = json.JSONDecoder().raw_decode
+
+#: Records parsed at a time before their fields move into the columns.
+_CHUNK = 256
+
+
+def _records(lines):
+    """The parsed records of the data lines, in lists of up to _CHUNK."""
+    chunk = []
+    for raw in lines:
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            doc, end = _decode(line)
+            if end != len(line):
+                raise ValueError("extra data after the record")
+            chunk.append(doc)
+            if len(chunk) == _CHUNK:
+                yield chunk
+                chunk = []
+    yield chunk
+
+
+def _read_columns(lines) -> EnsembleTable | None:
+    """The table of the records, or None when any record breaks the schema.
+
+    Checks whole columns at once; on None, _check_records finds and names
+    the first violation. EnsembleTable checks the rest, and its ValueError
+    leads there too: a record without branches, an empty branch name, a
+    non-finite z, and a sigma that is not finite and positive.
+    """
+    frames, indices, truths, counts, cols, zs, sigmas = [], [], [], [], [], [], []
     columns: dict[str, int] = {}
-    rows, cols, zs, sigmas = [], [], [], []
-    frames, indices, z_star = [], [], []
+    for docs in _records(lines):
+        if not set(map(type, docs)) <= {dict}:
+            return None
+        frames += [doc.get("frame") for doc in docs]
+        indices += [doc.get("index") for doc in docs]
+        truths += [doc.get("z_star") for doc in docs]
+        lists = [doc.get("branches") for doc in docs]
+        if not set(map(type, lists)) <= {list}:
+            return None
+        counts += map(len, lists)
+        branches = [branch for branch_list in lists for branch in branch_list]
+        if not set(map(type, branches)) <= {dict}:
+            return None
+        names = [branch.get("name") for branch in branches]
+        if not set(map(type, names)) <= {str}:
+            return None
+        cols += [columns.setdefault(name, len(columns)) for name in names]
+        zs += [branch.get("z") for branch in branches]
+        sigmas += [branch.get("sigma", 1.0) for branch in branches]
+    # exact types: json gives no subclasses, and bool is not a number here
+    numbers = {int, float}
+    if not (set(map(type, frames)) <= {str} and "" not in frames
+            and set(map(type, indices)) <= {int}
+            and set(map(type, zs)) | set(map(type, sigmas)) <= numbers
+            and set(map(type, truths)) <= numbers | {type(None)}):
+        return None
+    n = len(frames)
+    if n and not (min(indices) >= 0 and max(indices) < 2**63):
+        return None
+    if len(set(zip(frames, indices))) < n:
+        return None
+    z = np.array(zs, dtype=float)
+    sigma = np.array(sigmas, dtype=float)
+    given = np.array([t for t in truths if t is not None], dtype=float)
+    rows = np.repeat(np.arange(n), counts)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # a row sum of 1/sigma is inf also where one 1/sigma is
+        inverse_sums = np.bincount(rows, 1.0 / sigma, minlength=n)
+    if not (np.isfinite(given).all() and np.isfinite(inverse_sums).all()):
+        return None
+    shape = (n, len(columns))
+    valid = np.zeros(shape, dtype=bool)
+    valid[rows, cols] = True
+    if np.count_nonzero(valid) < len(cols):  # a branch name repeated in a record
+        return None
+    z_grid, sigma_grid = np.zeros(shape), np.ones(shape)
+    z_grid[rows, cols] = z
+    sigma_grid[rows, cols] = sigma
+    z_star = [math.nan if t is None else t for t in truths]
+    return EnsembleTable(names=tuple(columns), z=z_grid, sigma=sigma_grid, valid=valid,
+                         z_star=z_star, frame=frames, index=indices)
+
+
+def _check_records(lines) -> None:
+    """Raise SchemaError for the first schema violation, checking record by
+    record and field by field."""
     seen_keys = set()
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -283,7 +429,7 @@ def read_predictions(source) -> EnsembleTable:
             continue
         try:
             doc = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also too deep or too long an int
             raise SchemaError(line_no, "", f"invalid JSON: {exc}") from None
         _require(isinstance(doc, dict), line_no, "", "record must be a JSON object")
         frame = doc.get("frame")
@@ -299,7 +445,6 @@ def read_predictions(source) -> EnsembleTable:
         raw_branches = doc.get("branches")
         _require(isinstance(raw_branches, list) and len(raw_branches) > 0,
                  line_no, "branches", "required non-empty list")
-        row = len(frames)
         inverse_sum = 0.0
         seen = set()
         for j, rb in enumerate(raw_branches):
@@ -320,25 +465,11 @@ def read_predictions(source) -> EnsembleTable:
             _require(math.isfinite(inverse), line_no, f"{path}.sigma",
                      "too small: 1/sigma overflows")
             inverse_sum += inverse
-            rows.append(row)
-            cols.append(columns.setdefault(name, len(columns)))
-            zs.append(z)
-            sigmas.append(sigma)
         _require(math.isfinite(inverse_sum), line_no, "branches",
                  "sigmas too small: the sum of 1/sigma overflows")
         _require((frame, index) not in seen_keys, line_no, "index",
                  f"duplicate record ({frame}, {index})")
         seen_keys.add((frame, index))
-        frames.append(frame)
-        indices.append(index)
-        z_star.append(math.nan if truth is None else truth)
-    shape = (len(frames), len(columns))
-    z, sigma, valid = np.zeros(shape), np.ones(shape), np.zeros(shape, dtype=bool)
-    z[rows, cols] = zs
-    sigma[rows, cols] = sigmas
-    valid[rows, cols] = True
-    return EnsembleTable(names=tuple(columns), z=z, sigma=sigma, valid=valid,
-                         z_star=z_star, frame=frames, index=indices)
 
 
 def write_predictions(table: EnsembleTable, header: dict | None = None) -> str:
@@ -347,20 +478,22 @@ def write_predictions(table: EnsembleTable, header: dict | None = None) -> str:
 
     Each record lists its valid branches in column order and leaves out a
     NaN z_star. A header dict becomes a leading '# {...}' comment line.
+    Each line is what json.dumps(record, separators=(",", ":")) writes: the
+    names and frames escaped by json.dumps, the numbers by repr.
     """
     out = []
     if header is not None:
         out.append("# " + json.dumps(header, sort_keys=True))
-    names = table.names
+    names = [json.dumps(name) for name in table.names]
+    frames = {frame: json.dumps(frame) for frame in set(table.frame)}
     for frame, index, z_star, zs, sigmas, valid in zip(
             table.frame, table.index.tolist(), table.z_star.tolist(),
             table.z.tolist(), table.sigma.tolist(), table.valid.tolist()):
-        doc: dict = {"frame": frame, "index": index}
-        if not math.isnan(z_star):
-            doc["z_star"] = z_star
-        doc["branches"] = [{"name": name, "z": z, "sigma": sigma}
-                           for name, z, sigma, v in zip(names, zs, sigmas, valid) if v]
-        out.append(json.dumps(doc, separators=(",", ":")))
+        truth = "" if math.isnan(z_star) else f',"z_star":{z_star!r}'
+        branches = ",".join([f'{{"name":{name},"z":{z!r},"sigma":{sigma!r}}}'
+                             for name, z, sigma, v in zip(names, zs, sigmas, valid) if v])
+        out.append(f'{{"frame":{frames[frame]},"index":{index}{truth},'
+                   f'"branches":[{branches}]}}')
     return "\n".join(out) + "\n"
 
 

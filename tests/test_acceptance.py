@@ -306,12 +306,13 @@ def test_c11_parser_goldens():
 
     label_text = ("Car 0.00 0 -1.58 587.0 173.3 614.1 200.1 "
                   "1.50 1.67 3.64 -0.65 1.65 20.00 -1.59\n")
-    o = parse_labels(label_text)[0]
-    assert o.class_name == "Car"
-    assert (o.h, o.w, o.l) == (1.50, 1.67, 3.64)
-    assert (o.x, o.y, o.z) == (-0.65, 1.65, 20.00)
-    assert o.theta == -1.59
-    assert o.bbox2d == (587.0, 173.3, 614.1, 200.1)
+    labels = parse_labels(label_text)
+    assert labels.class_names == ("Car",)
+    _, _, _, *bbox2d, h, w, l, x, y, z, theta, _ = labels.values[0].tolist()
+    assert (h, w, l) == (1.50, 1.67, 3.64)
+    assert (x, y, z) == (-0.65, 1.65, 20.00)
+    assert theta == -1.59
+    assert tuple(bbox2d) == (587.0, 173.3, 614.1, 200.1)
 
     with pytest.raises(MalformedLine) as exc:
         parse_labels(label_text + "Car 1 2 3\n")

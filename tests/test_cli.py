@@ -1,5 +1,7 @@
-import argparse
+import contextlib
+import csv
 import dataclasses
+import io
 import json
 import math
 
@@ -17,19 +19,35 @@ from compdepth import (
 )
 from compdepth.cli import _build_parser, main
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property test below skips itself
+    given = None
 
-@pytest.fixture
-def dataset(tmp_path):
-    """Two synthetic frames written as calib/label files."""
-    calib_dir = tmp_path / "calib"
-    label_dir = tmp_path / "label_2"
+
+def write_dataset(root):
+    """Two synthetic frames of 25 objects written as calib/label files."""
+    calib_dir = root / "calib"
+    label_dir = root / "label_2"
     calib_dir.mkdir()
     label_dir.mkdir()
     for frame, seed in (("000000", 7), ("000001", 8)):
         scene = make_scene(25, seed=seed)
         (calib_dir / f"{frame}.txt").write_text(format_calib(scene.intrinsics))
         (label_dir / f"{frame}.txt").write_text(format_labels(scene.objects))
-    return tmp_path
+    return root
+
+
+@pytest.fixture
+def dataset(tmp_path):
+    """The dataset in the test's own temporary directory."""
+    return write_dataset(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def shared_dataset(tmp_path_factory):
+    """The dataset, once per module, for property tests that only read it."""
+    return write_dataset(tmp_path_factory.mktemp("corpus"))
 
 
 def run(args):
@@ -180,13 +198,13 @@ def test_eval_scores_against_label_depths(dataset, tmp_path, capsys):
     # the truth comes from the labels: a record's own z_star, wrong or
     # absent, plays no part
     from compdepth import parse_labels
-    labels = parse_labels((dataset / "label_2" / "000000.txt").read_text())
+    z = parse_labels((dataset / "label_2" / "000000.txt").read_text()).z.tolist()
     preds = tmp_path / "p.jsonl"
     preds.write_text(
         json.dumps({"frame": "000000", "index": 0, "z_star": 999.0,
-                    "branches": [{"name": "key", "z": labels[0].z + 1.0}]}) + "\n"
+                    "branches": [{"name": "key", "z": z[0] + 1.0}]}) + "\n"
         + json.dumps({"frame": "000000", "index": 1,
-                      "branches": [{"name": "key", "z": labels[1].z - 3.0}]}) + "\n")
+                      "branches": [{"name": "key", "z": z[1] - 3.0}]}) + "\n")
     code = run(["eval", "--calib-dir", dataset / "calib",
                 "--label-dir", dataset / "label_2", "--predictions", preds])
     report = read_json_report(capsys.readouterr().out)
@@ -247,6 +265,29 @@ def test_subnormal_sigma_is_a_schema_error(dataset, tmp_path, capsys):
             assert (code, captured.out, captured.err) == (1, "", f"error: line 1: {message}\n")
 
 
+@pytest.mark.parametrize("command", ["eval", "lab"])
+@pytest.mark.parametrize("line, message", [
+    ("[" * 200_000,
+     "maximum recursion depth exceeded while decoding a JSON array from a unicode string"),
+    ('{"frame":"000000","index":1,"branches":[{"name":"key","z":' + "1" * 5001 + "}]}",
+     "Exceeds the limit (4300 digits) for integer string conversion"),
+], ids=["nested_arrays", "5001_digit_z"])
+def test_pathological_json_is_a_schema_error(command, line, message, dataset, tmp_path,
+                                             capsys):
+    # the JSON parser's own limits end in one error line, not a traceback
+    preds = tmp_path / "p.jsonl"
+    preds.write_text('{"frame":"000000","index":0,"branches":[{"name":"key","z":20.0}]}\n'
+                     + line + "\n")
+    args = {"eval": ["eval", "--calib-dir", dataset / "calib", "--label-dir",
+                     dataset / "label_2", "--predictions", preds],
+            "lab": ["lab", "--mode", "flip", "--predictions", preds]}[command]
+    code = run(args)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith(f"error: line 2: field '': invalid JSON: {message}")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 def test_eval_malformed_labels(dataset, tmp_path, capsys):
     # the referenced frame's label file fails to parse
     (dataset / "label_2" / "000000.txt").write_text("garbage\n")
@@ -274,11 +315,10 @@ def test_lab_flip_sweep_csv(capsys):
 
 def command_options() -> dict[str, set[str]]:
     """Each command's long options, as its subparser declares them."""
-    parser = _build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    _, commands = _build_parser()
     return {command: {flag[2:] for action in p._actions for flag in action.option_strings
                       if flag != "--help" and flag.startswith("--")}
-            for command, p in sub.choices.items()}
+            for command, p in commands.items()}
 
 
 def test_lab_flip_config_header_echoes_settings(dataset, capsys):
@@ -613,7 +653,10 @@ def test_unread_flag_is_a_usage_error(command, flag, value, dataset, capsys):
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""
-    assert f"unrecognized arguments: {flag} {value}" in captured.err
+    # the command's own usage line, which lists the options it does take
+    assert captured.err.startswith(f"usage: compdepth {command} [-h]")
+    error = f"compdepth {command}: error: unrecognized arguments: {flag} {value}\n"
+    assert error in captured.err
 
 
 def test_unknown_subcommand(capsys):
@@ -643,3 +686,70 @@ def test_oracle_box_corner_behind_camera(tmp_path):
     assert table.index.tolist() == list(range(7))
     assert table.valid[6].any()
     assert table.z[6, table.valid[6]] == pytest.approx(z, rel=1e-9)
+
+
+if given is not None:
+    # ordinary values half the time, so that many files get past the schema
+    any_float = st.one_of(st.floats(-100.0, 100.0),
+                          st.floats(allow_nan=False, allow_infinity=False))
+    any_sigma = st.one_of(st.floats(1e-3, 1e3),
+                          st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+
+    @st.composite
+    def valid_prediction_files(draw):
+        """Schema-valid records for the dataset's labels: floats over the
+        whole range, sigma down to the smallest subnormal."""
+        keys = draw(st.lists(st.tuples(st.sampled_from(("000000", "000001")),
+                                       st.integers(0, 24)),
+                             min_size=1, max_size=6, unique=True))
+        lines = []
+        for frame, index in keys:
+            record = {"frame": frame, "index": index}
+            if draw(st.integers(0, 3)):  # lab needs every z_star
+                record["z_star"] = draw(any_float)
+            names = draw(st.lists(st.sampled_from(("key", "glo", "comp")), min_size=1,
+                                  unique=True))
+            record["branches"] = [{"name": name, "z": draw(any_float),
+                                   "sigma": draw(any_sigma)} for name in names]
+            lines.append(json.dumps(record) + "\n")
+        return "".join(lines)
+
+
+def reject_constant(name):
+    raise AssertionError(f"report holds {name}")
+
+
+def test_any_valid_predictions_end_cleanly(shared_dataset):
+    """eval and lab --predictions on any schema-valid file: exit 0 or 3 with
+    only finite numbers written, or exit 1 with one error line."""
+    if given is None:
+        pytest.skip("hypothesis is not installed")
+    preds = shared_dataset / "any.jsonl"
+    commands = {
+        "eval": ["eval", "--calib-dir", shared_dataset / "calib", "--label-dir",
+                 shared_dataset / "label_2", "--predictions", preds],
+        "lab": ["lab", "--mode", "flip", "--predictions", preds],
+    }
+
+    @settings(max_examples=40)
+    @given(valid_prediction_files())
+    def check(text):
+        preds.write_text(text)
+        for command, args in commands.items():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(args)
+            out, err = out.getvalue(), err.getvalue()
+            if code == 1:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+                continue
+            assert code in (0, 3)
+            if command == "eval":
+                json.loads(out, parse_constant=reject_constant)
+            else:
+                rows = csv.DictReader(l for l in out.splitlines() if not l.startswith("#"))
+                for row in rows:
+                    for key in ("x", "mae", "count", "baseline_mae"):
+                        assert row[key] == "" or math.isfinite(float(row[key])), row
+
+    check()

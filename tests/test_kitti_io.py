@@ -24,6 +24,7 @@ from compdepth import (
     write_report,
 )
 from prediction_records import columns, read_records
+from prediction_reference import read_predictions as reference_read
 
 CALIB_TEXT = (
     "P0: 7.215377e+02 0.000000e+00 6.095593e+02 0.000000e+00 "
@@ -80,33 +81,57 @@ def test_format_calib_round_trip(kitti_cam):
 # labels
 # ---------------------------------------------------------------------------
 
+def label_row(o):
+    """The LabelTable.values row of an Object3D."""
+    score = math.nan if o.score is None else o.score
+    return [o.truncation, o.occlusion, o.alpha, *o.bbox2d,
+            o.h, o.w, o.l, o.x, o.y, o.z, o.theta, score]
+
+
 def test_parse_labels_golden():
-    objs = parse_labels(LABEL_LINE + "\n")
-    assert len(objs) == 1
-    o = objs[0]
-    assert o.class_name == "Car"
-    assert o.truncation == 0.0
-    assert o.occlusion == 0
-    assert o.alpha == pytest.approx(-1.58)
-    assert o.bbox2d == (587.0, 173.3, 614.1, 200.1)
-    assert (o.h, o.w, o.l) == (1.50, 1.67, 3.64)
-    assert (o.x, o.y, o.z) == (-0.65, 1.65, 20.00)
-    assert o.theta == pytest.approx(-1.59)
-    assert o.score is None
+    labels = parse_labels(LABEL_LINE + "\n")
+    assert len(labels) == 1
+    assert labels.class_names == ("Car",)
+    (truncation, occlusion, alpha, *bbox2d, h, w, l, x, y, z, theta,
+     score) = labels.values[0].tolist()
+    assert truncation == 0.0
+    assert occlusion == 0
+    assert alpha == pytest.approx(-1.58)
+    assert tuple(bbox2d) == (587.0, 173.3, 614.1, 200.1)
+    assert (h, w, l) == (1.50, 1.67, 3.64)
+    assert (x, y, z) == (-0.65, 1.65, 20.00)
+    assert theta == pytest.approx(-1.59)
+    assert math.isnan(score)  # no score
+    # the named columns the commands read
+    assert (labels.h[0], labels.x[0], labels.y[0], labels.z[0]) == (1.50, -0.65, 1.65, 20.00)
+    assert labels.dontcare.tolist() == [False]
+    assert not labels.values.flags.writeable and not labels.dontcare.flags.writeable
 
 
 def test_parse_labels_with_score():
-    objs = parse_labels(LABEL_LINE + " 0.91\n")
-    assert objs[0].score == pytest.approx(0.91)
+    labels = parse_labels(LABEL_LINE + " 0.91\n")
+    assert labels.values[0, 14] == pytest.approx(0.91)
 
 
 def test_parse_labels_blank_lines_and_crlf():
-    objs = parse_labels("\n" + LABEL_LINE + "\r\n\n" + LABEL_LINE + "\n")
-    assert len(objs) == 2
+    labels = parse_labels("\n" + LABEL_LINE + "\r\n\n" + LABEL_LINE + "\n")
+    assert len(labels) == 2
+
+
+def test_parse_labels_mixed_rows():
+    # 15- and 16-token rows, DontCare and CRLF in one file keep file order
+    dontcare = "DontCare -1 -1 -10 500.0 150.0 540.0 180.0 -1 -1 -1 -1000 -1000 -1000 -10"
+    labels = parse_labels(LABEL_LINE + " 0.5\r\n" + dontcare + "\n\n" + LABEL_LINE + "\n")
+    assert labels.class_names == ("Car", "DontCare", "Car")
+    assert labels.dontcare.tolist() == [False, True, False]
+    assert labels.values[0, 14] == 0.5 and np.isnan(labels.values[1:, 14]).all()
+    assert labels.z.tolist() == [20.0, -1000.0, 20.0]
 
 
 def test_parse_labels_empty():
-    assert parse_labels("") == []
+    labels = parse_labels("")
+    assert len(labels) == 0 and labels.class_names == ()
+    assert labels.values.shape == (0, 15) and labels.dontcare.shape == (0,)
 
 
 def test_parse_labels_wrong_token_count():
@@ -132,16 +157,18 @@ def test_labels_round_trip_exact():
     o = Object3D("Pedestrian", 0.25, 1, 0.123456789012345, (1.5, 2.5, 3.5, 4.5),
                  1.78, 0.55, 0.9, -7.123456789, 1.6500000001, 33.333333333333336,
                  -2.9, score=0.5)
-    objs = parse_labels(format_labels([o, o]))
-    assert objs == [o, o]  # full-precision serialization round-trips exactly
+    labels = parse_labels(format_labels([o, o]))
+    # full-precision serialization round-trips exactly
+    assert labels.class_names == ("Pedestrian", "Pedestrian")
+    assert labels.values.tolist() == [label_row(o), label_row(o)]
 
 
 def test_parse_labels_keeps_dontcare():
     text = ("DontCare -1 -1 -10 500.0 150.0 540.0 180.0 "
             "-1 -1 -1 -1000 -1000 -1000 -10\n")
-    objs = parse_labels(text)
-    assert len(objs) == 1
-    assert objs[0].is_dontcare
+    labels = parse_labels(text)
+    assert len(labels) == 1
+    assert labels.dontcare.tolist() == [True]
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +288,15 @@ def test_read_predictions_schema_errors():
                                 '[{"name":"a","z":1.0,"sigma":1e-308}]}\n')) == 1
 
 
+def test_read_predictions_extra_data_is_invalid_json():
+    line = '{"frame":"0","index":0,"branches":[{"name":"a","z":1.0}]}'
+    for extra in (" junk", line, ",1"):
+        with pytest.raises(SchemaError) as exc:
+            read_predictions(line + "\n" + line.replace('"index":0', '"index":1') + extra)
+        assert (exc.value.line_no, exc.value.field) == (2, "")
+        assert "invalid JSON: Extra data" in str(exc.value)
+
+
 def test_read_predictions_rejects_duplicate_records():
     line = '{"frame":"000000","index":3,"branches":[{"name":"a","z":1.0}]}\n'
     other = '{"frame":"000001","index":3,"branches":[{"name":"a","z":1.0}]}\n'
@@ -270,6 +306,19 @@ def test_read_predictions_rejects_duplicate_records():
     assert exc.value.line_no == 4
     assert exc.value.field == "index"
     assert "duplicate record (000000, 3)" in str(exc.value)
+
+
+def test_read_predictions_across_chunks():
+    # more records than the reader parses at a time, with the one bad record
+    # past the first chunk
+    lines = [json.dumps({"frame": f"{i % 7:06d}", "index": i,
+                         "branches": [{"name": "key", "z": i / 3}]}) for i in range(2100)]
+    text = "# header\n" + "\n".join(lines) + "\n"
+    assert columns(read_predictions(text)) == columns(reference_read(text))
+    lines[2050] = lines[2050].replace('"z"', '"sigma": 0, "z"')
+    with pytest.raises(SchemaError) as exc:
+        read_predictions("# header\n" + "\n".join(lines) + "\n")
+    assert (exc.value.line_no, exc.value.field) == (2052, "branches[0].sigma")
 
 
 # ---------------------------------------------------------------------------
