@@ -214,7 +214,9 @@ def rasterize_horizon(h: HorizonLine, width: int, height: int) -> np.ndarray:
 
 
 def fit_horizon(grid: np.ndarray, with_info: bool = False):
-    """Recover a horizon line from a (height, width) heatmap.
+    """Recover a horizon line from a (height, width) heatmap: a float array
+    in [0, 1], or the uint8 pixels heatmap_from_pgm returns, read as
+    pixel / 255.
 
     Takes the per-column peak location, skips columns with no positive
     evidence (an all-zero column is legal), and fits a line by ordinary
@@ -227,11 +229,21 @@ def fit_horizon(grid: np.ndarray, with_info: bool = False):
     image border keep the integer argmax row (ties resolve to the
     smallest row).
 
-    Raises InsufficientSupport when fewer than 2 columns carry evidence.
+    Raises ValueError for a grid of any other dtype and
+    InsufficientSupport when fewer than 2 columns carry evidence.
     """
+    scale = _heatmap_scale(grid)
     width = grid.shape[1]
-    argmax = np.argmax(grid, axis=0)
-    cols = np.nonzero(grid[argmax, np.arange(width)] > 0.0)[0]
+    # pixel / scale is strictly increasing in the pixel, so the argmax and
+    # the evidence test read the grid as given; only the three rows of the
+    # parabola become floats, the same ones heatmap / scale would hold.
+    # A positive column peak lies between the first and last nonzero rows,
+    # so the search skips the all-zero rows above and below them.
+    nonzero_rows = np.flatnonzero(grid.any(axis=1))
+    top, bottom = ((nonzero_rows[0], nonzero_rows[-1] + 1) if nonzero_rows.size
+                   else (0, grid.shape[0]))
+    argmax = top + np.argmax(grid[top:bottom], axis=0)
+    cols = np.nonzero(grid[argmax, np.arange(width)] > 0)[0]
     if cols.size < 2:
         raise InsufficientSupport(f"only {cols.size} usable columns")
     argmax = argmax[cols]
@@ -239,7 +251,7 @@ def fit_horizon(grid: np.ndarray, with_info: bool = False):
 
     inner = (argmax > 0) & (argmax < grid.shape[0] - 1)
     ci, ri = cols[inner], argmax[inner]
-    lo, mid, hi = grid[ri - 1, ci], grid[ri, ci], grid[ri + 1, ci]
+    lo, mid, hi = (np.divide(grid[r, ci], scale) for r in (ri - 1, ri, ri + 1))
     ok = (lo > 0.0) & (hi > 0.0)
     l0, l1, l2 = np.log(lo[ok]), np.log(mid[ok]), np.log(hi[ok])
     denom = l0 - 2.0 * l1 + l2
@@ -269,13 +281,26 @@ def fit_horizon(grid: np.ndarray, with_info: bool = False):
 # PGM import/export (binary P5, 8-bit, row-major)
 # ---------------------------------------------------------------------------
 
+def _heatmap_scale(grid: np.ndarray) -> float:
+    """The value that stands for 1.0 in a heatmap of this dtype."""
+    if grid.dtype == np.uint8:
+        return 255.0
+    if np.issubdtype(grid.dtype, np.floating):
+        return 1.0
+    raise ValueError(f"heatmap must be a float or uint8 array, got dtype {grid.dtype}")
+
+
 def heatmap_to_pgm(grid: np.ndarray) -> bytes:
     """Serialize a (height, width) heatmap as binary PGM (P5, maxval 255).
 
-    Values are clipped to [0, 1] and scaled so 1.0 maps to 255.
+    A uint8 grid is written as its pixel bytes. Float values are clipped
+    to [0, 1] and scaled so 1.0 maps to 255. Raises ValueError for any
+    other dtype.
     """
     height, width = grid.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
+    if _heatmap_scale(grid) == 255.0:
+        return header + grid.tobytes()
     scaled = np.clip(grid, 0.0, 1.0)
     scaled *= 255.0
     np.rint(scaled, out=scaled)
@@ -283,8 +308,11 @@ def heatmap_to_pgm(grid: np.ndarray) -> bytes:
 
 
 def heatmap_from_pgm(data: bytes) -> np.ndarray:
-    """Parse a binary PGM (P5, maxval 255) produced by heatmap_to_pgm into
-    a (height, width) heatmap."""
+    """Parse a binary PGM (P5, maxval 255) produced by heatmap_to_pgm.
+
+    Returns its pixels as a read-only (height, width) uint8 view of
+    `data`, without a copy; fit_horizon reads them as pixel / 255.
+    """
     match = re.match(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s", data)
     if match is None:
         raise ValueError("not a binary P5 PGM")
@@ -293,8 +321,7 @@ def heatmap_from_pgm(data: bytes) -> np.ndarray:
         raise ValueError("PGM width and height must be at least 1")
     if maxval != 255:
         raise ValueError(f"expected maxval 255, got {maxval}")
-    body = data[match.end():]
+    body = memoryview(data).toreadonly()[match.end():]
     if len(body) != width * height:
         raise ValueError(f"expected {width * height} pixel bytes, got {len(body)}")
-    # dividing the uint8 view makes the one float64 array
-    return np.frombuffer(body, dtype=np.uint8).reshape(height, width) / 255.0
+    return np.frombuffer(body, dtype=np.uint8).reshape(height, width)

@@ -488,6 +488,7 @@ def test_plane_report_and_heatmaps(dataset, capsys):
     assert data["summary"]["y_mae"] < 1e-9
     hm = heatmap_from_pgm((heat_dir / "000000.pgm").read_bytes())
     assert hm.shape == (188, 620)
+    assert hm.dtype == np.uint8
 
 
 def test_plane_fallback_exit_code(tmp_path, capsys):

@@ -309,13 +309,27 @@ def test_fit_horizon_degraded_above_image():
 # ---------------------------------------------------------------------------
 
 def test_pgm_header_and_round_trip():
-    hm = rasterize_horizon(HorizonLine(0.005, 180.25), width=200, height=120)
+    hm = rasterize_horizon(HorizonLine(0.05, 50.25), width=200, height=120)
     data = heatmap_to_pgm(hm)
     assert data.startswith(b"P5\n200 120\n255\n")
     assert len(data) == len(b"P5\n200 120\n255\n") + 200 * 120
     back = heatmap_from_pgm(data)
     assert back.shape == (120, 200)
-    assert np.abs(back - hm).max() <= 0.5 / 255.0 + 1e-12
+    assert back.dtype == np.uint8
+    assert not back.flags.writeable
+    assert np.count_nonzero(back) > 200  # the line crosses every column
+    assert np.abs(back / 255.0 - hm).max() <= 0.5 / 255.0 + 1e-12
+    assert heatmap_to_pgm(back) == data
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.uint16])
+def test_heatmap_rejects_other_dtypes(dtype):
+    grid = np.ones((3, 4), dtype=dtype)
+    message = f"heatmap must be a float or uint8 array, got dtype {np.dtype(dtype)}"
+    with pytest.raises(ValueError, match=message):
+        fit_horizon(grid)
+    with pytest.raises(ValueError, match=message):
+        heatmap_to_pgm(grid)
 
 
 def test_pgm_rejects_garbage():

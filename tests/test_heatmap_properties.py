@@ -105,8 +105,9 @@ def test_pgm_encode_decode_match_references(grid):
     data = heatmap_to_pgm(grid)
     assert data == pgm_encode_reference(grid)
     back = heatmap_from_pgm(data)
-    assert back.dtype == np.float64
-    assert back.tobytes() == pgm_decode_reference(data).tobytes()
+    assert back.dtype == np.uint8
+    assert not back.flags.writeable
+    assert (back / 255.0).tobytes() == pgm_decode_reference(data).tobytes()
 
 
 # few distinct values, so columns tie on their peak and have flat tops
@@ -126,3 +127,38 @@ def test_fit_horizon_matches_reference(grid):
     assert repr(line) == repr(expected[0])
     assert (info.columns_used, info.rms_residual, info.degraded) == expected[1]
     assert info.width == grid.shape[1]
+
+
+@given(st.one_of(
+    st.builds(rasterize_horizon, lines, st.integers(1, 60), st.integers(1, 40)),
+    tie_grids))
+def test_fit_horizon_of_pgm_matches_float_decode(grid):
+    """The fit reads the uint8 pixels exactly as the float grid they decode to."""
+    data = heatmap_to_pgm(grid)
+    try:
+        expected = fit_reference(pgm_decode_reference(data))
+    except InsufficientSupport as exc:
+        with pytest.raises(InsufficientSupport, match=str(exc)):
+            fit_horizon(heatmap_from_pgm(data))
+        return
+    line, info = fit_horizon(heatmap_from_pgm(data), with_info=True)
+    assert repr(line) == repr(expected[0])
+    assert repr((info.columns_used, info.rms_residual, info.degraded)) == repr(expected[1])
+
+
+whitespace = st.text(" \t\n\r\v\f", min_size=1, max_size=3)
+number = st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.sampled_from(["{}", "0{}", "00{}"])))
+
+
+@given(number, number, whitespace, whitespace, whitespace, st.sampled_from(" \t\n\r\v\f"),
+       st.randoms(use_true_random=False))
+def test_pgm_pixels_write_back_unchanged(width, height, sep1, sep2, sep3, last, rnd):
+    """Any valid P5 file reads back and writes out as the same pixel bytes
+    under the canonical header, so a canonical file is written back as is."""
+    (w, w_fmt), (h, h_fmt) = width, height
+    body = rnd.randbytes(w * h)
+    header = f"P5{sep1}{w_fmt.format(w)}{sep2}{h_fmt.format(h)}{sep3}255{last}"
+    canonical = f"P5\n{w} {h}\n255\n".encode("ascii") + body
+    assert heatmap_to_pgm(heatmap_from_pgm(header.encode("ascii") + body)) == canonical
+    assert heatmap_to_pgm(heatmap_from_pgm(canonical)) == canonical
