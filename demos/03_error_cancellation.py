@@ -11,15 +11,15 @@ reproduces the three experiment shapes built on it.
 import numpy as np
 
 from compdepth import (
+    EnsembleTable,
     complementarity_score,
     disturb_sweep,
     esop,
     flip,
     flip_sweep,
+    fuse,
     generate_ensembles,
-    mae,
     multi_flip,
-    soft_fuse_array,
 )
 from compdepth.lab import ErrorModelConfig
 
@@ -33,8 +33,11 @@ w1 = rng.uniform(0.0, 1.0, 100000)
 z_star = np.full(100000, 20.0)
 sigma = np.column_stack([1.0 / w1, 1.0 / (1.0 - w1)])
 z1, z2 = z_star + e1, z_star + e2
-same = np.abs(soft_fuse_array(np.column_stack([z1, z2]), sigma) - z_star)
-mixed = np.abs(soft_fuse_array(np.column_stack([z1, flip(z2, z_star)]), sigma) - z_star)
+# one object per row, one branch per column
+pair = EnsembleTable(names=("b1", "b2"), z=np.column_stack([z1, z2]), sigma=sigma,
+                     z_star=z_star)
+same = np.abs(fuse(pair) - z_star)
+mixed = np.abs(fuse(pair, np.column_stack([z1, flip(z2, z_star)])) - z_star)
 print(f"|fused error|, same-sign branches:      {same.mean():.4f}")
 print(f"|fused error|, one branch sign-flipped: {mixed.mean():.4f}")
 
@@ -51,7 +54,7 @@ ensembles = generate_ensembles(truths, cfg)
 errs = {name: ensembles.z[:, j] - ensembles.z_star
         for j, name in enumerate(ensembles.names)}
 opp = esop(errs["b0"], errs["b1"])
-b0_mae = mae(errs["b0"], np.zeros_like(errs["b0"]))
+b0_mae = np.mean(np.abs(errs["b0"]))
 print(f"\nb0 vs b1: ESOP {opp:.1f}%, MAE {b0_mae:.3f}, "
       f"CS {complementarity_score(opp, b0_mae):.2f}")
 

@@ -17,10 +17,8 @@ from .depth_branches import (
     z_key,
 )
 from .errors import (
-    AllBranchesInvalid,
     CompdepthError,
     DegeneratePlane,
-    EmptyEnsemble,
     EmptyInput,
     InsufficientSupport,
     JoinError,
@@ -30,12 +28,11 @@ from .errors import (
     MalformedMatrix,
     MissingKey,
     NonMonotoneEdges,
-    NonPositiveSigma,
     SchemaError,
     UnknownBranch,
     ZeroMAE,
 )
-from .fusion import soft_fuse_array
+from .fusion import fuse
 from .ground_plane import (
     DEFAULT_CAM_HEIGHT,
     GroundPlane,
@@ -75,35 +72,30 @@ from .lab import (
 )
 from .metrics import (
     DEFAULT_DEPTH_EDGES,
-    DEFAULT_Y_ERROR_EDGES,
     BinnedMae,
     ComplementarityReport,
     binned_mae,
     complementarity_score,
     esop,
     evaluate_ensembles,
-    mae,
 )
 from .synthetic import DEFAULT_INTRINSICS, Scene, make_scene, random_plane
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllBranchesInvalid", "BinnedMae", "CameraIntrinsics", "CompdepthError",
-    "ComplementarityReport", "DEFAULT_CAM_HEIGHT", "DEFAULT_DEPTH_EDGES",
-    "DEFAULT_EPS_DEN", "DEFAULT_INTRINSICS", "DEFAULT_Y_ERROR_EDGES",
-    "DegeneratePlane", "EmptyEnsemble", "EmptyInput", "EnsembleTable",
+    "BinnedMae", "CameraIntrinsics", "CompdepthError", "ComplementarityReport",
+    "DEFAULT_CAM_HEIGHT", "DEFAULT_DEPTH_EDGES", "DEFAULT_EPS_DEN",
+    "DEFAULT_INTRINSICS", "DegeneratePlane", "EmptyInput", "EnsembleTable",
     "ErrorModelConfig", "GroundPlane", "HorizonFitInfo", "HorizonLine",
     "InsufficientSupport", "JoinError", "KOutOfRange", "LabelTable", "LengthMismatch",
-    "MalformedLine", "MalformedMatrix", "MissingKey", "NonMonotoneEdges",
-    "NonPositiveSigma", "Object3D", "PlaneFitInfo", "Scene", "SchemaError",
-    "SweepCurve", "UnknownBranch", "ZeroMAE", "binned_mae", "box_keypoints",
-    "complementarity_score", "disturb_sweep", "esop", "evaluate_ensembles",
-    "fit_horizon", "fit_plane", "flip", "flip_sweep", "format_calib",
-    "format_labels", "generate_ensembles", "heatmap_from_pgm",
-    "heatmap_to_pgm", "horizon_to_plane", "mae", "make_scene", "multi_flip",
-    "parse_calib", "parse_labels", "plane_to_horizon", "project",
-    "random_plane", "rasterize_horizon", "read_predictions", "soft_fuse_array",
-    "write_curves", "write_predictions", "write_report", "y_global", "z_alt",
-    "z_comp", "z_global", "z_key"
+    "MalformedLine", "MalformedMatrix", "MissingKey", "NonMonotoneEdges", "Object3D",
+    "PlaneFitInfo", "Scene", "SchemaError", "SweepCurve", "UnknownBranch", "ZeroMAE",
+    "binned_mae", "box_keypoints", "complementarity_score", "disturb_sweep", "esop",
+    "evaluate_ensembles", "fit_horizon", "fit_plane", "flip", "flip_sweep",
+    "format_calib", "format_labels", "fuse", "generate_ensembles", "heatmap_from_pgm",
+    "heatmap_to_pgm", "horizon_to_plane", "make_scene", "multi_flip", "parse_calib",
+    "parse_labels", "plane_to_horizon", "project", "random_plane", "rasterize_horizon",
+    "read_predictions", "write_curves", "write_predictions", "write_report", "y_global",
+    "z_alt", "z_comp", "z_global", "z_key"
 ]

@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
-Parsers, the ground-plane and horizon code, fusion, metrics, and the lab
-raise these instead of bare ValueError so callers can tell data problems
+Parsers, the ground-plane and horizon code, metrics, and the lab raise
+these instead of bare ValueError so callers can tell data problems
 from numerical degeneracies. The per-object geometry (projection, ground
 elevation and the depth kernels) raises none: it returns NaN where the
 geometry is undefined, and the CLI counts those entries as failed
@@ -72,22 +72,6 @@ class JoinError(CompdepthError):
         more = "" if len(keys) <= 5 else f" and {len(keys) - 5} more"
         super().__init__(f"{message}: {shown}{more}")
         self.unmatched = keys
-
-
-# ---------------------------------------------------------------------------
-# fusion
-# ---------------------------------------------------------------------------
-
-class EmptyEnsemble(CompdepthError):
-    """Fusion needs at least one branch."""
-
-
-class NonPositiveSigma(CompdepthError):
-    """Branch uncertainty must be strictly positive."""
-
-
-class AllBranchesInvalid(CompdepthError):
-    """Every branch of an ensemble was masked out."""
 
 
 # ---------------------------------------------------------------------------

@@ -307,13 +307,19 @@ def heatmap_to_pgm(grid: np.ndarray) -> bytes:
     return header + scaled.astype(np.uint8).tobytes()
 
 
-def heatmap_from_pgm(data: bytes) -> np.ndarray:
-    """Parse a binary PGM (P5, maxval 255) produced by heatmap_to_pgm.
+#: Whitespace or a '#' comment, which runs to the end of its line, between
+#: the tokens of a PGM header.
+_PGM_SEP = rb"(?:\s|#[^\r\n]*[\r\n])+"
 
-    Returns its pixels as a read-only (height, width) uint8 view of
-    `data`, without a copy; fit_horizon reads them as pixel / 255.
+
+def heatmap_from_pgm(data: bytes) -> np.ndarray:
+    """Parse a binary PGM (P5, maxval 255), such as heatmap_to_pgm writes.
+
+    Comments may stand between the header tokens. Returns the pixels as a
+    read-only (height, width) uint8 view of `data`, without a copy;
+    fit_horizon reads them as pixel / 255.
     """
-    match = re.match(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s", data)
+    match = re.match(rb"P5%s(\d+)%s(\d+)%s(\d+)\s" % ((_PGM_SEP,) * 3), data)
     if match is None:
         raise ValueError("not a binary P5 PGM")
     width, height, maxval = (int(g) for g in match.groups())

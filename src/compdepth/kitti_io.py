@@ -632,31 +632,27 @@ def write_plane_report(frames: Sequence[dict], summary: dict, format: str = "jso
 
     frames holds one dict per frame with frame, n_points, fallback, k_h, b_h
     and y_mae (None when no elevation was scored). summary holds
-    fallback_frames, n_objects and, when any elevation was scored, y_mae and
-    binned_by_y_error (a BinnedMae). CSV writes the scalar summary as '#
-    key: value' lines under the header and leaves out the binned table.
-    Floats are written at 6 significant digits.
+    fallback_frames, n_objects and, when any elevation was scored, y_mae.
+    CSV writes the summary as '# key: value' lines under the header.
+    Floats are written at 6 significant digits. Raises ValueError naming
+    the field when a float is not finite.
     """
+    for where, record in [*((f"frame {r['frame']}", r) for r in frames), ("summary", summary)]:
+        for key, value in record.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"plane report: {key} of {where} is not finite ({value})")
     if format == "json":
-        doc_summary = {**summary, "y_mae": _round6(summary.get("y_mae"))}
-        table = summary.get("binned_by_y_error")
-        if table is not None:
-            doc_summary["binned_by_y_error"] = {
-                "edges": [_edge_json(e) for e in table.edges],
-                "mae": [_round6(v) for v in table.maes],
-                "counts": list(table.counts),
-            }
         doc = {
             "header": None if header is None else dict(sorted(header.items())),
             "frames": [{**r, "k_h": _round6(r["k_h"]), "b_h": _round6(r["b_h"]),
                         "y_mae": _round6(r["y_mae"])} for r in frames],
-            "summary": doc_summary,
+            "summary": {**summary, "y_mae": _round6(summary.get("y_mae"))},
         }
         return json.dumps(doc, indent=2) + "\n"
     if format != "csv":
         raise ValueError(f"unknown format '{format}' (expected 'json' or 'csv')")
     summary_lines = [f"# {key}: {_fmt6(value) if isinstance(value, float) else value}"
-                     for key, value in sorted(summary.items()) if key != "binned_by_y_error"]
+                     for key, value in sorted(summary.items())]
     buf = io.StringIO()
     buf.writelines(line + "\n" for line in _header_lines(header) + summary_lines)
     writer = csv.writer(buf, lineterminator="\n")

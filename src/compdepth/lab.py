@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import KOutOfRange, UnknownBranch
-from .fusion import soft_fuse_array
+from .fusion import fuse
 from .kitti_io import EnsembleTable
 
 #: Lower bound of proportional sigmas, which keeps them strictly positive.
@@ -146,7 +146,7 @@ def _require_truth(table: EnsembleTable) -> None:
 def _fused_mae(table: EnsembleTable, z: np.ndarray) -> float:
     """MAE over all objects of the fusion of z with the table's sigmas,
     each object fused over its present branches."""
-    fused = soft_fuse_array(z, table.sigma, valid=table.valid)
+    fused = fuse(table, z)
     return float(np.mean(np.abs(fused - table.z_star)))
 
 

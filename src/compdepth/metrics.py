@@ -17,27 +17,13 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import EmptyInput, LengthMismatch, NonMonotoneEdges, ZeroMAE
-from .fusion import soft_fuse_array
+from .fusion import fuse
 
 if TYPE_CHECKING:
     from .kitti_io import EnsembleTable
 
 #: Depth bins (meters) used for binned MAE tables: 0-20, 20-40, 40+.
 DEFAULT_DEPTH_EDGES = (0.0, 20.0, 40.0, math.inf)
-
-#: Elevation-error bins (meters) for robustness tables.
-DEFAULT_Y_ERROR_EDGES = (0.0, 0.1, 0.2, 0.3, 0.4, math.inf)
-
-
-def mae(predictions: Sequence[float], truths: Sequence[float]) -> float:
-    """Mean absolute error of paired predictions and truths."""
-    p = np.asarray(predictions, dtype=float)
-    t = np.asarray(truths, dtype=float)
-    if p.shape != t.shape:
-        raise LengthMismatch(f"{p.shape} predictions vs {t.shape} truths")
-    if p.size == 0:
-        raise EmptyInput("MAE needs at least one pair")
-    return float(np.mean(np.abs(p - t)))
 
 
 def esop(errors_a: Sequence[float], errors_b: Sequence[float]) -> float:
@@ -83,14 +69,10 @@ class BinnedMae:
 
 
 def binned_mae(predictions: Sequence[float], truths: Sequence[float],
-               edges: Sequence[float] = DEFAULT_DEPTH_EDGES,
-               key: Sequence[float] | None = None) -> BinnedMae:
-    """MAE per bin, binning each pair by a key value.
+               edges: Sequence[float] = DEFAULT_DEPTH_EDGES) -> BinnedMae:
+    """MAE per bin, binning each pair by its truth value.
 
-    The key defaults to the truth value (depth-binned tables); pass e.g.
-    per-object elevation errors to reproduce robustness-style tables, which
-    bin depth error by how wrong the ground elevation was. Samples whose key
-    falls outside [edges[0], edges[-1]) are dropped.
+    Pairs whose truth falls outside [edges[0], edges[-1]) are dropped.
 
     Raises NonMonotoneEdges unless edges are strictly increasing.
     """
@@ -104,16 +86,13 @@ def binned_mae(predictions: Sequence[float], truths: Sequence[float],
     if e.size < 2 or not np.all(np.diff(e) > 0):
         raise NonMonotoneEdges(
             f"edges must be at least 2 strictly increasing values, got {list(edges)}")
-    k = t if key is None else np.asarray(key, dtype=float)
-    if k.shape != p.shape:
-        raise LengthMismatch(f"{k.shape} keys vs {p.shape} pairs")
 
     abs_err = np.abs(p - t)
-    idx = np.searchsorted(e, k, side="right") - 1
+    idx = np.searchsorted(e, t, side="right") - 1
     maes: list[float | None] = []
     counts: list[int] = []
     for i in range(e.size - 1):
-        mask = (idx == i) & (k < e[-1])
+        mask = (idx == i) & (t < e[-1])
         n = int(np.count_nonzero(mask))
         counts.append(n)
         maes.append(float(np.mean(abs_err[mask])) if n else None)
@@ -197,8 +176,8 @@ def evaluate_ensembles(table: "EnsembleTable",
             except ZeroMAE:
                 flags.append(f"zero_mae:{name}")
 
-    fused = soft_fuse_array(table.z, table.sigma, valid=valid)
-    fused_mae = mae(fused, z_star)
+    fused = fuse(table)
+    fused_mae = float(np.mean(np.abs(fused - z_star)))
     # Overflow ends as one error, not numpy warnings. ESOP is always finite.
     for metric, value in [*((f"MAE of branch '{n}'", v) for n, v in branch_mae.items()),
                           *((f"CS of branch '{n}'", v) for n, v in branch_cs.items()),

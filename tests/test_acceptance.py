@@ -25,6 +25,7 @@ from compdepth import (
     flip_sweep,
     format_calib,
     format_labels,
+    fuse,
     generate_ensembles,
     horizon_to_plane,
     make_scene,
@@ -34,7 +35,6 @@ from compdepth import (
     plane_to_horizon,
     rasterize_horizon,
     read_predictions,
-    soft_fuse_array,
     y_global,
     z_alt,
     z_comp,
@@ -43,7 +43,7 @@ from compdepth import (
 )
 from compdepth.cli import main
 from compdepth.lab import ErrorModelConfig
-from fusion_reference import soft_fuse
+from fusion_reference import soft_fuse, table_of
 
 # Published ablation rows from a driving benchmark, as (MAE m, ESOP %, CS);
 # every row that reports all three values, two of which coincide across tables
@@ -116,8 +116,8 @@ def test_c03_flip_lemma():
     z_star = rng.uniform(5.0, 60.0, n)
     sigma = np.column_stack([1.0 / w1, 1.0 / (1.0 - w1)])
     z1, z2 = z_star + e1, z_star + e2
-    e_coupled = np.abs(soft_fuse_array(np.column_stack([z1, z2]), sigma) - z_star)
-    e_flipped = np.abs(soft_fuse_array(np.column_stack([z1, flip(z2, z_star)]), sigma)
+    e_coupled = np.abs(fuse(table_of(np.column_stack([z1, z2]), sigma)) - z_star)
+    e_flipped = np.abs(fuse(table_of(np.column_stack([z1, flip(z2, z_star)]), sigma))
                        - z_star)
     assert np.all(e_flipped <= e_coupled)
     assert np.all(e_flipped < e_coupled)  # strict: no error here is zero
@@ -262,13 +262,13 @@ def test_c10_fusion_contracts_and_determinism(dataset, tmp_path, capsys):
     rng = np.random.default_rng(99)
     z = rng.uniform(2.0, 80.0, (10000, 4))
     sigma = rng.uniform(0.05, 9.0, (10000, 4))
-    fused = soft_fuse_array(z, sigma)
+    fused = fuse(table_of(z, sigma))
     assert np.all(fused >= z.min(axis=1) - 1e-9)
     assert np.all(fused <= z.max(axis=1) + 1e-9)
-    scaled = soft_fuse_array(z, 3.7 * sigma)
+    scaled = fuse(table_of(z, 3.7 * sigma))
     assert np.allclose(scaled, fused, rtol=1e-12, atol=0.0)
     perm = rng.permutation(4)
-    shuffled = soft_fuse_array(z[:, perm], sigma[:, perm])
+    shuffled = fuse(table_of(z[:, perm], sigma[:, perm]))
     assert np.allclose(shuffled, fused, rtol=1e-12, atol=0.0)
     for i in range(0, 10000, 500):  # scalar path agrees with the array path
         got = soft_fuse(list(zip(z[i], sigma[i])))

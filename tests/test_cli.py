@@ -617,6 +617,37 @@ def test_plane_huge_focal_length_counts_failed_elevations(huge_focal_dirs, capsy
     assert report["summary"] == {"fallback_frames": 0, "n_objects": 0, "y_mae": None}
 
 
+def label_dirs(tmp_path, label_text):
+    """--calib-dir and --label-dir of one frame with a normal P2 and the
+    given label text."""
+    calib_dir, label_dir = tmp_path / "calib", tmp_path / "label_2"
+    calib_dir.mkdir()
+    label_dir.mkdir()
+    (calib_dir / "000000.txt").write_text(format_calib(make_scene(2, seed=3).intrinsics))
+    (label_dir / "000000.txt").write_text(label_text)
+    return ["--calib-dir", calib_dir, "--label-dir", label_dir]
+
+
+def test_oracle_overflowing_label_warns_only_by_count(tmp_path, capsys):
+    # printed numpy's "overflow encountered in subtract" before its warnings
+    dirs = label_dirs(tmp_path, "Car 0 0 0 0 0 10 10 1e308 1.6 3.9 1 -1e308 20 0\n")
+    assert run(["oracle", *dirs, "--out", tmp_path / "preds.jsonl"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err and all(line.startswith("warning: ") for line in err)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_plane_non_finite_elevation_mae_is_one_error(tmp_path, capsys, fmt):
+    # exited 3 with "y_mae": Infinity (invalid JSON) and numpy's "overflow
+    # encountered in reduce"
+    dirs = label_dirs(tmp_path, "Car 0 0 0 0 0 10 10 1.5 1.6 3.9 1 1.7e308 20 0\n"
+                                "Car 0 0 0 0 0 10 10 1.5 1.6 3.9 -2 1.7e308 30 0\n")
+    assert run(["plane", *dirs, "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: plane report: y_mae of frame 000000 is not finite (inf)\n"
+
+
 def test_plane_csv(dataset, capsys):
     code = run(["plane", "--calib-dir", dataset / "calib",
                 "--label-dir", dataset / "label_2", "--format", "csv"])

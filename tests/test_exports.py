@@ -1,9 +1,13 @@
-"""compdepth.__all__ is exactly the public names that __init__.py imports."""
+"""compdepth.__all__ is exactly the public names that __init__.py imports,
+and every exception type in compdepth.errors is raised somewhere."""
 
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import compdepth
+from compdepth import errors
 
 
 def imported_public_names() -> list[str]:
@@ -25,3 +29,13 @@ def test_all_equals_imported_public_names():
     imported = imported_public_names()
     assert len(imported) == len(set(imported))
     assert set(compdepth.__all__) == set(imported)
+
+
+def test_every_error_type_is_raised():
+    sources = "".join(path.read_text()
+                      for path in Path(compdepth.__file__).parent.glob("*.py"))
+    types = [cls.__name__ for cls in vars(errors).values()
+             if inspect.isclass(cls) and issubclass(cls, errors.CompdepthError)
+             and cls is not errors.CompdepthError]
+    assert types
+    assert [name for name in types if not re.search(rf"raise {name}\(", sources)] == []

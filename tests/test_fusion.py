@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from compdepth import (
-    AllBranchesInvalid,
-    EmptyEnsemble,
-    LengthMismatch,
-    NonPositiveSigma,
-    soft_fuse_array,
-)
-from fusion_reference import soft_fuse
+from compdepth import fuse
+from fusion_reference import soft_fuse, table_of
 
 
 def test_soft_fuse_hand_value():
@@ -27,15 +21,6 @@ def test_soft_fuse_equal_sigmas_is_mean():
     fused = soft_fuse([(10.0, 2.0), (20.0, 2.0), (30.0, 2.0)])
     assert fused.z_soft == pytest.approx(20.0)
     assert fused.weights == pytest.approx((1 / 3, 1 / 3, 1 / 3))
-
-
-def test_soft_fuse_validation():
-    with pytest.raises(EmptyEnsemble):
-        soft_fuse_array(np.empty((2, 0)), np.empty((2, 0)))
-    with pytest.raises(NonPositiveSigma):
-        soft_fuse_array([[20.0]], [[0.0]])
-    with pytest.raises(NonPositiveSigma):
-        soft_fuse_array([[20.0, 21.0]], [[1.0, -2.0]])
 
 
 def test_soft_fuse_properties():
@@ -83,7 +68,7 @@ def test_soft_fuse_array_matches_scalar():
     rng = np.random.default_rng(73)
     z = rng.uniform(2.0, 80.0, (50, 4))
     sigma = rng.uniform(0.05, 9.0, (50, 4))
-    fused = soft_fuse_array(z, sigma)
+    fused = fuse(table_of(z, sigma))
     assert fused.shape == (50,)
     for i in range(50):
         want = soft_fuse(list(zip(z[i], sigma[i]))).z_soft
@@ -91,18 +76,15 @@ def test_soft_fuse_array_matches_scalar():
 
 
 def test_soft_fuse_array_axis():
-    # the branches are the last axis, whatever the array's rank
-    z = np.array([[[10.0, 20.0], [30.0, 40.0]], [[50.0, 60.0], [70.0, 80.0]]])
-    sigma = np.ones_like(z)
-    assert soft_fuse_array(z, sigma).tolist() == [[15.0, 35.0], [55.0, 75.0]]
+    # one fused depth per object, across its branches; a passed z replaces
+    # the table's
+    table = table_of([[10.0, 20.0], [30.0, 40.0]], np.ones((2, 2)))
+    assert fuse(table).tolist() == [15.0, 35.0]
+    assert fuse(table, np.array([[50.0, 60.0], [70.0, 80.0]])).tolist() == [55.0, 75.0]
 
 
 def test_soft_fuse_array_mask_validation():
-    z = np.array([[10.0, 20.0], [30.0, 40.0]])
-    sigma = np.ones_like(z)
-    with pytest.raises(LengthMismatch):
-        soft_fuse_array(z, sigma, valid=np.ones((2, 3), dtype=bool))
-    with pytest.raises(AllBranchesInvalid):
-        soft_fuse_array(z, sigma, valid=[[True, False], [False, False]])
-    assert soft_fuse_array(z, sigma, valid=[[True, False], [False, True]]).tolist() == [
-        10.0, 40.0]
+    # masked-out cells get weight 0
+    table = table_of([[10.0, 20.0], [30.0, 40.0]], np.ones((2, 2)),
+                     valid=[[True, False], [False, True]])
+    assert fuse(table).tolist() == [10.0, 40.0]

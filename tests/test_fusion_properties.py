@@ -12,9 +12,9 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from compdepth import (  # noqa: E402
     esop,
     evaluate_ensembles,
-    soft_fuse_array,
+    fuse,
 )
-from fusion_reference import soft_fuse  # noqa: E402
+from fusion_reference import soft_fuse, table_of  # noqa: E402
 from prediction_records import read_records  # noqa: E402
 
 
@@ -33,7 +33,7 @@ def masked_ensembles(draw):
 @given(masked_ensembles())
 def test_masked_fusion_matches_scalar_on_valid_subset(case):
     z, sigma, valid = case
-    fused = soft_fuse_array(z, sigma, valid=valid)
+    fused = fuse(table_of(z, sigma, valid))
     for i in range(z.shape[0]):
         kept = [(z[i, j], sigma[i, j]) for j in np.flatnonzero(valid[i])]
         assert fused[i] == pytest.approx(soft_fuse(kept).z_soft, rel=1e-12)
@@ -42,14 +42,17 @@ def test_masked_fusion_matches_scalar_on_valid_subset(case):
 @given(masked_ensembles())
 def test_all_valid_mask_is_bit_identical_to_unmasked(case):
     z, sigma, _ = case
-    masked = soft_fuse_array(z, sigma, valid=np.ones(z.shape, dtype=bool))
-    assert np.array_equal(masked, soft_fuse_array(z, sigma))
+    masked = fuse(table_of(z, sigma, valid=np.ones(z.shape, dtype=bool)))
+    inverse = 1.0 / sigma
+    unmasked = (inverse / inverse.sum(axis=1, keepdims=True) * z).sum(axis=1)
+    assert np.array_equal(masked, unmasked)
 
 
 @given(masked_ensembles())
 def test_masked_fusion_is_convex_in_valid_z(case):
     z, sigma, valid = case
-    fused = soft_fuse_array(z, sigma, valid=valid)
+    table = table_of(z, sigma, valid)
+    fused = fuse(table)
     lo = np.where(valid, z, np.inf).min(axis=1)
     hi = np.where(valid, z, -np.inf).max(axis=1)
     span = 1e-12 * np.maximum(np.abs(lo), np.abs(hi))
@@ -57,7 +60,7 @@ def test_masked_fusion_is_convex_in_valid_z(case):
     assert np.all(fused <= hi + span)
     # masked-out cells carry zero weight: their values change nothing
     elsewhere = np.where(valid, z, 1e6)
-    assert np.array_equal(soft_fuse_array(elsewhere, sigma, valid=valid), fused)
+    assert np.array_equal(fuse(table, elsewhere), fused)
 
 
 @given(masked_ensembles(), st.data())

@@ -147,15 +147,20 @@ def test_fit_horizon_of_pgm_matches_float_decode(grid):
 
 
 whitespace = st.text(" \t\n\r\v\f", min_size=1, max_size=3)
+# a Netpbm comment runs from '#' to the end of its line
+comment = st.tuples(st.sampled_from(["#", "# written by another tool 255"]),
+                    st.sampled_from("\n\r")).map("".join)
+separator = st.lists(st.one_of(whitespace, comment), min_size=1, max_size=3).map("".join)
 number = st.integers(1, 12).flatmap(lambda n: st.tuples(
     st.just(n), st.sampled_from(["{}", "0{}", "00{}"])))
 
 
-@given(number, number, whitespace, whitespace, whitespace, st.sampled_from(" \t\n\r\v\f"),
+@given(number, number, separator, separator, separator, st.sampled_from(" \t\n\r\v\f"),
        st.randoms(use_true_random=False))
 def test_pgm_pixels_write_back_unchanged(width, height, sep1, sep2, sep3, last, rnd):
-    """Any valid P5 file reads back and writes out as the same pixel bytes
-    under the canonical header, so a canonical file is written back as is."""
+    """Any valid P5 file, comments between its header tokens included,
+    reads back and writes out as the same pixel bytes under the canonical
+    header, so a canonical file is written back as is."""
     (w, w_fmt), (h, h_fmt) = width, height
     body = rnd.randbytes(w * h)
     header = f"P5{sep1}{w_fmt.format(w)}{sep2}{h_fmt.format(h)}{sep3}255{last}"

@@ -11,12 +11,11 @@ from compdepth import (
     disturb_sweep,
     flip,
     flip_sweep,
+    fuse,
     generate_ensembles,
-    mae,
     multi_flip,
-    soft_fuse_array,
 )
-from fusion_reference import soft_fuse
+from fusion_reference import soft_fuse, table_of
 from prediction_records import columns, read_records
 
 
@@ -46,9 +45,9 @@ def two_branch_error(e1, e2, w1, flip_second=False, z_star=20.0):
     z2 = z_star + np.asarray(e2, dtype=float)
     if flip_second:
         z2 = flip(z2, z_star)
-    z = np.stack([z_star + e1, z2], axis=-1)
-    sigma = np.stack([1.0 / w1, 1.0 / (1.0 - w1)], axis=-1)
-    return np.abs(soft_fuse_array(z, sigma) - z_star)
+    z = np.column_stack([z_star + e1, z2])
+    sigma = np.column_stack([1.0 / w1, 1.0 / (1.0 - w1)])
+    return np.abs(fuse(table_of(z, sigma)) - z_star)
 
 
 def test_error_identities_hand_values():
@@ -153,8 +152,7 @@ def ensembles():
 
 def test_flip_sweep_baseline_is_untouched_mae(ensembles):
     curve = flip_sweep(ensembles, "b0", (0.0, 0.5, 1.0), seed=5)
-    from compdepth import soft_fuse_array
-    untouched = mae(soft_fuse_array(ensembles.z, ensembles.sigma), ensembles.z_star)
+    untouched = np.mean(np.abs(fuse(ensembles) - ensembles.z_star))
     assert curve.mae[0] == pytest.approx(untouched, rel=1e-12)
     assert curve.baseline_mae == pytest.approx(untouched, rel=1e-12)
     assert curve.label == "flip:b0"

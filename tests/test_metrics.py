@@ -12,7 +12,6 @@ from compdepth import (
     complementarity_score,
     esop,
     evaluate_ensembles,
-    mae,
 )
 from prediction_records import read_records
 
@@ -28,19 +27,6 @@ PUBLISHED_CS_ROWS = [
     (36.91, 3.29, 11.22),
     (42.51, 6.72, 6.33),
 ]
-
-
-def test_mae_hand_values():
-    assert mae([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
-    assert mae([2.0, 0.0], [1.0, 1.0]) == 1.0
-    assert mae([21.0], [20.0]) == pytest.approx(1.0)
-
-
-def test_mae_validation():
-    with pytest.raises(EmptyInput):
-        mae([], [])
-    with pytest.raises(LengthMismatch):
-        mae([1.0], [1.0, 2.0])
 
 
 def test_esop_hand_values():
@@ -130,15 +116,7 @@ def test_binned_mae_weighted_average_matches_global():
     total = sum(c for c in table.counts)
     assert total == 400
     weighted = sum(m * c for m, c in zip(table.maes, table.counts) if c) / total
-    assert weighted == pytest.approx(mae(preds, truths), rel=1e-9)
-
-
-def test_binned_mae_custom_key():
-    # bin by an external key (e.g. an error magnitude), not by the truths
-    table = binned_mae([1.0, 2.0], [0.0, 0.0], edges=(0.0, 10.0),
-                       key=[5.0, 50.0])
-    assert table.counts == (1,)
-    assert table.maes[0] == pytest.approx(1.0)
+    assert weighted == pytest.approx(np.mean(np.abs(preds - truths)), rel=1e-9)
 
 
 def test_binned_mae_validation():
@@ -147,7 +125,9 @@ def test_binned_mae_validation():
     with pytest.raises(NonMonotoneEdges):
         binned_mae([1.0], [1.0], edges=(0.0,))  # a single edge bounds no bin
     with pytest.raises(LengthMismatch):
-        binned_mae([1.0], [1.0], key=[1.0, 2.0])
+        binned_mae([1.0], [1.0, 2.0])
+    with pytest.raises(EmptyInput):
+        binned_mae([], [])
 
 
 # ---------------------------------------------------------------------------
