@@ -20,7 +20,7 @@ from compdepth import (
     fit_horizon,
     fit_plane,
     heatmap_from_pgm,
-    heatmap_to_pgm,
+    horizon_pgm,
     horizon_to_plane,
     plane_to_horizon,
     rasterize_horizon,
@@ -44,10 +44,12 @@ back = horizon_to_plane(h, k, cam_height=plane.cam_height)
 print(f"round-trip error {max(abs(back.a - plane.a), abs(back.b - plane.b), abs(back.c - plane.c)):.2e}")
 
 # a detector would predict the horizon as a per-column heatmap; simulate
-# one, write it out as a PGM, and fit the line back with sub-pixel peaks
+# one, write it out as a PGM, and fit the line back with sub-pixel peaks.
+# horizon_pgm encodes only the rows near the line, byte for byte the PGM
+# of the full float grid that rasterize_horizon returns.
 grid = rasterize_horizon(h, width=1242, height=375)
 pgm = Path(tempfile.mkdtemp()) / "demo_horizon.pgm"
-pgm.write_bytes(heatmap_to_pgm(grid))
+pgm.write_bytes(horizon_pgm(h, width=1242, height=375))
 print(f"wrote {pgm} ({pgm.stat().st_size} bytes)")
 # the PGM reads back as its uint8 pixels, without a copy; its 8-bit
 # quantization costs some precision next to the exact float grid

@@ -28,16 +28,15 @@ import numpy as np
 
 from .camera import DEFAULT_EPS_DEN, CameraIntrinsics, project
 from .depth_branches import box_keypoints, z_alt, z_comp, z_global, z_key
-from .errors import CompdepthError, JoinError
+from .errors import CompdepthError, DegeneratePlane, JoinError
 from .ground_plane import (
     DEFAULT_CAM_HEIGHT,
     GroundPlane,
     HorizonLine,
     fit_plane,
-    heatmap_to_pgm,
-    plane_to_horizon,
+    horizon_pgm,
     horizon_to_plane,
-    rasterize_horizon,
+    plane_to_horizon,
     y_global,
 )
 from .kitti_io import (
@@ -213,12 +212,15 @@ def _frame_plane(bottoms: np.ndarray, k: CameraIntrinsics,
 
     The fallback is the flat plane at --cam-height, taken when the frame has
     no usable bottoms, too few or collinear ones to pin a plane, or a
-    fitted plane too close to vertical to have a horizon (|b| < --eps-den).
+    fitted plane too close to vertical to have a finite horizon
+    (|b| < --eps-den, or a slope or intercept that overflows).
     """
     if len(bottoms):
         plane, info = fit_plane(bottoms)
         if not info.used_fallback and abs(plane.b) >= args.eps_den:
-            return plane, plane_to_horizon(plane, k, eps=args.eps_den), False
+            horizon = plane_to_horizon(plane, k, eps=args.eps_den)
+            if math.isfinite(horizon.k_h) and math.isfinite(horizon.b_h):
+                return plane, horizon, False
     flat = GroundPlane(0.0, -1.0, 0.0, args.cam_height)
     return flat, plane_to_horizon(flat, k, eps=args.eps_den), True
 
@@ -289,17 +291,20 @@ def _cmd_oracle(args) -> int:
             diagnostics["object_invalid_geometry"] += skipped
 
         plane, horizon, used_fallback = _frame_plane(np.column_stack([x, y, z]), k, args)
-        if used_fallback:
-            diagnostics["plane_fallback"] += 1
 
         # Horizon perturbation draws happen for every frame, amplitude 0 or
         # not, so the random stream lines up across noise configurations.
         d_slope = rng.uniform(-args.noise_horizon_slope, args.noise_horizon_slope)
         d_intercept = rng.uniform(-args.noise_horizon_intercept,
                                   args.noise_horizon_intercept)
-        plane_used = horizon_to_plane(
-            HorizonLine(horizon.k_h + d_slope, horizon.b_h + d_intercept),
-            k, cam_height=plane.cam_height)
+        try:
+            plane_used = horizon_to_plane(
+                HorizonLine(horizon.k_h + d_slope, horizon.b_h + d_intercept),
+                k, cam_height=plane.cam_height)
+        except DegeneratePlane:  # the horizon's plane is too close to vertical
+            plane_used, used_fallback = GroundPlane(0.0, -1.0, 0.0, args.cam_height), True
+        if used_fallback:
+            diagnostics["plane_fallback"] += 1
 
         # One (d_h, d_vb, d_vt) row per object: the same stream as three
         # scalar draws per object.
@@ -447,8 +452,8 @@ def _cmd_plane(args) -> int:
         })
 
         if args.heatmap_dir is not None:
-            heatmap = rasterize_horizon(horizon, width, height)
-            (args.heatmap_dir / f"{frame}.pgm").write_bytes(heatmap_to_pgm(heatmap))
+            pgm = horizon_pgm(horizon, width, height)
+            (args.heatmap_dir / f"{frame}.pgm").write_bytes(pgm)
 
     y_pred, y_true = np.concatenate(y_pred_parts), np.concatenate(y_true_parts)
     summary: dict = {"fallback_frames": fallback_frames, "n_objects": len(y_pred)}

@@ -20,7 +20,8 @@ class CompdepthError(Exception):
 # ---------------------------------------------------------------------------
 
 class DegeneratePlane(CompdepthError):
-    """Plane has no horizon in the slope-intercept parameterization (|b| ~ 0)."""
+    """Plane has no horizon in the slope-intercept parameterization (|b| ~ 0),
+    or a horizon's plane is too close to vertical to normalize."""
 
 
 class InsufficientSupport(CompdepthError):

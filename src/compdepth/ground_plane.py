@@ -101,9 +101,10 @@ def fit_plane(points) -> tuple[GroundPlane, PlaneFitInfo]:
     given as an (N, 3) array of camera-frame (x, y, z) rows.
 
     Fits the height field y = p*x + q*z + r and normalizes. With fewer than
-    3 points, or a rank-deficient system (e.g. all points collinear in the
-    x-z plane), falls back to the flat plane y = DEFAULT_CAM_HEIGHT and
-    sets the info's used_fallback.
+    3 points, a rank-deficient system (e.g. all points collinear in the
+    x-z plane), or a solution too large to normalize (non-finite, or
+    p*p + q*q overflows), falls back to the flat plane
+    y = DEFAULT_CAM_HEIGHT and sets the info's used_fallback.
 
     Raises EmptyInput when no points are given.
     """
@@ -111,13 +112,13 @@ def fit_plane(points) -> tuple[GroundPlane, PlaneFitInfo]:
     n = len(pts)
     if n == 0:
         raise EmptyInput("plane fit needs at least one point")
-    rank = 0
     if n >= 3:
         design = np.column_stack([pts[:, 0], pts[:, 2], np.ones(n)])
         solution, _, rank, _ = np.linalg.lstsq(design, pts[:, 1], rcond=None)
-    if rank != 3:
-        return GroundPlane(0.0, -1.0, 0.0, DEFAULT_CAM_HEIGHT), PlaneFitInfo(True)
-    return GroundPlane.from_heightfield(*solution.tolist()), PlaneFitInfo(False)
+        p, q, r = solution.tolist()
+        if rank == 3 and math.isfinite(p * p + q * q) and math.isfinite(r):
+            return GroundPlane.from_heightfield(p, q, r), PlaneFitInfo(False)
+    return GroundPlane(0.0, -1.0, 0.0, DEFAULT_CAM_HEIGHT), PlaneFitInfo(True)
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +133,16 @@ def horizon_to_plane(h: HorizonLine, k: CameraIntrinsics,
     coefficients are (k_h * f_x / f_y, -1, (k_h * c_u + b_h - c_v) / f_y).
     The offset comes from cam_height, stored as the constant term of the
     normalized equation.
+
+    Raises DegeneratePlane when that triple overflows: the plane is too
+    close to vertical to normalize.
     """
     a0 = h.k_h * k.f_x / k.f_y
     c0 = (h.k_h * k.c_u + h.b_h - k.c_v) / k.f_y
     norm = math.sqrt(a0 * a0 + 1.0 + c0 * c0)
+    if not math.isfinite(norm):
+        raise DegeneratePlane(f"the plane of horizon {h} is too close to vertical "
+                              "to normalize")
     return GroundPlane(a0 / norm, -1.0 / norm, c0 / norm, cam_height)
 
 
@@ -178,6 +185,39 @@ def y_global(u_b, v_b, g: GroundPlane, k: CameraIntrinsics, eps: float = DEFAULT
 # horizon heatmap
 # ---------------------------------------------------------------------------
 
+def _horizon_band(h: HorizonLine, width: int, height: int) -> tuple[int, np.ndarray]:
+    """The rows of rasterize_horizon's grid that the line's window touches:
+    (top, band) with band = grid[top:top + len(band)]. Every row outside
+    the band is zero; a line that misses the image gives an empty band.
+
+    Raises ValueError for a non-finite line or an empty image.
+    """
+    if width < 1 or height < 1:
+        raise ValueError("heatmap dimensions must be at least 1x1")
+    if not math.isfinite(h.k_h):
+        raise ValueError(f"k_h must be finite, got {h.k_h}")
+    if not math.isfinite(h.b_h):
+        raise ValueError(f"b_h must be finite, got {h.b_h}")
+    sigma = HEATMAP_RADIUS / 3.0
+    v = h.k_h * np.arange(width) + h.b_h
+    lo = np.maximum(0.0, np.ceil(v - HEATMAP_RADIUS))
+    hi = np.minimum(height - 1.0, np.floor(v + HEATMAP_RADIUS))
+    cols = np.nonzero(lo <= hi)[0]
+    if not cols.size:
+        return 0, np.zeros((0, width))
+    v, rows, hi = v[cols], lo[cols].astype(np.intp), hi[cols].astype(np.intp)
+    top = int(rows.min())
+    band = np.zeros((int(hi.max()) + 1 - top, width))
+    # One pass per row offset inside the window (floor(2 * radius) + 1 at
+    # most); each column leaves once its row passes hi <= height - 1, so
+    # the loop also ends within height passes.
+    while cols.size:
+        band[rows - top, cols] = np.exp(-((rows - v) ** 2) / (2.0 * sigma * sigma))
+        more = rows < hi
+        rows, cols, v, hi = rows[more] + 1, cols[more], v[more], hi[more]
+    return top, band
+
+
 def rasterize_horizon(h: HorizonLine, width: int, height: int) -> np.ndarray:
     """Render a horizon line as a (height, width) heatmap with a vertical
     Gaussian profile, values in [0, 1].
@@ -190,26 +230,9 @@ def rasterize_horizon(h: HorizonLine, width: int, height: int) -> np.ndarray:
 
     Raises ValueError for a non-finite line or an empty image.
     """
-    if width < 1 or height < 1:
-        raise ValueError("heatmap dimensions must be at least 1x1")
-    if not math.isfinite(h.k_h):
-        raise ValueError(f"k_h must be finite, got {h.k_h}")
-    if not math.isfinite(h.b_h):
-        raise ValueError(f"b_h must be finite, got {h.b_h}")
-    sigma = HEATMAP_RADIUS / 3.0
+    top, band = _horizon_band(h, width, height)
     grid = np.zeros((height, width), dtype=float)
-    v = h.k_h * np.arange(width) + h.b_h
-    lo = np.maximum(0.0, np.ceil(v - HEATMAP_RADIUS))
-    hi = np.minimum(height - 1.0, np.floor(v + HEATMAP_RADIUS))
-    cols = np.nonzero(lo <= hi)[0]
-    v, rows, hi = v[cols], lo[cols].astype(np.intp), hi[cols].astype(np.intp)
-    # One pass per row offset inside the window (floor(2 * radius) + 1 at
-    # most); each column leaves once its row passes hi <= height - 1, so
-    # the loop also ends within height passes.
-    while cols.size:
-        grid[rows, cols] = np.exp(-((rows - v) ** 2) / (2.0 * sigma * sigma))
-        more = rows < hi
-        rows, cols, v, hi = rows[more] + 1, cols[more], v[more], hi[more]
+    grid[top:top + len(band)] = band
     return grid
 
 
@@ -290,6 +313,18 @@ def _heatmap_scale(grid: np.ndarray) -> float:
     raise ValueError(f"heatmap must be a float or uint8 array, got dtype {grid.dtype}")
 
 
+def _pgm_header(width: int, height: int) -> bytes:
+    return f"P5\n{width} {height}\n255\n".encode("ascii")
+
+
+def _to_pixels(values: np.ndarray) -> np.ndarray:
+    """Float heatmap values as uint8 pixels: clipped to [0, 1], 1.0 -> 255."""
+    scaled = np.clip(values, 0.0, 1.0)
+    scaled *= 255.0
+    np.rint(scaled, out=scaled)
+    return scaled.astype(np.uint8)
+
+
 def heatmap_to_pgm(grid: np.ndarray) -> bytes:
     """Serialize a (height, width) heatmap as binary PGM (P5, maxval 255).
 
@@ -298,13 +333,21 @@ def heatmap_to_pgm(grid: np.ndarray) -> bytes:
     other dtype.
     """
     height, width = grid.shape
-    header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    if _heatmap_scale(grid) == 255.0:
-        return header + grid.tobytes()
-    scaled = np.clip(grid, 0.0, 1.0)
-    scaled *= 255.0
-    np.rint(scaled, out=scaled)
-    return header + scaled.astype(np.uint8).tobytes()
+    pixels = grid if _heatmap_scale(grid) == 255.0 else _to_pixels(grid)
+    return _pgm_header(width, height) + pixels.tobytes()
+
+
+def horizon_pgm(h: HorizonLine, width: int, height: int) -> bytes:
+    """heatmap_to_pgm(rasterize_horizon(h, width, height)), byte for byte,
+    computed on the few rows the line's window touches; the rest of the
+    image is written as zero bytes.
+
+    Raises ValueError for a non-finite line or an empty image.
+    """
+    top, band = _horizon_band(h, width, height)
+    below = height - top - len(band)
+    return b"".join((_pgm_header(width, height), bytes(top * width),
+                     _to_pixels(band).tobytes(), bytes(below * width)))
 
 
 #: Whitespace or a '#' comment, which runs to the end of its line, between

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -617,15 +618,62 @@ def test_plane_huge_focal_length_counts_failed_elevations(huge_focal_dirs, capsy
     assert report["summary"] == {"fallback_frames": 0, "n_objects": 0, "y_mae": None}
 
 
-def label_dirs(tmp_path, label_text):
-    """--calib-dir and --label-dir of one frame with a normal P2 and the
-    given label text."""
+def label_dirs(tmp_path, label_text, calib_text=None):
+    """--calib-dir and --label-dir of one frame with the given label text
+    and calib text (default: a normal P2)."""
     calib_dir, label_dir = tmp_path / "calib", tmp_path / "label_2"
     calib_dir.mkdir()
     label_dir.mkdir()
-    (calib_dir / "000000.txt").write_text(format_calib(make_scene(2, seed=3).intrinsics))
+    (calib_dir / "000000.txt").write_text(
+        calib_text or format_calib(make_scene(2, seed=3).intrinsics))
     (label_dir / "000000.txt").write_text(label_text)
     return ["--calib-dir", calib_dir, "--label-dir", label_dir]
+
+
+def car_rows(*xyz):
+    return "".join(f"Car 0 0 0 0 0 10 10 1.5 1.6 3.9 {x} {y} {z} 0\n" for x, y, z in xyz)
+
+
+#: One frame each whose plane used to end the run with a GroundPlane
+#: invariant as its error text: (label text, calib text, extra oracle args).
+PLANE_LEAKS = {
+    # the fitted height field overflows: "must be finite and not all zero"
+    "unnormalizable fit": (car_rows((1, 1e308, 20), (-2, -1e308, 30), (3, 1.6, 25)),
+                           None, []),
+    # a subnormal f_x sends the fitted plane's horizon slope to -inf
+    "infinite horizon": (car_rows((1, 1.6, 20), (-2, 1.7, 30), (3, 1.65, 25)),
+                         "P2: 5e-324 0.0 -1e+300 0.0 0.0 721.5 172.8 0.0 0.0 0.0 1.0 0.0\n",
+                         []),
+    # a finite horizon whose plane overflows on the way back
+    "steep horizon": (car_rows((1, 1.6, 20), (-2, -5, 30), (3, 8, 25)),
+                      "P2: 1.7e308 0.0 609.6 0.0 0.0 1.7e308 172.8 0.0 0.0 0.0 1.0 0.0\n",
+                      []),
+    # the flat plane's horizon, shifted by the intercept noise over f_y = 1e-300
+    "perturbed horizon": (car_rows((1, 1.6, 20)),
+                          "P2: 1e-300 0.0 0.0 0.0 0.0 1e-300 0.0 0.0 0.0 0.0 1.0 0.0\n",
+                          ["--noise-horizon-intercept", "1"]),
+}
+
+
+@pytest.mark.parametrize("case", PLANE_LEAKS)
+def test_oracle_unusable_plane_falls_back(tmp_path, capsys, case):
+    label_text, calib_text, extra = PLANE_LEAKS[case]
+    dirs = label_dirs(tmp_path, label_text, calib_text)
+    assert run(["oracle", *dirs, *extra, "--out", tmp_path / "preds.jsonl"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert "warning: plane_fallback: 1" in err
+    assert all(line.startswith("warning: ") for line in err)
+
+
+def test_plane_infinite_horizon_falls_back(tmp_path, capsys):
+    label_text, calib_text, _ = PLANE_LEAKS["infinite horizon"]
+    dirs = label_dirs(tmp_path, label_text, calib_text)
+    heatmap_dir = tmp_path / "hm"
+    assert run(["plane", *dirs, "--heatmap-dir", heatmap_dir, "--image-size", "24,8"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["summary"]["fallback_frames"] == 1
+    assert heatmap_from_pgm((heatmap_dir / "000000.pgm").read_bytes()).shape == (8, 24)
 
 
 def test_oracle_overflowing_label_warns_only_by_count(tmp_path, capsys):
@@ -783,5 +831,88 @@ def test_any_valid_predictions_end_cleanly(shared_dataset):
                 for row in rows:
                     for key in ("x", "mae", "count", "baseline_mae"):
                         assert row[key] == "" or math.isfinite(float(row[key])), row
+
+    check()
+
+
+if given is not None:
+    # the extremes of the float range, and ordinary values half the time
+    extreme_float = st.one_of(
+        st.sampled_from((0.0, 1e-300, -1e-300, 5e-324, 1e300, -1e300, 1.7e308, -1.7e308)),
+        st.floats(-100.0, 100.0))
+
+    @st.composite
+    def extreme_datasets(draw):
+        """One or two frames: a P2 matrix and one to four label rows, with
+        the fields the geometry reads drawn from extreme_float."""
+        frames = {}
+        for frame in ("000000", "000001")[:draw(st.integers(1, 2))]:
+            f_x, c_u, f_y, c_v = (draw(extreme_float) for _ in range(4))
+            calib = f"P2: {f_x!r} 0.0 {c_u!r} 0.0 0.0 {f_y!r} {c_v!r} 0.0 0.0 0.0 1.0 0.0\n"
+            rows = []
+            for _ in range(draw(st.integers(1, 4))):
+                cls = draw(st.sampled_from(("Car", "Car", "DontCare")))
+                h, x, y, z = (draw(extreme_float) for _ in range(4))
+                rows.append(f"{cls} 0 0 0 0 0 10 10 {h!r} 1.6 3.9 {x!r} {y!r} {z!r} 0\n")
+            frames[frame] = (calib, "".join(rows))
+        return frames
+
+
+def finite_float(text):
+    value = float(text)
+    assert math.isfinite(value), text
+    return value
+
+
+#: The texts of GroundPlane's own invariants: a bug if a command prints them.
+PLANE_INVARIANTS = ("plane coefficients must",)
+
+
+def test_any_extreme_labels_and_calib_end_cleanly(tmp_path):
+    """oracle, plane and plane --heatmap-dir on label and calib fields from
+    across the float range: exit 0 or 3 with only finite numbers written
+    and only warning lines on stderr, or exit 1 with one error line that
+    is not a GroundPlane invariant."""
+    if given is None:
+        pytest.skip("hypothesis is not installed")
+    calib_dir, label_dir, heatmap_dir = (tmp_path / d for d in ("calib", "label_2", "hm"))
+    dirs = ["--calib-dir", calib_dir, "--label-dir", label_dir]
+    commands = {
+        "oracle": ["oracle", *dirs],
+        "noisy oracle": ["oracle", *dirs, "--noise-px", "1", "--noise-h-rel", "0.05",
+                         "--noise-horizon-slope", "0.01", "--noise-horizon-intercept", "1"],
+        "plane": ["plane", *dirs],
+        "heatmaps": ["plane", *dirs, "--heatmap-dir", heatmap_dir, "--image-size", "24,8"],
+    }
+
+    @settings(max_examples=30, deadline=None)
+    @given(extreme_datasets())
+    def check(frames):
+        for d in (calib_dir, label_dir, heatmap_dir):
+            shutil.rmtree(d, ignore_errors=True)
+        calib_dir.mkdir()
+        label_dir.mkdir()
+        for frame, (calib, labels) in frames.items():
+            (calib_dir / f"{frame}.txt").write_text(calib)
+            (label_dir / f"{frame}.txt").write_text(labels)
+        for command, args in commands.items():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(args)
+            out, err = out.getvalue(), err.getvalue()
+            if code == 1:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+                assert not any(text in err for text in PLANE_INVARIANTS), err
+                continue
+            assert code in (0, 3), (code, err)
+            assert all(line.startswith("warning: ") for line in err.splitlines()), err
+            docs = out.splitlines() if "oracle" in command else [out]
+            for doc in docs:
+                doc = doc[2:] if doc.startswith("# ") else doc  # the config echo
+                json.loads(doc, parse_float=finite_float, parse_constant=reject_constant)
+            if command == "heatmaps":
+                pgms = sorted(heatmap_dir.iterdir())
+                assert [p.stem for p in pgms] == sorted(frames)
+                assert all(heatmap_from_pgm(p.read_bytes()).shape == (8, 24) for p in pgms)
 
     check()

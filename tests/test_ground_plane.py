@@ -124,6 +124,18 @@ def test_fit_plane_fallback_collinear():
     assert heightfield(plane) == pytest.approx((0.0, 0.0, DEFAULT_CAM_HEIGHT))
 
 
+@pytest.mark.parametrize("pts", [
+    # the height field's intercept overflows to inf
+    [(1.0, 1e308, 20.0), (-2.0, -1e308, 30.0), (3.0, 1.6, 25.0)],
+    # a finite slope of 1e200, whose square overflows when normalized
+    [(0.0, 0.0, 10.0), (1.0, 1e200, 10.0), (0.0, 0.0, 20.0)],
+])
+def test_fit_plane_fallback_unnormalizable(pts):
+    plane, info = fit_plane(np.array(pts))
+    assert info.used_fallback
+    assert heightfield(plane) == pytest.approx((0.0, 0.0, DEFAULT_CAM_HEIGHT))
+
+
 def test_fit_plane_empty():
     with pytest.raises(EmptyInput):
         fit_plane(np.empty((0, 3)))
@@ -182,6 +194,13 @@ def test_horizon_to_plane_flat(kitti_cam):
     assert g.b == pytest.approx(-1.0)
     assert g.c == pytest.approx(0.0, abs=1e-15)
     assert g.cam_height == 1.7
+
+
+@pytest.mark.parametrize("line", [HorizonLine(1e300, 0.0), HorizonLine(0.0, 1e300)])
+def test_horizon_to_plane_too_steep(kitti_cam, line):
+    # the unnormalized coefficients square past the float range
+    with pytest.raises(DegeneratePlane, match="too close to vertical"):
+        horizon_to_plane(line, kitti_cam)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from compdepth import (  # noqa: E402
     fit_horizon,
     heatmap_from_pgm,
     heatmap_to_pgm,
+    horizon_pgm,
     rasterize_horizon,
 )
 from compdepth.errors import InsufficientSupport  # noqa: E402
@@ -94,15 +95,51 @@ def test_rasterize_matches_column_loop(line, width, height):
     assert grid.tobytes() == rasterize_reference(line, width, height, 2.0).tobytes()
 
 
+# steep lines and lines far off the image as well as ordinary ones
+any_lines = st.builds(
+    HorizonLine,
+    st.one_of(st.floats(-0.1, 0.1, **finite), st.floats(-1e4, 1e4, **finite)),
+    st.one_of(st.floats(-50.0, 450.0, **finite), st.floats(-1e6, 1e6, **finite)),
+)
+sizes = st.one_of(st.just(1), st.integers(1, 400))
+
+
+@given(any_lines, sizes, sizes)
+def test_horizon_pgm_matches_rasterized_encoding(line, width, height):
+    assert horizon_pgm(line, width, height) == heatmap_to_pgm(
+        rasterize_horizon(line, width, height))
+
+
+@pytest.mark.parametrize("line, width, height", [
+    (HorizonLine(math.nan, 1.0), 8, 6),
+    (HorizonLine(math.inf, 1.0), 8, 6),
+    (HorizonLine(0.0, -math.inf), 8, 6),
+    (HorizonLine(0.0, 1.0), 0, 6),
+    (HorizonLine(0.0, 1.0), 8, 0),
+    (HorizonLine(math.nan, 1.0), 0, 6),
+])
+def test_horizon_pgm_rejects_what_rasterize_rejects(line, width, height):
+    with pytest.raises(ValueError) as expected:
+        rasterize_horizon(line, width, height)
+    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+        horizon_pgm(line, width, height)
+
+
+# values near [0, 1], a pixel's rounding tie or step, and the whole finite range
 grids = st.integers(1, 24).flatmap(lambda h: st.integers(1, 24).flatmap(
     lambda w: arrays(float, (h, w), elements=st.one_of(
         st.sampled_from([0.0, 0.5 / 255.0, 1.5 / 255.0, 0.25, 1.0]),
-        st.floats(-0.5, 1.5, **finite)))))
+        st.floats(-0.5, 1.5, **finite),
+        st.integers(-2, 257).flatmap(lambda n: st.sampled_from([n / 255.0,
+                                                                (n + 0.5) / 255.0])),
+        st.floats(**finite)))))
 
 
 @given(grids)
 def test_pgm_encode_decode_match_references(grid):
+    before = grid.tobytes()
     data = heatmap_to_pgm(grid)
+    assert grid.tobytes() == before
     assert data == pgm_encode_reference(grid)
     back = heatmap_from_pgm(data)
     assert back.dtype == np.uint8
