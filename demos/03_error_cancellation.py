@@ -19,7 +19,7 @@ from compdepth import (
     flip_sweep,
     fuse,
     generate_ensembles,
-    multi_flip,
+    multi_flip_sweep,
 )
 from compdepth.lab import ErrorModelConfig
 
@@ -76,6 +76,7 @@ for x, m in zip(curve.x, curve.mae):
 
 # experiment 3: flipping k of 4 equally weighted branches mirrors k and
 # 4-k exactly, with the sweet spot at half
+curve = multi_flip_sweep(ensembles, range(5), seed=17)
 print("\nk flipped branches -> fused MAE")
-for k in range(5):
-    print(f"  k={k}  {multi_flip(ensembles, k, seed=17):.4f}")
+for x, m in zip(curve.x, curve.mae):
+    print(f"  k={x:.0f}  {m:.4f}")

@@ -32,7 +32,7 @@ from .errors import (
     UnknownBranch,
     ZeroMAE,
 )
-from .fusion import fuse
+from .fusion import fuse, weights
 from .ground_plane import (
     DEFAULT_CAM_HEIGHT,
     GroundPlane,
@@ -70,6 +70,7 @@ from .lab import (
     flip_sweep,
     generate_ensembles,
     multi_flip,
+    multi_flip_sweep,
 )
 from .metrics import (
     DEFAULT_DEPTH_EDGES,
@@ -96,7 +97,7 @@ __all__ = [
     "evaluate_ensembles", "fit_horizon", "fit_plane", "flip", "flip_sweep",
     "format_calib", "format_labels", "fuse", "generate_ensembles", "heatmap_from_pgm",
     "heatmap_to_pgm", "horizon_pgm", "horizon_to_plane", "make_scene", "multi_flip",
-    "parse_calib", "parse_labels", "plane_to_horizon", "project", "random_plane",
-    "rasterize_horizon", "read_predictions", "write_curves", "write_predictions",
-    "write_report", "y_global", "z_alt", "z_comp", "z_global", "z_key"
+    "multi_flip_sweep", "parse_calib", "parse_labels", "plane_to_horizon", "project",
+    "random_plane", "rasterize_horizon", "read_predictions", "weights", "write_curves",
+    "write_predictions", "write_report", "y_global", "z_alt", "z_comp", "z_global", "z_key"
 ]

@@ -53,11 +53,10 @@ from .kitti_io import (
 from .lab import (
     SIGMA_FLOOR,
     ErrorModelConfig,
-    SweepCurve,
     disturb_sweep,
     flip_sweep,
     generate_ensembles,
-    multi_flip,
+    multi_flip_sweep,
 )
 from .metrics import evaluate_ensembles
 
@@ -139,7 +138,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_lab.add_argument("--k", default="all",
                        help="comma-separated flip counts for multiflip, or 'all'")
     p_lab.add_argument("--branches", default=None,
-                       help="comma-separated branch names to sweep (default: all)")
+                       help="comma-separated branch names: flip sweeps each (default: all), "
+                            "disturb one (default: the first); not for multiflip")
 
     p_plane = sub.add_parser("plane", parents=[out, fmt, geometry, dirs],
                              help="fit per-frame ground planes and report elevation accuracy")
@@ -368,6 +368,11 @@ def _flip_counts(text: str, n_branches: int) -> list[int]:
 
 
 def _cmd_lab(args) -> int:
+    if args.mode == "multiflip" and args.branches is not None:
+        raise ValueError("--branches does not apply to --mode multiflip, which flips "
+                         "the first or last k branches")
+    if args.mode == "disturb" and args.branches and "," in args.branches:
+        raise ValueError("--mode disturb sweeps one branch; give one name in --branches")
     if args.predictions is not None:
         table = read_predictions(args.predictions.read_text())
         if len(table) == 0:
@@ -391,23 +396,17 @@ def _cmd_lab(args) -> int:
     sweep_seed = args.seed + 1
 
     branch_names = (args.branches.split(",") if args.branches else list(table.names))
+    for name in branch_names:  # UnknownBranch before any sweep runs
+        table.column(name)
 
-    curves: list[SweepCurve] = []
     if args.mode == "flip":
-        for name in branch_names:
-            curves.append(flip_sweep(table, name, args.proportions, seed=sweep_seed))
+        curves = [flip_sweep(table, name, args.proportions, seed=sweep_seed)
+                  for name in branch_names]
     elif args.mode == "disturb":
-        curves.append(disturb_sweep(table, branch_names[0], args.amplitudes,
-                                    seed=sweep_seed))
+        curves = [disturb_sweep(table, branch_names[0], args.amplitudes, seed=sweep_seed)]
     else:
-        ks = _flip_counts(args.k, len(table.names))
-        curves.append(SweepCurve(
-            x=tuple(float(k) for k in ks),
-            mae=tuple(multi_flip(table, k, seed=sweep_seed) for k in ks),
-            counts=(len(table),) * len(ks),
-            baseline_mae=multi_flip(table, 0, seed=sweep_seed),
-            label="multiflip",
-        ))
+        curves = [multi_flip_sweep(table, _flip_counts(args.k, len(table.names)),
+                                   seed=sweep_seed)]
 
     _emit(write_curves(curves, header=config_header(args)), args.out)
     return EXIT_OK

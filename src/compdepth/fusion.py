@@ -17,16 +17,20 @@ if TYPE_CHECKING:
     from .kitti_io import EnsembleTable
 
 
+def weights(table: EnsembleTable) -> np.ndarray:
+    """Each cell's fusion weight, (N, B): its inverse sigma over the row's sum
+    of them, 0 outside table.valid. The table guarantees a valid branch per
+    row and finite, positive sigmas, so nothing is checked here."""
+    inverse = np.where(table.valid, 1.0 / table.sigma, 0.0)
+    return inverse / inverse.sum(axis=1, keepdims=True)
+
+
 def fuse(table: EnsembleTable, z: np.ndarray | None = None) -> np.ndarray:
     """The soft fusion of each object's valid branches, one depth per row.
 
-    The package's one fusion kernel: eval and the sweeps fuse a whole
-    EnsembleTable in one call. Cells outside table.valid get weight 0
-    (inv = where(valid, 1/sigma, 0)), so any finite z there changes
-    nothing. z defaults to table.z; a sweep passes its modified copy of the
-    same (N, B) shape. The table guarantees at least one valid branch per
-    row and finite, positive sigmas, so nothing is checked here.
+    The package's one fusion kernel: eval fuses a whole EnsembleTable in
+    one call. A cell outside table.valid has weight 0, so any finite z there
+    changes nothing. z defaults to table.z; a caller may pass a modified
+    copy of the same (N, B) shape.
     """
-    inverse = np.where(table.valid, 1.0 / table.sigma, 0.0)
-    total = inverse.sum(axis=1, keepdims=True)
-    return (inverse / total * (table.z if z is None else z)).sum(axis=1)
+    return (weights(table) * (table.z if z is None else z)).sum(axis=1)

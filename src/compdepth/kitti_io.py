@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .camera import CameraIntrinsics
-from .errors import MalformedLine, MalformedMatrix, MissingKey, SchemaError
+from .errors import MalformedLine, MalformedMatrix, MissingKey, SchemaError, UnknownBranch
 from .metrics import ComplementarityReport
 
 # ---------------------------------------------------------------------------
@@ -235,8 +235,8 @@ class EnsembleTable:
         if z.ndim != 2 or z.shape[1] != len(names):
             raise ValueError(f"z must have shape (N, {len(names)}), got {z.shape}")
         n = z.shape[0]
-        valid = (np.ones(z.shape, dtype=bool) if valid is None
-                 else np.array(valid, dtype=bool))
+        masked = valid is not None
+        valid = np.array(valid, dtype=bool) if masked else np.ones(z.shape, dtype=bool)
         sigma = np.asarray(sigma, dtype=float)
         z_star = np.array(z_star, dtype=float)
         index = np.zeros(n, dtype=np.int64) if index is None else np.array(index, dtype=np.int64)
@@ -247,19 +247,28 @@ class EnsembleTable:
             frame = tuple(frame)
             if len(frame) != n:
                 raise ValueError(f"{len(frame)} frames for {n} ensembles")
-        z = np.where(valid, z, 0.0)
-        sigma = np.where(valid, sigma, 1.0)
+        # copies either way, so that setting them read-only leaves the
+        # caller's arrays alone
+        if masked:
+            z, sigma = np.where(valid, z, 0.0), np.where(valid, sigma, 1.0)
+        else:
+            z, sigma = z.copy(), sigma.copy()
+        # Each check runs on the whole grid, one at a time; the per-row
+        # reduction runs only to name the first failing row. A full mask
+        # with at least one column gives every row a branch.
         checks = (
-            (valid.any(axis=1), "has no branch"),
-            (np.isfinite(z).all(axis=1), "has a non-finite z"),
-            ((np.isfinite(sigma) & (sigma > 0)).all(axis=1),
+            (lambda: valid if valid.all() and names else valid.any(axis=1), "has no branch"),
+            (lambda: np.isfinite(z), "has a non-finite z"),
+            (lambda: np.isfinite(sigma) & (sigma > 0),
              "has a sigma that is not finite and positive"),
-            (~np.isinf(z_star), "has an infinite z_star"),
-            (index >= 0, "has a negative index"),
+            (lambda: ~np.isinf(z_star), "has an infinite z_star"),
+            (lambda: index >= 0, "has a negative index"),
         )
-        for ok, problem in checks:
-            if not ok.all():
-                raise ValueError(f"ensemble row {int(np.argmin(ok))} {problem}")
+        for check, problem in checks:
+            if not check().all():
+                ok = check()
+                row_ok = ok.all(axis=1) if ok.ndim == 2 else ok
+                raise ValueError(f"ensemble row {int(np.argmin(row_ok))} {problem}")
         for array in (z, sigma, valid, z_star, index):
             array.setflags(write=False)
         self.names = names
@@ -277,6 +286,13 @@ class EnsembleTable:
 
     def __repr__(self) -> str:
         return f"EnsembleTable(n={len(self)}, names={self.names})"
+
+    def column(self, name: str) -> int:
+        """The column of branch name; UnknownBranch when no column has it."""
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise UnknownBranch(f"branch '{name}' not in {list(self.names)}") from None
 
     def take(self, rows: Sequence[int], z_star=None) -> EnsembleTable:
         """The table of the given rows, in that order, with z_star replaced

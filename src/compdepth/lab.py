@@ -10,13 +10,14 @@ of how much an ensemble loses to error-sign coupling.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import KOutOfRange, UnknownBranch
-from .fusion import fuse
+from .errors import KOutOfRange
+from .fusion import weights
 from .kitti_io import EnsembleTable
 
 #: Lower bound of proportional sigmas, which keeps them strictly positive.
@@ -91,7 +92,8 @@ def generate_ensembles(truths: Sequence[float],
     # a^2 + (1-a)^2; solving for the target rate gives the keep probability.
     keep_p = 0.5 * (1.0 + math.sqrt(2.0 * cfg.coupling_rate - 1.0))
     keep = rng.random((n_obj, n_br)) < keep_p
-    signs = ref_sign[:, None] * np.where(keep, 1.0, -1.0)
+    signs = np.where(keep, 1.0, -1.0)
+    signs *= ref_sign[:, None]
     magnitudes = np.abs(rng.normal(0.0, cfg.error_scale, size=(n_obj, n_br)))
     errors = signs * magnitudes
 
@@ -127,13 +129,6 @@ class SweepCurve:
             raise ValueError("MAE overflowed to a non-finite value")
 
 
-def _branch_column(names: Sequence[str], branch_name: str) -> int:
-    try:
-        return list(names).index(branch_name)
-    except ValueError:
-        raise UnknownBranch(f"branch '{branch_name}' not in {list(names)}") from None
-
-
 def _require_truth(table: EnsembleTable) -> None:
     if len(table) == 0:
         raise ValueError("need at least one ensemble")
@@ -143,17 +138,45 @@ def _require_truth(table: EnsembleTable) -> None:
         raise ValueError(f"ensemble ({table.frame[i]}, {table.index[i]}) has no z_star")
 
 
-def _fused_mae(table: EnsembleTable, z: np.ndarray) -> float:
-    """MAE over all objects of the fusion of z with the table's sigmas,
-    each object fused over its present branches."""
-    fused = fuse(table, z)
-    return float(np.mean(np.abs(fused - table.z_star)))
+def _levels(values, name: str, lo: float, hi: float, bounds: str) -> list:
+    """A sweep's levels, sorted. ValueError unless they are non-empty,
+    distinct and each in [lo, hi] (NaN is not); bounds says so in words."""
+    levels = sorted(values)
+    if not levels:
+        raise ValueError(f"{name} must not be empty")
+    if len(set(levels)) != len(levels):
+        raise ValueError(f"{name} must be distinct")
+    if not all(lo <= v <= hi for v in levels):
+        raise ValueError(f"{name} must {bounds}")
+    return levels
 
 
-# Ragged ensembles: the sweeps below pick their seeded subsets from all N
-# objects and report count N, and fusion uses each object's present
-# branches. A flip or disturbance therefore acts only on selected objects
-# that carry the branch: one written into a missing cell has weight 0.
+def _gather(table: EnsembleTable, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The untouched fusion of every object, and the fusion weights and a
+    copy of the depths of rows."""
+    w = weights(table)
+    return (w * table.z).sum(axis=1), w[rows], table.z[rows]
+
+
+def _fused_mae(base: np.ndarray, z_star: np.ndarray, rows=slice(0),
+               fused_rows=()) -> float:
+    """MAE over all objects of the untouched fusion base, with the given
+    rows' fused depths replaced."""
+    fused = base.copy()
+    fused[rows] = fused_rows
+    fused -= z_star
+    return float(np.mean(np.abs(fused, out=fused)))
+
+
+# Every sweep computes the fusion weights and the untouched fusion once and
+# re-fuses only the rows a level edits. A row's weighted sum does not depend
+# on the other rows, so the MAEs are bit for bit those of fusing the whole
+# edited grid.
+#
+# Ragged ensembles: the sweeps pick their seeded subsets from all N objects
+# and report count N, and fusion uses each object's present branches. A
+# flip or disturbance therefore acts only on selected objects that carry
+# the branch: one written into a missing cell has weight 0.
 
 def flip_sweep(table: EnsembleTable, branch_name: str,
                proportions: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
@@ -164,30 +187,24 @@ def flip_sweep(table: EnsembleTable, branch_name: str,
     nested: a higher proportion flips a superset of a lower one, so curves
     are comparable point to point.
     """
-    props = sorted(float(p) for p in proportions)
-    if not props:
-        raise ValueError("proportions must not be empty")
-    if len(set(props)) != len(props):
-        raise ValueError("proportions must be distinct")
-    if not all(0.0 <= p <= 1.0 for p in props):
-        raise ValueError("proportions must lie in [0, 1]")
+    props = _levels((float(p) for p in proportions), "proportions", 0.0, 1.0,
+                    "lie in [0, 1]")
     _require_truth(table)
-    z, z_star = table.z, table.z_star
-    col = _branch_column(table.names, branch_name)
-    n = z.shape[0]
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-
-    baseline = _fused_mae(table, z)
+    z_star = table.z_star
+    col = table.column(branch_name)
+    n = len(table)
+    # the prefixes of one order: fuse the largest flipped set once
+    rows = np.random.default_rng(seed).permutation(n)[:int(round(props[-1] * n))]
+    base, w_rows, z_rows = _gather(table, rows)
+    z_rows[:, col] = flip(z_rows[:, col], z_star[rows])
+    flipped = (w_rows * z_rows).sum(axis=1)
     maes = []
     for p in props:
         m = int(round(p * n))
-        zz = z.copy()
-        rows = perm[:m]
-        zz[rows, col] = flip(zz[rows, col], z_star[rows])
-        maes.append(_fused_mae(table, zz))
+        maes.append(_fused_mae(base, z_star, rows[:m], flipped[:m]))
     return SweepCurve(x=tuple(props), mae=tuple(maes), counts=(n,) * len(props),
-                      baseline_mae=baseline, label=f"flip:{branch_name}")
+                      baseline_mae=_fused_mae(base, z_star),
+                      label=f"flip:{branch_name}")
 
 
 def disturb_sweep(table: EnsembleTable, branch_name: str,
@@ -203,36 +220,31 @@ def disturb_sweep(table: EnsembleTable, branch_name: str,
     carries the untouched-ensemble MAE, which the curve crosses once the
     noise outweighs what the flips repaired.
     """
-    amps = sorted(float(a) for a in amplitudes)
-    if not amps:
-        raise ValueError("amplitudes must not be empty")
-    if len(set(amps)) != len(amps):
-        raise ValueError("amplitudes must be distinct")
-    if not all(0.0 <= a < math.inf for a in amps):
-        raise ValueError("amplitudes must be finite and non-negative")
+    amps = _levels((float(a) for a in amplitudes), "amplitudes", 0.0, sys.float_info.max,
+                   "be finite and non-negative")
     _require_truth(table)
-    z, z_star = table.z, table.z_star
-    col = _branch_column(table.names, branch_name)
-    n = z.shape[0]
+    z_star = table.z_star
+    col = table.column(branch_name)
+    n = len(table)
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    rows = perm[:int(round(0.5 * n))]
-    unit_noise = rng.uniform(-1.0, 1.0, size=n)
+    rows = rng.permutation(n)[:int(round(0.5 * n))]
+    noise = rng.uniform(-1.0, 1.0, size=n)[rows]
 
-    baseline = _fused_mae(table, z)
-    flipped = flip(z[rows, col], z_star[rows])
+    base, w_rows, z_rows = _gather(table, rows)
+    flipped = flip(z_rows[:, col], z_star[rows])
     maes = []
     for a in amps:
-        zz = z.copy()
-        zz[rows, col] = flipped + a * unit_noise[rows]
-        maes.append(_fused_mae(table, zz))
+        z_rows[:, col] = flipped + a * noise
+        maes.append(_fused_mae(base, z_star, rows, (w_rows * z_rows).sum(axis=1)))
     return SweepCurve(x=tuple(amps), mae=tuple(maes), counts=(n,) * len(amps),
-                      baseline_mae=baseline, label=f"disturb:{branch_name}")
+                      baseline_mae=_fused_mae(base, z_star),
+                      label=f"disturb:{branch_name}")
 
 
-def multi_flip(table: EnsembleTable, k: int, seed: int = 0) -> float:
+def multi_flip_sweep(table: EnsembleTable, ks: Sequence[int], seed: int = 0) -> SweepCurve:
     """Fused MAE over all objects after flipping k branches simultaneously
-    on a seeded half of the objects.
+    on one seeded half of the objects, for each k in ks (distinct, each in
+    0..B, else KOutOfRange). baseline_mae is the k = 0 MAE either way.
 
     The flip set is chosen by branch order: the first k branches when
     k <= n/2, otherwise the last k. That pairing makes the k and n-k sets
@@ -241,18 +253,31 @@ def multi_flip(table: EnsembleTable, k: int, seed: int = 0) -> float:
     every term of a sum flips its sign, not its magnitude).
     """
     _require_truth(table)
-    z, z_star = table.z, table.z_star
     n_br = len(table.names)
-    if not 0 <= k <= n_br:
-        raise KOutOfRange(f"k={k} outside 0..{n_br}")
-    cols = range(k) if 2 * k <= n_br else range(n_br - k, n_br)
+    ks = sorted(ks)
+    for k in ks:
+        if not 0 <= k <= n_br:
+            raise KOutOfRange(f"k={k} outside 0..{n_br}")
+    if not ks or len(set(ks)) != len(ks):
+        raise ValueError("ks must be non-empty and distinct")
+    z_star = table.z_star
+    n = len(table)
+    rows = np.random.default_rng(seed).permutation(n)[:int(round(0.5 * n))]
 
-    n = z.shape[0]
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    rows = perm[:int(round(0.5 * n))]
+    base, w_rows, z_rows = _gather(table, rows)
+    flipped = flip(z_rows, z_star[rows, None])
+    z_k = np.empty_like(z_rows)
+    maes = []
+    for k in ks:
+        cols = slice(k) if 2 * k <= n_br else slice(n_br - k, n_br)
+        z_k[...] = z_rows
+        z_k[:, cols] = flipped[:, cols]
+        z_k *= w_rows
+        maes.append(_fused_mae(base, z_star, rows, z_k.sum(axis=1)))
+    return SweepCurve(x=tuple(float(k) for k in ks), mae=tuple(maes), counts=(n,) * len(ks),
+                      baseline_mae=_fused_mae(base, z_star), label="multiflip")
 
-    zz = z.copy()
-    for c in cols:
-        zz[rows, c] = flip(zz[rows, c], z_star[rows])
-    return _fused_mae(table, zz)
+
+def multi_flip(table: EnsembleTable, k: int, seed: int = 0) -> float:
+    """multi_flip_sweep's MAE for the one flip count k."""
+    return multi_flip_sweep(table, [k], seed).mae[0]

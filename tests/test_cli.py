@@ -368,6 +368,19 @@ def test_lab_multiflip_all(capsys):
     assert min(maes) == maes[2]
 
 
+def test_lab_multiflip_baseline_without_k0(capsys):
+    # the baseline is the untouched MAE whether or not k = 0 is swept
+    def rows(k):
+        assert run(["lab", "--mode", "multiflip", "--n-objects", 400, "--seed", 4,
+                    "--k", k]) == 0
+        return {r[1]: r for r in (l.split(",") for l in capsys.readouterr().out.splitlines()
+                                  if l.startswith("multiflip"))}
+    every, some = rows("all"), rows("3,1")
+    assert list(some) == ["1", "3"]
+    assert some["1"] == every["1"] and some["3"] == every["3"]
+    assert some["1"][4] == every["0"][2] == every["0"][4]
+
+
 def test_lab_from_predictions_file(tmp_path, capsys):
     import numpy as np
     from compdepth import ErrorModelConfig, generate_ensembles
@@ -448,6 +461,9 @@ def test_lab_ragged_predictions(dataset, capsys):
     (["lab", "--mode", "disturb", "--seed", "-1"], "--seed"),
     (["lab", "--mode", "flip", "--proportions", ""], "proportions must not be empty"),
     (["lab", "--mode", "disturb", "--amplitudes", ""], "amplitudes must not be empty"),
+    (["lab", "--mode", "flip", "--branches", "b0,nope"], "branch 'nope' not in"),
+    (["lab", "--mode", "disturb", "--branches", "b1,nope"], "disturb sweeps one branch"),
+    (["lab", "--mode", "multiflip", "--branches", "nope"], "--branches does not apply"),
 ])
 def test_lab_bad_input_one_line_error(args, message, dataset, capsys):
     # every command, despite the name: bad input ends in one error line

@@ -434,6 +434,12 @@ def test_ensemble_table_is_read_only():
     for column in (table.z, table.sigma, table.valid, table.z_star, table.index):
         with pytest.raises(ValueError):
             column[0] = 1
+    # with or without a mask, the caller's arrays stay theirs and writable
+    for valid in (None, np.ones((2, 2), dtype=bool)):
+        z, sigma = np.full((2, 2), 3.0), np.ones((2, 2))
+        table = _table(z=z, sigma=sigma, valid=valid)
+        z[0, 0] = sigma[0, 0] = 5.0
+        assert table.z[0, 0] == 3.0 and table.sigma[0, 0] == 1.0
 
 
 @pytest.mark.parametrize("overrides", [

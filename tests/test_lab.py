@@ -14,6 +14,7 @@ from compdepth import (
     fuse,
     generate_ensembles,
     multi_flip,
+    multi_flip_sweep,
 )
 from fusion_reference import soft_fuse, table_of
 from prediction_records import columns, read_records
@@ -233,6 +234,11 @@ def test_multi_flip_k_out_of_range(ensembles):
         multi_flip(ensembles, 5)
     with pytest.raises(KOutOfRange):
         multi_flip(ensembles, -1)
+    with pytest.raises(KOutOfRange, match="^k=5 outside 0..4$"):
+        multi_flip_sweep(ensembles, [0, 2, 5])
+    for ks in ([], [1, 1]):
+        with pytest.raises(ValueError, match="^ks must be non-empty and distinct$"):
+            multi_flip_sweep(ensembles, ks)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +313,7 @@ def test_sweeps_require_truth():
     ])
     empty = read_records([])
     sweeps = (lambda t: flip_sweep(t, "a"), lambda t: disturb_sweep(t, "a"),
-              lambda t: multi_flip(t, 1))
+              lambda t: multi_flip(t, 1), lambda t: multi_flip_sweep(t, [0, 1]))
     for sweep in sweeps:
         with pytest.raises(ValueError, match=r"^ensemble \(000004, 7\) has no z_star$"):
             sweep(table)
