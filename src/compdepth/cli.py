@@ -368,11 +368,15 @@ def _flip_counts(text: str, n_branches: int) -> list[int]:
 
 
 def _cmd_lab(args) -> int:
-    if args.mode == "multiflip" and args.branches is not None:
-        raise ValueError("--branches does not apply to --mode multiflip, which flips "
-                         "the first or last k branches")
-    if args.mode == "disturb" and args.branches and "," in args.branches:
-        raise ValueError("--mode disturb sweeps one branch; give one name in --branches")
+    chosen = None if args.branches is None else args.branches.split(",")
+    if chosen is not None:
+        if args.mode == "multiflip":
+            raise ValueError("--branches does not apply to --mode multiflip, which flips "
+                             "the first or last k branches")
+        if args.mode == "disturb" and len(chosen) > 1:
+            raise ValueError("--mode disturb sweeps one branch; give one name in --branches")
+        if "" in chosen or len(set(chosen)) < len(chosen):
+            raise ValueError("--branches needs distinct, non-empty names")
     if args.predictions is not None:
         table = read_predictions(args.predictions.read_text())
         if len(table) == 0:
@@ -395,7 +399,7 @@ def _cmd_lab(args) -> int:
         table = generate_ensembles(truths, cfg)
     sweep_seed = args.seed + 1
 
-    branch_names = (args.branches.split(",") if args.branches else list(table.names))
+    branch_names = chosen or list(table.names)
     for name in branch_names:  # UnknownBranch before any sweep runs
         table.column(name)
 

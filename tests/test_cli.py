@@ -464,6 +464,9 @@ def test_lab_ragged_predictions(dataset, capsys):
     (["lab", "--mode", "flip", "--branches", "b0,nope"], "branch 'nope' not in"),
     (["lab", "--mode", "disturb", "--branches", "b1,nope"], "disturb sweeps one branch"),
     (["lab", "--mode", "multiflip", "--branches", "nope"], "--branches does not apply"),
+    (["lab", "--mode", "flip", "--branches", "b0,b0"], "distinct, non-empty"),
+    (["lab", "--mode", "flip", "--branches", ""], "distinct, non-empty"),
+    (["lab", "--mode", "disturb", "--branches", ""], "distinct, non-empty"),
 ])
 def test_lab_bad_input_one_line_error(args, message, dataset, capsys):
     # every command, despite the name: bad input ends in one error line
