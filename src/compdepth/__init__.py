@@ -69,7 +69,6 @@ from .lab import (
     flip,
     flip_sweep,
     generate_ensembles,
-    multi_flip,
     multi_flip_sweep,
 )
 from .metrics import (
@@ -81,7 +80,7 @@ from .metrics import (
     esop,
     evaluate_ensembles,
 )
-from .synthetic import DEFAULT_INTRINSICS, Scene, make_scene, random_plane
+from .synthetic import DEFAULT_INTRINSICS, Scene, make_scene
 
 __version__ = "0.1.0"
 
@@ -96,8 +95,8 @@ __all__ = [
     "binned_mae", "box_keypoints", "complementarity_score", "disturb_sweep", "esop",
     "evaluate_ensembles", "fit_horizon", "fit_plane", "flip", "flip_sweep",
     "format_calib", "format_labels", "fuse", "generate_ensembles", "heatmap_from_pgm",
-    "heatmap_to_pgm", "horizon_pgm", "horizon_to_plane", "make_scene", "multi_flip",
-    "multi_flip_sweep", "parse_calib", "parse_labels", "plane_to_horizon", "project",
-    "random_plane", "rasterize_horizon", "read_predictions", "weights", "write_curves",
-    "write_predictions", "write_report", "y_global", "z_alt", "z_comp", "z_global", "z_key"
+    "heatmap_to_pgm", "horizon_pgm", "horizon_to_plane", "make_scene", "multi_flip_sweep",
+    "parse_calib", "parse_labels", "plane_to_horizon", "project", "rasterize_horizon",
+    "read_predictions", "weights", "write_curves", "write_predictions", "write_report",
+    "y_global", "z_alt", "z_comp", "z_global", "z_key"
 ]

@@ -58,7 +58,7 @@ from .lab import (
     generate_ensembles,
     multi_flip_sweep,
 )
-from .metrics import evaluate_ensembles
+from .metrics import DEFAULT_DEPTH_EDGES, evaluate_ensembles
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -103,7 +103,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_eval.add_argument("--predictions", type=Path, required=True)
     p_eval.add_argument("--reference", default=None,
                         help="branch used as the CS reference (default: 'dir' or first)")
-    p_eval.add_argument("--depth-edges", type=_float_list, default=[0.0, 20.0, 40.0, math.inf],
+    p_eval.add_argument("--depth-edges", type=_float_list, default=list(DEFAULT_DEPTH_EDGES),
                         help="comma-separated depth bin edges, e.g. 0,20,40,inf")
 
     p_oracle = sub.add_parser("oracle", parents=[out, seed, geometry, dirs],

@@ -41,28 +41,15 @@ class GroundPlane:
         if not math.isfinite(norm2) or abs(norm2 - 1.0) > 1e-9:
             raise ValueError(
                 "plane coefficients must be unit-normalized; "
-                "use from_coefficients() to normalize arbitrary triples"
+                "use from_heightfield() to build a plane from a height field"
             )
 
     @classmethod
-    def from_coefficients(cls, a: float, b: float, c: float,
-                          constant: float) -> "GroundPlane":
-        """Normalize an arbitrary plane a*x + b*y + c*z + constant = 0.
-
-        The sign is fixed so b <= 0 (ground below the camera); the constant
-        is rescaled together with the coefficients.
-        """
-        norm = math.sqrt(a * a + b * b + c * c)
-        if norm == 0 or not math.isfinite(norm):
-            raise ValueError("plane coefficients must be finite and not all zero")
-        if b > 0:
-            a, b, c, constant = -a, -b, -c, -constant
-        return cls(a / norm, b / norm, c / norm, constant / norm)
-
-    @classmethod
     def from_heightfield(cls, p: float, q: float, r: float) -> "GroundPlane":
-        """Plane through the height field y = p*x + q*z + r."""
-        return cls.from_coefficients(p, -1.0, q, r)
+        """Plane through the height field y = p*x + q*z + r: the triple
+        (p, -1, q) and the constant r, rescaled together to a unit normal."""
+        norm = math.sqrt(p * p + 1.0 + q * q)
+        return cls(p / norm, -1.0 / norm, q / norm, r / norm)
 
     def height_at(self, x: float, z: float) -> float:
         """Vertical (y) coordinate of the plane below camera-frame (x, z)."""

@@ -276,8 +276,3 @@ def multi_flip_sweep(table: EnsembleTable, ks: Sequence[int], seed: int = 0) -> 
         maes.append(_fused_mae(base, z_star, rows, z_k.sum(axis=1)))
     return SweepCurve(x=tuple(float(k) for k in ks), mae=tuple(maes), counts=(n,) * len(ks),
                       baseline_mae=_fused_mae(base, z_star), label="multiflip")
-
-
-def multi_flip(table: EnsembleTable, k: int, seed: int = 0) -> float:
-    """multi_flip_sweep's MAE for the one flip count k."""
-    return multi_flip_sweep(table, [k], seed).mae[0]

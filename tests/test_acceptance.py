@@ -29,7 +29,7 @@ from compdepth import (
     generate_ensembles,
     horizon_to_plane,
     make_scene,
-    multi_flip,
+    multi_flip_sweep,
     parse_calib,
     parse_labels,
     plane_to_horizon,
@@ -90,7 +90,7 @@ def test_c01_cs_table_reproduction():
 
 
 def test_c02_exact_recovery_on_sloped_planes():
-    scene = make_scene(1000, seed=2024, slope_max_deg=5.0, depth_range=(5.0, 60.0))
+    scene = make_scene(1000, seed=2024)
     k = scene.intrinsics
     x, y, z, h = np.array([(o.x, o.y, o.z, o.h) for o in scene.objects]).T
     _, v_b, v_t = box_keypoints(x, y, z, h, k)
@@ -175,7 +175,7 @@ def test_c06_disturbance_crossover(lab_ensembles):
 
 def test_c07_multi_flip_symmetry(lab_ensembles):
     ensembles, _ = lab_ensembles
-    maes = [multi_flip(ensembles, k, seed=17) for k in range(5)]
+    maes = [multi_flip_sweep(ensembles, [k], seed=17).mae[0] for k in range(5)]
     assert min(maes) == maes[2]
     assert all(maes[2] < maes[k] for k in (0, 1, 3, 4))
     assert abs(maes[0] - maes[4]) <= 1e-9

@@ -187,12 +187,31 @@ def test_eval_custom_edges_and_reference(dataset, capsys):
 
 
 def test_eval_unmatched_prediction(dataset, tmp_path, capsys):
+    # an index past its frame's label rows, and a frame with no label file
     preds = tmp_path / "bad.jsonl"
-    preds.write_text('{"frame":"000000","index":999,"branches":[{"name":"key","z":20.0}]}\n')
+    for frame, index in (("000000", 999), ("000009", 0)):
+        preds.write_text(json.dumps({"frame": frame, "index": index,
+                                     "branches": [{"name": "key", "z": 20.0}]}) + "\n")
+        code = run(["eval", "--calib-dir", dataset / "calib",
+                    "--label-dir", dataset / "label_2", "--predictions", preds])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"error: unmatched prediction keys: ({frame}, {index})\n"
+
+
+def test_eval_record_on_dontcare_row(dataset, tmp_path, capsys):
+    # the record of a DontCare row is skipped and counted: exit 3
+    labels = dataset / "label_2" / "000000.txt"
+    labels.write_text(labels.read_text().replace("Car", "DontCare", 1))
+    preds = tmp_path / "p.jsonl"
+    preds.write_text("".join(json.dumps({"frame": "000000", "index": i,
+                                         "branches": [{"name": "key", "z": 20.0}]}) + "\n"
+                             for i in range(2)))
     code = run(["eval", "--calib-dir", dataset / "calib",
                 "--label-dir", dataset / "label_2", "--predictions", preds])
-    assert code == 1
-    assert "unmatched" in capsys.readouterr().err.lower()
+    report = read_json_report(capsys.readouterr().out)
+    assert code == 3
+    assert report["n_objects"] == 1 and report["flags"] == ["dontcare_skipped:1"]
 
 
 def test_eval_scores_against_label_depths(dataset, tmp_path, capsys):
@@ -467,6 +486,7 @@ def test_lab_ragged_predictions(dataset, capsys):
     (["lab", "--mode", "flip", "--branches", "b0,b0"], "distinct, non-empty"),
     (["lab", "--mode", "flip", "--branches", ""], "distinct, non-empty"),
     (["lab", "--mode", "disturb", "--branches", ""], "distinct, non-empty"),
+    (["oracle", "--label-dir", "{dataset}"], "no label files (*.txt) in"),
 ])
 def test_lab_bad_input_one_line_error(args, message, dataset, capsys):
     # every command, despite the name: bad input ends in one error line
@@ -474,7 +494,8 @@ def test_lab_bad_input_one_line_error(args, message, dataset, capsys):
     if command == "lab":
         rest = ["--n-objects", "200", *rest]
     else:
-        rest = ["--calib-dir", dataset / "calib", "--label-dir", dataset / "label_2", *rest]
+        rest = ["--calib-dir", dataset / "calib", "--label-dir", dataset / "label_2",
+                *(str(dataset) if a == "{dataset}" else a for a in rest)]
         if command == "eval":
             preds = dataset / "preds.jsonl"
             assert run(["oracle", *rest[:4], "--out", preds]) == 0
@@ -656,7 +677,7 @@ def car_rows(*xyz):
 #: One frame each whose plane used to end the run with a GroundPlane
 #: invariant as its error text: (label text, calib text, extra oracle args).
 PLANE_LEAKS = {
-    # the fitted height field overflows: "must be finite and not all zero"
+    # the fitted height field overflows: no unit normal exists
     "unnormalizable fit": (car_rows((1, 1e308, 20), (-2, -1e308, 30), (3, 1.6, 25)),
                            None, []),
     # a subnormal f_x sends the fitted plane's horizon slope to -inf
@@ -672,6 +693,18 @@ PLANE_LEAKS = {
                           "P2: 1e-300 0.0 0.0 0.0 0.0 1e-300 0.0 0.0 0.0 0.0 1.0 0.0\n",
                           ["--noise-horizon-intercept", "1"]),
 }
+
+
+@pytest.mark.parametrize("command", ["oracle", "plane"])
+@pytest.mark.parametrize("calib_text,message", [
+    ("P0: 700.0 0.0 600.0 0.0 0.0 700.0 200.0 0.0 0.0 0.0 1.0 0.0\n",
+     "error: no 'P2:' line in calibration text"),
+    ("P2: 700.0 0.0 600.0\n", "error: 'P2' needs 12 entries, got 3"),
+], ids=["no_P2", "3_entry_P2"])
+def test_bad_calib_one_line_error(command, calib_text, message, tmp_path, capsys):
+    code = run([command, *label_dirs(tmp_path, car_rows((1, 1.6, 20)), calib_text)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", message + "\n")
 
 
 @pytest.mark.parametrize("case", PLANE_LEAKS)

@@ -48,12 +48,6 @@ def test_plane_requires_unit_norm():
         GroundPlane(0.0, -2.0, 0.0, 1.65)
 
 
-def test_from_coefficients_normalizes_and_orients():
-    g = GroundPlane.from_coefficients(0.0, 2.0, 0.0, -3.3)
-    assert g.b == pytest.approx(-1.0)
-    assert g.cam_height == pytest.approx(1.65)
-
-
 def test_from_heightfield_round_trip():
     g = GroundPlane.from_heightfield(0.02, -0.01, 1.6)
     p, q, r = heightfield(g)
@@ -236,7 +230,7 @@ def test_y_global_parallel_ray(simple_cam):
     # plane whose normal is orthogonal to the viewing ray of (c_u, 300):
     # ray direction (0, dy, 1) with dy = 100/700; normal ~ (0, -1, dy)
     dy = 100.0 / 700.0
-    g = GroundPlane.from_coefficients(0.0, -1.0, dy, 1.65)
+    g = GroundPlane.from_heightfield(0.0, dy, 1.65)
     assert math.isnan(y_global(600.0, 300.0, g, simple_cam))
 
 

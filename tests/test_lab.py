@@ -13,7 +13,6 @@ from compdepth import (
     flip_sweep,
     fuse,
     generate_ensembles,
-    multi_flip,
     multi_flip_sweep,
 )
 from fusion_reference import soft_fuse, table_of
@@ -222,7 +221,7 @@ def test_sweep_curve_rejects_non_finite_mae():
 
 
 def test_multi_flip_endpoints_and_mirror(ensembles):
-    maes = [multi_flip(ensembles, k, seed=5) for k in range(5)]
+    maes = [multi_flip_sweep(ensembles, [k], seed=5).mae[0] for k in range(5)]
     # flipping everything mirrors the fused estimate around the truth
     assert maes[0] == pytest.approx(maes[4], abs=1e-12)
     assert maes[1] == pytest.approx(maes[3], abs=1e-12)
@@ -231,9 +230,9 @@ def test_multi_flip_endpoints_and_mirror(ensembles):
 
 def test_multi_flip_k_out_of_range(ensembles):
     with pytest.raises(KOutOfRange):
-        multi_flip(ensembles, 5)
+        multi_flip_sweep(ensembles, [5])
     with pytest.raises(KOutOfRange):
-        multi_flip(ensembles, -1)
+        multi_flip_sweep(ensembles, [-1])
     with pytest.raises(KOutOfRange, match="^k=5 outside 0..4$"):
         multi_flip_sweep(ensembles, [0, 2, 5])
     for ks in ([], [1, 1]):
@@ -299,7 +298,7 @@ def test_ragged_disturb_zero_amplitude_matches_half_flip(ragged):
 
 
 def test_ragged_multi_flip_mirrors(ragged):
-    maes = [multi_flip(ragged, k, seed=5) for k in range(5)]
+    maes = [multi_flip_sweep(ragged, [k], seed=5).mae[0] for k in range(5)]
     assert maes[0] == pytest.approx(_scalar_mae(ragged, set()), rel=1e-12)
     assert maes[0] == pytest.approx(maes[4], rel=1e-12)
 
@@ -313,7 +312,7 @@ def test_sweeps_require_truth():
     ])
     empty = read_records([])
     sweeps = (lambda t: flip_sweep(t, "a"), lambda t: disturb_sweep(t, "a"),
-              lambda t: multi_flip(t, 1), lambda t: multi_flip_sweep(t, [0, 1]))
+              lambda t: multi_flip_sweep(t, [0, 1]))
     for sweep in sweeps:
         with pytest.raises(ValueError, match=r"^ensemble \(000004, 7\) has no z_star$"):
             sweep(table)

@@ -19,7 +19,6 @@ from compdepth import (  # noqa: E402
     SweepCurve,
     disturb_sweep,
     flip_sweep,
-    multi_flip,
     multi_flip_sweep,
 )
 
@@ -73,7 +72,7 @@ def test_sweeps_equal_the_full_table_reference(table, data):
                           label="multiflip")
     assert multi_flip_sweep(table, ks, seed) == expected
     k = min(ks)
-    assert multi_flip(table, k, seed) == ref.multi_flip(table, k, seed)
+    assert multi_flip_sweep(table, [k], seed).mae[0] == ref.multi_flip(table, k, seed)
 
 
 BAD_VALUES = {
