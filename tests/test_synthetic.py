@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -101,6 +102,47 @@ def test_fixed_scene_always_has_room():
     # no footprint corner lies farther from its box's centre than the half-diagonal
     w_max, l_max, _ = synthetic._WLT_HI
     assert z_lo > math.hypot(w_max / 2.0, l_max / 2.0)
+
+
+def test_make_scene_rejects_corners_behind_camera():
+    # boxes 0.5-2 m ahead would reach behind the camera: make_scene takes no depth range
+    with pytest.raises(TypeError, match="unexpected keyword argument 'depth_range'"):
+        make_scene(5, seed=1, depth_range=(0.5, 2.0))
+    # so every box of the fixed scene keeps its footprint, and its amodal 2D box, in front
+    scene = make_scene(400, seed=1)
+    assert all(o.z > math.hypot(o.w / 2.0, o.l / 2.0) for o in scene.objects)
+    assert np.isfinite([o.bbox2d for o in scene.objects]).all()
+
+
+@pytest.mark.parametrize("kw", [
+    # the plane's best corner would leave y - h at -0.35 m: no attempt could pass
+    pytest.param(dict(slope_max_deg=10.0, depth_range=(8.0, 50.0), height_range=(1.2, 1.9),
+                      cam_height=1.8, min_clearance=0.3), id="kw0-no box keeps min_clearance=0.3"),
+    pytest.param(dict(min_clearance=5.0), id="kw1-no box keeps"),
+    pytest.param(dict(depth_range=(-1e308, 1e308)), id="kw2-finite width"),
+    pytest.param(dict(height_range=(1.0, math.inf)), id="kw3-finite width"),
+    pytest.param(dict(height_range=(2.0, 1.0)), id="kw4-needs lo <= hi"),
+    pytest.param(dict(depth_range=(0.0, -0.0)), id="kw5-needs lo <= hi"),
+])
+def test_make_scene_rejects_unsatisfiable_ranges(kw):
+    """make_scene takes none of the settings that once needed a range check,
+    and its fixed ranges are ordered and finite, so it returns."""
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        make_scene(30, seed=5, **kw)
+    for lo, hi in (synthetic._DEPTH_RANGE, synthetic._HEIGHT_RANGE):
+        assert lo <= hi and math.isfinite(hi - lo)
+
+    # A sampler that cannot end loops forever: fail on a timer instead.
+    def hang(signum, frame):
+        raise TimeoutError("make_scene did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        assert len(make_scene(30, seed=5).objects) == 30
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _pass_rate(seed):
