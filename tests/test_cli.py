@@ -451,44 +451,87 @@ def test_lab_ragged_predictions(dataset, capsys):
     assert all(r[2] == r[4] for r in rows if r[1] == "0")
 
 
-@pytest.mark.parametrize("args,message", [
-    (["lab", "--mode", "flip", "--depth-range", "0,inf"], "--depth-range"),
-    (["lab", "--mode", "flip", "--depth-range", "nan,10"], "--depth-range"),
-    (["lab", "--mode", "disturb", "--amplitudes", "0,inf"], "amplitudes"),
-    (["lab", "--mode", "flip", "--proportions", "0,nan"], "proportions"),
-    (["lab", "--mode", "multiflip", "--k", "0,0"], "--k values must be distinct"),
-    (["lab", "--mode", "multiflip", "--k", "1,x"], "--k must be"),
-    (["lab", "--mode", "flip", "--n-objects", "-5"], "--n-objects"),
-    (["lab", "--mode", "flip", "--n-objects", "0"], "--n-objects"),
-    (["lab", "--mode", "flip", "--error-scale", "1e308"], "non-finite z"),
-    (["lab", "--mode", "flip", "--depth-range", "1e300,1e308"], "non-finite"),
-    (["eval", "--predictions", "{preds}", "--depth-edges", "0,nan,40"], "edges"),
-    (["oracle", "--noise-px", "nan"], "--noise-px"),
-    (["oracle", "--noise-h-rel", "inf"], "--noise-h-rel"),
-    (["oracle", "--noise-horizon-slope", "-0.1"], "--noise-horizon-slope"),
-    (["oracle", "--noise-horizon-intercept", "nan"], "--noise-horizon-intercept"),
-    (["oracle", "--cam-height", "-1", "--eps-den", "-5"], "--cam-height"),
-    (["plane", "--eps-den", "-5"], "--eps-den"),
-    (["plane", "--cam-height", "nan"], "--cam-height"),
-    (["plane", "--image-size", "10"], "--image-size"),
-    (["plane", "--image-size", "inf,375"], "--image-size"),
-    (["lab", "--mode", "flip", "--error-scale", "nan"], "error_scale"),
-    (["lab", "--mode", "flip", "--error-scale", "inf"], "error_scale"),
-    (["oracle", "--seed", "-1", "--noise-px", "nan"], "--seed"),
-    (["oracle", "--seed", "-1"], "--seed"),
-    (["lab", "--mode", "flip", "--seed", "-1"], "--seed"),
-    (["lab", "--mode", "disturb", "--seed", "-1"], "--seed"),
-    (["lab", "--mode", "flip", "--proportions", ""], "proportions must not be empty"),
-    (["lab", "--mode", "disturb", "--amplitudes", ""], "amplitudes must not be empty"),
-    (["lab", "--mode", "flip", "--branches", "b0,nope"], "branch 'nope' not in"),
-    (["lab", "--mode", "disturb", "--branches", "b1,nope"], "disturb sweeps one branch"),
-    (["lab", "--mode", "multiflip", "--branches", "nope"], "--branches does not apply"),
-    (["lab", "--mode", "flip", "--branches", "b0,b0"], "distinct, non-empty"),
-    (["lab", "--mode", "flip", "--branches", ""], "distinct, non-empty"),
-    (["lab", "--mode", "disturb", "--branches", ""], "distinct, non-empty"),
-    (["oracle", "--label-dir", "{dataset}"], "no label files (*.txt) in"),
-])
-def test_lab_bad_input_one_line_error(args, message, dataset, capsys):
+# Each case: the arguments, the key of its test id, and the whole stderr line;
+# {dataset} and {preds} stand for the dataset root and an oracle file in it.
+BAD_INPUT = [
+    (["lab", "--mode", "flip", "--depth-range", "0,inf"], "--depth-range",
+     "error: --depth-range needs two finite increasing values"),
+    (["lab", "--mode", "flip", "--depth-range", "nan,10"], "--depth-range",
+     "error: --depth-range needs two finite increasing values"),
+    (["lab", "--mode", "disturb", "--amplitudes", "0,inf"], "amplitudes",
+     "error: amplitudes must be finite and non-negative"),
+    (["lab", "--mode", "flip", "--proportions", "0,nan"], "proportions",
+     "error: proportions must lie in [0, 1]"),
+    (["lab", "--mode", "multiflip", "--k", "0,0"], "--k values must be distinct",
+     "error: --k values must be distinct"),
+    (["lab", "--mode", "multiflip", "--k", "1,x"], "--k must be",
+     "error: --k must be 'all' or comma-separated integers"),
+    (["lab", "--mode", "flip", "--n-objects", "-5"], "--n-objects",
+     "error: --n-objects must be at least 1"),
+    (["lab", "--mode", "flip", "--n-objects", "0"], "--n-objects",
+     "error: --n-objects must be at least 1"),
+    (["lab", "--mode", "flip", "--error-scale", "1e308"], "non-finite z",
+     "error: ensemble row 4 has a non-finite z"),
+    (["lab", "--mode", "flip", "--depth-range", "1e300,1e308"], "non-finite",
+     "error: MAE overflowed to a non-finite value"),
+    (["eval", "--predictions", "{preds}", "--depth-edges", "0,nan,40"], "edges",
+     "error: edges must be at least 2 strictly increasing values, got [0.0, nan, 40.0]"),
+    (["oracle", "--noise-px", "nan"], "--noise-px",
+     "error: --noise-px must be finite and >= 0, got nan"),
+    (["oracle", "--noise-h-rel", "inf"], "--noise-h-rel",
+     "error: --noise-h-rel must be finite and >= 0, got inf"),
+    (["oracle", "--noise-horizon-slope", "-0.1"], "--noise-horizon-slope",
+     "error: --noise-horizon-slope must be finite and >= 0, got -0.1"),
+    (["oracle", "--noise-horizon-intercept", "nan"], "--noise-horizon-intercept",
+     "error: --noise-horizon-intercept must be finite and >= 0, got nan"),
+    (["oracle", "--cam-height", "-1", "--eps-den", "-5"], "--cam-height",
+     "error: --cam-height must be finite and > 0, got -1.0"),
+    (["plane", "--eps-den", "-5"], "--eps-den",
+     "error: --eps-den must be finite and > 0, got -5.0"),
+    (["plane", "--cam-height", "nan"], "--cam-height",
+     "error: --cam-height must be finite and > 0, got nan"),
+    (["plane", "--image-size", "10"], "--image-size",
+     "error: --image-size needs two finite values >= 1 (width,height)"),
+    (["plane", "--image-size", "inf,375"], "--image-size",
+     "error: --image-size needs two finite values >= 1 (width,height)"),
+    (["lab", "--mode", "flip", "--error-scale", "nan"], "error_scale",
+     "error: error_scale must be finite and positive, got nan"),
+    (["lab", "--mode", "flip", "--error-scale", "inf"], "error_scale",
+     "error: error_scale must be finite and positive, got inf"),
+    (["oracle", "--seed", "-1", "--noise-px", "nan"], "--seed",
+     "error: --seed must be >= 0, got -1"),
+    (["oracle", "--seed", "-1"], "--seed",
+     "error: --seed must be >= 0, got -1"),
+    (["lab", "--mode", "flip", "--seed", "-1"], "--seed",
+     "error: --seed must be >= 0, got -1"),
+    (["lab", "--mode", "disturb", "--seed", "-1"], "--seed",
+     "error: --seed must be >= 0, got -1"),
+    (["lab", "--mode", "flip", "--proportions", ""], "proportions must not be empty",
+     "error: proportions must not be empty"),
+    (["lab", "--mode", "disturb", "--amplitudes", ""], "amplitudes must not be empty",
+     "error: amplitudes must not be empty"),
+    (["lab", "--mode", "flip", "--branches", "b0,nope"], "branch 'nope' not in",
+     "error: branch 'nope' not in ['b0', 'b1', 'b2', 'b3']"),
+    (["lab", "--mode", "disturb", "--branches", "b1,nope"], "disturb sweeps one branch",
+     "error: --mode disturb sweeps one branch; give one name in --branches"),
+    (["lab", "--mode", "multiflip", "--branches", "nope"], "--branches does not apply",
+     "error: --branches does not apply to --mode multiflip, which flips the first or last "
+     "k branches"),
+    (["lab", "--mode", "flip", "--branches", "b0,b0"], "distinct, non-empty",
+     "error: --branches needs distinct, non-empty names"),
+    (["lab", "--mode", "flip", "--branches", ""], "distinct, non-empty",
+     "error: --branches needs distinct, non-empty names"),
+    (["lab", "--mode", "disturb", "--branches", ""], "distinct, non-empty",
+     "error: --branches needs distinct, non-empty names"),
+    (["oracle", "--label-dir", "{dataset}"], "no label files (*.txt) in",
+     "error: no label files (*.txt) in {dataset}"),
+    (["lab", "--mode", "multiflip", "--k", "9"], "k=9", "error: k=9 outside 0..4"),
+]
+
+
+@pytest.mark.parametrize("args,line", [(args, line) for args, _, line in BAD_INPUT],
+                         ids=[f"args{i}-{key}" for i, (_, key, _) in enumerate(BAD_INPUT)])
+def test_lab_bad_input_one_line_error(args, line, dataset, capsys):
     # every command, despite the name: bad input ends in one error line
     command, *rest = args
     if command == "lab":
@@ -503,10 +546,8 @@ def test_lab_bad_input_one_line_error(args, message, dataset, capsys):
     capsys.readouterr()
     code = run([command, *rest])
     captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+    line = line.replace("{dataset}", str(dataset))
+    assert (code, captured.out, captured.err) == (1, "", line + "\n")
 
 
 # ---------------------------------------------------------------------------
