@@ -28,7 +28,7 @@ import numpy as np
 
 from .camera import DEFAULT_EPS_DEN, CameraIntrinsics, project
 from .depth_branches import box_keypoints, z_alt, z_comp, z_global, z_key
-from .errors import CompdepthError, DegeneratePlane, JoinError
+from .errors import DegeneratePlane, JoinError
 from .ground_plane import (
     DEFAULT_CAM_HEIGHT,
     GroundPlane,
@@ -63,6 +63,11 @@ from .metrics import DEFAULT_DEPTH_EDGES, evaluate_ensembles
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_DEGENERACY = 3
+
+#: Most cells (objects x branches) of a table that `lab` generates.
+MAX_LAB_CELLS = 2**24
+#: Most pixels (width x height) of a `plane --image-size`.
+MAX_IMAGE_PIXELS = 2**26
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +170,7 @@ def main(argv=None) -> int:
         # or one error line (a non-finite report value), not numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             return _COMMANDS[args.command](args)
-    except (CompdepthError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
@@ -384,6 +389,10 @@ def _cmd_lab(args) -> int:
     else:
         if args.n_objects < 1:
             raise ValueError("--n-objects must be at least 1")
+        cells = args.n_objects * args.n_branches
+        if cells > MAX_LAB_CELLS:
+            raise ValueError(f"--n-objects x --n-branches must be at most {MAX_LAB_CELLS} "
+                             f"cells, got {cells}")
         if (len(args.depth_range) != 2 or not all(map(math.isfinite, args.depth_range))
                 or args.depth_range[0] >= args.depth_range[1]):
             raise ValueError("--depth-range needs two finite increasing values")
@@ -400,7 +409,7 @@ def _cmd_lab(args) -> int:
     sweep_seed = args.seed + 1
 
     branch_names = chosen or list(table.names)
-    for name in branch_names:  # UnknownBranch before any sweep runs
+    for name in branch_names:  # an unknown name fails before any sweep runs
         table.column(name)
 
     if args.mode == "flip":
@@ -425,6 +434,9 @@ def _cmd_plane(args) -> int:
             math.isfinite(v) and v >= 1 for v in args.image_size):
         raise ValueError("--image-size needs two finite values >= 1 (width,height)")
     width, height = (int(v) for v in args.image_size)
+    if width * height > MAX_IMAGE_PIXELS:
+        raise ValueError(f"--image-size must be at most {MAX_IMAGE_PIXELS} pixels "
+                         f"(width x height), got {width * height}")
     frames = _frames(args.label_dir)
     if args.heatmap_dir is not None:
         args.heatmap_dir.mkdir(parents=True, exist_ok=True)

@@ -1,47 +1,31 @@
-"""Exception taxonomy shared across the package.
+"""The package's exception types.
 
-Parsers, the ground-plane and horizon code, metrics, and the lab raise
-these instead of bare ValueError so callers can tell data problems
-from numerical degeneracies. The per-object geometry (projection, ground
-elevation and the depth kernels) raises none: it returns NaN where the
-geometry is undefined, and the CLI counts those entries as failed
+Every input error the package raises is a ValueError: bad text, bad
+arrays, out-of-range settings and numerical degeneracies alike, so one
+`except ValueError` sees them all. CompdepthError, itself a ValueError,
+is the base of the five subclasses below. They exist because they carry
+fields (MalformedLine, SchemaError, JoinError) or because a caller
+catches them by type to fall back (DegeneratePlane, ZeroMAE); every
+other error is a plain ValueError. The per-object geometry (projection,
+ground elevation and the depth kernels) raises none: it returns NaN where
+the geometry is undefined, and the CLI counts those entries as failed
 branches or elevations.
 """
 
 from __future__ import annotations
 
 
-class CompdepthError(Exception):
-    """Base class for every error raised by this package."""
+class CompdepthError(ValueError):
+    """Base class of the package's own ValueError subclasses."""
 
-
-# ---------------------------------------------------------------------------
-# ground plane / horizon
-# ---------------------------------------------------------------------------
 
 class DegeneratePlane(CompdepthError):
     """Plane has no horizon in the slope-intercept parameterization (|b| ~ 0),
     or a horizon's plane is too close to vertical to normalize."""
 
 
-class InsufficientSupport(CompdepthError):
-    """Too few usable columns to fit a horizon line."""
-
-
-class EmptyInput(CompdepthError):
-    """An operation that needs at least one sample received none."""
-
-
-# ---------------------------------------------------------------------------
-# parsing / serialization
-# ---------------------------------------------------------------------------
-
-class MissingKey(CompdepthError):
-    """Required key is absent from a calibration file."""
-
-
-class MalformedMatrix(CompdepthError):
-    """Calibration matrix row has the wrong arity or non-numeric entries."""
+class ZeroMAE(CompdepthError):
+    """Complementarity score is undefined when the MAE is zero."""
 
 
 class MalformedLine(CompdepthError):
@@ -73,31 +57,3 @@ class JoinError(CompdepthError):
         more = "" if len(keys) <= 5 else f" and {len(keys) - 5} more"
         super().__init__(f"{message}: {shown}{more}")
         self.unmatched = keys
-
-
-# ---------------------------------------------------------------------------
-# metrics
-# ---------------------------------------------------------------------------
-
-class LengthMismatch(CompdepthError):
-    """Paired arrays differ in length."""
-
-
-class ZeroMAE(CompdepthError):
-    """Complementarity score is undefined when the MAE is zero."""
-
-
-class NonMonotoneEdges(CompdepthError):
-    """Bin edges must be strictly increasing."""
-
-
-# ---------------------------------------------------------------------------
-# complementarity lab
-# ---------------------------------------------------------------------------
-
-class UnknownBranch(CompdepthError):
-    """Named branch is missing from at least one ensemble."""
-
-
-class KOutOfRange(CompdepthError):
-    """Requested flip count is outside 0..n_branches."""

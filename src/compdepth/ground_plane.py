@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import DEFAULT_EPS_DEN, CameraIntrinsics
-from .errors import DegeneratePlane, EmptyInput, InsufficientSupport
+from .errors import DegeneratePlane
 
 #: Default camera mounting height above ground, in meters.
 DEFAULT_CAM_HEIGHT = 1.65
@@ -93,12 +93,12 @@ def fit_plane(points) -> tuple[GroundPlane, PlaneFitInfo]:
     p*p + q*q overflows), falls back to the flat plane
     y = DEFAULT_CAM_HEIGHT and sets the info's used_fallback.
 
-    Raises EmptyInput when no points are given.
+    Raises ValueError when no points are given.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     n = len(pts)
     if n == 0:
-        raise EmptyInput("plane fit needs at least one point")
+        raise ValueError("plane fit needs at least one point")
     if n >= 3:
         design = np.column_stack([pts[:, 0], pts[:, 2], np.ones(n)])
         solution, _, rank, _ = np.linalg.lstsq(design, pts[:, 1], rcond=None)
@@ -239,8 +239,8 @@ def fit_horizon(grid: np.ndarray, with_info: bool = False):
     image border keep the integer argmax row (ties resolve to the
     smallest row).
 
-    Raises ValueError for a grid of any other dtype and
-    InsufficientSupport when fewer than 2 columns carry evidence.
+    Raises ValueError for a grid of any other dtype or when fewer than 2
+    columns carry evidence.
     """
     scale = _heatmap_scale(grid)
     width = grid.shape[1]
@@ -255,7 +255,7 @@ def fit_horizon(grid: np.ndarray, with_info: bool = False):
     argmax = top + np.argmax(grid[top:bottom], axis=0)
     cols = np.nonzero(grid[argmax, np.arange(width)] > 0)[0]
     if cols.size < 2:
-        raise InsufficientSupport(f"only {cols.size} usable columns")
+        raise ValueError(f"only {cols.size} usable columns")
     argmax = argmax[cols]
     rows = argmax.astype(float)
 

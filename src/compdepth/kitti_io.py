@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .camera import CameraIntrinsics
-from .errors import MalformedLine, MalformedMatrix, MissingKey, SchemaError, UnknownBranch
+from .errors import MalformedLine, SchemaError
 from .metrics import ComplementarityReport
 
 # ---------------------------------------------------------------------------
@@ -74,8 +74,8 @@ def parse_calib(text: str) -> CameraIntrinsics:
     Reads f_x, f_y, c_u, c_v; the translation column is validated but plays
     no role in the ideal-pinhole math here. Other keys are ignored.
 
-    Raises MissingKey when no line starts with 'P2:', MalformedMatrix on
-    wrong arity or non-numeric or non-finite entries.
+    Raises ValueError when no line starts with 'P2:' and on wrong arity or
+    non-numeric or non-finite entries.
     """
     for raw in text.splitlines():
         line = raw.strip()
@@ -83,16 +83,16 @@ def parse_calib(text: str) -> CameraIntrinsics:
             continue
         tokens = line[3:].split()
         if len(tokens) != 12:
-            raise MalformedMatrix(f"'P2' needs 12 entries, got {len(tokens)}")
+            raise ValueError(f"'P2' needs 12 entries, got {len(tokens)}")
         try:
             p = [float(t) for t in tokens]
         except ValueError as exc:
-            raise MalformedMatrix(f"'P2' has a non-numeric entry: {exc}") from None
+            raise ValueError(f"'P2' has a non-numeric entry: {exc}") from None
         if not all(math.isfinite(v) for v in p):
-            raise MalformedMatrix("'P2' has a non-finite entry")
+            raise ValueError("'P2' has a non-finite entry")
         # row-major 3x4: f_x, c_u in row 0 and f_y, c_v in row 1
         return CameraIntrinsics(f_x=p[0], f_y=p[5], c_u=p[2], c_v=p[6])
-    raise MissingKey("no 'P2:' line in calibration text")
+    raise ValueError("no 'P2:' line in calibration text")
 
 
 def format_calib(k: CameraIntrinsics) -> str:
@@ -288,11 +288,11 @@ class EnsembleTable:
         return f"EnsembleTable(n={len(self)}, names={self.names})"
 
     def column(self, name: str) -> int:
-        """The column of branch name; UnknownBranch when no column has it."""
+        """The column of branch name; ValueError when no column has it."""
         try:
             return self.names.index(name)
         except ValueError:
-            raise UnknownBranch(f"branch '{name}' not in {list(self.names)}") from None
+            raise ValueError(f"branch '{name}' not in {list(self.names)}") from None
 
     def take(self, rows: Sequence[int], z_star=None) -> EnsembleTable:
         """The table of the given rows, in that order, with z_star replaced

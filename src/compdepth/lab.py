@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import KOutOfRange
 from .fusion import weights
 from .kitti_io import EnsembleTable
 
@@ -79,7 +78,8 @@ def generate_ensembles(truths: Sequence[float],
     cfg.seed drives all draws in a fixed order. Branches are named b0..bN-1;
     frames are the zero-padded object numbers, indices 0.
 
-    Raises ValueError when a draw overflows to a non-finite depth or sigma.
+    Raises ValueError, naming error_scale, when a draw overflows to a
+    non-finite depth or sigma.
     """
     truths = np.asarray(truths, dtype=float)
     if truths.ndim != 1 or truths.size == 0:
@@ -97,12 +97,16 @@ def generate_ensembles(truths: Sequence[float],
     magnitudes = np.abs(rng.normal(0.0, cfg.error_scale, size=(n_obj, n_br)))
     errors = signs * magnitudes
 
+    z = truths[:, None] + errors
+    # An infinite magnitude (hence sigma) makes its depth infinite too.
+    if not np.isfinite(z).all():
+        raise ValueError(f"a draw at error_scale {cfg.error_scale} overflowed "
+                         "to a non-finite depth")
     if cfg.sigma_model == "constant":
         sigmas = np.ones((n_obj, n_br))
     else:
         sigmas = np.maximum(magnitudes, SIGMA_FLOOR)
-    return EnsembleTable(names=cfg.branch_names, z=truths[:, None] + errors,
-                         sigma=sigmas, z_star=truths)
+    return EnsembleTable(names=cfg.branch_names, z=z, sigma=sigmas, z_star=truths)
 
 
 @dataclass(frozen=True)
@@ -244,7 +248,7 @@ def disturb_sweep(table: EnsembleTable, branch_name: str,
 def multi_flip_sweep(table: EnsembleTable, ks: Sequence[int], seed: int = 0) -> SweepCurve:
     """Fused MAE over all objects after flipping k branches simultaneously
     on one seeded half of the objects, for each k in ks (distinct, each in
-    0..B, else KOutOfRange). baseline_mae is the k = 0 MAE either way.
+    0..B, else ValueError). baseline_mae is the k = 0 MAE either way.
 
     The flip set is chosen by branch order: the first k branches when
     k <= n/2, otherwise the last k. That pairing makes the k and n-k sets
@@ -257,7 +261,7 @@ def multi_flip_sweep(table: EnsembleTable, ks: Sequence[int], seed: int = 0) -> 
     ks = sorted(ks)
     for k in ks:
         if not 0 <= k <= n_br:
-            raise KOutOfRange(f"k={k} outside 0..{n_br}")
+            raise ValueError(f"k={k} outside 0..{n_br}")
     if not ks or len(set(ks)) != len(ks):
         raise ValueError("ks must be non-empty and distinct")
     z_star = table.z_star

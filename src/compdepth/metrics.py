@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import EmptyInput, LengthMismatch, NonMonotoneEdges, ZeroMAE
+from .errors import ZeroMAE
 from .fusion import fuse
 
 if TYPE_CHECKING:
@@ -35,9 +35,9 @@ def esop(errors_a: Sequence[float], errors_b: Sequence[float]) -> float:
     a = np.asarray(errors_a, dtype=float)
     b = np.asarray(errors_b, dtype=float)
     if a.shape != b.shape:
-        raise LengthMismatch(f"{a.shape} vs {b.shape} errors")
+        raise ValueError(f"{a.shape} vs {b.shape} errors")
     if a.size == 0:
-        raise EmptyInput("ESOP needs at least one pair")
+        raise ValueError("ESOP needs at least one pair")
     opposite = np.count_nonzero(np.sign(a) * np.sign(b) < 0)
     return 100.0 * opposite / a.size
 
@@ -74,17 +74,17 @@ def binned_mae(predictions: Sequence[float], truths: Sequence[float],
 
     Pairs whose truth falls outside [edges[0], edges[-1]) are dropped.
 
-    Raises NonMonotoneEdges unless edges are strictly increasing.
+    Raises ValueError unless edges are strictly increasing.
     """
     p = np.asarray(predictions, dtype=float)
     t = np.asarray(truths, dtype=float)
     if p.shape != t.shape:
-        raise LengthMismatch(f"{p.shape} predictions vs {t.shape} truths")
+        raise ValueError(f"{p.shape} predictions vs {t.shape} truths")
     if p.size == 0:
-        raise EmptyInput("binned MAE needs at least one pair")
+        raise ValueError("binned MAE needs at least one pair")
     e = np.asarray(edges, dtype=float)
     if e.size < 2 or not np.all(np.diff(e) > 0):
-        raise NonMonotoneEdges(
+        raise ValueError(
             f"edges must be at least 2 strictly increasing values, got {list(edges)}")
 
     abs_err = np.abs(p - t)
@@ -145,7 +145,7 @@ def evaluate_ensembles(table: "EnsembleTable",
         flags.append(f"skipped_no_truth:{int(missing.sum())}")
         table = table.take(np.flatnonzero(~missing))
     if len(table) == 0:
-        raise EmptyInput("no ensembles with ground truth to evaluate")
+        raise ValueError("no ensembles with ground truth to evaluate")
     names, valid, z_star = table.names, table.valid, table.z_star
     err = table.z - z_star[:, None]
 

@@ -471,7 +471,7 @@ BAD_INPUT = [
     (["lab", "--mode", "flip", "--n-objects", "0"], "--n-objects",
      "error: --n-objects must be at least 1"),
     (["lab", "--mode", "flip", "--error-scale", "1e308"], "non-finite z",
-     "error: ensemble row 4 has a non-finite z"),
+     "error: a draw at error_scale 1e+308 overflowed to a non-finite depth"),
     (["lab", "--mode", "flip", "--depth-range", "1e300,1e308"], "non-finite",
      "error: MAE overflowed to a non-finite value"),
     (["eval", "--predictions", "{preds}", "--depth-edges", "0,nan,40"], "edges",
@@ -526,6 +526,15 @@ BAD_INPUT = [
     (["oracle", "--label-dir", "{dataset}"], "no label files (*.txt) in",
      "error: no label files (*.txt) in {dataset}"),
     (["lab", "--mode", "multiflip", "--k", "9"], "k=9", "error: k=9 outside 0..4"),
+    # Size ceilings: without them these rows ask for terabytes, which the
+    # allocator refuses at once, or (plane, no heatmap) succeed; either fails.
+    (["lab", "--mode", "multiflip", "--n-objects", "10", "--n-branches", str(2**40)],
+     "lab_cells", "error: --n-objects x --n-branches must be at most 16777216 cells, "
+     "got 10995116277760"),
+    (["lab", "--mode", "flip", "--n-objects", str(2**40)], "lab_cells",
+     "error: --n-objects x --n-branches must be at most 16777216 cells, got 4398046511104"),
+    (["plane", "--image-size", "8193,8192"], "image_pixels",
+     "error: --image-size must be at most 67108864 pixels (width x height), got 67117056"),
 ]
 
 

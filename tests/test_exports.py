@@ -1,5 +1,6 @@
 """compdepth.__all__ is exactly the public names that __init__.py imports,
-and every exception type in compdepth.errors is raised somewhere."""
+every exception type in compdepth.errors is raised somewhere, and every
+exception the package raises is a ValueError or an AssertionError."""
 
 import ast
 import inspect
@@ -39,3 +40,8 @@ def test_every_error_type_is_raised():
              and cls is not errors.CompdepthError]
     assert types
     assert [name for name in types if not re.search(rf"raise {name}\(", sources)] == []
+    # The CLI's `except (OSError, ValueError)` sees every input error; an
+    # AssertionError marks a broken invariant and stays a traceback.
+    assert issubclass(errors.CompdepthError, ValueError)
+    raised = set(re.findall(r"\braise (\w+)", sources))
+    assert raised - {"ValueError", "AssertionError", *types} == set()

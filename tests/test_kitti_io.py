@@ -10,8 +10,6 @@ from compdepth import (
     ComplementarityReport,
     EnsembleTable,
     MalformedLine,
-    MalformedMatrix,
-    MissingKey,
     Object3D,
     SchemaError,
     format_calib,
@@ -59,16 +57,17 @@ def test_parse_calib_other_key():
 
 
 def test_parse_calib_missing_key():
-    with pytest.raises(MissingKey):
+    with pytest.raises(ValueError, match="^no 'P2:' line in calibration text$"):
         parse_calib("P3: " + " ".join(["1.0"] * 12))
 
 
 def test_parse_calib_malformed():
-    with pytest.raises(MalformedMatrix):
+    with pytest.raises(ValueError, match="^'P2' needs 12 entries, got 11$"):
         parse_calib("P2: " + " ".join(["1.0"] * 11))
-    with pytest.raises(MalformedMatrix):
+    with pytest.raises(ValueError, match="^'P2' has a non-numeric entry: could not convert "
+                                         "string to float: 'potato'$"):
         parse_calib("P2: " + " ".join(["1.0"] * 11 + ["potato"]))
-    with pytest.raises(MalformedMatrix):
+    with pytest.raises(ValueError, match="^'P2' has a non-finite entry$"):
         parse_calib("P2: " + " ".join(["1.0"] * 11 + ["nan"]))
 
 

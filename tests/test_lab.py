@@ -5,9 +5,7 @@ import pytest
 
 from compdepth import (
     ErrorModelConfig,
-    KOutOfRange,
     SweepCurve,
-    UnknownBranch,
     disturb_sweep,
     flip,
     flip_sweep,
@@ -135,8 +133,9 @@ def test_generate_ensembles_proportional_sigma():
 
 
 def test_generate_ensembles_rejects_overflowing_draws():
-    # normal draws scaled by 1e308 overflow to inf; the table refuses them
-    with pytest.raises(ValueError, match="non-finite z"):
+    # normal draws scaled by 1e308 overflow to inf; the error names the scale
+    with pytest.raises(ValueError, match=r"^a draw at error_scale 1e\+308 overflowed to "
+                                         "a non-finite depth$"):
         generate_ensembles(np.full(2000, 30.0), ErrorModelConfig(error_scale=1e308))
 
 
@@ -174,7 +173,7 @@ def test_flip_sweep_nested_subsets(ensembles):
 
 
 def test_flip_sweep_validation(ensembles):
-    with pytest.raises(UnknownBranch):
+    with pytest.raises(ValueError, match=r"^branch 'nope' not in \['b0', 'b1', 'b2', 'b3'\]$"):
         flip_sweep(ensembles, "nope")
     with pytest.raises(ValueError, match="^proportions must not be empty$"):
         flip_sweep(ensembles, "b0", ())
@@ -229,11 +228,11 @@ def test_multi_flip_endpoints_and_mirror(ensembles):
 
 
 def test_multi_flip_k_out_of_range(ensembles):
-    with pytest.raises(KOutOfRange):
+    with pytest.raises(ValueError, match="^k=5 outside 0..4$"):
         multi_flip_sweep(ensembles, [5])
-    with pytest.raises(KOutOfRange):
+    with pytest.raises(ValueError, match="^k=-1 outside 0..4$"):
         multi_flip_sweep(ensembles, [-1])
-    with pytest.raises(KOutOfRange, match="^k=5 outside 0..4$"):
+    with pytest.raises(ValueError, match="^k=5 outside 0..4$"):
         multi_flip_sweep(ensembles, [0, 2, 5])
     for ks in ([], [1, 1]):
         with pytest.raises(ValueError, match="^ks must be non-empty and distinct$"):

@@ -4,9 +4,6 @@ import numpy as np
 import pytest
 
 from compdepth import (
-    EmptyInput,
-    LengthMismatch,
-    NonMonotoneEdges,
     ZeroMAE,
     binned_mae,
     complementarity_score,
@@ -54,9 +51,9 @@ def test_esop_huge_errors_do_not_overflow():
 
 
 def test_esop_validation():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ValueError, match=r"^\(1,\) vs \(2,\) errors$"):
         esop([1.0], [1.0, 2.0])
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ValueError, match="^ESOP needs at least one pair$"):
         esop([], [])
 
 
@@ -120,13 +117,14 @@ def test_binned_mae_weighted_average_matches_global():
 
 
 def test_binned_mae_validation():
-    with pytest.raises(NonMonotoneEdges):
+    edges = "^edges must be at least 2 strictly increasing values, got "
+    with pytest.raises(ValueError, match=edges + r"\[0.0, 0.0, 10.0\]$"):
         binned_mae([1.0], [1.0], edges=(0.0, 0.0, 10.0))
-    with pytest.raises(NonMonotoneEdges):
+    with pytest.raises(ValueError, match=edges + r"\[0.0\]$"):
         binned_mae([1.0], [1.0], edges=(0.0,))  # a single edge bounds no bin
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ValueError, match=r"^\(1,\) predictions vs \(2,\) truths$"):
         binned_mae([1.0], [1.0, 2.0])
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ValueError, match="^binned MAE needs at least one pair$"):
         binned_mae([], [])
 
 
@@ -232,5 +230,5 @@ def test_evaluate_ensembles_non_finite_metric_raises(records, message):
 
 
 def test_evaluate_ensembles_empty():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ValueError, match="^no ensembles with ground truth to evaluate$"):
         evaluate_ensembles(read_records([]))
