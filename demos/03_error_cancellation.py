@@ -36,8 +36,10 @@ z1, z2 = z_star + e1, z_star + e2
 # one object per row, one branch per column
 pair = EnsembleTable(names=("b1", "b2"), z=np.column_stack([z1, z2]), sigma=sigma,
                      z_star=z_star)
+flipped = EnsembleTable(names=("b1", "b2"), z=np.column_stack([z1, flip(z2, z_star)]),
+                        sigma=sigma, z_star=z_star)
 same = np.abs(fuse(pair) - z_star)
-mixed = np.abs(fuse(pair, np.column_stack([z1, flip(z2, z_star)])) - z_star)
+mixed = np.abs(fuse(flipped) - z_star)
 print(f"|fused error|, same-sign branches:      {same.mean():.4f}")
 print(f"|fused error|, one branch sign-flipped: {mixed.mean():.4f}")
 

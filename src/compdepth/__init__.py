@@ -34,11 +34,9 @@ from .ground_plane import (
     fit_horizon,
     fit_plane,
     heatmap_from_pgm,
-    heatmap_to_pgm,
     horizon_pgm,
     horizon_to_plane,
     plane_to_horizon,
-    rasterize_horizon,
     y_global,
 )
 from .kitti_io import (
@@ -86,8 +84,8 @@ __all__ = [
     "binned_mae", "box_keypoints", "complementarity_score", "disturb_sweep", "esop",
     "evaluate_ensembles", "fit_horizon", "fit_plane", "flip", "flip_sweep",
     "format_calib", "format_labels", "fuse", "generate_ensembles", "heatmap_from_pgm",
-    "heatmap_to_pgm", "horizon_pgm", "horizon_to_plane", "make_scene", "multi_flip_sweep",
-    "parse_calib", "parse_labels", "plane_to_horizon", "project", "rasterize_horizon",
-    "read_predictions", "weights", "write_curves", "write_predictions", "write_report",
-    "y_global", "z_alt", "z_comp", "z_global", "z_key"
+    "horizon_pgm", "horizon_to_plane", "make_scene", "multi_flip_sweep", "parse_calib",
+    "parse_labels", "plane_to_horizon", "project", "read_predictions", "weights",
+    "write_curves", "write_predictions", "write_report", "y_global", "z_alt", "z_comp",
+    "z_global", "z_key"
 ]

@@ -22,6 +22,7 @@ import argparse
 import math
 import sys
 from collections import Counter
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +69,11 @@ EXIT_DEGENERACY = 3
 MAX_LAB_CELLS = 2**24
 #: Most pixels (width x height) of a `plane --image-size`.
 MAX_IMAGE_PIXELS = 2**26
+#: Largest `oracle --noise-*` amplitude: half the largest float.
+MAX_NOISE = sys.float_info.max / 2
+#: Most cells (flip counts x objects x branches) that `lab --mode multiflip`
+#: sweeps; its time grows with the square of the branch count.
+MAX_SWEEP_CELLS = 2**28
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +288,13 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_oracle(args) -> int:
-    _require_finite(args, ("--noise-h-rel", "--noise-px", "--noise-horizon-slope",
-                           "--noise-horizon-intercept"), positive=False)
+    noise_flags = ("--noise-h-rel", "--noise-px", "--noise-horizon-slope",
+                   "--noise-horizon-intercept")
+    _require_finite(args, noise_flags, positive=False)
+    for flag in noise_flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value > MAX_NOISE:  # a draw from uniform(-a, a) needs a finite width 2a
+            raise ValueError(f"{flag} must be at most {MAX_NOISE:g}, got {value:g}")
     rng = np.random.default_rng(args.seed)
     diagnostics: Counter = Counter()
     names = ("key", "glo", "comp", "alt") if args.include_alt else ("key", "glo", "comp")
@@ -360,9 +371,9 @@ def _cmd_oracle(args) -> int:
 # lab
 # ---------------------------------------------------------------------------
 
-def _flip_counts(text: str, n_branches: int) -> list[int]:
+def _flip_counts(text: str, n_branches: int) -> Sequence[int]:
     if text == "all":
-        return list(range(n_branches + 1))
+        return range(n_branches + 1)
     try:
         ks = [int(t) for t in text.split(",")]
     except ValueError:
@@ -386,16 +397,26 @@ def _cmd_lab(args) -> int:
         table = read_predictions(args.predictions.read_text())
         if len(table) == 0:
             raise ValueError(f"no ensembles in {args.predictions}")
+        n_objects, n_branches = table.z.shape
     else:
-        if args.n_objects < 1:
+        n_objects, n_branches = args.n_objects, args.n_branches
+        if n_objects < 1:
             raise ValueError("--n-objects must be at least 1")
-        cells = args.n_objects * args.n_branches
+        cells = n_objects * n_branches
         if cells > MAX_LAB_CELLS:
             raise ValueError(f"--n-objects x --n-branches must be at most {MAX_LAB_CELLS} "
                              f"cells, got {cells}")
         if (len(args.depth_range) != 2 or not all(map(math.isfinite, args.depth_range))
                 or args.depth_range[0] >= args.depth_range[1]):
             raise ValueError("--depth-range needs two finite increasing values")
+    if args.mode == "multiflip":
+        ks = _flip_counts(args.k, n_branches)
+        sweep = len(ks) * n_objects * n_branches
+        if sweep > MAX_SWEEP_CELLS:
+            raise ValueError(f"a multiflip sweep must cover at most {MAX_SWEEP_CELLS} cells "
+                             f"(flip counts x objects x branches), got {len(ks)} x "
+                             f"{n_objects} x {n_branches} = {sweep}")
+    if args.predictions is None:
         cfg = ErrorModelConfig(n_branches=args.n_branches,
                                coupling_rate=args.coupling_rate,
                                error_scale=args.error_scale,
@@ -418,8 +439,7 @@ def _cmd_lab(args) -> int:
     elif args.mode == "disturb":
         curves = [disturb_sweep(table, branch_names[0], args.amplitudes, seed=sweep_seed)]
     else:
-        curves = [multi_flip_sweep(table, _flip_counts(args.k, len(table.names)),
-                                   seed=sweep_seed)]
+        curves = [multi_flip_sweep(table, ks, seed=sweep_seed)]
 
     _emit(write_curves(curves, header=config_header(args)), args.out)
     return EXIT_OK

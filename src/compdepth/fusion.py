@@ -25,12 +25,11 @@ def weights(table: EnsembleTable) -> np.ndarray:
     return inverse / inverse.sum(axis=1, keepdims=True)
 
 
-def fuse(table: EnsembleTable, z: np.ndarray | None = None) -> np.ndarray:
+def fuse(table: EnsembleTable) -> np.ndarray:
     """The soft fusion of each object's valid branches, one depth per row.
 
     The package's one fusion kernel: eval fuses a whole EnsembleTable in
-    one call. A cell outside table.valid has weight 0, so any finite z there
-    changes nothing. z defaults to table.z; a caller may pass a modified
-    copy of the same (N, B) shape.
+    one call. A cell outside table.valid has weight 0, so the z stored
+    there changes nothing.
     """
-    return (weights(table) * (table.z if z is None else z)).sum(axis=1)
+    return (weights(table) * table.z).sum(axis=1)

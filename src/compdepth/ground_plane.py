@@ -169,13 +169,20 @@ def y_global(u_b, v_b, g: GroundPlane, k: CameraIntrinsics, eps: float = DEFAULT
 
 
 # ---------------------------------------------------------------------------
-# horizon heatmap
+# horizon heatmap: binary PGM (P5, maxval 255, row-major), read as uint8 pixels
 # ---------------------------------------------------------------------------
 
-def _horizon_band(h: HorizonLine, width: int, height: int) -> tuple[int, np.ndarray]:
-    """The rows of rasterize_horizon's grid that the line's window touches:
-    (top, band) with band = grid[top:top + len(band)]. Every row outside
-    the band is zero; a line that misses the image gives an empty band.
+def horizon_pgm(h: HorizonLine, width: int, height: int) -> bytes:
+    """Render a horizon line as a (height, width) heatmap, written as a
+    binary PGM (P5, maxval 255).
+
+    Each column u gets a 1-D Gaussian centered on the line row v(u), with
+    sigma = HEATMAP_RADIUS / 3, truncated at +/- HEATMAP_RADIUS and peak
+    value 1; a value is stored as the pixel round(255 * value). Columns
+    whose line row falls outside the image keep whatever truncated tail
+    still intersects the image; columns farther away than the radius stay
+    zero. Only the band of rows the window touches is computed; every other
+    pixel is written as a zero byte.
 
     Raises ValueError for a non-finite line or an empty image.
     """
@@ -185,13 +192,14 @@ def _horizon_band(h: HorizonLine, width: int, height: int) -> tuple[int, np.ndar
         raise ValueError(f"k_h must be finite, got {h.k_h}")
     if not math.isfinite(h.b_h):
         raise ValueError(f"b_h must be finite, got {h.b_h}")
+    header = f"P5\n{width} {height}\n255\n".encode("ascii")
     sigma = HEATMAP_RADIUS / 3.0
     v = h.k_h * np.arange(width) + h.b_h
     lo = np.maximum(0.0, np.ceil(v - HEATMAP_RADIUS))
     hi = np.minimum(height - 1.0, np.floor(v + HEATMAP_RADIUS))
     cols = np.nonzero(lo <= hi)[0]
     if not cols.size:
-        return 0, np.zeros((0, width))
+        return header + bytes(height * width)
     v, rows, hi = v[cols], lo[cols].astype(np.intp), hi[cols].astype(np.intp)
     top = int(rows.min())
     band = np.zeros((int(hi.max()) + 1 - top, width))
@@ -202,31 +210,17 @@ def _horizon_band(h: HorizonLine, width: int, height: int) -> tuple[int, np.ndar
         band[rows - top, cols] = np.exp(-((rows - v) ** 2) / (2.0 * sigma * sigma))
         more = rows < hi
         rows, cols, v, hi = rows[more] + 1, cols[more], v[more], hi[more]
-    return top, band
-
-
-def rasterize_horizon(h: HorizonLine, width: int, height: int) -> np.ndarray:
-    """Render a horizon line as a (height, width) heatmap with a vertical
-    Gaussian profile, values in [0, 1].
-
-    Each column u gets a 1-D Gaussian centered on the line row v(u), with
-    sigma = HEATMAP_RADIUS / 3, truncated at +/- HEATMAP_RADIUS and peak
-    value 1. Columns whose line row falls outside the image keep whatever
-    truncated tail still intersects the image; columns farther away than
-    the radius stay zero.
-
-    Raises ValueError for a non-finite line or an empty image.
-    """
-    top, band = _horizon_band(h, width, height)
-    grid = np.zeros((height, width), dtype=float)
-    grid[top:top + len(band)] = band
-    return grid
+    # exp of a non-positive number lies in [0, 1], so no value needs clipping
+    band *= 255.0
+    np.rint(band, out=band)
+    below = height - top - len(band)
+    return b"".join((header, bytes(top * width), band.astype(np.uint8).tobytes(),
+                     bytes(below * width)))
 
 
 def fit_horizon(grid: np.ndarray, with_info: bool = False):
-    """Recover a horizon line from a (height, width) heatmap: a float array
-    in [0, 1], or the uint8 pixels heatmap_from_pgm returns, read as
-    pixel / 255.
+    """Recover a horizon line from the (height, width) uint8 pixels of a
+    heatmap, such as heatmap_from_pgm returns, read as pixel / 255.
 
     Takes the per-column peak location, skips columns with no positive
     evidence (an all-zero column is legal), and fits a line by ordinary
@@ -242,11 +236,12 @@ def fit_horizon(grid: np.ndarray, with_info: bool = False):
     Raises ValueError for a grid of any other dtype or when fewer than 2
     columns carry evidence.
     """
-    scale = _heatmap_scale(grid)
+    if grid.dtype != np.uint8:
+        raise ValueError(f"heatmap must be a uint8 array, got dtype {grid.dtype}")
     width = grid.shape[1]
-    # pixel / scale is strictly increasing in the pixel, so the argmax and
-    # the evidence test read the grid as given; only the three rows of the
-    # parabola become floats, the same ones heatmap / scale would hold.
+    # pixel / 255 is strictly increasing in the pixel, so the argmax and
+    # the evidence test read the pixels as given; only the three rows of
+    # the parabola become floats.
     # A positive column peak lies between the first and last nonzero rows,
     # so the search skips the all-zero rows above and below them.
     nonzero_rows = np.flatnonzero(grid.any(axis=1))
@@ -261,7 +256,7 @@ def fit_horizon(grid: np.ndarray, with_info: bool = False):
 
     inner = (argmax > 0) & (argmax < grid.shape[0] - 1)
     ci, ri = cols[inner], argmax[inner]
-    lo, mid, hi = (np.divide(grid[r, ci], scale) for r in (ri - 1, ri, ri + 1))
+    lo, mid, hi = (grid[r, ci] / 255.0 for r in (ri - 1, ri, ri + 1))
     ok = (lo > 0.0) & (hi > 0.0)
     l0, l1, l2 = np.log(lo[ok]), np.log(mid[ok]), np.log(hi[ok])
     denom = l0 - 2.0 * l1 + l2
@@ -287,63 +282,13 @@ def fit_horizon(grid: np.ndarray, with_info: bool = False):
     return line, info
 
 
-# ---------------------------------------------------------------------------
-# PGM import/export (binary P5, 8-bit, row-major)
-# ---------------------------------------------------------------------------
-
-def _heatmap_scale(grid: np.ndarray) -> float:
-    """The value that stands for 1.0 in a heatmap of this dtype."""
-    if grid.dtype == np.uint8:
-        return 255.0
-    if np.issubdtype(grid.dtype, np.floating):
-        return 1.0
-    raise ValueError(f"heatmap must be a float or uint8 array, got dtype {grid.dtype}")
-
-
-def _pgm_header(width: int, height: int) -> bytes:
-    return f"P5\n{width} {height}\n255\n".encode("ascii")
-
-
-def _to_pixels(values: np.ndarray) -> np.ndarray:
-    """Float heatmap values as uint8 pixels: clipped to [0, 1], 1.0 -> 255."""
-    scaled = np.clip(values, 0.0, 1.0)
-    scaled *= 255.0
-    np.rint(scaled, out=scaled)
-    return scaled.astype(np.uint8)
-
-
-def heatmap_to_pgm(grid: np.ndarray) -> bytes:
-    """Serialize a (height, width) heatmap as binary PGM (P5, maxval 255).
-
-    A uint8 grid is written as its pixel bytes. Float values are clipped
-    to [0, 1] and scaled so 1.0 maps to 255. Raises ValueError for any
-    other dtype.
-    """
-    height, width = grid.shape
-    pixels = grid if _heatmap_scale(grid) == 255.0 else _to_pixels(grid)
-    return _pgm_header(width, height) + pixels.tobytes()
-
-
-def horizon_pgm(h: HorizonLine, width: int, height: int) -> bytes:
-    """heatmap_to_pgm(rasterize_horizon(h, width, height)), byte for byte,
-    computed on the few rows the line's window touches; the rest of the
-    image is written as zero bytes.
-
-    Raises ValueError for a non-finite line or an empty image.
-    """
-    top, band = _horizon_band(h, width, height)
-    below = height - top - len(band)
-    return b"".join((_pgm_header(width, height), bytes(top * width),
-                     _to_pixels(band).tobytes(), bytes(below * width)))
-
-
 #: Whitespace or a '#' comment, which runs to the end of its line, between
 #: the tokens of a PGM header.
 _PGM_SEP = rb"(?:\s|#[^\r\n]*[\r\n])+"
 
 
 def heatmap_from_pgm(data: bytes) -> np.ndarray:
-    """Parse a binary PGM (P5, maxval 255), such as heatmap_to_pgm writes.
+    """Parse a binary PGM (P5, maxval 255), such as horizon_pgm writes.
 
     Comments may stand between the header tokens. Returns the pixels as a
     read-only (height, width) uint8 view of `data`, without a copy;

@@ -27,13 +27,14 @@ from compdepth import (
     format_labels,
     fuse,
     generate_ensembles,
+    heatmap_from_pgm,
+    horizon_pgm,
     horizon_to_plane,
     make_scene,
     multi_flip_sweep,
     parse_calib,
     parse_labels,
     plane_to_horizon,
-    rasterize_horizon,
     read_predictions,
     y_global,
     z_alt,
@@ -203,7 +204,7 @@ def test_c08_plane_horizon_round_trips():
     width, height = 1242, 375
     for _ in range(25):
         true = HorizonLine(rng.uniform(-0.05, 0.05), rng.uniform(80.0, 280.0))
-        fit = fit_horizon(rasterize_horizon(true, width, height))
+        fit = fit_horizon(heatmap_from_pgm(horizon_pgm(true, width, height)))
         assert abs(fit.b_h - true.b_h) <= 0.5
         assert abs(fit.k_h - true.k_h) <= 0.5 / width
 

@@ -4,7 +4,12 @@ import dataclasses
 import io
 import json
 import math
+import os
+import resource
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -413,6 +418,21 @@ def test_lab_from_predictions_file(tmp_path, capsys):
     assert sum(1 for l in out.splitlines() if l.startswith("flip:b0")) == 2
 
 
+def test_lab_multiflip_sweep_ceiling_on_predictions(tmp_path, capsys):
+    # one object with 16384 branches: 16385 flip counts x 16384 cells is
+    # just above 2**28, refused before the sweep starts
+    record = {"frame": "000000", "index": 0, "z_star": 10.0,
+              "branches": [{"name": f"b{j}", "z": 10.0, "sigma": 1.0} for j in range(16384)]}
+    preds = tmp_path / "wide.jsonl"
+    preds.write_text(json.dumps(record) + "\n")
+    code = run(["lab", "--mode", "multiflip", "--predictions", preds])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == ("error: a multiflip sweep must cover at most 268435456 cells "
+                            "(flip counts x objects x branches), got 16385 x 1 x 16384 "
+                            "= 268451840\n")
+
+
 def test_lab_empty_predictions(tmp_path, capsys):
     preds = tmp_path / "empty.jsonl"
     preds.write_text("# nothing\n")
@@ -535,6 +555,23 @@ BAD_INPUT = [
      "error: --n-objects x --n-branches must be at most 16777216 cells, got 4398046511104"),
     (["plane", "--image-size", "8193,8192"], "image_pixels",
      "error: --image-size must be at most 67108864 pixels (width x height), got 67117056"),
+    # A multiflip sweep's time grows with the square of --n-branches: the
+    # first row would take days, the second (just above 2**28) minutes.
+    (["lab", "--mode", "multiflip", "--n-objects", "2", "--n-branches", "8388608"],
+     "sweep_cells", "error: a multiflip sweep must cover at most 268435456 cells (flip "
+     "counts x objects x branches), got 8388609 x 2 x 8388608 = 140737505132544"),
+    (["lab", "--mode", "multiflip", "--n-objects", "2", "--n-branches", "11585"],
+     "sweep_cells", "error: a multiflip sweep must cover at most 268435456 cells (flip "
+     "counts x objects x branches), got 11586 x 2 x 11585 = 268447620"),
+    # uniform(-a, a) overflows its width 2a above half the largest float
+    (["oracle", "--noise-h-rel", "1.7e308"], "--noise-h-rel",
+     "error: --noise-h-rel must be at most 8.98847e+307, got 1.7e+308"),
+    (["oracle", "--noise-px", "1.7e308"], "--noise-px",
+     "error: --noise-px must be at most 8.98847e+307, got 1.7e+308"),
+    (["oracle", "--noise-horizon-slope", "1.7e308"], "--noise-horizon-slope",
+     "error: --noise-horizon-slope must be at most 8.98847e+307, got 1.7e+308"),
+    (["oracle", "--noise-horizon-intercept", "1.7e308"], "--noise-horizon-intercept",
+     "error: --noise-horizon-intercept must be at most 8.98847e+307, got 1.7e+308"),
 ]
 
 
@@ -1016,5 +1053,140 @@ def test_any_extreme_labels_and_calib_end_cleanly(tmp_path):
                 pgms = sorted(heatmap_dir.iterdir())
                 assert [p.stem for p in pgms] == sorted(frames)
                 assert all(heatmap_from_pgm(p.read_bytes()).shape == (8, 24) for p in pgms)
+
+    check()
+
+
+#: Values drawn for every numeric option: the extremes of the float range,
+#: zero and ones, non-finite values and an integer far beyond any size.
+EXTREME_VALUES = ("0", "1", "-1", "1e-300", "-1e-300", "1e+300", "-1e+300", "1.7e+308",
+                  "-1.7e+308", "nan", "inf", "-inf", str(2**40))
+#: Ordinary values of each numeric option; the list options take 1-3 of them.
+ORDINARY_VALUES = {
+    "--seed": ("3",), "--cam-height": ("1.6",), "--eps-den": ("1e-6",),
+    "--noise-h-rel": ("0.1",), "--noise-px": ("2",), "--noise-horizon-slope": ("0.01",),
+    "--noise-horizon-intercept": ("3",), "--n-objects": ("300",), "--n-branches": ("3",),
+    "--coupling-rate": ("0.8",), "--error-scale": ("2",), "--depth-range": ("5", "60"),
+    "--proportions": ("0", "0.5"), "--amplitudes": ("0", "2"), "--k": ("all", "2"),
+    "--depth-edges": ("0", "20", "inf"), "--image-size": ("60", "20"),
+}
+LIST_OPTIONS = {"--depth-range", "--proportions", "--amplitudes", "--k", "--depth-edges",
+                "--image-size"}
+#: The numeric options of each command, and its other choices (lab's --mode
+#: is always drawn).
+FUZZED_OPTIONS = {
+    "oracle": ("--seed", "--cam-height", "--eps-den", "--noise-h-rel", "--noise-px",
+               "--noise-horizon-slope", "--noise-horizon-intercept"),
+    "eval": ("--depth-edges",),
+    "lab": ("--seed", "--n-objects", "--n-branches", "--coupling-rate", "--error-scale",
+            "--depth-range", "--proportions", "--amplitudes", "--k"),
+    "plane": ("--cam-height", "--eps-den", "--image-size"),
+}
+CHOICES = {
+    "oracle": {"--sigma-model": ("constant", "proportional"), "--include-alt": ("",)},
+    "eval": {"--format": ("json", "csv"), "--reference": ("key", "glo", "nope")},
+    "lab": {"--sigma-model": ("constant", "proportional")},
+    "plane": {"--format": ("json", "csv"), "--heatmap-dir": ("{heatmaps}",)},
+}
+#: Each child may map this much address space, and run this long.
+CHILD_MEMORY_BYTES = 2**30
+CHILD_TIMEOUT_S = 20
+
+
+if given is not None:
+    @st.composite
+    def option_lines(draw):
+        """One command's arguments: each numeric option left at its default
+        or drawn from EXTREME_VALUES or its ordinary values, each choice left
+        out or drawn."""
+        command = draw(st.sampled_from(sorted(FUZZED_OPTIONS)))
+        args = [command]
+        if command == "lab":
+            args += ["--mode", draw(st.sampled_from(("flip", "disturb", "multiflip")))]
+        for flag, values in CHOICES[command].items():
+            value = draw(st.one_of(st.none(), st.sampled_from(values)))
+            if value is not None:
+                args += [flag, value] if value else [flag]
+        for flag in FUZZED_OPTIONS[command]:
+            value = st.one_of(st.sampled_from(EXTREME_VALUES),
+                              st.sampled_from(ORDINARY_VALUES[flag]))
+            if flag in LIST_OPTIONS:
+                value = st.lists(value, min_size=1, max_size=3).map(",".join)
+            drawn = draw(st.one_of(st.none(), value))
+            if drawn is not None:
+                args += [flag, drawn]
+        return args
+
+
+def limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY_BYTES, CHILD_MEMORY_BYTES))
+
+
+def assert_finite_output(out):
+    """Every number the command wrote, outside its config echo, is finite:
+    JSON documents and JSONL records, or the CSV cells that parse as floats
+    (a depth bin edge of 'inf' marks an unbounded bin)."""
+    doc = out.lstrip()
+    if doc.startswith("{"):  # a JSON report
+        json.loads(doc, parse_float=finite_float, parse_constant=reject_constant)
+        return
+    lines = out.splitlines()
+    if lines and lines[0].startswith("# {"):  # oracle JSONL under its config echo
+        for line in lines:
+            json.loads(line.removeprefix("# "), parse_float=finite_float,
+                       parse_constant=reject_constant)
+        return
+    rows = list(csv.DictReader(line for line in lines if not line.startswith("#")))
+    for row in rows:
+        for key, cell in row.items():
+            if key in ("bin_lo", "bin_hi"):
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            assert math.isfinite(value), row
+
+
+def test_any_extreme_options_end_cleanly(shared_dataset, tmp_path):
+    """Every command with its numeric options drawn from across the float
+    range, each run in a child process whose address space is capped: exit
+    0 or 3 with only finite numbers written and only warning lines on
+    stderr, exit 1 with one error line, or exit 2 with argparse's usage and
+    one error line. A run that outlives CHILD_TIMEOUT_S fails."""
+    if given is None:
+        pytest.skip("hypothesis is not installed")
+    dirs = ["--calib-dir", shared_dataset / "calib", "--label-dir", shared_dataset / "label_2"]
+    preds = tmp_path / "preds.jsonl"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert run(["oracle", *dirs, "--out", preds]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+           "OPENBLAS_NUM_THREADS": "1"}
+
+    @settings(max_examples=40, deadline=None)
+    @given(option_lines())
+    def check(args):
+        command = args[0]
+        args = [str(tmp_path / "heatmaps") if a == "{heatmaps}" else a for a in args]
+        if command != "lab":
+            args += [str(a) for a in dirs]
+        # lab sweeps the oracle's file unless a table size was drawn
+        if command == "eval" or (command == "lab" and "--n-objects" not in args
+                                 and "--n-branches" not in args):
+            args += ["--predictions", str(preds)]
+        result = subprocess.run([sys.executable, "-m", "compdepth.cli", *args], env=env,
+                                capture_output=True, text=True, timeout=CHILD_TIMEOUT_S,
+                                preexec_fn=limit_memory)
+        code, out, err = result.returncode, result.stdout, result.stderr
+        if code == 1:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        elif code == 2:
+            assert out == "" and err.startswith("usage: compdepth "), err
+            assert [line for line in err.splitlines() if "error: " in line] == [
+                err.splitlines()[-1]], err
+        else:
+            assert code in (0, 3), (code, err)
+            assert all(line.startswith("warning: ") for line in err.splitlines()), err
+            assert_finite_output(out)
 
     check()

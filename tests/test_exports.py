@@ -1,6 +1,7 @@
 """compdepth.__all__ is exactly the public names that __init__.py imports,
-every exception type in compdepth.errors is raised somewhere, and every
-exception the package raises is a ValueError or an AssertionError."""
+every public function has a caller outside the tests, every exception type
+in compdepth.errors is raised somewhere, and every exception the package
+raises is a ValueError or an AssertionError."""
 
 import ast
 import inspect
@@ -45,3 +46,39 @@ def test_every_error_type_is_raised():
     assert issubclass(errors.CompdepthError, ValueError)
     raised = set(re.findall(r"\braise (\w+)", sources))
     assert raised - {"ValueError", "AssertionError", *types} == set()
+
+
+def called_names(tree: ast.AST) -> set[str]:
+    """Names of the functions that tree calls, as `f(...)` or `obj.f(...)`,
+    except a function's calls of itself inside its own def."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST, inside: tuple[str, ...]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = (*inside, node.name)
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            if name is not None and name not in inside:
+                found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, ())
+    return found
+
+
+def test_every_public_function_has_a_caller_outside_tests():
+    """No API that only tests call: every function in __all__ is called by
+    the package, a demo, the benchmark or the README's python examples."""
+    root = Path(__file__).resolve().parent.parent
+    sources = [path.read_text() for folder in ("src/compdepth", "demos", "bench")
+               for path in sorted((root / folder).rglob("*.py"))]
+    sources += [block.split("```", 1)[0]
+                for block in (root / "README.md").read_text().split("```python\n")[1:]]
+    called = set().union(*(called_names(ast.parse(source)) for source in sources))
+    functions = [name for name in compdepth.__all__
+                 if inspect.isfunction(getattr(compdepth, name))]
+    assert functions
+    assert [name for name in functions if name not in called] == []

@@ -76,11 +76,9 @@ def test_soft_fuse_array_matches_scalar():
 
 
 def test_soft_fuse_array_axis():
-    # one fused depth per object, across its branches; a passed z replaces
-    # the table's
+    # one fused depth per object, across its branches
     table = table_of([[10.0, 20.0], [30.0, 40.0]], np.ones((2, 2)))
     assert fuse(table).tolist() == [15.0, 35.0]
-    assert fuse(table, np.array([[50.0, 60.0], [70.0, 80.0]])).tolist() == [55.0, 75.0]
 
 
 def test_soft_fuse_array_mask_validation():

@@ -13,71 +13,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from compdepth import (  # noqa: E402
-    HorizonLine,
-    fit_horizon,
-    heatmap_from_pgm,
-    heatmap_to_pgm,
-    horizon_pgm,
-    rasterize_horizon,
+from compdepth import HorizonLine, fit_horizon, heatmap_from_pgm, horizon_pgm  # noqa: E402
+from heatmap_reference import (  # noqa: E402
+    fit_reference,
+    pgm_decode_reference,
+    pgm_encode_reference,
+    rasterize_reference,
 )
-
-
-def rasterize_reference(h: HorizonLine, width: int, height: int,
-                        radius: float) -> np.ndarray:
-    """One column at a time: the Gaussian window around the line row."""
-    sigma = radius / 3.0
-    grid = np.zeros((height, width), dtype=float)
-    for u in range(width):
-        v = h.k_h * u + h.b_h
-        lo = max(0, math.ceil(v - radius))
-        hi = min(height - 1, math.floor(v + radius))
-        if lo > hi:
-            continue
-        rows = np.arange(lo, hi + 1)
-        grid[rows, u] = np.exp(-((rows - v) ** 2) / (2.0 * sigma * sigma))
-    return grid
-
-
-def pgm_encode_reference(grid: np.ndarray) -> bytes:
-    header = f"P5\n{grid.shape[1]} {grid.shape[0]}\n255\n".encode("ascii")
-    return header + np.rint(np.clip(grid, 0.0, 1.0) * 255.0).astype(np.uint8).tobytes()
-
-
-def pgm_decode_reference(data: bytes) -> np.ndarray:
-    match = re.match(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s", data)
-    width, height = int(match.group(1)), int(match.group(2))
-    body = data[match.end():]
-    return (np.frombuffer(body, dtype=np.uint8).reshape(height, width) / 255.0).astype(float)
-
-
-def fit_reference(grid: np.ndarray):
-    """fit_horizon(grid, with_info=True) with the column max and the
-    fancy-indexed argmax it used before."""
-    usable = grid.max(axis=0) > 0.0
-    cols = np.nonzero(usable)[0]
-    if cols.size < 2:
-        raise ValueError(f"only {cols.size} usable columns")
-    argmax = np.argmax(grid[:, cols], axis=0)
-    rows = argmax.astype(float)
-    inner = (argmax > 0) & (argmax < grid.shape[0] - 1)
-    ci, ri = cols[inner], argmax[inner]
-    lo, mid, hi = grid[ri - 1, ci], grid[ri, ci], grid[ri + 1, ci]
-    ok = (lo > 0.0) & (hi > 0.0)
-    l0, l1, l2 = np.log(lo[ok]), np.log(mid[ok]), np.log(hi[ok])
-    denom = l0 - 2.0 * l1 + l2
-    good = denom < 0.0
-    offset = np.zeros_like(denom)
-    offset[good] = 0.5 * (l0[good] - l2[good]) / denom[good]
-    np.clip(offset, -1.0, 1.0, out=offset)
-    rows[np.nonzero(inner)[0][ok]] += offset
-    border_frac = float(np.mean((argmax == 0) | (argmax == grid.shape[0] - 1)))
-    k_h, b_h = np.polyfit(cols.astype(float), rows, 1)
-    line = HorizonLine(float(k_h), float(b_h))
-    residuals = rows - (line.k_h * cols + line.b_h)
-    return line, (int(cols.size), float(np.sqrt(np.mean(residuals ** 2))),
-                  cols.size < 0.5 * grid.shape[1] or border_frac > 0.25)
-
 
 finite = dict(allow_nan=False, allow_infinity=False)
 lines = st.builds(
@@ -89,9 +31,9 @@ lines = st.builds(
 
 @given(lines, st.integers(1, 400), st.integers(1, 400))
 def test_rasterize_matches_column_loop(line, width, height):
-    grid = rasterize_horizon(line, width, height)
-    assert grid.dtype == np.float64
-    assert grid.tobytes() == rasterize_reference(line, width, height, 2.0).tobytes()
+    """Lines that cross the image or pass near it."""
+    assert horizon_pgm(line, width, height) == pgm_encode_reference(
+        rasterize_reference(line, width, height, 2.0))
 
 
 # steep lines and lines far off the image as well as ordinary ones
@@ -105,22 +47,25 @@ sizes = st.one_of(st.just(1), st.integers(1, 400))
 
 @given(any_lines, sizes, sizes)
 def test_horizon_pgm_matches_rasterized_encoding(line, width, height):
-    assert horizon_pgm(line, width, height) == heatmap_to_pgm(
-        rasterize_horizon(line, width, height))
+    assert horizon_pgm(line, width, height) == pgm_encode_reference(
+        rasterize_reference(line, width, height, 2.0))
 
 
-@pytest.mark.parametrize("line, width, height", [
-    (HorizonLine(math.nan, 1.0), 8, 6),
-    (HorizonLine(math.inf, 1.0), 8, 6),
-    (HorizonLine(0.0, -math.inf), 8, 6),
-    (HorizonLine(0.0, 1.0), 0, 6),
-    (HorizonLine(0.0, 1.0), 8, 0),
-    (HorizonLine(math.nan, 1.0), 0, 6),
-])
-def test_horizon_pgm_rejects_what_rasterize_rejects(line, width, height):
-    with pytest.raises(ValueError) as expected:
-        rasterize_horizon(line, width, height)
-    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+REJECTED = [
+    (HorizonLine(math.nan, 1.0), 8, 6, "k_h must be finite, got nan"),
+    (HorizonLine(math.inf, 1.0), 8, 6, "k_h must be finite, got inf"),
+    (HorizonLine(0.0, -math.inf), 8, 6, "b_h must be finite, got -inf"),
+    (HorizonLine(0.0, 1.0), 0, 6, "heatmap dimensions must be at least 1x1"),
+    (HorizonLine(0.0, 1.0), 8, 0, "heatmap dimensions must be at least 1x1"),
+    (HorizonLine(math.nan, 1.0), 0, 6, "heatmap dimensions must be at least 1x1"),
+]
+
+
+@pytest.mark.parametrize("line, width, height, message", REJECTED,
+                         ids=[f"line{i}-{w}-{h}" for i, (_, w, h, _) in enumerate(REJECTED)])
+def test_horizon_pgm_rejects_what_rasterize_rejects(line, width, height, message):
+    """A non-finite line or an empty image, the size checked first."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         horizon_pgm(line, width, height)
 
 
@@ -136,25 +81,23 @@ grids = st.integers(1, 24).flatmap(lambda h: st.integers(1, 24).flatmap(
 
 @given(grids)
 def test_pgm_encode_decode_match_references(grid):
-    before = grid.tobytes()
-    data = heatmap_to_pgm(grid)
-    assert grid.tobytes() == before
-    assert data == pgm_encode_reference(grid)
+    """Any 8-bit P5 file reads back as a read-only view of its pixel bytes."""
+    data = pgm_encode_reference(grid)
     back = heatmap_from_pgm(data)
     assert back.dtype == np.uint8
     assert not back.flags.writeable
     assert (back / 255.0).tobytes() == pgm_decode_reference(data).tobytes()
 
 
-# few distinct values, so columns tie on their peak and have flat tops
+# few distinct pixels, so columns tie on their peak and have flat tops
 tie_grids = st.integers(1, 12).flatmap(lambda h: st.integers(1, 16).flatmap(
-    lambda w: arrays(float, (h, w), elements=st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0]))))
+    lambda w: arrays(np.uint8, (h, w), elements=st.sampled_from([0, 0, 26, 128, 255]))))
 
 
 @given(tie_grids)
 def test_fit_horizon_matches_reference(grid):
     try:
-        expected = fit_reference(grid)
+        expected = fit_reference(grid / 255.0)
     except ValueError as exc:
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
             fit_horizon(grid)
@@ -166,11 +109,11 @@ def test_fit_horizon_matches_reference(grid):
 
 
 @given(st.one_of(
-    st.builds(rasterize_horizon, lines, st.integers(1, 60), st.integers(1, 40)),
-    tie_grids))
-def test_fit_horizon_of_pgm_matches_float_decode(grid):
+    st.builds(rasterize_reference, lines, st.integers(1, 60), st.integers(1, 40),
+              st.just(2.0)),
+    tie_grids.map(lambda pixels: pixels / 255.0)).map(pgm_encode_reference))
+def test_fit_horizon_of_pgm_matches_float_decode(data):
     """The fit reads the uint8 pixels exactly as the float grid they decode to."""
-    data = heatmap_to_pgm(grid)
     try:
         expected = fit_reference(pgm_decode_reference(data))
     except ValueError as exc:
@@ -195,11 +138,13 @@ number = st.integers(1, 12).flatmap(lambda n: st.tuples(
        st.randoms(use_true_random=False))
 def test_pgm_pixels_write_back_unchanged(width, height, sep1, sep2, sep3, last, rnd):
     """Any valid P5 file, comments between its header tokens included,
-    reads back and writes out as the same pixel bytes under the canonical
+    reads back and encodes as the same pixel bytes under the canonical
     header, so a canonical file is written back as is."""
     (w, w_fmt), (h, h_fmt) = width, height
     body = rnd.randbytes(w * h)
     header = f"P5{sep1}{w_fmt.format(w)}{sep2}{h_fmt.format(h)}{sep3}255{last}"
     canonical = f"P5\n{w} {h}\n255\n".encode("ascii") + body
-    assert heatmap_to_pgm(heatmap_from_pgm(header.encode("ascii") + body)) == canonical
-    assert heatmap_to_pgm(heatmap_from_pgm(canonical)) == canonical
+    for data in (header.encode("ascii") + body, canonical):
+        pixels = heatmap_from_pgm(data)
+        assert pixels.shape == (h, w)
+        assert pgm_encode_reference(pixels / 255.0) == canonical
