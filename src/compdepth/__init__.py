@@ -18,11 +18,9 @@ from .depth_branches import (
 )
 from .errors import (
     CompdepthError,
-    DegeneratePlane,
     JoinError,
     MalformedLine,
     SchemaError,
-    ZeroMAE,
 )
 from .fusion import fuse, weights
 from .ground_plane import (
@@ -77,10 +75,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BinnedMae", "CameraIntrinsics", "CompdepthError", "ComplementarityReport",
     "DEFAULT_CAM_HEIGHT", "DEFAULT_DEPTH_EDGES", "DEFAULT_EPS_DEN",
-    "DEFAULT_INTRINSICS", "DegeneratePlane", "EnsembleTable", "ErrorModelConfig",
-    "GroundPlane", "HorizonFitInfo", "HorizonLine", "JoinError", "LabelTable",
+    "DEFAULT_INTRINSICS", "EnsembleTable", "ErrorModelConfig", "GroundPlane",
+    "HorizonFitInfo", "HorizonLine", "JoinError", "LabelTable",
     "MalformedLine", "Object3D", "PlaneFitInfo", "Scene", "SchemaError", "SweepCurve",
-    "ZeroMAE",
     "binned_mae", "box_keypoints", "complementarity_score", "disturb_sweep", "esop",
     "evaluate_ensembles", "fit_horizon", "fit_plane", "flip", "flip_sweep",
     "format_calib", "format_labels", "fuse", "generate_ensembles", "heatmap_from_pgm",

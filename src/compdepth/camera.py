@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Default guard, in pixels, for divisions by image-row differences.
-#: Shared by every singularity check in the package.
+#: Guard, in pixels, for divisions by image-row differences: the one
+#: threshold of every singularity check in the package, not a setting.
 DEFAULT_EPS_DEN = 1e-6
 
 

@@ -27,9 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .camera import DEFAULT_EPS_DEN, CameraIntrinsics, project
+from .camera import CameraIntrinsics, project
 from .depth_branches import box_keypoints, z_alt, z_comp, z_global, z_key
-from .errors import DegeneratePlane, JoinError
+from .errors import JoinError
 from .ground_plane import (
     DEFAULT_CAM_HEIGHT,
     GroundPlane,
@@ -103,8 +103,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     geometry = argparse.ArgumentParser(add_help=False)
     geometry.add_argument("--cam-height", type=float, default=DEFAULT_CAM_HEIGHT,
                           help="camera height above ground in meters")
-    geometry.add_argument("--eps-den", type=float, default=DEFAULT_EPS_DEN,
-                          help="singularity guard for row-difference denominators, px")
     dirs = argparse.ArgumentParser(add_help=False)
     dirs.add_argument("--calib-dir", type=Path, required=True)
     dirs.add_argument("--label-dir", type=Path, required=True)
@@ -169,7 +167,7 @@ def main(argv=None) -> int:
         commands[args.command].error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         if hasattr(args, "cam_height"):
-            _require_finite(args, ("--cam-height", "--eps-den"), positive=True)
+            _require_finite(args, ("--cam-height",), positive=True)
         if getattr(args, "seed", 0) < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
         # Overflow from extreme inputs ends as NaN geometry, counted failures
@@ -223,17 +221,17 @@ def _frame_plane(bottoms: np.ndarray, k: CameraIntrinsics,
 
     The fallback is the flat plane at --cam-height, taken when the frame has
     no usable bottoms, too few or collinear ones to pin a plane, or a
-    fitted plane too close to vertical to have a finite horizon
-    (|b| < --eps-den, or a slope or intercept that overflows).
+    fitted plane too close to vertical to have a finite horizon (NaN where
+    |b| < DEFAULT_EPS_DEN, or a slope or intercept that overflows).
     """
     if len(bottoms):
         plane, info = fit_plane(bottoms)
-        if not info.used_fallback and abs(plane.b) >= args.eps_den:
-            horizon = plane_to_horizon(plane, k, eps=args.eps_den)
+        if not info.used_fallback:
+            horizon = plane_to_horizon(plane, k)
             if math.isfinite(horizon.k_h) and math.isfinite(horizon.b_h):
                 return plane, horizon, False
     flat = GroundPlane(0.0, -1.0, 0.0, args.cam_height)
-    return flat, plane_to_horizon(flat, k, eps=args.eps_den), True
+    return flat, plane_to_horizon(flat, k), True
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -299,7 +297,6 @@ def _cmd_oracle(args) -> int:
     diagnostics: Counter = Counter()
     names = ("key", "glo", "comp", "alt") if args.include_alt else ("key", "glo", "comp")
     amplitudes = np.array([args.noise_h_rel, args.noise_px, args.noise_px])
-    eps = args.eps_den
     frames, indices, truths, z_parts, valid_parts = [], [], [], [], []
     for frame in _frames(args.label_dir):
         k, index, (x, y, z, h), skipped = _load_frame(args.calib_dir, args.label_dir, frame)
@@ -317,7 +314,7 @@ def _cmd_oracle(args) -> int:
             plane_used = horizon_to_plane(
                 HorizonLine(horizon.k_h + d_slope, horizon.b_h + d_intercept),
                 k, cam_height=plane.cam_height)
-        except DegeneratePlane:  # the horizon's plane is too close to vertical
+        except ValueError:  # the horizon's plane is too close to vertical
             plane_used, used_fallback = GroundPlane(0.0, -1.0, 0.0, args.cam_height), True
         if used_fallback:
             diagnostics["plane_fallback"] += 1
@@ -328,7 +325,7 @@ def _cmd_oracle(args) -> int:
         u_b, v_b, v_t = box_keypoints(x, y, z, h, k)
         v_b, v_t, height = v_b + d_vb, v_t + d_vt, h * (1.0 + d_h)
 
-        y_glo = y_global(u_b, v_b, plane_used, k, eps=eps)
+        y_glo = y_global(u_b, v_b, plane_used, k)
         ray = np.isfinite(y_glo)
         diagnostics["ground_ray_failed"] += int(np.count_nonzero(~ray))
         # Columns in names order. A branch holds where its depth is finite.
@@ -336,9 +333,9 @@ def _cmd_oracle(args) -> int:
         # key always, the others where the ground ray hit, comp and alt only
         # for a positive height.
         z_branch = np.column_stack([
-            z_key(height, v_b, v_t, k, eps=eps), z_global(y_glo, v_b, k, eps=eps),
-            z_comp(y_glo, height, v_b, v_t, k, eps=eps),
-            *([z_alt(y_glo, height, v_t, k, eps=eps)] if args.include_alt else [])])
+            z_key(height, v_b, v_t, k), z_global(y_glo, v_b, k),
+            z_comp(y_glo, height, v_b, v_t, k),
+            *([z_alt(y_glo, height, v_t, k)] if args.include_alt else [])])
         valid = np.isfinite(z_branch)
         tall = ray & (height > 0)
         tried = np.column_stack([np.ones_like(ray), ray, tall, tall][:len(names)])
@@ -471,7 +468,7 @@ def _cmd_plane(args) -> int:
         if used_fallback:
             fallback_frames += 1
 
-        y_hat = y_global(*project(x, y, z, k), plane, k, eps=args.eps_den)
+        y_hat = y_global(*project(x, y, z, k), plane, k)
         ok = np.isfinite(y_hat)
         elevation_failed += int(np.count_nonzero(~ok))
         y_pred_parts.append(y_hat[ok])

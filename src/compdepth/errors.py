@@ -3,13 +3,12 @@
 Every input error the package raises is a ValueError: bad text, bad
 arrays, out-of-range settings and numerical degeneracies alike, so one
 `except ValueError` sees them all. CompdepthError, itself a ValueError,
-is the base of the five subclasses below. They exist because they carry
-fields (MalformedLine, SchemaError, JoinError) or because a caller
-catches them by type to fall back (DegeneratePlane, ZeroMAE); every
-other error is a plain ValueError. The per-object geometry (projection,
-ground elevation and the depth kernels) raises none: it returns NaN where
-the geometry is undefined, and the CLI counts those entries as failed
-branches or elevations.
+is the base of the three subclasses below, which exist because they
+carry fields (MalformedLine, SchemaError, JoinError); every other error
+is a plain ValueError. The per-object geometry (projection, ground
+elevation and the depth kernels) and a plane's horizon do not raise:
+they return NaN where the geometry is undefined, and the CLI counts those
+entries as failed branches or elevations, or as plane fallbacks.
 """
 
 from __future__ import annotations
@@ -17,15 +16,6 @@ from __future__ import annotations
 
 class CompdepthError(ValueError):
     """Base class of the package's own ValueError subclasses."""
-
-
-class DegeneratePlane(CompdepthError):
-    """Plane has no horizon in the slope-intercept parameterization (|b| ~ 0),
-    or a horizon's plane is too close to vertical to normalize."""
-
-
-class ZeroMAE(CompdepthError):
-    """Complementarity score is undefined when the MAE is zero."""
 
 
 class MalformedLine(CompdepthError):

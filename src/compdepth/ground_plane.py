@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import DEFAULT_EPS_DEN, CameraIntrinsics
-from .errors import DegeneratePlane
 
 #: Default camera mounting height above ground, in meters.
 DEFAULT_CAM_HEIGHT = 1.65
@@ -54,7 +53,7 @@ class GroundPlane:
     def height_at(self, x: float, z: float) -> float:
         """Vertical (y) coordinate of the plane below camera-frame (x, z)."""
         if abs(self.b) < DEFAULT_EPS_DEN:
-            raise DegeneratePlane("vertical plane has no height field")
+            raise ValueError("vertical plane has no height field")
         return -(self.a * x + self.c * z + self.cam_height) / self.b
 
 
@@ -121,34 +120,33 @@ def horizon_to_plane(h: HorizonLine, k: CameraIntrinsics,
     The offset comes from cam_height, stored as the constant term of the
     normalized equation.
 
-    Raises DegeneratePlane when that triple overflows: the plane is too
-    close to vertical to normalize.
+    Raises ValueError when that triple overflows: the plane is too close
+    to vertical to normalize.
     """
     a0 = h.k_h * k.f_x / k.f_y
     c0 = (h.k_h * k.c_u + h.b_h - k.c_v) / k.f_y
     norm = math.sqrt(a0 * a0 + 1.0 + c0 * c0)
     if not math.isfinite(norm):
-        raise DegeneratePlane(f"the plane of horizon {h} is too close to vertical "
-                              "to normalize")
+        raise ValueError(f"the plane of horizon {h} is too close to vertical "
+                         "to normalize")
     return GroundPlane(a0 / norm, -1.0 / norm, c0 / norm, cam_height)
 
 
-def plane_to_horizon(g: GroundPlane, k: CameraIntrinsics,
-                     eps: float = DEFAULT_EPS_DEN) -> HorizonLine:
+def plane_to_horizon(g: GroundPlane, k: CameraIntrinsics) -> HorizonLine:
     """Horizon line of a ground plane.
 
-    Raises DegeneratePlane when |b| < eps: a vertical plane has no horizon
-    in the slope-intercept parameterization.
+    HorizonLine(nan, nan) where |b| < DEFAULT_EPS_DEN: a vertical plane has
+    no horizon in the slope-intercept parameterization.
     """
-    if abs(g.b) < eps:
-        raise DegeneratePlane(f"|b| = {abs(g.b):.3g} is below {eps:.3g}")
+    if abs(g.b) < DEFAULT_EPS_DEN:
+        return HorizonLine(math.nan, math.nan)
     k_h = -g.a * k.f_y / (g.b * k.f_x)
     b_h = -g.c * k.f_y / g.b - k_h * k.c_u + k.c_v
     return HorizonLine(k_h, b_h)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def y_global(u_b, v_b, g: GroundPlane, k: CameraIntrinsics, eps: float = DEFAULT_EPS_DEN):
+def y_global(u_b, v_b, g: GroundPlane, k: CameraIntrinsics):
     """Elevation of the ground point seen at bottom pixel (u_b, v_b),
     elementwise over scalars or arrays.
 
@@ -157,14 +155,15 @@ def y_global(u_b, v_b, g: GroundPlane, k: CameraIntrinsics, eps: float = DEFAULT
     x = n*y and z = m*y with n = f_y*(u_b - c_u) / (f_x*(v_b - c_v)) and
     m = f_y / (v_b - c_v), so y = -cam_height / (a*n + c*m + b).
 
-    NaN where |v_b - c_v| < eps (the pixel is on the principal row) or
-    |a*n + c*m + b| < eps (the ray runs parallel to the plane).
+    NaN where |v_b - c_v| < DEFAULT_EPS_DEN (the pixel is on the principal
+    row) or |a*n + c*m + b| < DEFAULT_EPS_DEN (the ray runs parallel to the
+    plane).
     """
     row = np.subtract(v_b, k.c_v)
     n = k.f_y * np.subtract(u_b, k.c_u) / (k.f_x * row)
     m = k.f_y / row
     den = g.a * n + g.c * m + g.b
-    fail = (np.abs(row) < eps) | (np.abs(den) < eps)
+    fail = (np.abs(row) < DEFAULT_EPS_DEN) | (np.abs(den) < DEFAULT_EPS_DEN)
     return np.where(fail, np.nan, -g.cam_height / den)[()]
 
 

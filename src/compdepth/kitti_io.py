@@ -591,7 +591,7 @@ def _report_json(report: ComplementarityReport, header: dict | None) -> str:
         {"a": a, "b": b, "value": _round6(v)}
         for (a, b), v in sorted(report.esop.items())
     ]
-    doc["fused"] = {"count": report.fused_count, "mae": _round6(report.fused_mae)}
+    doc["fused"] = {"count": report.n_objects, "mae": _round6(report.fused_mae)}
     doc["binned"] = [
         {
             "name": name,
@@ -630,7 +630,7 @@ def _report_csv(report: ComplementarityReport, header: dict | None) -> str:
     for (a, b), v in sorted(report.esop.items()):
         row("esop", branch=a, other=b, value=_fmt6(v))
     row("fused_mae", value="" if report.fused_mae is None else _fmt6(report.fused_mae),
-        count=report.fused_count)
+        count=report.n_objects)
     for name, table in sorted(report.binned.items()):
         for i in range(len(table.counts)):
             m = table.maes[i]

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import ZeroMAE
 from .fusion import fuse
 
 if TYPE_CHECKING:
@@ -45,14 +44,14 @@ def esop(errors_a: Sequence[float], errors_b: Sequence[float]) -> float:
 def complementarity_score(esop_pct: float, mae_meters: float) -> float:
     """CS = ESOP / MAE, in percent per meter.
 
-    Raises ZeroMAE when the MAE is zero (score undefined).
+    Raises ValueError when the MAE is zero (score undefined).
     """
     if not 0.0 <= esop_pct <= 100.0:
         raise ValueError(f"ESOP is a percentage in [0, 100], got {esop_pct}")
     if mae_meters < 0:
         raise ValueError("MAE cannot be negative")
     if mae_meters == 0:
-        raise ZeroMAE("complementarity score is undefined at zero MAE")
+        raise ValueError("complementarity score is undefined at zero MAE")
     return esop_pct / mae_meters
 
 
@@ -118,7 +117,6 @@ class ComplementarityReport:
     esop: dict[tuple[str, str], float]
     branch_cs: dict[str, float | None]
     fused_mae: float | None
-    fused_count: int
     binned: dict[str, BinnedMae] = field(default_factory=dict)
     flags: tuple[str, ...] = ()
 
@@ -171,10 +169,10 @@ def evaluate_ensembles(table: "EnsembleTable",
     for name in names:
         pair = esop_table.get((name, reference), esop_table.get((reference, name)))
         if name != reference and pair is not None and name in branch_mae:
-            try:
-                branch_cs[name] = complementarity_score(pair, branch_mae[name])
-            except ZeroMAE:
+            if branch_mae[name] == 0:
                 flags.append(f"zero_mae:{name}")
+            else:
+                branch_cs[name] = complementarity_score(pair, branch_mae[name])
 
     fused = fuse(table)
     fused_mae = float(np.mean(np.abs(fused - z_star)))
@@ -199,7 +197,6 @@ def evaluate_ensembles(table: "EnsembleTable",
         esop=esop_table,
         branch_cs=branch_cs,
         fused_mae=fused_mae,
-        fused_count=len(fused),
         binned=binned,
         flags=tuple(flags),
     )

@@ -28,21 +28,19 @@ def box_keypoints(x: float, y: float, z: float, h: float,
     return u_b, v_b, v_t
 
 
-def z_key(height: float, v_b: float, v_t: float, k: CameraIntrinsics,
-          eps: float = DEFAULT_EPS_DEN) -> float:
+def z_key(height: float, v_b: float, v_t: float, k: CameraIntrinsics) -> float:
     if height <= 0:
         raise ValueError("object height must be positive")
     den = v_b - v_t
-    if den < eps:
-        raise GeometryError(f"v_b - v_t = {den:.3g} px is below {eps:.3g}")
+    if den < DEFAULT_EPS_DEN:
+        raise GeometryError(f"v_b - v_t = {den:.3g} px is below the guard")
     return k.f_y * height / den
 
 
-def z_global(y_glo: float, v_b: float, k: CameraIntrinsics,
-             eps: float = DEFAULT_EPS_DEN) -> float:
+def z_global(y_glo: float, v_b: float, k: CameraIntrinsics) -> float:
     den = v_b - k.c_v
-    if abs(den) < eps:
-        raise GeometryError(f"|v_b - c_v| = {abs(den):.3g} px is below {eps:.3g}")
+    if abs(den) < DEFAULT_EPS_DEN:
+        raise GeometryError(f"|v_b - c_v| = {abs(den):.3g} px is below the guard")
     z = k.f_y * y_glo / den
     if z <= 0:
         raise GeometryError(f"elevation {y_glo} at row offset {den} implies z={z}")
@@ -50,36 +48,34 @@ def z_global(y_glo: float, v_b: float, k: CameraIntrinsics,
 
 
 def z_comp(y_glo: float, height: float, v_b: float, v_t: float,
-           k: CameraIntrinsics, eps: float = DEFAULT_EPS_DEN) -> float:
+           k: CameraIntrinsics) -> float:
     if height <= 0:
         raise ValueError("object height must be positive")
     den = (v_b + v_t) / 2.0 - k.c_v
-    if abs(den) < eps:
-        raise GeometryError(f"|midpoint - c_v| = {abs(den):.3g} px is below {eps:.3g}")
+    if abs(den) < DEFAULT_EPS_DEN:
+        raise GeometryError(f"|midpoint - c_v| = {abs(den):.3g} px is below the guard")
     z = k.f_y * (y_glo - height / 2.0) / den
     if z <= 0:
         raise GeometryError(f"midpoint geometry implies z={z}")
     return z
 
 
-def z_alt(y_glo: float, height: float, v_t: float, k: CameraIntrinsics,
-          eps: float = DEFAULT_EPS_DEN) -> float:
+def z_alt(y_glo: float, height: float, v_t: float, k: CameraIntrinsics) -> float:
     if height <= 0:
         raise ValueError("object height must be positive")
     den = v_t - k.c_v
-    if abs(den) < eps:
-        raise GeometryError(f"|v_t - c_v| = {abs(den):.3g} px is below {eps:.3g}")
+    if abs(den) < DEFAULT_EPS_DEN:
+        raise GeometryError(f"|v_t - c_v| = {abs(den):.3g} px is below the guard")
     return k.f_y * (y_glo - height) / den
 
 
-def y_global(u_b: float, v_b: float, g: GroundPlane, k: CameraIntrinsics,
-             eps: float = DEFAULT_EPS_DEN) -> float:
+def y_global(u_b: float, v_b: float, g: GroundPlane, k: CameraIntrinsics) -> float:
     row = v_b - k.c_v
-    if abs(row) < eps:
-        raise GeometryError(f"|v_b - c_v| = {abs(row):.3g} px is below {eps:.3g}")
+    if abs(row) < DEFAULT_EPS_DEN:
+        raise GeometryError(f"|v_b - c_v| = {abs(row):.3g} px is below the guard")
     n = k.f_y * (u_b - k.c_u) / (k.f_x * row)
     m = k.f_y / row
     den = g.a * n + g.c * m + g.b
-    if abs(den) < eps:
-        raise GeometryError(f"|a*n + c*m + b| = {abs(den):.3g} is below {eps:.3g}")
+    if abs(den) < DEFAULT_EPS_DEN:
+        raise GeometryError(f"|a*n + c*m + b| = {abs(den):.3g} is below the guard")
     return -g.cam_height / den

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from compdepth import CameraIntrinsics, project, z_global
+from compdepth import DEFAULT_EPS_DEN, CameraIntrinsics, project, z_global
 
 
 def test_project_hand_value(simple_cam):
@@ -64,8 +64,11 @@ def test_depth_from_elevation_negative_elevation(simple_cam):
 
 
 def test_depth_from_elevation_eps_override(simple_cam):
-    assert math.isnan(z_global(1.65, simple_cam.c_v + 0.5, simple_cam, eps=1.0))
-    assert z_global(1.65, simple_cam.c_v + 0.5, simple_cam) == pytest.approx(2310.0)
+    # the guard is the package constant, not a parameter
+    with pytest.raises(TypeError):
+        z_global(1.65, simple_cam.c_v + 0.5, simple_cam, eps=1.0)
+    assert math.isnan(z_global(1.65, simple_cam.c_v + DEFAULT_EPS_DEN / 2, simple_cam))
+    assert math.isfinite(z_global(1.65, simple_cam.c_v + 2 * DEFAULT_EPS_DEN, simple_cam))
 
 
 def test_intrinsics_validation():

@@ -504,10 +504,11 @@ BAD_INPUT = [
      "error: --noise-horizon-slope must be finite and >= 0, got -0.1"),
     (["oracle", "--noise-horizon-intercept", "nan"], "--noise-horizon-intercept",
      "error: --noise-horizon-intercept must be finite and >= 0, got nan"),
-    (["oracle", "--cam-height", "-1", "--eps-den", "-5"], "--cam-height",
+    (["oracle", "--cam-height", "-1"], "--cam-height",
      "error: --cam-height must be finite and > 0, got -1.0"),
-    (["plane", "--eps-den", "-5"], "--eps-den",
-     "error: --eps-den must be finite and > 0, got -5.0"),
+    # the key names the removed --eps-den, which this row used to pass
+    (["plane", "--cam-height", "-5"], "--eps-den",
+     "error: --cam-height must be finite and > 0, got -5.0"),
     (["plane", "--cam-height", "nan"], "--cam-height",
      "error: --cam-height must be finite and > 0, got nan"),
     (["plane", "--image-size", "10"], "--image-size",
@@ -853,11 +854,13 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
-#: (command, flag, value) of options a command used to accept without reading.
+#: (command, flag, value) of options a command used to accept without reading,
+#: and of the singularity guard, which is now the constant DEFAULT_EPS_DEN.
 REMOVED_FLAGS = [
     ("eval", "--cam-height", "1.5"), ("eval", "--seed", "1"), ("eval", "--eps-den", "1"),
     ("oracle", "--format", "csv"), ("lab", "--format", "json"),
     ("lab", "--cam-height", "9"), ("lab", "--eps-den", "3"), ("plane", "--seed", "1"),
+    ("oracle", "--eps-den", "1e-6"), ("plane", "--eps-den", "-5"),
 ]
 
 
@@ -1063,7 +1066,7 @@ EXTREME_VALUES = ("0", "1", "-1", "1e-300", "-1e-300", "1e+300", "-1e+300", "1.7
                   "-1.7e+308", "nan", "inf", "-inf", str(2**40))
 #: Ordinary values of each numeric option; the list options take 1-3 of them.
 ORDINARY_VALUES = {
-    "--seed": ("3",), "--cam-height": ("1.6",), "--eps-den": ("1e-6",),
+    "--seed": ("3",), "--cam-height": ("1.6",),
     "--noise-h-rel": ("0.1",), "--noise-px": ("2",), "--noise-horizon-slope": ("0.01",),
     "--noise-horizon-intercept": ("3",), "--n-objects": ("300",), "--n-branches": ("3",),
     "--coupling-rate": ("0.8",), "--error-scale": ("2",), "--depth-range": ("5", "60"),
@@ -1075,12 +1078,12 @@ LIST_OPTIONS = {"--depth-range", "--proportions", "--amplitudes", "--k", "--dept
 #: The numeric options of each command, and its other choices (lab's --mode
 #: is always drawn).
 FUZZED_OPTIONS = {
-    "oracle": ("--seed", "--cam-height", "--eps-den", "--noise-h-rel", "--noise-px",
+    "oracle": ("--seed", "--cam-height", "--noise-h-rel", "--noise-px",
                "--noise-horizon-slope", "--noise-horizon-intercept"),
     "eval": ("--depth-edges",),
     "lab": ("--seed", "--n-objects", "--n-branches", "--coupling-rate", "--error-scale",
             "--depth-range", "--proportions", "--amplitudes", "--k"),
-    "plane": ("--cam-height", "--eps-den", "--image-size"),
+    "plane": ("--cam-height", "--image-size"),
 }
 CHOICES = {
     "oracle": {"--sigma-model": ("constant", "proportional"), "--include-alt": ("",)},
@@ -1088,9 +1091,13 @@ CHOICES = {
     "lab": {"--sigma-model": ("constant", "proportional")},
     "plane": {"--format": ("json", "csv"), "--heatmap-dir": ("{heatmaps}",)},
 }
-#: Each child may map this much address space, and run this long.
+#: Each child may map this much address space; each of its commands may
+#: run this long.
 CHILD_MEMORY_BYTES = 2**30
 CHILD_TIMEOUT_S = 20
+#: Command lines per child: the child's start-up, about a quarter second,
+#: is paid once for all of them.
+MAX_LINES_PER_CHILD = 8
 
 
 if given is not None:
@@ -1150,10 +1157,12 @@ def assert_finite_output(out):
 
 def test_any_extreme_options_end_cleanly(shared_dataset, tmp_path):
     """Every command with its numeric options drawn from across the float
-    range, each run in a child process whose address space is capped: exit
-    0 or 3 with only finite numbers written and only warning lines on
-    stderr, exit 1 with one error line, or exit 2 with argparse's usage and
-    one error line. A run that outlives CHILD_TIMEOUT_S fails."""
+    range, 1 to MAX_LINES_PER_CHILD command lines at a time in one child
+    process (tests/cli_batch.py) whose address space is capped. Each
+    command ends with exit 0 or 3 with only finite numbers written and only
+    warning lines on stderr, exit 1 with one error line, or exit 2 with
+    argparse's usage and one error line. An exception that escapes main,
+    or a command that outlives CHILD_TIMEOUT_S, fails."""
     if given is None:
         pytest.skip("hypothesis is not installed")
     dirs = ["--calib-dir", shared_dataset / "calib", "--label-dir", shared_dataset / "label_2"]
@@ -1162,10 +1171,10 @@ def test_any_extreme_options_end_cleanly(shared_dataset, tmp_path):
         assert run(["oracle", *dirs, "--out", preds]) == 0
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
            "OPENBLAS_NUM_THREADS": "1"}
+    batch = [sys.executable, str(Path(__file__).with_name("cli_batch.py")),
+             str(CHILD_TIMEOUT_S)]
 
-    @settings(max_examples=40, deadline=None)
-    @given(option_lines())
-    def check(args):
+    def full_line(args):
         command = args[0]
         args = [str(tmp_path / "heatmaps") if a == "{heatmaps}" else a for a in args]
         if command != "lab":
@@ -1174,19 +1183,32 @@ def test_any_extreme_options_end_cleanly(shared_dataset, tmp_path):
         if command == "eval" or (command == "lab" and "--n-objects" not in args
                                  and "--n-branches" not in args):
             args += ["--predictions", str(preds)]
-        result = subprocess.run([sys.executable, "-m", "compdepth.cli", *args], env=env,
-                                capture_output=True, text=True, timeout=CHILD_TIMEOUT_S,
-                                preexec_fn=limit_memory)
-        code, out, err = result.returncode, result.stdout, result.stderr
-        if code == 1:
-            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
-        elif code == 2:
-            assert out == "" and err.startswith("usage: compdepth "), err
-            assert [line for line in err.splitlines() if "error: " in line] == [
-                err.splitlines()[-1]], err
-        else:
-            assert code in (0, 3), (code, err)
-            assert all(line.startswith("warning: ") for line in err.splitlines()), err
-            assert_finite_output(out)
+        return args
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(option_lines(), min_size=1, max_size=MAX_LINES_PER_CHILD))
+    def check(lines):
+        lines = [full_line(args) for args in lines]
+        child = subprocess.run(batch, input=json.dumps(lines), env=env, capture_output=True,
+                               text=True, timeout=CHILD_TIMEOUT_S * (len(lines) + 1),
+                               preexec_fn=limit_memory)
+        assert (child.returncode, child.stderr) == (0, ""), child.stderr
+        results = json.loads(child.stdout)
+        assert len(results) == len(lines)
+        for args, result in zip(lines, results):
+            code, out, err = result["code"], result["out"], result["err"]
+            assert result["escaped"] is None, (args, result["escaped"])
+            if code == 1:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (
+                    args, err)
+            elif code == 2:
+                assert out == "" and err.startswith("usage: compdepth "), (args, err)
+                assert [line for line in err.splitlines() if "error: " in line] == [
+                    err.splitlines()[-1]], (args, err)
+            else:
+                assert code in (0, 3), (args, code, err)
+                assert all(line.startswith("warning: ") for line in err.splitlines()), (
+                    args, err)
+                assert_finite_output(out)
 
     check()

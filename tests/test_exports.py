@@ -1,7 +1,8 @@
 """compdepth.__all__ is exactly the public names that __init__.py imports,
-every public function has a caller outside the tests, every exception type
-in compdepth.errors is raised somewhere, and every exception the package
-raises is a ValueError or an AssertionError."""
+every public function has a caller outside the tests and none takes a
+singularity guard, every exception type in compdepth.errors is raised
+somewhere, and every exception the package raises is a ValueError or an
+AssertionError."""
 
 import ast
 import inspect
@@ -82,3 +83,12 @@ def test_every_public_function_has_a_caller_outside_tests():
                  if inspect.isfunction(getattr(compdepth, name))]
     assert functions
     assert [name for name in functions if name not in called] == []
+
+
+def test_no_public_function_takes_a_guard():
+    """The singularity guard is the constant DEFAULT_EPS_DEN, not a parameter."""
+    functions = [getattr(compdepth, name) for name in compdepth.__all__
+                 if inspect.isfunction(getattr(compdepth, name))]
+    assert functions
+    assert [f.__name__ for f in functions
+            if "eps" in inspect.signature(f).parameters] == []

@@ -5,7 +5,6 @@ import pytest
 
 from compdepth import (
     DEFAULT_CAM_HEIGHT,
-    DegeneratePlane,
     GroundPlane,
     HorizonLine,
     fit_horizon,
@@ -71,7 +70,7 @@ def test_cam_height_is_perpendicular_distance():
 
 def test_vertical_plane_has_no_height_field():
     g = GroundPlane(1.0, 0.0, 0.0, 1.0)
-    with pytest.raises(DegeneratePlane):
+    with pytest.raises(ValueError, match="^vertical plane has no height field$"):
         g.height_at(0.0, 10.0)
 
 
@@ -160,8 +159,9 @@ def test_plane_to_horizon_lateral_slope(simple_cam):
 
 
 def test_plane_to_horizon_vertical_plane(simple_cam):
-    with pytest.raises(DegeneratePlane):
-        plane_to_horizon(GroundPlane(1.0, 0.0, 0.0, 1.0), simple_cam)
+    # |b| below the guard: no horizon, NaN like the rest of the geometry
+    h = plane_to_horizon(GroundPlane(1.0, 0.0, 0.0, 1.0), simple_cam)
+    assert math.isnan(h.k_h) and math.isnan(h.b_h)
 
 
 def test_horizon_plane_round_trip(kitti_cam):
@@ -191,7 +191,8 @@ def test_horizon_to_plane_flat(kitti_cam):
 @pytest.mark.parametrize("line", [HorizonLine(1e300, 0.0), HorizonLine(0.0, 1e300)])
 def test_horizon_to_plane_too_steep(kitti_cam, line):
     # the unnormalized coefficients square past the float range
-    with pytest.raises(DegeneratePlane, match="too close to vertical"):
+    with pytest.raises(ValueError, match=r"^the plane of horizon HorizonLine\(.*\) is "
+                                         "too close to vertical to normalize$"):
         horizon_to_plane(line, kitti_cam)
 
 

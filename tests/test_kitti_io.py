@@ -329,7 +329,7 @@ def make_report():
         n_objects=4, reference="key", branch_names=("key", "comp"),
         branch_mae={"key": 3.09, "comp": 1.51}, branch_counts={"key": 4, "comp": 4},
         esop={("comp", "key"): 38.19}, branch_cs={"key": None, "comp": 12.36},
-        fused_mae=1.2345678, fused_count=4,
+        fused_mae=1.2345678,
         binned={"fused": BinnedMae((0.0, 20.0, math.inf), (1.5, None), (4, 0))},
         flags=("zero_mae_reference",))
 
@@ -341,6 +341,7 @@ def test_write_report_json_contains_score():
     assert data["reference"] == "key"
     assert data["esop"] == [{"a": "comp", "b": "key", "value": 38.19}]
     assert data["fused"]["mae"] == pytest.approx(1.2345678, abs=1e-5)  # 6 sig digits
+    assert data["fused"]["count"] == 4  # fusion covers every object
     assert data["binned"][0]["edges"] == [0.0, 20.0, "inf"]
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from compdepth import (
-    ZeroMAE,
     binned_mae,
     complementarity_score,
     esop,
@@ -63,7 +62,8 @@ def test_complementarity_score_published_rows(esop_pct, mae_m, cs):
 
 
 def test_complementarity_score_validation():
-    with pytest.raises(ZeroMAE):
+    with pytest.raises(ValueError,
+                       match="^complementarity score is undefined at zero MAE$"):
         complementarity_score(50.0, 0.0)
     with pytest.raises(ValueError):
         complementarity_score(-1.0, 1.0)
@@ -151,7 +151,7 @@ def test_evaluate_ensembles_basic():
     assert report.esop[("dir", "key")] == 100.0
     assert report.branch_cs["key"] == pytest.approx(100.0 / (2.0 / 3))
     assert report.branch_cs["dir"] is None  # reference scores no CS
-    assert report.fused_count == 3
+    assert report.n_objects == 3
     # equal sigmas: fusion averages each pair of branch predictions,
     # and every pair here straddles the truth by the same margin
     assert report.fused_mae == pytest.approx(0.25)
@@ -188,7 +188,7 @@ def test_evaluate_ensembles_partial_branches():
     report = evaluate_ensembles(read_records(records))
     assert report.branch_counts == {"key": 2, "glo": 1}
     # fusion still covers every record, over whichever branches are present
-    assert report.fused_count == 2
+    assert report.n_objects == 2
 
 
 def test_evaluate_ensembles_zero_mae_branch_flagged():
