@@ -71,6 +71,9 @@ MAX_LAB_CELLS = 2**24
 MAX_IMAGE_PIXELS = 2**26
 #: Largest `oracle --noise-*` amplitude: half the largest float.
 MAX_NOISE = sys.float_info.max / 2
+#: Largest magnitude of a `lab --depth-range` end: half the largest float,
+#: so that the truths' draw and a flip about them (2 z* - z) stay finite.
+MAX_DEPTH = sys.float_info.max / 2
 #: Most cells (flip counts x objects x branches) that `lab --mode multiflip`
 #: sweeps; its time grows with the square of the branch count.
 MAX_SWEEP_CELLS = 2**28
@@ -406,6 +409,9 @@ def _cmd_lab(args) -> int:
         if (len(args.depth_range) != 2 or not all(map(math.isfinite, args.depth_range))
                 or args.depth_range[0] >= args.depth_range[1]):
             raise ValueError("--depth-range needs two finite increasing values")
+        if max(map(abs, args.depth_range)) > MAX_DEPTH:
+            raise ValueError(f"--depth-range values must be at most {MAX_DEPTH:g} in magnitude, "
+                             f"got {args.depth_range[0]:g},{args.depth_range[1]:g}")
     if args.mode == "multiflip":
         ks = _flip_counts(args.k, n_branches)
         sweep = len(ks) * n_objects * n_branches

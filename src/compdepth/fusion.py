@@ -21,8 +21,10 @@ def weights(table: EnsembleTable) -> np.ndarray:
     """Each cell's fusion weight, (N, B): its inverse sigma over the row's sum
     of them, 0 outside table.valid. The table guarantees a valid branch per
     row and finite, positive sigmas, so nothing is checked here."""
-    inverse = np.where(table.valid, 1.0 / table.sigma, 0.0)
-    return inverse / inverse.sum(axis=1, keepdims=True)
+    w = np.zeros(table.sigma.shape)
+    np.divide(1.0, table.sigma, out=w, where=table.valid)
+    w /= w.sum(axis=1, keepdims=True)
+    return w
 
 
 def fuse(table: EnsembleTable) -> np.ndarray:

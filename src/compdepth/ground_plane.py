@@ -201,20 +201,20 @@ def horizon_pgm(h: HorizonLine, width: int, height: int) -> bytes:
         return header + bytes(height * width)
     v, rows, hi = v[cols], lo[cols].astype(np.intp), hi[cols].astype(np.intp)
     top = int(rows.min())
-    band = np.zeros((int(hi.max()) + 1 - top, width))
+    band = np.zeros((int(hi.max()) + 1 - top, width), dtype=np.uint8)
     # One pass per row offset inside the window (floor(2 * radius) + 1 at
     # most); each column leaves once its row passes hi <= height - 1, so
     # the loop also ends within height passes.
     while cols.size:
-        band[rows - top, cols] = np.exp(-((rows - v) ** 2) / (2.0 * sigma * sigma))
+        value = np.exp(-((rows - v) ** 2) / (2.0 * sigma * sigma))
+        # exp of a non-positive number lies in [0, 1], so every rounded
+        # pixel is a whole number in 0..255
+        value *= 255.0
+        band[rows - top, cols] = np.rint(value, out=value)
         more = rows < hi
         rows, cols, v, hi = rows[more] + 1, cols[more], v[more], hi[more]
-    # exp of a non-positive number lies in [0, 1], so no value needs clipping
-    band *= 255.0
-    np.rint(band, out=band)
     below = height - top - len(band)
-    return b"".join((header, bytes(top * width), band.astype(np.uint8).tobytes(),
-                     bytes(below * width)))
+    return b"".join((header, bytes(top * width), band.tobytes(), bytes(below * width)))
 
 
 def fit_horizon(grid: np.ndarray, with_info: bool = False):

@@ -629,8 +629,7 @@ def _report_csv(report: ComplementarityReport, header: dict | None) -> str:
             value="" if cs is None else _fmt6(cs))
     for (a, b), v in sorted(report.esop.items()):
         row("esop", branch=a, other=b, value=_fmt6(v))
-    row("fused_mae", value="" if report.fused_mae is None else _fmt6(report.fused_mae),
-        count=report.n_objects)
+    row("fused_mae", value=_fmt6(report.fused_mae), count=report.n_objects)
     for name, table in sorted(report.binned.items()):
         for i in range(len(table.counts)):
             m = table.maes[i]

@@ -91,21 +91,21 @@ def generate_ensembles(truths: Sequence[float],
     # Pairwise same-sign probability of independent keep/flip decisions is
     # a^2 + (1-a)^2; solving for the target rate gives the keep probability.
     keep_p = 0.5 * (1.0 + math.sqrt(2.0 * cfg.coupling_rate - 1.0))
-    keep = rng.random((n_obj, n_br)) < keep_p
-    signs = np.where(keep, 1.0, -1.0)
-    signs *= ref_sign[:, None]
-    magnitudes = np.abs(rng.normal(0.0, cfg.error_scale, size=(n_obj, n_br)))
-    errors = signs * magnitudes
-
-    z = truths[:, None] + errors
+    flipped = rng.random((n_obj, n_br)) >= keep_p
+    # z is built in place: the error magnitudes, their signs, then the truth
+    z = rng.normal(0.0, cfg.error_scale, size=(n_obj, n_br))
+    np.abs(z, out=z)
+    if cfg.sigma_model == "constant":
+        sigmas = np.ones((n_obj, n_br))
+    else:
+        sigmas = np.maximum(z, SIGMA_FLOOR)
+    z *= ref_sign[:, None]
+    np.negative(z, out=z, where=flipped)
+    z += truths[:, None]
     # An infinite magnitude (hence sigma) makes its depth infinite too.
     if not np.isfinite(z).all():
         raise ValueError(f"a draw at error_scale {cfg.error_scale} overflowed "
                          "to a non-finite depth")
-    if cfg.sigma_model == "constant":
-        sigmas = np.ones((n_obj, n_br))
-    else:
-        sigmas = np.maximum(magnitudes, SIGMA_FLOOR)
     return EnsembleTable(names=cfg.branch_names, z=z, sigma=sigmas, z_star=truths)
 
 
@@ -156,26 +156,39 @@ def _levels(values, name: str, lo: float, hi: float, bounds: str) -> list:
 
 
 def _gather(table: EnsembleTable, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The untouched fusion of every object, and the fusion weights and a
-    copy of the depths of rows."""
+    """Each object's absolute error under the untouched fusion, and the
+    fusion weights, a copy of the depths and the truths of rows."""
     w = weights(table)
-    return (w * table.z).sum(axis=1), w[rows], table.z[rows]
+    w_rows, z_rows = w[rows], table.z[rows]
+    w *= table.z
+    errors = w.sum(axis=1)
+    errors -= table.z_star
+    return np.abs(errors, out=errors), w_rows, z_rows, table.z_star[rows]
 
 
-def _fused_mae(base: np.ndarray, z_star: np.ndarray, rows=slice(0),
-               fused_rows=()) -> float:
-    """MAE over all objects of the untouched fusion base, with the given
-    rows' fused depths replaced."""
-    fused = base.copy()
-    fused[rows] = fused_rows
-    fused -= z_star
-    return float(np.mean(np.abs(fused, out=fused)))
+def _fused_mae(errors: np.ndarray, rows: np.ndarray, fused_rows: np.ndarray,
+               z_star_rows: np.ndarray) -> float:
+    """MAE over all objects once the absolute errors of rows, in errors,
+    are those of the fused depths fused_rows. Writes to both arrays."""
+    fused_rows -= z_star_rows
+    errors[rows] = np.abs(fused_rows, out=fused_rows)
+    return float(np.mean(errors))
+
+
+def _half(n: int, rng: np.random.Generator) -> np.ndarray:
+    """One seeded half of n objects, the first half of a permutation, as
+    ascending row numbers."""
+    chosen = np.zeros(n, dtype=bool)
+    chosen[rng.permutation(n)[:int(round(0.5 * n))]] = True
+    return np.flatnonzero(chosen)
 
 
 # Every sweep computes the fusion weights and the untouched fusion once and
 # re-fuses only the rows a level edits. A row's weighted sum does not depend
 # on the other rows, so the MAEs are bit for bit those of fusing the whole
-# edited grid.
+# edited grid. Each level writes its rows' errors over the untouched ones,
+# which is enough because the levels of a sweep edit the same rows (or, in
+# flip_sweep, a growing prefix of them).
 #
 # Ragged ensembles: the sweeps pick their seeded subsets from all N objects
 # and report count N, and fusion uses each object's present branches. A
@@ -194,21 +207,24 @@ def flip_sweep(table: EnsembleTable, branch_name: str,
     props = _levels((float(p) for p in proportions), "proportions", 0.0, 1.0,
                     "lie in [0, 1]")
     _require_truth(table)
-    z_star = table.z_star
     col = table.column(branch_name)
     n = len(table)
     # the prefixes of one order: fuse the largest flipped set once
     rows = np.random.default_rng(seed).permutation(n)[:int(round(props[-1] * n))]
-    base, w_rows, z_rows = _gather(table, rows)
-    z_rows[:, col] = flip(z_rows[:, col], z_star[rows])
-    flipped = (w_rows * z_rows).sum(axis=1)
+    errors, w_rows, z_rows, z_star_rows = _gather(table, rows)
+    baseline = float(np.mean(errors))
+    z_rows[:, col] = flip(z_rows[:, col], z_star_rows)
+    z_rows *= w_rows
+    flipped = z_rows.sum(axis=1)
+    flipped -= z_star_rows
+    np.abs(flipped, out=flipped)
     maes = []
     for p in props:
         m = int(round(p * n))
-        maes.append(_fused_mae(base, z_star, rows[:m], flipped[:m]))
+        errors[rows[:m]] = flipped[:m]
+        maes.append(float(np.mean(errors)))
     return SweepCurve(x=tuple(props), mae=tuple(maes), counts=(n,) * len(props),
-                      baseline_mae=_fused_mae(base, z_star),
-                      label=f"flip:{branch_name}")
+                      baseline_mae=baseline, label=f"flip:{branch_name}")
 
 
 def disturb_sweep(table: EnsembleTable, branch_name: str,
@@ -227,22 +243,26 @@ def disturb_sweep(table: EnsembleTable, branch_name: str,
     amps = _levels((float(a) for a in amplitudes), "amplitudes", 0.0, sys.float_info.max,
                    "be finite and non-negative")
     _require_truth(table)
-    z_star = table.z_star
     col = table.column(branch_name)
     n = len(table)
     rng = np.random.default_rng(seed)
-    rows = rng.permutation(n)[:int(round(0.5 * n))]
+    rows = _half(n, rng)
     noise = rng.uniform(-1.0, 1.0, size=n)[rows]
 
-    base, w_rows, z_rows = _gather(table, rows)
-    flipped = flip(z_rows[:, col], z_star[rows])
+    errors, w_rows, z_rows, z_star_rows = _gather(table, rows)
+    baseline = float(np.mean(errors))
+    flipped = flip(z_rows[:, col], z_star_rows)
+    w_col = w_rows[:, col]
+    z_rows *= w_rows  # every level re-weights only the disturbed column
+    disturbed = np.empty_like(flipped)
     maes = []
     for a in amps:
-        z_rows[:, col] = flipped + a * noise
-        maes.append(_fused_mae(base, z_star, rows, (w_rows * z_rows).sum(axis=1)))
+        np.multiply(noise, a, out=disturbed)
+        disturbed += flipped
+        np.multiply(disturbed, w_col, out=z_rows[:, col])
+        maes.append(_fused_mae(errors, rows, z_rows.sum(axis=1), z_star_rows))
     return SweepCurve(x=tuple(amps), mae=tuple(maes), counts=(n,) * len(amps),
-                      baseline_mae=_fused_mae(base, z_star),
-                      label=f"disturb:{branch_name}")
+                      baseline_mae=baseline, label=f"disturb:{branch_name}")
 
 
 def multi_flip_sweep(table: EnsembleTable, ks: Sequence[int], seed: int = 0) -> SweepCurve:
@@ -264,19 +284,21 @@ def multi_flip_sweep(table: EnsembleTable, ks: Sequence[int], seed: int = 0) -> 
             raise ValueError(f"k={k} outside 0..{n_br}")
     if not ks or len(set(ks)) != len(ks):
         raise ValueError("ks must be non-empty and distinct")
-    z_star = table.z_star
     n = len(table)
-    rows = np.random.default_rng(seed).permutation(n)[:int(round(0.5 * n))]
+    rows = _half(n, np.random.default_rng(seed))
 
-    base, w_rows, z_rows = _gather(table, rows)
-    flipped = flip(z_rows, z_star[rows, None])
-    z_k = np.empty_like(z_rows)
+    errors, w_rows, z_rows, z_star_rows = _gather(table, rows)
+    baseline = float(np.mean(errors))
+    # each level takes its weighted terms from these two grids
+    w_flipped = flip(z_rows, z_star_rows[:, None])
+    w_flipped *= w_rows
+    z_rows *= w_rows
+    fused = np.empty_like(z_rows)
     maes = []
     for k in ks:
         cols = slice(k) if 2 * k <= n_br else slice(n_br - k, n_br)
-        z_k[...] = z_rows
-        z_k[:, cols] = flipped[:, cols]
-        z_k *= w_rows
-        maes.append(_fused_mae(base, z_star, rows, z_k.sum(axis=1)))
+        fused[...] = z_rows
+        fused[:, cols] = w_flipped[:, cols]
+        maes.append(_fused_mae(errors, rows, fused.sum(axis=1), z_star_rows))
     return SweepCurve(x=tuple(float(k) for k in ks), mae=tuple(maes), counts=(n,) * len(ks),
-                      baseline_mae=_fused_mae(base, z_star), label="multiflip")
+                      baseline_mae=baseline, label="multiflip")

@@ -116,7 +116,7 @@ class ComplementarityReport:
     branch_counts: dict[str, int]
     esop: dict[tuple[str, str], float]
     branch_cs: dict[str, float | None]
-    fused_mae: float | None
+    fused_mae: float
     binned: dict[str, BinnedMae] = field(default_factory=dict)
     flags: tuple[str, ...] = ()
 

@@ -23,7 +23,7 @@ from compdepth import (
     read_predictions,
     write_predictions,
 )
-from compdepth.cli import _build_parser, main
+from compdepth.cli import MAX_DEPTH, _build_parser, main
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -493,7 +493,7 @@ BAD_INPUT = [
     (["lab", "--mode", "flip", "--error-scale", "1e308"], "non-finite z",
      "error: a draw at error_scale 1e+308 overflowed to a non-finite depth"),
     (["lab", "--mode", "flip", "--depth-range", "1e300,1e308"], "non-finite",
-     "error: MAE overflowed to a non-finite value"),
+     "error: --depth-range values must be at most 8.98847e+307 in magnitude, got 1e+300,1e+308"),
     (["eval", "--predictions", "{preds}", "--depth-edges", "0,nan,40"], "edges",
      "error: edges must be at least 2 strictly increasing values, got [0.0, nan, 40.0]"),
     (["oracle", "--noise-px", "nan"], "--noise-px",
@@ -595,6 +595,17 @@ def test_lab_bad_input_one_line_error(args, line, dataset, capsys):
     captured = capsys.readouterr()
     line = line.replace("{dataset}", str(dataset))
     assert (code, captured.out, captured.err) == (1, "", line + "\n")
+
+
+@pytest.mark.parametrize("mode", ["flip", "disturb", "multiflip"])
+def test_lab_depth_range_at_its_ceiling_ends_cleanly(mode, capsys):
+    # truths drawn across +/- MAX_DEPTH: every flip and fused MAE stays finite
+    code = run(["lab", "--mode", mode, "--n-objects", "2000",
+                f"--depth-range={-MAX_DEPTH!r},{MAX_DEPTH!r}"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    rows = list(csv.DictReader(l for l in captured.out.splitlines() if not l.startswith("#")))
+    assert rows and all(math.isfinite(float(r["mae"])) for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1085,6 +1096,10 @@ FUZZED_OPTIONS = {
             "--depth-range", "--proportions", "--amplitudes", "--k"),
     "plane": ("--cam-height", "--image-size"),
 }
+#: Each command once per numeric option, so that every option is drawn
+#: about as often whatever its command.
+COMMAND_PER_OPTION = [command for command, flags in sorted(FUZZED_OPTIONS.items())
+                      for _ in flags]
 CHOICES = {
     "oracle": {"--sigma-model": ("constant", "proportional"), "--include-alt": ("",)},
     "eval": {"--format": ("json", "csv"), "--reference": ("key", "glo", "nope")},
@@ -1097,16 +1112,16 @@ CHILD_MEMORY_BYTES = 2**30
 CHILD_TIMEOUT_S = 20
 #: Command lines per child: the child's start-up, about a quarter second,
 #: is paid once for all of them.
-MAX_LINES_PER_CHILD = 8
+MAX_LINES_PER_CHILD = 16
 
 
 if given is not None:
     @st.composite
     def option_lines(draw):
-        """One command's arguments: each numeric option left at its default
-        or drawn from EXTREME_VALUES or its ordinary values, each choice left
-        out or drawn."""
-        command = draw(st.sampled_from(sorted(FUZZED_OPTIONS)))
+        """One command's arguments: the command drawn in proportion to its
+        numeric options, each of them left at its default or drawn from
+        EXTREME_VALUES or its ordinary values, each choice left out or drawn."""
+        command = draw(st.sampled_from(COMMAND_PER_OPTION))
         args = [command]
         if command == "lab":
             args += ["--mode", draw(st.sampled_from(("flip", "disturb", "multiflip")))]

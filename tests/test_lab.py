@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+import sweep_reference as ref
 from compdepth import (
+    EnsembleTable,
     ErrorModelConfig,
     SweepCurve,
     disturb_sweep,
@@ -237,6 +239,44 @@ def test_multi_flip_k_out_of_range(ensembles):
     for ks in ([], [1, 1]):
         with pytest.raises(ValueError, match="^ks must be non-empty and distinct$"):
             multi_flip_sweep(ensembles, ks)
+
+
+# ---------------------------------------------------------------------------
+# bench scale: the sweeps against the full-table reference
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(params=["constant", "proportional", "ragged"])
+def bench_table(request):
+    """100k objects: the lab command's 4-branch tables, or 8 branches with
+    arbitrary sigmas and about 30% of the cells missing."""
+    n = 100_000
+    rng = np.random.default_rng(2)
+    truths = rng.uniform(5.0, 60.0, n)
+    if request.param != "ragged":
+        return generate_ensembles(truths, ErrorModelConfig(sigma_model=request.param, seed=1))
+    valid = rng.random((n, 8)) >= 0.3
+    valid[np.arange(n), rng.integers(0, 8, n)] = True
+    return EnsembleTable(names=[f"b{j}" for j in range(8)],
+                         z=truths[:, None] + rng.normal(0.0, 2.0, (n, 8)),
+                         sigma=rng.uniform(1e-3, 5.0, (n, 8)), valid=valid, z_star=truths)
+
+
+def test_sweeps_equal_the_reference_at_bench_scale(bench_table):
+    table = bench_table
+    before = [array.copy() for array in (table.z, table.sigma, table.valid, table.z_star)]
+    branch = table.names[-1]
+    props = (0.0, 0.25, 0.5, 0.75, 1.0)
+    amps = (0.0, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0)
+    ks = range(len(table.names) + 1)
+    assert flip_sweep(table, branch, props, seed=2) == ref.flip_sweep(table, branch, props, 2)
+    assert (disturb_sweep(table, branch, amps, seed=2)
+            == ref.disturb_sweep(table, branch, amps, 2))
+    assert multi_flip_sweep(table, ks, seed=2) == SweepCurve(
+        x=tuple(map(float, ks)), mae=tuple(ref.multi_flip(table, k, 2) for k in ks),
+        counts=(len(table),) * len(ks), baseline_mae=ref.multi_flip(table, 0, 2),
+        label="multiflip")
+    after = (table.z, table.sigma, table.valid, table.z_star)
+    assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
 
 # ---------------------------------------------------------------------------
