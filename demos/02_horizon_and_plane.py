@@ -62,10 +62,11 @@ for v, y in zip(rows, y_global(k.c_u, rows, plane, k)):
     print(f"  pixel row {v:.0f} -> ground {y:.3f} m below camera")
 
 # fitting a plane to sampled bottom-face points recovers the heightfield;
-# with fewer than three points the fit degrades to a flat fallback
+# points that pin no plane (fewer than three, or all on one line) give None,
+# and the caller picks the fallback (the CLI takes a flat plane)
 rng = np.random.default_rng(7)
 x, z = rng.uniform(-15, 15, 40), rng.uniform(5, 60, 40)
 pts = np.column_stack([x, 0.01 * x - 0.02 * z + 1.62, z])
-refit, fit_info = fit_plane(pts)
-print(f"refit cam_height {refit.cam_height:.4f} m from {len(pts)} points, "
-      f"fallback={fit_info.used_fallback}")
+refit = fit_plane(pts)
+print(f"refit cam_height {refit.cam_height:.4f} m from {len(pts)} points; "
+      f"from 2 points: {fit_plane(pts[:2])}")

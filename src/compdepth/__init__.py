@@ -28,7 +28,6 @@ from .ground_plane import (
     GroundPlane,
     HorizonFitInfo,
     HorizonLine,
-    PlaneFitInfo,
     fit_horizon,
     fit_plane,
     heatmap_from_pgm,
@@ -77,7 +76,7 @@ __all__ = [
     "DEFAULT_CAM_HEIGHT", "DEFAULT_DEPTH_EDGES", "DEFAULT_EPS_DEN",
     "DEFAULT_INTRINSICS", "EnsembleTable", "ErrorModelConfig", "GroundPlane",
     "HorizonFitInfo", "HorizonLine", "JoinError", "LabelTable",
-    "MalformedLine", "Object3D", "PlaneFitInfo", "Scene", "SchemaError", "SweepCurve",
+    "MalformedLine", "Object3D", "Scene", "SchemaError", "SweepCurve",
     "binned_mae", "box_keypoints", "complementarity_score", "disturb_sweep", "esop",
     "evaluate_ensembles", "fit_horizon", "fit_plane", "flip", "flip_sweep",
     "format_calib", "format_labels", "fuse", "generate_ensembles", "heatmap_from_pgm",

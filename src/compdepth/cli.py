@@ -19,6 +19,7 @@ degeneracy warnings (some objects or frames fell back or were skipped).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from collections import Counter
@@ -52,6 +53,7 @@ from .kitti_io import (
     write_report,
 )
 from .lab import (
+    MAE_OVERFLOW,
     SIGMA_FLOOR,
     ErrorModelConfig,
     disturb_sweep,
@@ -217,22 +219,16 @@ def _load_frame(calib_dir: Path, label_dir: Path, frame: str):
     return intrinsics, index, columns, skipped
 
 
-def _frame_plane(bottoms: np.ndarray, k: CameraIntrinsics,
-                 args) -> tuple[GroundPlane, HorizonLine, bool]:
-    """The frame's ground plane through the (N, 3) bottoms, its horizon,
-    and whether it fell back.
-
-    The fallback is the flat plane at --cam-height, taken when the frame has
-    no usable bottoms, too few or collinear ones to pin a plane, or a
-    fitted plane too close to vertical to have a finite horizon (NaN where
-    |b| < DEFAULT_EPS_DEN, or a slope or intercept that overflows).
-    """
-    if len(bottoms):
-        plane, info = fit_plane(bottoms)
-        if not info.used_fallback:
-            horizon = plane_to_horizon(plane, k)
-            if math.isfinite(horizon.k_h) and math.isfinite(horizon.b_h):
-                return plane, horizon, False
+def _plane_or_flat(plane: GroundPlane | None, k: CameraIntrinsics,
+                   args) -> tuple[GroundPlane, HorizonLine, bool]:
+    """The plane and its horizon, and whether they fell back to the flat
+    plane at --cam-height: where there is no plane (None) or it is too close
+    to vertical to have a finite horizon (NaN where |b| < DEFAULT_EPS_DEN,
+    or a slope or intercept that overflows)."""
+    if plane is not None:
+        horizon = plane_to_horizon(plane, k)
+        if math.isfinite(horizon.k_h) and math.isfinite(horizon.b_h):
+            return plane, horizon, False
     flat = GroundPlane(0.0, -1.0, 0.0, args.cam_height)
     return flat, plane_to_horizon(flat, k), True
 
@@ -306,21 +302,20 @@ def _cmd_oracle(args) -> int:
         if skipped:
             diagnostics["object_invalid_geometry"] += skipped
 
-        plane, horizon, used_fallback = _frame_plane(np.column_stack([x, y, z]), k, args)
+        plane, horizon, used_fallback = _plane_or_flat(
+            fit_plane(np.column_stack([x, y, z])), k, args)
 
         # Horizon perturbation draws happen for every frame, amplitude 0 or
         # not, so the random stream lines up across noise configurations.
         d_slope = rng.uniform(-args.noise_horizon_slope, args.noise_horizon_slope)
         d_intercept = rng.uniform(-args.noise_horizon_intercept,
                                   args.noise_horizon_intercept)
-        try:
-            plane_used = horizon_to_plane(
-                HorizonLine(horizon.k_h + d_slope, horizon.b_h + d_intercept),
-                k, cam_height=plane.cam_height)
-        except ValueError:  # the horizon's plane is too close to vertical
-            plane_used, used_fallback = GroundPlane(0.0, -1.0, 0.0, args.cam_height), True
-        if used_fallback:
-            diagnostics["plane_fallback"] += 1
+        plane_used = horizon_to_plane(
+            HorizonLine(horizon.k_h + d_slope, horizon.b_h + d_intercept),
+            k, cam_height=plane.cam_height)
+        if plane_used is None:  # the horizon's plane is too close to vertical
+            plane_used, _, used_fallback = _plane_or_flat(None, k, args)
+        diagnostics["plane_fallback"] += used_fallback
 
         # One (d_h, d_vb, d_vt) row per object: the same stream as three
         # scalar draws per object.
@@ -436,16 +431,36 @@ def _cmd_lab(args) -> int:
     for name in branch_names:  # an unknown name fails before any sweep runs
         table.column(name)
 
-    if args.mode == "flip":
-        curves = [flip_sweep(table, name, args.proportions, seed=sweep_seed)
-                  for name in branch_names]
-    elif args.mode == "disturb":
-        curves = [disturb_sweep(table, branch_names[0], args.amplitudes, seed=sweep_seed)]
-    else:
-        curves = [multi_flip_sweep(table, ks, seed=sweep_seed)]
+    try:
+        if args.mode == "flip":
+            curves = [flip_sweep(table, name, args.proportions, seed=sweep_seed)
+                      for name in branch_names]
+        elif args.mode == "disturb":
+            curves = [disturb_sweep(table, branch_names[0], args.amplitudes, seed=sweep_seed)]
+        else:
+            curves = [multi_flip_sweep(table, ks, seed=sweep_seed)]
+    except ValueError as exc:
+        if str(exc) != MAE_OVERFLOW:
+            raise
+        raise ValueError(_mae_overflow(args, table, branch_names[0], sweep_seed)) from None
 
     _emit(write_curves(curves, header=config_header(args)), args.out)
     return EXIT_OK
+
+
+def _mae_overflow(args, table: EnsembleTable, branch: str, sweep_seed: int) -> str:
+    """The error for a sweep whose MAE overflowed, naming what scaled the
+    depths: the disturb noise if the sweep holds without it, else the
+    generated table's --error-scale or the predictions file."""
+    source = "" if args.predictions is None else f" in {args.predictions}"
+    overflow = f"the MAE of {len(table)} objects{source} overflowed to a non-finite value"
+    if args.mode == "disturb":
+        with contextlib.suppress(ValueError):  # the undisturbed sweep overflows too
+            disturb_sweep(table, branch, [0.0], seed=sweep_seed)
+            return f"--amplitudes {max(args.amplitudes):g} is too large: {overflow}"
+    if args.predictions is None:
+        return f"--error-scale {args.error_scale:g} is too large: {overflow}"
+    return overflow
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +485,9 @@ def _cmd_plane(args) -> int:
 
     for frame in frames:
         k, _, (x, y, z, _), _ = _load_frame(args.calib_dir, args.label_dir, frame)
-        plane, horizon, used_fallback = _frame_plane(np.column_stack([x, y, z]), k, args)
-        if used_fallback:
-            fallback_frames += 1
+        plane, horizon, used_fallback = _plane_or_flat(
+            fit_plane(np.column_stack([x, y, z])), k, args)
+        fallback_frames += used_fallback
 
         y_hat = y_global(*project(x, y, z, k), plane, k)
         ok = np.isfinite(y_hat)

@@ -5,10 +5,10 @@ arrays, out-of-range settings and numerical degeneracies alike, so one
 `except ValueError` sees them all. CompdepthError, itself a ValueError,
 is the base of the three subclasses below, which exist because they
 carry fields (MalformedLine, SchemaError, JoinError); every other error
-is a plain ValueError. The per-object geometry (projection, ground
-elevation and the depth kernels) and a plane's horizon do not raise:
-they return NaN where the geometry is undefined, and the CLI counts those
-entries as failed branches or elevations, or as plane fallbacks.
+is a plain ValueError. Undefined geometry is no error: projection, ground
+elevation, the depth kernels and a plane's horizon return NaN, and a plane
+fit or a horizon's plane returns None. The CLI counts those as failed
+branches or elevations, or as plane fallbacks.
 """
 
 from __future__ import annotations

@@ -66,14 +66,8 @@ class HorizonLine:
 
 
 @dataclass(frozen=True)
-class PlaneFitInfo:
-    used_fallback: bool
-
-
-@dataclass(frozen=True)
 class HorizonFitInfo:
     columns_used: int
-    width: int
     rms_residual: float
     degraded: bool  # sparse column coverage, or peaks clipped at the border
 
@@ -82,29 +76,22 @@ class HorizonFitInfo:
 # plane fitting
 # ---------------------------------------------------------------------------
 
-def fit_plane(points) -> tuple[GroundPlane, PlaneFitInfo]:
+def fit_plane(points) -> GroundPlane | None:
     """Least-squares ground plane through object bottom-center points,
     given as an (N, 3) array of camera-frame (x, y, z) rows.
 
-    Fits the height field y = p*x + q*z + r and normalizes. With fewer than
-    3 points, a rank-deficient system (e.g. all points collinear in the
-    x-z plane), or a solution too large to normalize (non-finite, or
-    p*p + q*q overflows), falls back to the flat plane
-    y = DEFAULT_CAM_HEIGHT and sets the info's used_fallback.
-
-    Raises ValueError when no points are given.
+    Fits the height field y = p*x + q*z + r and normalizes. None where the
+    points pin no plane: a rank-deficient system (fewer than 3 points, or
+    all of them collinear in the x-z plane) or a solution too large to
+    normalize (non-finite, or p*p + q*q overflows).
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    n = len(pts)
-    if n == 0:
-        raise ValueError("plane fit needs at least one point")
-    if n >= 3:
-        design = np.column_stack([pts[:, 0], pts[:, 2], np.ones(n)])
-        solution, _, rank, _ = np.linalg.lstsq(design, pts[:, 1], rcond=None)
-        p, q, r = solution.tolist()
-        if rank == 3 and math.isfinite(p * p + q * q) and math.isfinite(r):
-            return GroundPlane.from_heightfield(p, q, r), PlaneFitInfo(False)
-    return GroundPlane(0.0, -1.0, 0.0, DEFAULT_CAM_HEIGHT), PlaneFitInfo(True)
+    design = np.column_stack([pts[:, 0], pts[:, 2], np.ones(len(pts))])
+    solution, _, rank, _ = np.linalg.lstsq(design, pts[:, 1], rcond=None)
+    p, q, r = solution.tolist()
+    if rank < 3 or not (math.isfinite(p * p + q * q) and math.isfinite(r)):
+        return None
+    return GroundPlane.from_heightfield(p, q, r)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +99,7 @@ def fit_plane(points) -> tuple[GroundPlane, PlaneFitInfo]:
 # ---------------------------------------------------------------------------
 
 def horizon_to_plane(h: HorizonLine, k: CameraIntrinsics,
-                     cam_height: float = DEFAULT_CAM_HEIGHT) -> GroundPlane:
+                     cam_height: float = DEFAULT_CAM_HEIGHT) -> GroundPlane | None:
     """Ground plane whose directions at infinity image to the given horizon.
 
     The horizon fixes the orientation only: up to positive scale the
@@ -120,15 +107,14 @@ def horizon_to_plane(h: HorizonLine, k: CameraIntrinsics,
     The offset comes from cam_height, stored as the constant term of the
     normalized equation.
 
-    Raises ValueError when that triple overflows: the plane is too close
-    to vertical to normalize.
+    None when that triple overflows: the plane is too close to vertical to
+    normalize.
     """
     a0 = h.k_h * k.f_x / k.f_y
     c0 = (h.k_h * k.c_u + h.b_h - k.c_v) / k.f_y
     norm = math.sqrt(a0 * a0 + 1.0 + c0 * c0)
     if not math.isfinite(norm):
-        raise ValueError(f"the plane of horizon {h} is too close to vertical "
-                         "to normalize")
+        return None
     return GroundPlane(a0 / norm, -1.0 / norm, c0 / norm, cam_height)
 
 
@@ -272,13 +258,9 @@ def fit_horizon(grid: np.ndarray, with_info: bool = False):
     if not with_info:
         return line
     residuals = rows - (line.k_h * cols + line.b_h)
-    info = HorizonFitInfo(
-        columns_used=int(cols.size),
-        width=width,
-        rms_residual=float(np.sqrt(np.mean(residuals ** 2))),
-        degraded=cols.size < 0.5 * width or border_frac > 0.25,
-    )
-    return line, info
+    return line, HorizonFitInfo(columns_used=int(cols.size),
+                                rms_residual=float(np.sqrt(np.mean(residuals ** 2))),
+                                degraded=cols.size < 0.5 * width or border_frac > 0.25)
 
 
 #: Whitespace or a '#' comment, which runs to the end of its line, between

@@ -324,8 +324,8 @@ def _is_number(x) -> bool:
         return False
 
 
-def read_predictions(source) -> EnsembleTable:
-    """Read prediction ensembles from JSONL text or an iterable of lines.
+def read_predictions(text: str) -> EnsembleTable:
+    """Read prediction ensembles from JSONL text.
 
     Each line is an object like
     {"frame":"000123","index":0,"z_star":20.0,
@@ -338,7 +338,7 @@ def read_predictions(source) -> EnsembleTable:
     record whose 1/sigma values sum past the float range, which fusion
     divides by.
     """
-    lines = source.splitlines() if isinstance(source, str) else list(source)
+    lines = text.splitlines()
     try:
         table = _read_columns(lines)
     except (ValueError, OverflowError, RecursionError):  # bad JSON, an int beyond float

@@ -21,6 +21,8 @@ from .kitti_io import EnsembleTable
 
 #: Lower bound of proportional sigmas, which keeps them strictly positive.
 SIGMA_FLOOR = 1e-3
+#: SweepCurve's error text for a curve whose MAE overflowed.
+MAE_OVERFLOW = "MAE overflowed to a non-finite value"
 
 
 def flip(z_hat, z_star):
@@ -130,7 +132,7 @@ class SweepCurve:
         if any(self.x[i] >= self.x[i + 1] for i in range(len(self.x) - 1)):
             raise ValueError("x must be strictly increasing")
         if not all(math.isfinite(m) for m in (*self.mae, self.baseline_mae or 0.0)):
-            raise ValueError("MAE overflowed to a non-finite value")
+            raise ValueError(MAE_OVERFLOW)
 
 
 def _require_truth(table: EnsembleTable) -> None:

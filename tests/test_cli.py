@@ -573,6 +573,24 @@ BAD_INPUT = [
      "error: --noise-horizon-slope must be at most 8.98847e+307, got 1.7e+308"),
     (["oracle", "--noise-horizon-intercept", "1.7e308"], "--noise-horizon-intercept",
      "error: --noise-horizon-intercept must be at most 8.98847e+307, got 1.7e+308"),
+    # Finite draws whose MAE, a sum over the objects, overflows: the line
+    # names the option that scaled them, not the curve's own check.
+    (["lab", "--mode", "flip", "--n-objects", "100000", "--error-scale", "1e306"],
+     "mae_overflow", "error: --error-scale 1e+306 is too large: the MAE of 100000 objects "
+     "overflowed to a non-finite value"),
+    (["lab", "--mode", "multiflip", "--n-objects", "100000", "--error-scale", "1e306"],
+     "mae_overflow", "error: --error-scale 1e+306 is too large: the MAE of 100000 objects "
+     "overflowed to a non-finite value"),
+    (["lab", "--mode", "disturb", "--amplitudes", "1e308"], "mae_overflow",
+     "error: --amplitudes 1e+308 is too large: the MAE of 200 objects overflowed to a "
+     "non-finite value"),
+    (["lab", "--mode", "flip", "--error-scale", "1e307"], "mae_overflow",
+     "error: --error-scale 1e+307 is too large: the MAE of 200 objects overflowed to a "
+     "non-finite value"),
+    # disturb overflows without its noise too: the table's scale is at fault
+    (["lab", "--mode", "disturb", "--n-objects", "100000", "--error-scale", "1e306"],
+     "mae_overflow", "error: --error-scale 1e+306 is too large: the MAE of 100000 objects "
+     "overflowed to a non-finite value"),
 ]
 
 
@@ -595,6 +613,21 @@ def test_lab_bad_input_one_line_error(args, line, dataset, capsys):
     captured = capsys.readouterr()
     line = line.replace("{dataset}", str(dataset))
     assert (code, captured.out, captured.err) == (1, "", line + "\n")
+
+
+@pytest.mark.parametrize("mode", ["flip", "disturb", "multiflip"])
+def test_lab_predictions_mae_overflow_names_the_file(mode, tmp_path, capsys):
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text(
+        '{"frame":"0","index":0,"z_star":-1.7e308,"branches":[{"name":"a","z":1.7e308},'
+        '{"name":"b","z":1.0}]}\n'
+        '{"frame":"0","index":1,"z_star":1.0,"branches":[{"name":"a","z":2.0},'
+        '{"name":"b","z":1.0}]}\n')
+    code = run(["lab", "--mode", mode, "--predictions", preds])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == (f"error: the MAE of 2 objects in {preds} overflowed to a "
+                            "non-finite value\n")
 
 
 @pytest.mark.parametrize("mode", ["flip", "disturb", "multiflip"])
@@ -825,6 +858,25 @@ def test_plane_infinite_horizon_falls_back(tmp_path, capsys):
     assert captured.err == ""
     assert json.loads(captured.out)["summary"]["fallback_frames"] == 1
     assert heatmap_from_pgm((heatmap_dir / "000000.pgm").read_bytes()).shape == (8, 24)
+
+
+@pytest.mark.parametrize("label_text", [
+    # a finite slope of 1e200, whose square overflows when normalized; the
+    # "unnormalizable fit" frame above ends in plane's one-line y_mae error
+    # instead, as its +/-1e308 elevations overflow the MAE
+    car_rows((0, 1.6, 10), (1, 1e200, 10), (0, 1.6, 20)),
+    # every bottom at x = 0: the x-slope column is all zero, rank 2
+    car_rows((0, 1.6, 10), (0, 1.7, 20), (0, 1.8, 30)),
+], ids=["unnormalizable fit", "collinear"])
+def test_plane_unfittable_bottoms_fall_back(tmp_path, capsys, label_text):
+    assert run(["plane", *label_dirs(tmp_path, label_text)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["summary"]["fallback_frames"] == 1
+    row = report["frames"][0]
+    # the flat plane's horizon
+    assert (row["fallback"], row["k_h"], row["b_h"]) == (True, 0.0, 172.854)
 
 
 def test_oracle_overflowing_label_warns_only_by_count(tmp_path, capsys):

@@ -2,7 +2,8 @@
 in geometry_reference.py: projection, keypoints, ground elevation and the
 four depth kernels give the same bits, and NaN exactly where the reference
 raised. The rows include keypoints within DEFAULT_EPS_DEN of the principal
-row and non-positive heights, where the guards fire."""
+row and non-positive heights, where the guards fire. A plane fit and a
+horizon's plane give a plane or None for any finite input, never an error."""
 
 import numpy as np
 import pytest
@@ -16,7 +17,10 @@ from compdepth import (  # noqa: E402
     DEFAULT_EPS_DEN,
     CameraIntrinsics,
     GroundPlane,
+    HorizonLine,
     box_keypoints,
+    fit_plane,
+    horizon_to_plane,
     project,
     y_global,
     z_alt,
@@ -109,3 +113,27 @@ def test_y_global_matches_reference(k, g, rows):
     v_b = [k.c_v + d for d in d_b]
     check_elementwise(lambda *a: y_global(*a, g, k),
                       lambda *a: reference(ref.y_global, *a, g, k), (u_b, v_b))
+
+
+def assert_plane_or_none(plane) -> None:
+    assert plane is None or (isinstance(plane, GroundPlane) and all(
+        np.isfinite([plane.a, plane.b, plane.c, plane.cam_height])))
+
+
+# anything finite, and ordinary meters so that many draws fit a plane
+coordinates = st.one_of(st.floats(**finite), meters, st.sampled_from([0.0, 1.0, 1e308]))
+
+
+@given(st.lists(st.tuples(coordinates, coordinates, coordinates), max_size=8))
+def test_fit_plane_gives_a_plane_or_none(rows):
+    assert_plane_or_none(fit_plane(np.array(rows, dtype=float).reshape(-1, 3)))
+
+
+extreme_cameras = st.builds(CameraIntrinsics, *[st.floats(5e-324, 1.7e308)] * 2,
+                            *[st.floats(**finite)] * 2)
+
+
+@given(st.one_of(cameras, extreme_cameras), st.builds(HorizonLine, coordinates, coordinates),
+       st.floats(0.5, 3.0))
+def test_horizon_to_plane_gives_a_plane_or_none(k, h, cam_height):
+    assert_plane_or_none(horizon_to_plane(h, k, cam_height=cam_height))

@@ -105,7 +105,6 @@ def test_fit_horizon_matches_reference(grid):
     line, info = fit_horizon(grid, with_info=True)
     assert repr(line) == repr(expected[0])
     assert (info.columns_used, info.rms_residual, info.degraded) == expected[1]
-    assert info.width == grid.shape[1]
 
 
 @given(st.one_of(

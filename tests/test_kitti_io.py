@@ -1,4 +1,3 @@
-import io
 import json
 import math
 
@@ -207,11 +206,6 @@ def test_predictions_full_precision_round_trip():
 def test_read_predictions_skips_comments_and_blanks():
     text = "# a comment\n\n" + write_predictions(read_records([RECORD])) + "\n# tail\n"
     assert len(read_predictions(text)) == 1
-
-
-def test_read_predictions_from_stream():
-    text = write_predictions(read_records([RECORD]))
-    assert columns(read_predictions(io.StringIO(text))) == columns(read_records([RECORD]))
 
 
 def test_read_predictions_fills_columns():
