@@ -206,12 +206,25 @@ def _frames(label_dir: Path) -> list[str]:
     return frames
 
 
+@contextlib.contextmanager
+def _file_text(path: Path):
+    """Yield the text of path to a block that parses it. A ValueError from
+    the read (a UnicodeDecodeError) or the block is raised again, led by
+    the path."""
+    try:
+        yield path.read_text()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_frame(calib_dir: Path, label_dir: Path, frame: str):
     """The frame's intrinsics, the label indices of its rows with usable
     geometry (not DontCare, positive height and positive depth), their
     (x, y, z, h) columns, and the number of other non-DontCare rows."""
-    intrinsics = parse_calib((calib_dir / f"{frame}.txt").read_text())
-    labels = parse_labels((label_dir / f"{frame}.txt").read_text())
+    with _file_text(calib_dir / f"{frame}.txt") as text:
+        intrinsics = parse_calib(text)
+    with _file_text(label_dir / f"{frame}.txt") as text:
+        labels = parse_labels(text)
     usable = ~labels.dontcare & (labels.h > 0) & (labels.z > 0)
     index = np.flatnonzero(usable)
     columns = (labels.x[usable], labels.y[usable], labels.z[usable], labels.h[usable])
@@ -255,11 +268,12 @@ def _cmd_eval(args) -> int:
     truth = np.full(len(table), np.nan)
     matched = np.zeros(len(table), dtype=bool)
     dontcare = np.zeros(len(table), dtype=bool)
-    for frame, rows in rows_of.items():
+    for frame, rows in sorted(rows_of.items()):  # frame order: the first bad file is named
         label_path = args.label_dir / f"{frame}.txt"
         if not label_path.exists():
             continue
-        labels = parse_labels(label_path.read_text())
+        with _file_text(label_path) as text:
+            labels = parse_labels(text)
         rows = np.array(rows)
         rows = rows[table.index[rows] < len(labels)]
         index = table.index[rows]

@@ -7,9 +7,10 @@ Covers four text formats:
 * Prediction ensembles as JSONL, one object per line; lines starting with
   '#' are comments (used for config headers) and are skipped on read.
 * Evaluation reports, sweep curves and ground-plane reports as JSON or CSV,
-  headed by the command's config echo, with deterministic
-  6-significant-digit float formatting, so identical inputs produce
-  byte-identical files.
+  with deterministic 6-significant-digit float formatting, so identical
+  inputs produce byte-identical files. Each writer builds only its
+  document or its rows; _json and _csv write them, headed by the config
+  echo (a "header" object in JSON, '# key: value' lines in CSV).
 
 Parsing is all-or-nothing: the first malformed line raises with its 1-based
 line number instead of silently dropping records.
@@ -517,40 +518,54 @@ def write_predictions(table: EnsembleTable, header: dict | None = None) -> str:
 # reports and sweep curves
 # ---------------------------------------------------------------------------
 
-def _fmt6(x: float) -> str:
-    """Fixed 6-significant-digit text for floats ('inf' for infinities)."""
-    return f"{x:.6g}"
+def _fmt6(x: float | None) -> str:
+    """Fixed 6-significant-digit text for floats ('inf' for infinities, ''
+    for None)."""
+    return "" if x is None else f"{x:.6g}"
 
 
-def _round6(x: float | None):
-    if x is None:
-        return None
-    return float(f"{x:.6g}")
+def _round6(x: float | None) -> float | None:
+    return None if x is None else float(_fmt6(x))
 
 
-def _edge_json(e: float):
-    if math.isinf(e):
-        return "inf" if e > 0 else "-inf"
-    return e
+def _check_format(format: str) -> None:
+    if format not in ("json", "csv"):
+        raise ValueError(f"unknown format '{format}' (expected 'json' or 'csv')")
 
 
-def _header_lines(header: dict | None) -> list[str]:
-    if not header:
-        return []
-    return [f"# {k}: {header[k]}" for k in sorted(header)]
+def _json(doc: dict, header: dict | None) -> str:
+    """doc as indented JSON, led by a "header" object of the header's items
+    in key order when a header is given."""
+    if header is not None:
+        doc = {"header": dict(sorted(header.items())), **doc}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _csv(columns, rows, header: dict | None, notes=()) -> str:
+    """CSV text: a '# key: value' line per header item in key order, then
+    the notes lines, the column row and the rows."""
+    buf = io.StringIO()
+    buf.writelines(f"# {key}: {header[key]}\n" for key in sorted(header or {}))
+    buf.writelines(line + "\n" for line in notes)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def config_header(args) -> dict:
     """The config echo at the top of every output file: the command and
     every option of its parsed CLI arguments, paths as text and lists joined
-    by commas (floats at 6 significant digits). The output destinations
-    --out and --heatmap-dir are left out: they do not change what is written."""
+    by commas (floats at 6 significant digits where that reads back as the
+    same float, else in full). The output destinations --out and
+    --heatmap-dir are left out: they do not change what is written."""
     echo = {}
     for key, value in vars(args).items():
         if isinstance(value, Path):
             value = str(value)
         elif isinstance(value, list):
-            value = ",".join(_fmt6(v) if isinstance(v, float) else str(v) for v in value)
+            value = ",".join(_fmt6(v) if isinstance(v, float) and float(_fmt6(v)) == v
+                             else str(v) for v in value)
         if key not in ("out", "heatmap_dir"):
             echo[key.replace("_", "-")] = value
     return echo
@@ -565,80 +580,44 @@ def write_report(report: ComplementarityReport, format: str = "json",
     header dict is echoed at the top (a "header" object in JSON, '# key:
     value' comment lines in CSV).
     """
+    _check_format(format)
     if format == "json":
-        return _report_json(report, header)
-    if format == "csv":
-        return _report_csv(report, header)
-    raise ValueError(f"unknown format '{format}' (expected 'json' or 'csv')")
-
-
-def _report_json(report: ComplementarityReport, header: dict | None) -> str:
-    doc: dict = {}
-    if header is not None:
-        doc["header"] = {k: header[k] for k in sorted(header)}
-    doc["n_objects"] = report.n_objects
-    doc["reference"] = report.reference
-    doc["branches"] = [
-        {
-            "name": name,
-            "count": report.branch_counts[name],
-            "mae": _round6(report.branch_mae.get(name)),
-            "cs": _round6(report.branch_cs.get(name)),
-        }
-        for name in report.branch_names
+        return _json({
+            "n_objects": report.n_objects,
+            "reference": report.reference,
+            "branches": [{"name": name, "count": report.branch_counts[name],
+                          "mae": _round6(report.branch_mae.get(name)),
+                          "cs": _round6(report.branch_cs.get(name))}
+                         for name in report.branch_names],
+            "esop": [{"a": a, "b": b, "value": _round6(v)}
+                     for (a, b), v in sorted(report.esop.items())],
+            "fused": {"count": report.n_objects, "mae": _round6(report.fused_mae)},
+            # an unbounded edge is the text "inf"
+            "binned": [{"name": name,
+                        "edges": [e if math.isfinite(e) else _fmt6(e) for e in table.edges],
+                        "mae": [_round6(v) for v in table.maes],
+                        "counts": list(table.counts)}
+                       for name, table in sorted(report.binned.items())],
+            "flags": list(report.flags),
+        }, header)
+    columns = ("metric", "branch", "other", "bin_lo", "bin_hi", "value", "count")
+    reference = report.reference or ""
+    rows = [
+        ("n_objects", "", "", "", "", "", report.n_objects),
+        ("reference", reference, "", "", "", "", ""),
+        *(("mae", name, "", "", "", _fmt6(report.branch_mae.get(name)),
+           report.branch_counts[name]) for name in report.branch_names),
+        *(("cs", name, reference, "", "", _fmt6(report.branch_cs.get(name)), "")
+          for name in report.branch_names if name != report.reference),
+        *(("esop", a, b, "", "", _fmt6(v), "") for (a, b), v in sorted(report.esop.items())),
+        ("fused_mae", "", "", "", "", _fmt6(report.fused_mae), report.n_objects),
+        *(("binned_mae", name, "", _fmt6(lo), _fmt6(hi), _fmt6(m), count)
+          for name, table in sorted(report.binned.items())
+          for lo, hi, m, count in zip(table.edges, table.edges[1:], table.maes,
+                                      table.counts)),
+        *(("flag", flag, "", "", "", "", "") for flag in report.flags),
     ]
-    doc["esop"] = [
-        {"a": a, "b": b, "value": _round6(v)}
-        for (a, b), v in sorted(report.esop.items())
-    ]
-    doc["fused"] = {"count": report.n_objects, "mae": _round6(report.fused_mae)}
-    doc["binned"] = [
-        {
-            "name": name,
-            "edges": [_edge_json(e) for e in table.edges],
-            "mae": [_round6(v) for v in table.maes],
-            "counts": list(table.counts),
-        }
-        for name, table in sorted(report.binned.items())
-    ]
-    doc["flags"] = list(report.flags)
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _report_csv(report: ComplementarityReport, header: dict | None) -> str:
-    buf = io.StringIO()
-    for line in _header_lines(header):
-        buf.write(line + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["metric", "branch", "other", "bin_lo", "bin_hi", "value", "count"])
-
-    def row(metric, branch="", other="", bin_lo="", bin_hi="", value="", count=""):
-        writer.writerow([metric, branch, other, bin_lo, bin_hi, value, count])
-
-    row("n_objects", count=report.n_objects)
-    row("reference", branch=report.reference or "")
-    for name in report.branch_names:
-        m = report.branch_mae.get(name)
-        row("mae", branch=name, value="" if m is None else _fmt6(m),
-            count=report.branch_counts[name])
-    for name in report.branch_names:
-        cs = report.branch_cs.get(name)
-        if name == report.reference:
-            continue
-        row("cs", branch=name, other=report.reference or "",
-            value="" if cs is None else _fmt6(cs))
-    for (a, b), v in sorted(report.esop.items()):
-        row("esop", branch=a, other=b, value=_fmt6(v))
-    row("fused_mae", value=_fmt6(report.fused_mae), count=report.n_objects)
-    for name, table in sorted(report.binned.items()):
-        for i in range(len(table.counts)):
-            m = table.maes[i]
-            row("binned_mae", branch=name,
-                bin_lo=_fmt6(table.edges[i]), bin_hi=_fmt6(table.edges[i + 1]),
-                value="" if m is None else _fmt6(m), count=table.counts[i])
-    for flag in report.flags:
-        row("flag", branch=flag)
-    return buf.getvalue()
+    return _csv(columns, rows, header)
 
 
 def write_plane_report(frames: Sequence[dict], summary: dict, format: str = "json",
@@ -656,29 +635,18 @@ def write_plane_report(frames: Sequence[dict], summary: dict, format: str = "jso
         for key, value in record.items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"plane report: {key} of {where} is not finite ({value})")
+    _check_format(format)
     if format == "json":
-        doc = {
-            "header": None if header is None else dict(sorted(header.items())),
+        return _json({
             "frames": [{**r, "k_h": _round6(r["k_h"]), "b_h": _round6(r["b_h"]),
                         "y_mae": _round6(r["y_mae"])} for r in frames],
             "summary": {**summary, "y_mae": _round6(summary.get("y_mae"))},
-        }
-        return json.dumps(doc, indent=2) + "\n"
-    if format != "csv":
-        raise ValueError(f"unknown format '{format}' (expected 'json' or 'csv')")
-    summary_lines = [f"# {key}: {_fmt6(value) if isinstance(value, float) else value}"
-                     for key, value in sorted(summary.items())]
-    buf = io.StringIO()
-    buf.writelines(line + "\n" for line in _header_lines(header) + summary_lines)
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["frame", "n_points", "fallback", "k_h", "b_h", "y_mae"])
-    for r in frames:
-        writer.writerow([
-            r["frame"], r["n_points"], int(r["fallback"]),
-            _fmt6(r["k_h"]), _fmt6(r["b_h"]),
-            "" if r["y_mae"] is None else _fmt6(r["y_mae"]),
-        ])
-    return buf.getvalue()
+        }, header)
+    notes = [f"# {key}: {_fmt6(value) if isinstance(value, float) else value}"
+             for key, value in sorted(summary.items())]
+    rows = [(r["frame"], r["n_points"], int(r["fallback"]), _fmt6(r["k_h"]), _fmt6(r["b_h"]),
+             _fmt6(r["y_mae"])) for r in frames]
+    return _csv(("frame", "n_points", "fallback", "k_h", "b_h", "y_mae"), rows, header, notes)
 
 
 def write_curves(curves, header: dict | None = None) -> str:
@@ -688,13 +656,6 @@ def write_curves(curves, header: dict | None = None) -> str:
     none). Floats use 6 significant digits; the optional header dict is
     echoed as '# key: value' comment lines.
     """
-    buf = io.StringIO()
-    for line in _header_lines(header):
-        buf.write(line + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["label", "x", "mae", "count", "baseline_mae"])
-    for curve in curves:
-        base = "" if curve.baseline_mae is None else _fmt6(curve.baseline_mae)
-        for x, m, c in zip(curve.x, curve.mae, curve.counts):
-            writer.writerow([curve.label, _fmt6(x), _fmt6(m), c, base])
-    return buf.getvalue()
+    rows = ((curve.label, _fmt6(x), _fmt6(m), count, _fmt6(curve.baseline_mae))
+            for curve in curves for x, m, count in zip(curve.x, curve.mae, curve.counts))
+    return _csv(("label", "x", "mae", "count", "baseline_mae"), rows, header)

@@ -23,7 +23,7 @@ from compdepth import (
     read_predictions,
     write_predictions,
 )
-from compdepth.cli import MAX_DEPTH, _build_parser, main
+from compdepth.cli import MAX_DEPTH, _build_parser, _float_list, main
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -320,8 +320,38 @@ def test_eval_malformed_labels(dataset, tmp_path, capsys):
     preds.write_text('{"frame":"000000","index":0,"branches":[{"name":"key","z":20.0}]}\n')
     code = run(["eval", "--calib-dir", dataset / "calib",
                 "--label-dir", dataset / "label_2", "--predictions", preds])
-    assert code == 1
-    assert "error" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        1, "", f"error: {dataset / 'label_2' / '000000.txt'}: line 1: expected 15 or 16 "
+               "fields, got 1\n")
+
+
+BAD_LABEL = ("Car 1 2\n", "line 1: expected 15 or 16 fields, got 3")
+BAD_CALIB = ("P2: 700.0 0.0 600.0\n", "'P2' needs 12 entries, got 3")
+
+
+@pytest.mark.parametrize("command,kind", [
+    ("oracle", "label_2"), ("plane", "label_2"), ("eval", "label_2"),
+    ("oracle", "calib"), ("plane", "calib"),
+])
+def test_bad_frame_file_names_the_first_in_frame_order(command, kind, dataset, capsys):
+    # frame 000000 parses; 000001 and 000002 do not, and the line names
+    # 000001's file, also where the predictions list 000002 first
+    dirs = ["--calib-dir", dataset / "calib", "--label-dir", dataset / "label_2"]
+    preds = dataset / "preds.jsonl"
+    assert run(["oracle", *dirs, "--out", preds]) == 0
+    preds.write_text('{"frame":"000002","index":0,"branches":[{"name":"key","z":20.0}]}\n'
+                     + preds.read_text())
+    for folder in ("calib", "label_2"):
+        shutil.copy(dataset / folder / "000000.txt", dataset / folder / "000002.txt")
+    text, message = BAD_LABEL if kind == "label_2" else BAD_CALIB
+    for frame in ("000001", "000002"):
+        (dataset / kind / f"{frame}.txt").write_text(text)
+    capsys.readouterr()
+    code = run([command, *dirs, *(["--predictions", preds] if command == "eval" else [])])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        1, "", f"error: {dataset / kind / '000001.txt'}: {message}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +398,38 @@ def test_lab_flip_config_header_echoes_settings(dataset, capsys):
         assert echo["command"] == command
         assert set(echo) == options - {"out", "heatmap-dir"} | {"command"}, command
         assert list(echo) == sorted(echo), command
+
+
+@pytest.mark.parametrize("args,option,given,echoed", [
+    (["eval", "--depth-edges", "0,12.3456789,inf"], "depth-edges", "0,12.3456789,inf",
+     "0,12.3456789,inf"),
+    (["lab", "--mode", "flip", "--proportions", "0,0.1234564,0.1234566"], "proportions",
+     "0,0.1234564,0.1234566", "0,0.1234564,0.1234566"),
+    (["lab", "--mode", "disturb", "--amplitudes", "0,1e-7,2.50"], "amplitudes",
+     "0,1e-7,2.50", "0,1e-07,2.5"),
+    (["lab", "--mode", "flip", "--depth-range", "5.000000001,60"], "depth-range",
+     "5.000000001,60", "5.000000001,60"),
+    (["plane", "--image-size", "1242,375.5"], "image-size", "1242,375.5", "1242,375.5"),
+], ids=["depth-edges", "proportions", "amplitudes", "depth-range", "image-size"])
+def test_config_echo_round_trips_list_options(args, option, given, echoed, dataset, capsys):
+    # a list option's echo reads back as the same floats: 6 significant
+    # digits where they do, else the float in full
+    command, *rest = args
+    dirs = ["--calib-dir", dataset / "calib", "--label-dir", dataset / "label_2"]
+    if command == "eval":
+        preds = dataset / "preds.jsonl"
+        assert run(["oracle", *dirs, "--out", preds]) == 0
+        rest += [*dirs, "--predictions", preds, "--format", "csv"]
+    elif command == "plane":
+        rest += [*dirs, "--format", "csv"]
+    else:
+        rest += ["--n-objects", "50"]
+    capsys.readouterr()
+    assert run([command, *rest]) in (0, 3)
+    prefix = f"# {option}: "
+    echo = [l for l in capsys.readouterr().out.splitlines() if l.startswith(prefix)]
+    assert echo == [prefix + echoed]
+    assert _float_list(echo[0][len(prefix):]) == _float_list(given)
 
 
 def test_lab_disturb_first_branch_only(capsys):
@@ -830,12 +892,13 @@ PLANE_LEAKS = {
 @pytest.mark.parametrize("command", ["oracle", "plane"])
 @pytest.mark.parametrize("calib_text,message", [
     ("P0: 700.0 0.0 600.0 0.0 0.0 700.0 200.0 0.0 0.0 0.0 1.0 0.0\n",
-     "error: no 'P2:' line in calibration text"),
-    ("P2: 700.0 0.0 600.0\n", "error: 'P2' needs 12 entries, got 3"),
+     "error: {calib}: no 'P2:' line in calibration text"),
+    ("P2: 700.0 0.0 600.0\n", "error: {calib}: 'P2' needs 12 entries, got 3"),
 ], ids=["no_P2", "3_entry_P2"])
 def test_bad_calib_one_line_error(command, calib_text, message, tmp_path, capsys):
     code = run([command, *label_dirs(tmp_path, car_rows((1, 1.6, 20)), calib_text)])
     captured = capsys.readouterr()
+    message = message.replace("{calib}", str(tmp_path / "calib" / "000000.txt"))
     assert (code, captured.out, captured.err) == (1, "", message + "\n")
 
 

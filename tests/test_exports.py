@@ -1,8 +1,9 @@
 """compdepth.__all__ is exactly the public names that __init__.py imports,
 every public function has a caller outside the tests and none takes a
 singularity guard, every exception type in compdepth.errors is raised
-somewhere, and every exception the package raises is a ValueError or an
-AssertionError."""
+somewhere, every exception the package raises is a ValueError or an
+AssertionError, and the reports and curves share one CSV writer and one
+indented JSON dump."""
 
 import ast
 import inspect
@@ -92,3 +93,14 @@ def test_no_public_function_takes_a_guard():
     assert functions
     assert [f.__name__ for f in functions
             if "eps" in inspect.signature(f).parameters] == []
+
+
+def test_one_csv_writer_and_one_indented_json_dump():
+    """The eval and plane reports and the sweep curves go through one
+    csv.writer call and one json.dumps(..., indent=...) call, so per-writer
+    plumbing cannot grow back."""
+    calls = [(ast.unparse(node.func), {k.arg for k in node.keywords})
+             for path in sorted(Path(compdepth.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)]
+    assert sum(func == "csv.writer" for func, _ in calls) == 1
+    assert sum(func == "json.dumps" and "indent" in keywords for func, keywords in calls) == 1

@@ -20,6 +20,7 @@ from compdepth import (
     write_predictions,
     write_report,
 )
+from compdepth.kitti_io import write_plane_report
 from prediction_records import columns, read_records
 from prediction_reference import read_predictions as reference_read
 
@@ -360,6 +361,43 @@ def test_write_report_deterministic():
     a = write_report(make_report(), format="json", header={"seed": 1})
     b = write_report(make_report(), format="json", header={"seed": 1})
     assert a == b
+
+
+PLANE_FRAMES = [
+    {"frame": "000000", "n_points": 3, "fallback": False, "k_h": -0.05544421,
+     "b_h": 166.5973, "y_mae": 0.01234567},
+    {"frame": "000001", "n_points": 0, "fallback": True, "k_h": 0.0, "b_h": 172.854,
+     "y_mae": None},
+]
+PLANE_SUMMARY = {"fallback_frames": 1, "n_objects": 3, "y_mae": 0.01234567}
+
+
+def test_plane_report_json_round_trip():
+    # canonical plain JSON, like the eval report, with the header's keys sorted
+    first = write_plane_report(PLANE_FRAMES, PLANE_SUMMARY,
+                               header={"command": "plane", "cam-height": 1.65})
+    doc = json.loads(first, parse_constant=lambda token: pytest.fail(token))
+    assert json.dumps(doc, indent=2) + "\n" == first
+    assert list(doc["header"]) == ["cam-height", "command"]
+    assert doc["frames"][0]["k_h"] == -0.0554442 and doc["frames"][1]["y_mae"] is None
+    assert doc["summary"] == {"fallback_frames": 1, "n_objects": 3, "y_mae": 0.0123457}
+
+
+def test_writers_without_header_echo_nothing():
+    from compdepth import SweepCurve
+    for text in (write_report(make_report()), write_plane_report(PLANE_FRAMES, PLANE_SUMMARY)):
+        assert "header" not in json.loads(text)
+    assert write_report(make_report(), "csv").startswith("metric,branch,")
+    assert write_curves([SweepCurve((0.0,), (1.0,), (10,), label="flip:key")]) == (
+        "label,x,mae,count,baseline_mae\nflip:key,0,1,10,\n")
+    # the plane CSV keeps its summary lines, and only those
+    assert write_plane_report(PLANE_FRAMES, PLANE_SUMMARY, "csv") == (
+        "# fallback_frames: 1\n"
+        "# n_objects: 3\n"
+        "# y_mae: 0.0123457\n"
+        "frame,n_points,fallback,k_h,b_h,y_mae\n"
+        "000000,3,0,-0.0554442,166.597,0.0123457\n"
+        "000001,0,1,0,172.854,\n")
 
 
 def test_write_curves_golden():
