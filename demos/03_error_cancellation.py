@@ -21,7 +21,6 @@ from compdepth import (
     generate_ensembles,
     multi_flip_sweep,
 )
-from compdepth.lab import ErrorModelConfig
 
 # the core inequality: for same-sign errors, flipping one strictly helps.
 # Two branches err by e1 and e2 and are fused with weights w1 and 1 - w1
@@ -46,10 +45,9 @@ print(f"|fused error|, one branch sign-flipped: {mixed.mean():.4f}")
 # a seeded population of 4-branch ensembles whose branch errors share a
 # sign 95% of the time, mimicking a detector whose depth cues all lean on
 # the same perceived box
-cfg = ErrorModelConfig(n_branches=4, coupling_rate=0.95, error_scale=1.0,
-                       sigma_model="constant", seed=11)
 truths = np.random.default_rng(13).uniform(5.0, 60.0, 10000)
-ensembles = generate_ensembles(truths, cfg)
+ensembles = generate_ensembles(truths, n_branches=4, coupling_rate=0.95, error_scale=1.0,
+                               sigma_model="constant", seed=11)
 
 # scoring: how often do two branches disagree in sign, and how much
 # complementarity per meter of error does that represent

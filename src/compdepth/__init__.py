@@ -50,7 +50,6 @@ from .kitti_io import (
     write_report,
 )
 from .lab import (
-    ErrorModelConfig,
     SweepCurve,
     disturb_sweep,
     flip,
@@ -74,8 +73,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BinnedMae", "CameraIntrinsics", "CompdepthError", "ComplementarityReport",
     "DEFAULT_CAM_HEIGHT", "DEFAULT_DEPTH_EDGES", "DEFAULT_EPS_DEN",
-    "DEFAULT_INTRINSICS", "EnsembleTable", "ErrorModelConfig", "GroundPlane",
-    "HorizonFitInfo", "HorizonLine", "JoinError", "LabelTable",
+    "DEFAULT_INTRINSICS", "EnsembleTable", "GroundPlane", "HorizonFitInfo",
+    "HorizonLine", "JoinError", "LabelTable",
     "MalformedLine", "Object3D", "Scene", "SchemaError", "SweepCurve",
     "binned_mae", "box_keypoints", "complementarity_score", "disturb_sweep", "esop",
     "evaluate_ensembles", "fit_horizon", "fit_plane", "flip", "flip_sweep",

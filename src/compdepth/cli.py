@@ -53,9 +53,11 @@ from .kitti_io import (
     write_report,
 )
 from .lab import (
+    DEFAULT_AMPLITUDES,
+    DEFAULT_PROPORTIONS,
     MAE_OVERFLOW,
-    SIGMA_FLOOR,
-    ErrorModelConfig,
+    SIGMA_MODELS,
+    branch_sigmas,
     disturb_sweep,
     flip_sweep,
     generate_ensembles,
@@ -105,6 +107,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     fmt.add_argument("--format", choices=("json", "csv"), default="json")
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0)
+    sigma = argparse.ArgumentParser(add_help=False)
+    sigma.add_argument("--sigma-model", choices=SIGMA_MODELS, default="constant")
     geometry = argparse.ArgumentParser(add_help=False)
     geometry.add_argument("--cam-height", type=float, default=DEFAULT_CAM_HEIGHT,
                           help="camera height above ground in meters")
@@ -120,7 +124,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_eval.add_argument("--depth-edges", type=_float_list, default=list(DEFAULT_DEPTH_EDGES),
                         help="comma-separated depth bin edges, e.g. 0,20,40,inf")
 
-    p_oracle = sub.add_parser("oracle", parents=[out, seed, geometry, dirs],
+    p_oracle = sub.add_parser("oracle", parents=[out, seed, sigma, geometry, dirs],
                               help="generate noisy geometric depth ensembles from labels")
     p_oracle.add_argument("--noise-h-rel", type=float, default=0.0,
                           help="relative box-height noise amplitude (uniform in +/- a)")
@@ -128,12 +132,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                           help="keypoint row noise amplitude in pixels (uniform in +/- a)")
     p_oracle.add_argument("--noise-horizon-slope", type=float, default=0.0)
     p_oracle.add_argument("--noise-horizon-intercept", type=float, default=0.0)
-    p_oracle.add_argument("--sigma-model", choices=("constant", "proportional"),
-                          default="constant")
     p_oracle.add_argument("--include-alt", action="store_true",
                           help="also emit the top-edge depth branch")
 
-    p_lab = sub.add_parser("lab", parents=[out, seed],
+    p_lab = sub.add_parser("lab", parents=[out, seed, sigma],
                            help="flip / disturbance / multi-flip sweeps")
     p_lab.add_argument("--mode", choices=("flip", "disturb", "multiflip"), required=True)
     p_lab.add_argument("--predictions", type=Path, default=None,
@@ -142,13 +144,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_lab.add_argument("--n-branches", type=int, default=4)
     p_lab.add_argument("--coupling-rate", type=float, default=0.95)
     p_lab.add_argument("--error-scale", type=float, default=1.0)
-    p_lab.add_argument("--sigma-model", choices=("constant", "proportional"),
-                       default="constant")
     p_lab.add_argument("--depth-range", type=_float_list, default=[5.0, 60.0])
-    p_lab.add_argument("--proportions", type=_float_list,
-                       default=[0.0, 0.25, 0.5, 0.75, 1.0])
-    p_lab.add_argument("--amplitudes", type=_float_list,
-                       default=[0.0, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0])
+    p_lab.add_argument("--proportions", type=_float_list, default=list(DEFAULT_PROPORTIONS))
+    p_lab.add_argument("--amplitudes", type=_float_list, default=list(DEFAULT_AMPLITUDES))
     p_lab.add_argument("--k", default="all",
                        help="comma-separated flip counts for multiflip, or 'all'")
     p_lab.add_argument("--branches", default=None,
@@ -259,7 +257,8 @@ def _emit(text: str, out: Path | None) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_eval(args) -> int:
-    table = read_predictions(args.predictions.read_text())
+    with _file_text(args.predictions) as text:
+        table = read_predictions(text)
     rows_of: dict[str, list[int]] = {}
     for row, frame in enumerate(table.frame):
         rows_of.setdefault(frame, []).append(row)
@@ -365,8 +364,7 @@ def _cmd_oracle(args) -> int:
     valid = np.concatenate(valid_parts)
     z_branch = np.where(valid, np.concatenate(z_parts), 0.0)
     z_star = np.concatenate(truths)
-    sigma = (np.ones_like(z_branch) if args.sigma_model == "constant"
-             else np.maximum(np.abs(z_branch - z_star[:, None]), SIGMA_FLOOR))
+    sigma = branch_sigmas(z_branch - z_star[:, None], args.sigma_model)
     table = EnsembleTable(names=names, z=z_branch, sigma=sigma, valid=valid,
                           z_star=z_star, frame=frames, index=np.concatenate(indices))
     _emit(write_predictions(table, header=config_header(args)), args.out)
@@ -403,7 +401,8 @@ def _cmd_lab(args) -> int:
         if "" in chosen or len(set(chosen)) < len(chosen):
             raise ValueError("--branches needs distinct, non-empty names")
     if args.predictions is not None:
-        table = read_predictions(args.predictions.read_text())
+        with _file_text(args.predictions) as text:
+            table = read_predictions(text)
         if len(table) == 0:
             raise ValueError(f"no ensembles in {args.predictions}")
         n_objects, n_branches = table.z.shape
@@ -411,6 +410,8 @@ def _cmd_lab(args) -> int:
         n_objects, n_branches = args.n_objects, args.n_branches
         if n_objects < 1:
             raise ValueError("--n-objects must be at least 1")
+        if n_branches < 2:
+            raise ValueError(f"--n-branches must be at least 2, got {n_branches}")
         cells = n_objects * n_branches
         if cells > MAX_LAB_CELLS:
             raise ValueError(f"--n-objects x --n-branches must be at most {MAX_LAB_CELLS} "
@@ -429,16 +430,14 @@ def _cmd_lab(args) -> int:
                              f"(flip counts x objects x branches), got {len(ks)} x "
                              f"{n_objects} x {n_branches} = {sweep}")
     if args.predictions is None:
-        cfg = ErrorModelConfig(n_branches=args.n_branches,
-                               coupling_rate=args.coupling_rate,
-                               error_scale=args.error_scale,
-                               sigma_model=args.sigma_model,
-                               seed=args.seed)
         # Distinct integer seeds keep the truth, generation, and sweep
         # streams statistically independent but still reproducible.
         truths = np.random.default_rng(args.seed + 2).uniform(
             args.depth_range[0], args.depth_range[1], size=args.n_objects)
-        table = generate_ensembles(truths, cfg)
+        table = generate_ensembles(truths, n_branches=n_branches,
+                                   coupling_rate=args.coupling_rate,
+                                   error_scale=args.error_scale,
+                                   sigma_model=args.sigma_model, seed=args.seed)
     sweep_seed = args.seed + 1
 
     branch_names = chosen or list(table.names)

@@ -19,8 +19,13 @@ import numpy as np
 from .fusion import weights
 from .kitti_io import EnsembleTable
 
+#: The sigma models of branch_sigmas.
+SIGMA_MODELS = ("constant", "proportional")
 #: Lower bound of proportional sigmas, which keeps them strictly positive.
 SIGMA_FLOOR = 1e-3
+#: The default levels of flip_sweep and disturb_sweep.
+DEFAULT_PROPORTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
+DEFAULT_AMPLITUDES = (0.0, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0)
 #: SweepCurve's error text for a curve whose MAE overflowed.
 MAE_OVERFLOW = "MAE overflowed to a non-finite value"
 
@@ -33,82 +38,69 @@ def flip(z_hat, z_star):
     return 2.0 * z_star - z_hat
 
 
-@dataclass(frozen=True)
-class ErrorModelConfig:
-    """Seeded generator settings for synthetic branch errors.
+def branch_sigmas(errors, sigma_model: str) -> np.ndarray:
+    """Branch sigmas for an array of errors under a model in SIGMA_MODELS:
+    1.0 everywhere ('constant'), or each error's magnitude floored at
+    SIGMA_FLOOR ('proportional')."""
+    if sigma_model == "constant":
+        return np.ones(np.shape(errors))
+    return np.maximum(np.abs(errors), SIGMA_FLOOR)
+
+
+def generate_ensembles(truths: Sequence[float], *, n_branches: int = 4,
+                       coupling_rate: float = 0.95, error_scale: float = 1.0,
+                       sigma_model: str = "constant", seed: int = 0) -> EnsembleTable:
+    """Seeded synthetic ensembles around the given true depths.
 
     Per object a reference sign is drawn; each branch keeps it independently
     with a probability calibrated so the expected pairwise same-sign
     proportion equals coupling_rate. That symmetric mechanism can only reach
     same-sign proportions of 0.5 (independent signs) and above, so
     coupling_rate below 0.5 is rejected. Error magnitudes are half-normal
-    with scale error_scale.
+    with scale error_scale, and sigmas follow sigma_model (branch_sigmas).
 
-    sigma_model: 'constant' gives every branch sigma 1.0; 'proportional'
-    sets sigma to the branch's own absolute error (floored at 1e-3).
+    Deterministic for fixed arguments: one root generator seeded from seed
+    drives all draws in a fixed order. Branches are named b0..bN-1; frames
+    are the zero-padded object numbers, indices 0.
+
+    Raises ValueError for a bad setting, checked before any draw, and,
+    naming error_scale, when a draw overflows to a non-finite depth.
     """
-
-    n_branches: int = 4
-    coupling_rate: float = 0.95
-    error_scale: float = 1.0
-    sigma_model: str = "constant"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_branches < 2:
-            raise ValueError("need at least 2 branches")
-        if not 0.5 <= self.coupling_rate <= 1.0:
-            raise ValueError(
-                "coupling_rate must be in [0.5, 1]: the symmetric sign model "
-                "cannot produce same-sign proportions below 0.5"
-            )
-        if not (math.isfinite(self.error_scale) and self.error_scale > 0):
-            raise ValueError(f"error_scale must be finite and positive, got {self.error_scale}")
-        if self.sigma_model not in ("constant", "proportional"):
-            raise ValueError("sigma_model must be 'constant' or 'proportional'")
-
-    @property
-    def branch_names(self) -> tuple[str, ...]:
-        return tuple(f"b{i}" for i in range(self.n_branches))
-
-
-def generate_ensembles(truths: Sequence[float],
-                       cfg: ErrorModelConfig) -> EnsembleTable:
-    """Synthetic ensembles around the given true depths.
-
-    Deterministic for a fixed (truths, cfg): one root generator seeded from
-    cfg.seed drives all draws in a fixed order. Branches are named b0..bN-1;
-    frames are the zero-padded object numbers, indices 0.
-
-    Raises ValueError, naming error_scale, when a draw overflows to a
-    non-finite depth or sigma.
-    """
+    if n_branches < 2:
+        raise ValueError("need at least 2 branches")
+    if not 0.5 <= coupling_rate <= 1.0:
+        raise ValueError(
+            "coupling_rate must be in [0.5, 1]: the symmetric sign model "
+            "cannot produce same-sign proportions below 0.5"
+        )
+    if not (math.isfinite(error_scale) and error_scale > 0):
+        raise ValueError(f"error_scale must be finite and positive, got {error_scale}")
+    if sigma_model not in SIGMA_MODELS:
+        raise ValueError("sigma_model must be 'constant' or 'proportional'")
     truths = np.asarray(truths, dtype=float)
     if truths.ndim != 1 or truths.size == 0:
         raise ValueError("truths must be a non-empty 1-D sequence")
-    n_obj, n_br = truths.size, cfg.n_branches
-    rng = np.random.default_rng(cfg.seed)
+    n_obj = truths.size
+    rng = np.random.default_rng(seed)
 
     ref_sign = rng.choice([-1.0, 1.0], size=n_obj)
     # Pairwise same-sign probability of independent keep/flip decisions is
     # a^2 + (1-a)^2; solving for the target rate gives the keep probability.
-    keep_p = 0.5 * (1.0 + math.sqrt(2.0 * cfg.coupling_rate - 1.0))
-    flipped = rng.random((n_obj, n_br)) >= keep_p
+    keep_p = 0.5 * (1.0 + math.sqrt(2.0 * coupling_rate - 1.0))
+    flipped = rng.random((n_obj, n_branches)) >= keep_p
     # z is built in place: the error magnitudes, their signs, then the truth
-    z = rng.normal(0.0, cfg.error_scale, size=(n_obj, n_br))
+    z = rng.normal(0.0, error_scale, size=(n_obj, n_branches))
     np.abs(z, out=z)
-    if cfg.sigma_model == "constant":
-        sigmas = np.ones((n_obj, n_br))
-    else:
-        sigmas = np.maximum(z, SIGMA_FLOOR)
+    sigmas = branch_sigmas(z, sigma_model)
     z *= ref_sign[:, None]
     np.negative(z, out=z, where=flipped)
     z += truths[:, None]
     # An infinite magnitude (hence sigma) makes its depth infinite too.
     if not np.isfinite(z).all():
-        raise ValueError(f"a draw at error_scale {cfg.error_scale} overflowed "
+        raise ValueError(f"a draw at error_scale {error_scale} overflowed "
                          "to a non-finite depth")
-    return EnsembleTable(names=cfg.branch_names, z=z, sigma=sigmas, z_star=truths)
+    return EnsembleTable(names=[f"b{i}" for i in range(n_branches)], z=z, sigma=sigmas,
+                         z_star=truths)
 
 
 @dataclass(frozen=True)
@@ -198,7 +190,7 @@ def _half(n: int, rng: np.random.Generator) -> np.ndarray:
 # the branch: one written into a missing cell has weight 0.
 
 def flip_sweep(table: EnsembleTable, branch_name: str,
-               proportions: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
+               proportions: Sequence[float] = DEFAULT_PROPORTIONS,
                seed: int = 0) -> SweepCurve:
     """Fused MAE as a growing share of objects gets one branch flipped.
 
@@ -230,7 +222,7 @@ def flip_sweep(table: EnsembleTable, branch_name: str,
 
 
 def disturb_sweep(table: EnsembleTable, branch_name: str,
-                  amplitudes: Sequence[float] = (0.0, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0),
+                  amplitudes: Sequence[float] = DEFAULT_AMPLITUDES,
                   seed: int = 0) -> SweepCurve:
     """Fused MAE when half the objects get one branch flipped plus noise.
 

@@ -43,7 +43,6 @@ from compdepth import (
     z_key,
 )
 from compdepth.cli import main
-from compdepth.lab import ErrorModelConfig
 from fusion_reference import soft_fuse, table_of
 
 # Published ablation rows from a driving benchmark, as (MAE m, ESOP %, CS);
@@ -64,10 +63,9 @@ CS_TABLE_ROWS = [
 @pytest.fixture(scope="module")
 def lab_ensembles():
     """10^4 objects, 4 branches, 95% sign coupling: shared by criteria 5-7."""
-    cfg = ErrorModelConfig(n_branches=4, coupling_rate=0.95, error_scale=1.0,
-                           sigma_model="constant", seed=11)
     truths = np.random.default_rng(13).uniform(5.0, 60.0, 10000)
-    return generate_ensembles(truths, cfg), cfg
+    return generate_ensembles(truths, n_branches=4, coupling_rate=0.95, error_scale=1.0,
+                              sigma_model="constant", seed=11)
 
 
 @pytest.fixture(scope="module")
@@ -149,10 +147,9 @@ def test_c04_opposite_height_sensitivity():
 
 
 def test_c05_flip_sweep_monotone_and_uniform(lab_ensembles):
-    ensembles, cfg = lab_ensembles
     proportions = (0.0, 0.25, 0.5, 0.75, 1.0)
-    curves = [flip_sweep(ensembles, name, proportions, seed=17)
-              for name in cfg.branch_names]
+    curves = [flip_sweep(lab_ensembles, name, proportions, seed=17)
+              for name in lab_ensembles.names]
     for curve in curves:
         assert all(a > b for a, b in zip(curve.mae, curve.mae[1:])), curve.label
     grid = np.array([c.mae for c in curves])
@@ -163,8 +160,7 @@ def test_c05_flip_sweep_monotone_and_uniform(lab_ensembles):
 
 
 def test_c06_disturbance_crossover(lab_ensembles):
-    ensembles, _ = lab_ensembles
-    curve = disturb_sweep(ensembles, "b0",
+    curve = disturb_sweep(lab_ensembles, "b0",
                           (0.0, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0), seed=17)
     assert all(a <= b for a, b in zip(curve.mae, curve.mae[1:]))
     assert curve.mae[0] < curve.baseline_mae
@@ -175,8 +171,7 @@ def test_c06_disturbance_crossover(lab_ensembles):
 
 
 def test_c07_multi_flip_symmetry(lab_ensembles):
-    ensembles, _ = lab_ensembles
-    maes = [multi_flip_sweep(ensembles, [k], seed=17).mae[0] for k in range(5)]
+    maes = [multi_flip_sweep(lab_ensembles, [k], seed=17).mae[0] for k in range(5)]
     assert min(maes) == maes[2]
     assert all(maes[2] < maes[k] for k in (0, 1, 3, 4))
     assert abs(maes[0] - maes[4]) <= 1e-9

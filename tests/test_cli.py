@@ -264,7 +264,7 @@ def test_eval_duplicate_record(dataset, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == ("error: line 3: field 'index': "
+    assert captured.err == (f"error: {preds}: line 3: field 'index': "
                             "duplicate record (000000, 0)\n")
 
 
@@ -287,7 +287,8 @@ def test_subnormal_sigma_is_a_schema_error(dataset, tmp_path, capsys):
                      ["lab", "--mode", "flip", "--predictions", preds]):
             code = run(args)
             captured = capsys.readouterr()
-            assert (code, captured.out, captured.err) == (1, "", f"error: line 1: {message}\n")
+            assert (code, captured.out, captured.err) == (1, "",
+                                                          f"error: {preds}: line 1: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["eval", "lab"])
@@ -309,8 +310,32 @@ def test_pathological_json_is_a_schema_error(command, line, message, dataset, tm
     code = run(args)
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
-    assert captured.err.startswith(f"error: line 2: field '': invalid JSON: {message}")
+    assert captured.err.startswith(f"error: {preds}: line 2: field '': invalid JSON: {message}")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize("command", ["eval", "lab"])
+@pytest.mark.parametrize("content, message", [
+    (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (b'{"frame":"000000","index":0,"z_star":20.0,"branches":[]}\n',
+     "line 1: field 'branches': required non-empty list"),
+], ids=["byte_0xff", "empty_branches"])
+def test_bad_predictions_file_is_named(command, content, message, dataset, tmp_path, capsys):
+    # a file that fails to decode or to parse is named; a missing one keeps
+    # OSError's own line, which names it too
+    preds = tmp_path / "p.jsonl"
+    args = {"eval": ["eval", "--calib-dir", dataset / "calib", "--label-dir",
+                     dataset / "label_2", "--predictions", preds],
+            "lab": ["lab", "--mode", "flip", "--predictions", preds]}[command]
+    preds.write_bytes(content)
+    code = run(args)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", f"error: {preds}: {message}\n")
+    preds.unlink()
+    code = run(args)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        1, "", f"error: [Errno 2] No such file or directory: '{preds}'\n")
 
 
 def test_eval_malformed_labels(dataset, tmp_path, capsys):
@@ -469,8 +494,8 @@ def test_lab_multiflip_baseline_without_k0(capsys):
 
 def test_lab_from_predictions_file(tmp_path, capsys):
     import numpy as np
-    from compdepth import ErrorModelConfig, generate_ensembles
-    ens = generate_ensembles(np.linspace(5, 60, 100), ErrorModelConfig(seed=1))
+    from compdepth import generate_ensembles
+    ens = generate_ensembles(np.linspace(5, 60, 100), seed=1)
     preds = tmp_path / "ens.jsonl"
     preds.write_text(write_predictions(ens))
     code = run(["lab", "--mode", "flip", "--predictions", preds,
@@ -653,6 +678,13 @@ BAD_INPUT = [
     (["lab", "--mode", "disturb", "--n-objects", "100000", "--error-scale", "1e306"],
      "mae_overflow", "error: --error-scale 1e+306 is too large: the MAE of 100000 objects "
      "overflowed to a non-finite value"),
+    # --n-branches is checked next to --n-objects, before the cell ceiling: a
+    # negative cell count passes that ceiling, and the truths' draw would
+    # then ask for 8 TiB
+    (["lab", "--mode", "flip", "--n-branches", "1"], "--n-branches",
+     "error: --n-branches must be at least 2, got 1"),
+    (["lab", "--mode", "flip", "--n-objects", "1099511627776", "--n-branches", "-1"],
+     "--n-branches", "error: --n-branches must be at least 2, got -1"),
 ]
 
 

@@ -1,5 +1,5 @@
-"""Smoke tests: every script in demos/, the README quickstart and the
-README's command lines run."""
+"""Smoke tests: every script in demos/, every python block of the README
+and the README's command lines run."""
 
 import os
 import shlex
@@ -29,12 +29,23 @@ def test_demo_runs(demo, tmp_path):
     assert result.returncode == 0, result.stderr
 
 
-def test_readme_quickstart_runs():
-    readme = (ROOT / "README.md").read_text()
-    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+PYTHON_BLOCKS = [block.split("```", 1)[0]
+                 for block in (ROOT / "README.md").read_text().split("```python\n")[1:]]
+# A value each block computes, and the range it must fall in, one per block
+# in order: the quickstart fuses a car 20 m ahead; the scoring block's
+# branches share an error sign for 80% of pairs, so about 20% are opposite.
+BLOCK_RESULTS = [(lambda ns: float(ns["fused"][0]), 19.0, 21.0),
+                 (lambda ns: ns["opposition"], 15.0, 25.0)]
+
+
+@pytest.mark.parametrize("i", range(len(PYTHON_BLOCKS)),
+                         ids=[f"block{i}" for i in range(len(PYTHON_BLOCKS))])
+def test_readme_python_blocks_run(i):
+    # each block runs on its own, in a fresh namespace
     namespace: dict = {}
-    exec(compile(block, "README.md quickstart", "exec"), namespace)
-    assert 19.0 < float(namespace["fused"][0]) < 21.0
+    exec(compile(PYTHON_BLOCKS[i], f"README.md python block {i}", "exec"), namespace)
+    result, lo, hi = BLOCK_RESULTS[i]
+    assert lo < result(namespace) < hi
 
 
 def readme_commands() -> list[list[str]]:

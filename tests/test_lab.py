@@ -6,7 +6,6 @@ import pytest
 import sweep_reference as ref
 from compdepth import (
     EnsembleTable,
-    ErrorModelConfig,
     SweepCurve,
     disturb_sweep,
     flip,
@@ -77,25 +76,40 @@ def test_flipping_one_of_two_coupled_errors_helps():
 # ---------------------------------------------------------------------------
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ErrorModelConfig(coupling_rate=0.4)
-    with pytest.raises(ValueError):
-        ErrorModelConfig(coupling_rate=1.01)
-    with pytest.raises(ValueError):
-        ErrorModelConfig(n_branches=1)
+    truths = [20.0]
+    coupling = (r"^coupling_rate must be in \[0.5, 1\]: the symmetric sign model cannot "
+                "produce same-sign proportions below 0.5$")
+    with pytest.raises(ValueError, match=coupling):
+        generate_ensembles(truths, coupling_rate=0.4)
+    with pytest.raises(ValueError, match=coupling):
+        generate_ensembles(truths, coupling_rate=1.01)
+    with pytest.raises(ValueError, match="^need at least 2 branches$"):
+        generate_ensembles(truths, n_branches=1)
     for bad in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="error_scale must be finite and positive"):
-            ErrorModelConfig(error_scale=bad)
-    with pytest.raises(ValueError):
-        ErrorModelConfig(sigma_model="gaussian")
-    assert ErrorModelConfig(coupling_rate=1.0).branch_names == ("b0", "b1", "b2", "b3")
+            generate_ensembles(truths, error_scale=bad)
+    with pytest.raises(ValueError, match="^sigma_model must be 'constant' or 'proportional'$"):
+        generate_ensembles(truths, sigma_model="gaussian")
+    assert generate_ensembles(truths, coupling_rate=1.0).names == ("b0", "b1", "b2", "b3")
+
+
+def test_settings_are_checked_in_order_before_the_truths():
+    # n_branches, coupling_rate, error_scale, sigma_model, then the truths:
+    # each bad setting is reported while every later one is bad too
+    bad = {"n_branches": 1, "coupling_rate": 0.4, "error_scale": -1.0,
+           "sigma_model": "gaussian"}
+    messages = ["need at least 2 branches", "coupling_rate must be in",
+                "error_scale must be finite", "sigma_model must be",
+                "truths must be a non-empty"]
+    for i, message in enumerate(messages):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            generate_ensembles([], **dict(list(bad.items())[i:]))
 
 
 def test_generate_ensembles_shape_and_determinism():
     truths = np.linspace(5.0, 60.0, 40)
-    cfg = ErrorModelConfig(seed=3)
-    a = generate_ensembles(truths, cfg)
-    b = generate_ensembles(truths, cfg)
+    a = generate_ensembles(truths, seed=3)
+    b = generate_ensembles(truths, seed=3)
     assert columns(a) == columns(b)
     assert len(a) == 40 and a.z.shape == (40, 4) and a.valid.all()
     assert a.frame[0] == "000000" and a.index[0] == 0
@@ -106,21 +120,21 @@ def test_generate_ensembles_shape_and_determinism():
 
 def test_generate_ensembles_seed_changes_errors():
     truths = np.linspace(5.0, 60.0, 40)
-    a = generate_ensembles(truths, ErrorModelConfig(seed=3))
-    b = generate_ensembles(truths, ErrorModelConfig(seed=4))
+    a = generate_ensembles(truths, seed=3)
+    b = generate_ensembles(truths, seed=4)
     assert not np.array_equal(a.z, b.z)
 
 
 def test_generate_ensembles_full_coupling():
     truths = np.full(200, 30.0)
-    ens = generate_ensembles(truths, ErrorModelConfig(coupling_rate=1.0, seed=1))
+    ens = generate_ensembles(truths, coupling_rate=1.0, seed=1)
     signs = np.sign(ens.z - ens.z_star[:, None])
     assert (signs == signs[:, :1]).all()  # every branch errs the same way
 
 
 def test_generate_ensembles_calibration():
     truths = np.full(100000, 30.0)
-    ens = generate_ensembles(truths, ErrorModelConfig(coupling_rate=0.8, seed=2))
+    ens = generate_ensembles(truths, coupling_rate=0.8, seed=2)
     errors = ens.z - ens.z_star[:, None]
     props = [np.mean(errors[:, i] * errors[:, j] > 0)
              for i, j in itertools.combinations(range(4), 2)]
@@ -129,8 +143,7 @@ def test_generate_ensembles_calibration():
 
 def test_generate_ensembles_proportional_sigma():
     truths = np.linspace(5.0, 60.0, 50)
-    cfg = ErrorModelConfig(sigma_model="proportional", seed=3)
-    ens = generate_ensembles(truths, cfg)
+    ens = generate_ensembles(truths, sigma_model="proportional", seed=3)
     assert ens.sigma == pytest.approx(np.maximum(np.abs(ens.z - ens.z_star[:, None]), 1e-3))
 
 
@@ -138,7 +151,7 @@ def test_generate_ensembles_rejects_overflowing_draws():
     # normal draws scaled by 1e308 overflow to inf; the error names the scale
     with pytest.raises(ValueError, match=r"^a draw at error_scale 1e\+308 overflowed to "
                                          "a non-finite depth$"):
-        generate_ensembles(np.full(2000, 30.0), ErrorModelConfig(error_scale=1e308))
+        generate_ensembles(np.full(2000, 30.0), error_scale=1e308)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +161,7 @@ def test_generate_ensembles_rejects_overflowing_draws():
 @pytest.fixture
 def ensembles():
     truths = np.random.default_rng(97).uniform(5.0, 60.0, 4000)
-    return generate_ensembles(truths, ErrorModelConfig(seed=11))
+    return generate_ensembles(truths, seed=11)
 
 
 def test_flip_sweep_baseline_is_untouched_mae(ensembles):
@@ -253,7 +266,7 @@ def bench_table(request):
     rng = np.random.default_rng(2)
     truths = rng.uniform(5.0, 60.0, n)
     if request.param != "ragged":
-        return generate_ensembles(truths, ErrorModelConfig(sigma_model=request.param, seed=1))
+        return generate_ensembles(truths, sigma_model=request.param, seed=1)
     valid = rng.random((n, 8)) >= 0.3
     valid[np.arange(n), rng.integers(0, 8, n)] = True
     return EnsembleTable(names=[f"b{j}" for j in range(8)],
@@ -287,8 +300,7 @@ def test_sweeps_equal_the_reference_at_bench_scale(bench_table):
 def ragged():
     """Every third object lacks b0, every fifth lacks b3."""
     truths = np.random.default_rng(98).uniform(5.0, 60.0, 300)
-    dense = generate_ensembles(truths, ErrorModelConfig(sigma_model="proportional",
-                                                        seed=12))
+    dense = generate_ensembles(truths, sigma_model="proportional", seed=12)
     records = []
     for i in range(len(dense)):
         drop = {"b0"} if i % 3 == 0 else set()
