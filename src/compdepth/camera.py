@@ -7,7 +7,9 @@ assumes zero skew and ignores lens distortion.
 The geometry functions of this package (project here, the depth kernels
 in depth_branches, y_global in ground_plane) are elementwise: each takes
 scalars or broadcastable arrays and returns NaN wherever the geometry is
-undefined instead of raising, so one call covers a whole frame.
+undefined instead of raising, so one call covers a whole corpus. They read
+the intrinsics and the plane field by field, so each field may be a
+per-row array too.
 """
 
 from __future__ import annotations

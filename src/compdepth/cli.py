@@ -20,11 +20,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import math
 import sys
 from collections import Counter
 from collections.abc import Sequence
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +61,7 @@ from .lab import (
     MAE_OVERFLOW,
     SIGMA_MODELS,
     branch_sigmas,
+    check_generator_settings,
     disturb_sweep,
     flip_sweep,
     generate_ensembles,
@@ -215,19 +219,59 @@ def _file_text(path: Path):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _load_frame(calib_dir: Path, label_dir: Path, frame: str):
-    """The frame's intrinsics, the label indices of its rows with usable
-    geometry (not DontCare, positive height and positive depth), their
-    (x, y, z, h) columns, and the number of other non-DontCare rows."""
-    with _file_text(calib_dir / f"{frame}.txt") as text:
-        intrinsics = parse_calib(text)
-    with _file_text(label_dir / f"{frame}.txt") as text:
-        labels = parse_labels(text)
-    usable = ~labels.dontcare & (labels.h > 0) & (labels.z > 0)
-    index = np.flatnonzero(usable)
-    columns = (labels.x[usable], labels.y[usable], labels.z[usable], labels.h[usable])
-    skipped = len(labels) - int(np.count_nonzero(labels.dontcare)) - index.size
-    return intrinsics, index, columns, skipped
+class _Corpus(NamedTuple):
+    """Every frame of a label directory, read before the kernels run.
+
+    frames and intrinsics hold one entry per frame, in sorted order. The
+    rows are the labels with usable geometry (not DontCare, positive height
+    and positive depth), frame after frame: frame i's rows are
+    bounds[i]:bounds[i + 1]. index is each row's line index in its label
+    file, and x, y, z and h are its columns. skipped counts the other
+    non-DontCare rows.
+    """
+
+    frames: list[str]
+    intrinsics: list[CameraIntrinsics]
+    bounds: np.ndarray
+    index: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    h: np.ndarray
+    skipped: int
+
+    def per_row(self, records: Sequence) -> SimpleNamespace:
+        """The fields of one record per frame (CameraIntrinsics or
+        GroundPlane), each repeated over its frame's rows, under the same
+        names: the elementwise kernels read them as they read the record.
+        Each record has passed its own validators."""
+        counts = np.diff(self.bounds)
+        return SimpleNamespace(**{
+            field.name: np.repeat([getattr(r, field.name) for r in records], counts)
+            for field in dataclasses.fields(records[0])})
+
+
+def _read_corpus(args, frames: list[str], fits: list) -> _Corpus:
+    """The calib and label files of the frames, read and parsed in order, so
+    that the first failing file is the one named. Each frame's plane fit,
+    as _plane_or_flat gives it, is appended to fits as soon as the frame is
+    read: when a file fails, fits holds those of the frames before it."""
+    intrinsics, index, columns = [], [], []
+    skipped = 0
+    for frame in frames:
+        with _file_text(args.calib_dir / f"{frame}.txt") as text:
+            intrinsics.append(parse_calib(text))
+        with _file_text(args.label_dir / f"{frame}.txt") as text:
+            labels = parse_labels(text)
+        usable = ~labels.dontcare & (labels.h > 0) & (labels.z > 0)
+        index.append(np.flatnonzero(usable))
+        columns.append((labels.x[usable], labels.y[usable], labels.z[usable], labels.h[usable]))
+        skipped += len(labels) - int(np.count_nonzero(labels.dontcare)) - index[-1].size
+        fits.append(_plane_or_flat(fit_plane(np.column_stack(columns[-1][:3])),
+                                   intrinsics[-1], args))
+    bounds = np.cumsum([0] + [rows.size for rows in index])
+    return _Corpus(frames, intrinsics, bounds, np.concatenate(index),
+                   *(np.concatenate(column) for column in zip(*columns)), skipped)
 
 
 def _plane_or_flat(plane: GroundPlane | None, k: CameraIntrinsics,
@@ -297,6 +341,13 @@ def _cmd_eval(args) -> int:
 # oracle
 # ---------------------------------------------------------------------------
 
+def _uniform(amplitude, u):
+    """Generator.uniform(-amplitude, amplitude) for its unit draws u: the
+    generator's own low + (high - low) * u, so the values match its bits."""
+    low, high = -amplitude, amplitude
+    return low + (high - low) * u
+
+
 def _cmd_oracle(args) -> int:
     noise_flags = ("--noise-h-rel", "--noise-px", "--noise-horizon-slope",
                    "--noise-horizon-intercept")
@@ -305,68 +356,66 @@ def _cmd_oracle(args) -> int:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value > MAX_NOISE:  # a draw from uniform(-a, a) needs a finite width 2a
             raise ValueError(f"{flag} must be at most {MAX_NOISE:g}, got {value:g}")
-    rng = np.random.default_rng(args.seed)
-    diagnostics: Counter = Counter()
+    fits = []
+    corpus = _read_corpus(args, _frames(args.label_dir), fits)
     names = ("key", "glo", "comp", "alt") if args.include_alt else ("key", "glo", "comp")
+    n_frames, n_rows = len(corpus.frames), corpus.index.size
+
+    # One block of uniforms in the order of the per-frame draws: each
+    # frame's horizon slope and intercept, then one (d_h, d_vb, d_vt) row
+    # per object. The horizon draws happen for every frame, amplitude 0 or
+    # not, so the random stream lines up across noise configurations.
+    u = np.random.default_rng(args.seed).random(2 * n_frames + 3 * n_rows)
+    at = 2 * np.arange(n_frames) + 3 * corpus.bounds[:-1]
+    d_slope = _uniform(args.noise_horizon_slope, u[at]).tolist()
+    d_intercept = _uniform(args.noise_horizon_intercept, u[at + 1]).tolist()
     amplitudes = np.array([args.noise_h_rel, args.noise_px, args.noise_px])
-    frames, indices, truths, z_parts, valid_parts = [], [], [], [], []
-    for frame in _frames(args.label_dir):
-        k, index, (x, y, z, h), skipped = _load_frame(args.calib_dir, args.label_dir, frame)
-        if skipped:
-            diagnostics["object_invalid_geometry"] += skipped
+    d_h, d_vb, d_vt = _uniform(amplitudes, np.delete(u, np.concatenate([at, at + 1]))
+                               .reshape(n_rows, 3)).T
 
-        plane, horizon, used_fallback = _plane_or_flat(
-            fit_plane(np.column_stack([x, y, z])), k, args)
-
-        # Horizon perturbation draws happen for every frame, amplitude 0 or
-        # not, so the random stream lines up across noise configurations.
-        d_slope = rng.uniform(-args.noise_horizon_slope, args.noise_horizon_slope)
-        d_intercept = rng.uniform(-args.noise_horizon_intercept,
-                                  args.noise_horizon_intercept)
-        plane_used = horizon_to_plane(
-            HorizonLine(horizon.k_h + d_slope, horizon.b_h + d_intercept),
-            k, cam_height=plane.cam_height)
+    planes, plane_fallbacks = [], 0
+    for k, (plane, horizon, used_fallback), ds, di in zip(corpus.intrinsics, fits,
+                                                          d_slope, d_intercept):
+        plane_used = horizon_to_plane(HorizonLine(horizon.k_h + ds, horizon.b_h + di),
+                                      k, cam_height=plane.cam_height)
         if plane_used is None:  # the horizon's plane is too close to vertical
             plane_used, _, used_fallback = _plane_or_flat(None, k, args)
-        diagnostics["plane_fallback"] += used_fallback
+        planes.append(plane_used)
+        plane_fallbacks += used_fallback
 
-        # One (d_h, d_vb, d_vt) row per object: the same stream as three
-        # scalar draws per object.
-        d_h, d_vb, d_vt = rng.uniform(-amplitudes, amplitudes, size=(len(index), 3)).T
-        u_b, v_b, v_t = box_keypoints(x, y, z, h, k)
-        v_b, v_t, height = v_b + d_vb, v_t + d_vt, h * (1.0 + d_h)
+    k, g = corpus.per_row(corpus.intrinsics), corpus.per_row(planes)
+    u_b, v_b, v_t = box_keypoints(corpus.x, corpus.y, corpus.z, corpus.h, k)
+    v_b, v_t, height = v_b + d_vb, v_t + d_vt, corpus.h * (1.0 + d_h)
 
-        y_glo = y_global(u_b, v_b, plane_used, k)
-        ray = np.isfinite(y_glo)
-        diagnostics["ground_ray_failed"] += int(np.count_nonzero(~ray))
-        # Columns in names order. A branch holds where its depth is finite.
-        # Its failures are counted only where it is computable in principle:
-        # key always, the others where the ground ray hit, comp and alt only
-        # for a positive height.
-        z_branch = np.column_stack([
-            z_key(height, v_b, v_t, k), z_global(y_glo, v_b, k),
-            z_comp(y_glo, height, v_b, v_t, k),
-            *([z_alt(y_glo, height, v_t, k)] if args.include_alt else [])])
-        valid = np.isfinite(z_branch)
-        tall = ray & (height > 0)
-        tried = np.column_stack([np.ones_like(ray), ray, tall, tall][:len(names)])
-        for name, failed in zip(names, np.count_nonzero(tried & ~valid, axis=0).tolist()):
-            diagnostics[f"branch_failed:{name}"] += failed
+    y_glo = y_global(u_b, v_b, g, k)
+    ray = np.isfinite(y_glo)
+    # Columns in names order. A branch holds where its depth is finite.
+    # Its failures are counted only where it is computable in principle:
+    # key always, the others where the ground ray hit, comp and alt only
+    # for a positive height.
+    z_branch = np.column_stack([
+        z_key(height, v_b, v_t, k), z_global(y_glo, v_b, k),
+        z_comp(y_glo, height, v_b, v_t, k),
+        *([z_alt(y_glo, height, v_t, k)] if args.include_alt else [])])
+    valid = np.isfinite(z_branch)
+    tall = ray & (height > 0)
+    tried = np.column_stack([np.ones_like(ray), ray, tall, tall][:len(names)])
+    kept = valid.any(axis=1)
+    diagnostics = Counter({
+        "object_invalid_geometry": corpus.skipped, "plane_fallback": plane_fallbacks,
+        "ground_ray_failed": int(np.count_nonzero(~ray)),
+        "all_branches_failed": int(np.count_nonzero(~kept)),
+        **{f"branch_failed:{name}": failed for name, failed
+           in zip(names, np.count_nonzero(tried & ~valid, axis=0).tolist())}})
 
-        kept = valid.any(axis=1)
-        diagnostics["all_branches_failed"] += int(np.count_nonzero(~kept))
-        frames += [frame] * int(np.count_nonzero(kept))
-        indices.append(index[kept])
-        truths.append(z[kept])
-        z_parts.append(z_branch[kept])
-        valid_parts.append(valid[kept])
-
-    valid = np.concatenate(valid_parts)
-    z_branch = np.where(valid, np.concatenate(z_parts), 0.0)
-    z_star = np.concatenate(truths)
+    frame_of = np.repeat(np.arange(n_frames), np.diff(corpus.bounds))[kept]
+    frames = [corpus.frames[i] for i in frame_of.tolist()]
+    valid = valid[kept]
+    z_branch = np.where(valid, z_branch[kept], 0.0)
+    z_star = corpus.z[kept]
     sigma = branch_sigmas(z_branch - z_star[:, None], args.sigma_model)
     table = EnsembleTable(names=names, z=z_branch, sigma=sigma, valid=valid,
-                          z_star=z_star, frame=frames, index=np.concatenate(indices))
+                          z_star=z_star, frame=frames, index=corpus.index[kept])
     _emit(write_predictions(table, header=config_header(args)), args.out)
     diagnostics = +diagnostics  # drop the zero counts
     for name in sorted(diagnostics):
@@ -430,6 +479,9 @@ def _cmd_lab(args) -> int:
                              f"(flip counts x objects x branches), got {len(ks)} x "
                              f"{n_objects} x {n_branches} = {sweep}")
     if args.predictions is None:
+        # The generator's settings are checked before the truths are drawn.
+        check_generator_settings(n_branches, args.coupling_rate, args.error_scale,
+                                 args.sigma_model)
         # Distinct integer seeds keep the truth, generation, and sweep
         # streams statistically independent but still reproducible.
         truths = np.random.default_rng(args.seed + 2).uniform(
@@ -491,40 +543,40 @@ def _cmd_plane(args) -> int:
     frames = _frames(args.label_dir)
     if args.heatmap_dir is not None:
         args.heatmap_dir.mkdir(parents=True, exist_ok=True)
+    fits = []
+    try:
+        corpus = _read_corpus(args, frames, fits)
+    finally:  # a bad file ends the run after the heatmaps of the frames before it
+        if args.heatmap_dir is not None:
+            for frame, (_, horizon, _) in zip(frames, fits):
+                (args.heatmap_dir / f"{frame}.pgm").write_bytes(
+                    horizon_pgm(horizon, width, height))
+    planes, horizons, fallbacks = zip(*fits)
+
+    k = corpus.per_row(corpus.intrinsics)
+    y_hat = y_global(*project(corpus.x, corpus.y, corpus.z, k), corpus.per_row(planes), k)
+    ok = np.isfinite(y_hat)
+    error = np.abs(y_hat[ok] - corpus.y[ok])
+    # Frame i's scored rows are error[scored[i]:scored[i + 1]].
+    scored = np.concatenate([[0], np.cumsum(ok)])[corpus.bounds].tolist()
+
     rows = []
-    y_pred_parts, y_true_parts = [], []
-    fallback_frames = 0
-    elevation_failed = 0
-
-    for frame in frames:
-        k, _, (x, y, z, _), _ = _load_frame(args.calib_dir, args.label_dir, frame)
-        plane, horizon, used_fallback = _plane_or_flat(
-            fit_plane(np.column_stack([x, y, z])), k, args)
-        fallback_frames += used_fallback
-
-        y_hat = y_global(*project(x, y, z, k), plane, k)
-        ok = np.isfinite(y_hat)
-        elevation_failed += int(np.count_nonzero(~ok))
-        y_pred_parts.append(y_hat[ok])
-        y_true_parts.append(y[ok])
-
+    for i, (frame, horizon) in enumerate(zip(frames, horizons)):
+        frame_error = error[scored[i]:scored[i + 1]]
         rows.append({
             "frame": frame,
-            "n_points": len(x),
-            "fallback": used_fallback,
+            "n_points": int(corpus.bounds[i + 1] - corpus.bounds[i]),
+            "fallback": fallbacks[i],
             "k_h": horizon.k_h,
             "b_h": horizon.b_h,
-            "y_mae": float(np.mean(np.abs(y_hat[ok] - y[ok]))) if ok.any() else None,
+            "y_mae": float(np.mean(frame_error)) if frame_error.size else None,
         })
 
-        if args.heatmap_dir is not None:
-            pgm = horizon_pgm(horizon, width, height)
-            (args.heatmap_dir / f"{frame}.pgm").write_bytes(pgm)
-
-    y_pred, y_true = np.concatenate(y_pred_parts), np.concatenate(y_true_parts)
-    summary: dict = {"fallback_frames": fallback_frames, "n_objects": len(y_pred)}
-    if len(y_pred):
-        summary["y_mae"] = float(np.mean(np.abs(y_pred - y_true)))
+    fallback_frames = sum(fallbacks)
+    elevation_failed = int(np.count_nonzero(~ok))
+    summary: dict = {"fallback_frames": fallback_frames, "n_objects": len(error)}
+    if len(error):
+        summary["y_mae"] = float(np.mean(error))
 
     _emit(write_plane_report(rows, summary, args.format, header=config_header(args)),
           args.out)

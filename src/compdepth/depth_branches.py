@@ -6,7 +6,7 @@ ground contact point). Their errors respond to input noise with opposite
 signs, which is what the fusion and lab modules exploit.
 
 Every function is elementwise over scalars or broadcastable arrays (a whole
-frame in one call) and returns NaN where its guard fires; `[()]` turns a
+corpus in one call) and returns NaN where its guard fires; `[()]` turns a
 0-d result back into a scalar.
 """
 

@@ -47,6 +47,24 @@ def branch_sigmas(errors, sigma_model: str) -> np.ndarray:
     return np.maximum(np.abs(errors), SIGMA_FLOOR)
 
 
+def check_generator_settings(n_branches: int, coupling_rate: float, error_scale: float,
+                             sigma_model: str) -> None:
+    """ValueError for the first bad setting of generate_ensembles, in the
+    order of its signature. generate_ensembles runs it first; a caller that
+    draws the truths can run it before that draw."""
+    if n_branches < 2:
+        raise ValueError("need at least 2 branches")
+    if not 0.5 <= coupling_rate <= 1.0:
+        raise ValueError(
+            "coupling_rate must be in [0.5, 1]: the symmetric sign model "
+            "cannot produce same-sign proportions below 0.5"
+        )
+    if not (math.isfinite(error_scale) and error_scale > 0):
+        raise ValueError(f"error_scale must be finite and positive, got {error_scale}")
+    if sigma_model not in SIGMA_MODELS:
+        raise ValueError("sigma_model must be 'constant' or 'proportional'")
+
+
 def generate_ensembles(truths: Sequence[float], *, n_branches: int = 4,
                        coupling_rate: float = 0.95, error_scale: float = 1.0,
                        sigma_model: str = "constant", seed: int = 0) -> EnsembleTable:
@@ -66,17 +84,7 @@ def generate_ensembles(truths: Sequence[float], *, n_branches: int = 4,
     Raises ValueError for a bad setting, checked before any draw, and,
     naming error_scale, when a draw overflows to a non-finite depth.
     """
-    if n_branches < 2:
-        raise ValueError("need at least 2 branches")
-    if not 0.5 <= coupling_rate <= 1.0:
-        raise ValueError(
-            "coupling_rate must be in [0.5, 1]: the symmetric sign model "
-            "cannot produce same-sign proportions below 0.5"
-        )
-    if not (math.isfinite(error_scale) and error_scale > 0):
-        raise ValueError(f"error_scale must be finite and positive, got {error_scale}")
-    if sigma_model not in SIGMA_MODELS:
-        raise ValueError("sigma_model must be 'constant' or 'proportional'")
+    check_generator_settings(n_branches, coupling_rate, error_scale, sigma_model)
     truths = np.asarray(truths, dtype=float)
     if truths.ndim != 1 or truths.size == 0:
         raise ValueError("truths must be a non-empty 1-D sequence")

@@ -709,6 +709,24 @@ def test_lab_bad_input_one_line_error(args, line, dataset, capsys):
     assert (code, captured.out, captured.err) == (1, "", line + "\n")
 
 
+@pytest.mark.parametrize("option, value, line", [
+    ("--coupling-rate", "0.4", "error: coupling_rate must be in [0.5, 1]: the symmetric sign "
+     "model cannot produce same-sign proportions below 0.5"),
+    ("--error-scale", "0", "error: error_scale must be finite and positive, got 0.0"),
+    ("--error-scale", "nan", "error: error_scale must be finite and positive, got nan"),
+], ids=["coupling_rate", "error_scale_0", "error_scale_nan"])
+def test_lab_checks_generator_settings_before_the_draw(option, value, line, monkeypatch,
+                                                       capsys):
+    # A bad setting costs no draw of the --n-objects truths.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a generator was made before the settings were checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    code = run(["lab", "--mode", "flip", "--n-objects", "200", option, value])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", line + "\n")
+
+
 @pytest.mark.parametrize("mode", ["flip", "disturb", "multiflip"])
 def test_lab_predictions_mae_overflow_names_the_file(mode, tmp_path, capsys):
     preds = tmp_path / "preds.jsonl"
@@ -756,6 +774,67 @@ def test_plane_report_and_heatmaps(dataset, capsys):
     hm = heatmap_from_pgm((heat_dir / "000000.pgm").read_bytes())
     assert hm.shape == (188, 620)
     assert hm.dtype == np.uint8
+
+
+def heatmap_files(dataset, heat_dir, size) -> dict[str, bytes]:
+    """plane --heatmap-dir at the given --image-size: each file's bytes."""
+    assert run(["plane", "--calib-dir", dataset / "calib", "--label-dir", dataset / "label_2",
+                "--heatmap-dir", heat_dir, "--image-size", size]) == 0
+    return {p.name: p.read_bytes() for p in sorted(heat_dir.iterdir())}
+
+
+@pytest.mark.parametrize("stale", ["larger", "smaller", "other"])
+def test_plane_rewrites_stale_heatmaps(stale, dataset, capsys):
+    # Over files of the same names, each file ends as a run into an empty
+    # directory writes it: a longer stale file is cut to length. An
+    # existing file keeps its permissions; a new one gets write_bytes' own.
+    fresh = heatmap_files(dataset, dataset / "fresh", "64,20")
+    heat_dir = dataset / "stale"
+    if stale == "other":
+        heat_dir.mkdir()
+        for name in fresh:
+            (heat_dir / name).write_text("not a heatmap\n" * 4000)
+            (heat_dir / name).chmod(0o600)
+    else:
+        heatmap_files(dataset, heat_dir, "96,40" if stale == "larger" else "32,10")
+    modes = {p.name: p.stat().st_mode for p in heat_dir.iterdir()}
+    assert heatmap_files(dataset, heat_dir, "64,20") == fresh
+    assert {p.name: p.stat().st_mode for p in heat_dir.iterdir()} == modes
+    (dataset / "probe").write_bytes(b"")
+    assert {(dataset / "fresh" / name).stat().st_mode for name in fresh} == {
+        (dataset / "probe").stat().st_mode}
+
+
+def test_plane_heatmap_path_is_a_directory(dataset, capsys):
+    heat_dir = dataset / "heat"
+    (heat_dir / "000001.pgm").mkdir(parents=True)
+    code = run(["plane", "--calib-dir", dataset / "calib", "--label-dir", dataset / "label_2",
+                "--heatmap-dir", heat_dir, "--image-size", "64,20"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"error: [Errno 21] Is a directory: '{heat_dir / '000001.pgm'}'\n"
+
+
+def test_plane_fails_in_frame_order(dataset, capsys):
+    # As frame by frame: frame 0's heatmap is written, frame 1's fails
+    # before frame 2's bad label file is reached.
+    heat_dir = dataset / "heat"
+    (heat_dir / "000001.pgm").mkdir(parents=True)
+    (dataset / "calib" / "000002.txt").write_text((dataset / "calib" / "000000.txt").read_text())
+    (dataset / "label_2" / "000002.txt").write_text("Car 1 2\n")
+    args = ["plane", "--calib-dir", dataset / "calib", "--label-dir", dataset / "label_2",
+            "--heatmap-dir", heat_dir, "--image-size", "64,20"]
+    assert run(args) == 1
+    assert capsys.readouterr().err == (
+        f"error: [Errno 21] Is a directory: '{heat_dir / '000001.pgm'}'\n")
+    assert sorted(p.name for p in heat_dir.iterdir()) == ["000000.pgm", "000001.pgm"]
+    (heat_dir / "000001.pgm").rmdir()
+    (heat_dir / "000000.pgm").unlink()
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {dataset / 'label_2' / '000002.txt'}: ")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in heat_dir.iterdir()) == ["000000.pgm", "000001.pgm"]
 
 
 def test_plane_fallback_exit_code(tmp_path, capsys):
