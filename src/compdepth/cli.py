@@ -459,8 +459,10 @@ def _cmd_lab(args) -> int:
         n_objects, n_branches = args.n_objects, args.n_branches
         if n_objects < 1:
             raise ValueError("--n-objects must be at least 1")
-        if n_branches < 2:
-            raise ValueError(f"--n-branches must be at least 2, got {n_branches}")
+        # The generator's settings come first: a negative --n-branches would
+        # pass the cell ceiling, and a bad setting costs no draw of truths.
+        check_generator_settings(n_branches, args.coupling_rate, args.error_scale,
+                                 args.sigma_model)
         cells = n_objects * n_branches
         if cells > MAX_LAB_CELLS:
             raise ValueError(f"--n-objects x --n-branches must be at most {MAX_LAB_CELLS} "
@@ -479,9 +481,6 @@ def _cmd_lab(args) -> int:
                              f"(flip counts x objects x branches), got {len(ks)} x "
                              f"{n_objects} x {n_branches} = {sweep}")
     if args.predictions is None:
-        # The generator's settings are checked before the truths are drawn.
-        check_generator_settings(n_branches, args.coupling_rate, args.error_scale,
-                                 args.sigma_model)
         # Distinct integer seeds keep the truth, generation, and sweep
         # streams statistically independent but still reproducible.
         truths = np.random.default_rng(args.seed + 2).uniform(

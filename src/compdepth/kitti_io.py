@@ -270,6 +270,20 @@ class EnsembleTable:
                 ok = check()
                 row_ok = ok.all(axis=1) if ok.ndim == 2 else ok
                 raise ValueError(f"ensemble row {int(np.argmin(row_ok))} {problem}")
+        self._keep(names, z, sigma, valid, z_star, index, frame)
+
+    @classmethod
+    def _of_fresh(cls, names: Sequence[str], z: np.ndarray, sigma: np.ndarray,
+                  z_star: np.ndarray) -> EnsembleTable:
+        """The dense table of float arrays that nothing else holds and whose
+        names, shapes and cells pass the constructor's checks, kept without
+        its copies and checks."""
+        table = cls.__new__(cls)
+        table._keep(tuple(names), z, sigma, np.ones(z.shape, dtype=bool), z_star,
+                    np.zeros(len(z), dtype=np.int64), None)
+        return table
+
+    def _keep(self, names: tuple[str, ...], z, sigma, valid, z_star, index, frame) -> None:
         for array in (z, sigma, valid, z_star, index):
             array.setflags(write=False)
         self.names = names

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fusion import weights
+from .fusion import row_sums, weights
 from .kitti_io import EnsembleTable
 
 #: The sigma models of branch_sigmas.
@@ -53,7 +53,7 @@ def check_generator_settings(n_branches: int, coupling_rate: float, error_scale:
     order of its signature. generate_ensembles runs it first; a caller that
     draws the truths can run it before that draw."""
     if n_branches < 2:
-        raise ValueError("need at least 2 branches")
+        raise ValueError(f"need at least 2 branches, got {n_branches}")
     if not 0.5 <= coupling_rate <= 1.0:
         raise ValueError(
             "coupling_rate must be in [0.5, 1]: the symmetric sign model "
@@ -79,13 +79,15 @@ def generate_ensembles(truths: Sequence[float], *, n_branches: int = 4,
 
     Deterministic for fixed arguments: one root generator seeded from seed
     drives all draws in a fixed order. Branches are named b0..bN-1; frames
-    are the zero-padded object numbers, indices 0.
+    are the zero-padded object numbers, indices 0. The z and sigma grids
+    are stored branch-major: table.z.T holds one contiguous vector per
+    branch, which is how the sweeps read them.
 
     Raises ValueError for a bad setting, checked before any draw, and,
     naming error_scale, when a draw overflows to a non-finite depth.
     """
     check_generator_settings(n_branches, coupling_rate, error_scale, sigma_model)
-    truths = np.asarray(truths, dtype=float)
+    truths = np.array(truths, dtype=float)  # a copy: the table makes it read-only
     if truths.ndim != 1 or truths.size == 0:
         raise ValueError("truths must be a non-empty 1-D sequence")
     n_obj = truths.size
@@ -96,19 +98,23 @@ def generate_ensembles(truths: Sequence[float], *, n_branches: int = 4,
     # a^2 + (1-a)^2; solving for the target rate gives the keep probability.
     keep_p = 0.5 * (1.0 + math.sqrt(2.0 * coupling_rate - 1.0))
     flipped = rng.random((n_obj, n_branches)) >= keep_p
-    # z is built in place: the error magnitudes, their signs, then the truth
-    z = rng.normal(0.0, error_scale, size=(n_obj, n_branches))
-    np.abs(z, out=z)
+    # z is built branch-major, (B, N): the error magnitudes, then in place
+    # their signs and the truth
+    z = np.abs(rng.normal(0.0, error_scale, size=(n_obj, n_branches)).T, order="C")
     sigmas = branch_sigmas(z, sigma_model)
-    z *= ref_sign[:, None]
-    np.negative(z, out=z, where=flipped)
-    z += truths[:, None]
-    # An infinite magnitude (hence sigma) makes its depth infinite too.
+    # A cell's sign is its object's reference sign, negated where flipped.
+    # As int8, -1 and 0 give copysign a negative and a positive (+0.0) sign.
+    negative = np.not_equal(flipped.T, ref_sign < 0, order="C")
+    np.copysign(z, -negative.view(np.int8), out=z)
+    z += truths
+    # An infinite magnitude (hence sigma) makes its depth infinite too. So
+    # finite depths mean finite, positive sigmas and finite truths: the
+    # table's checks hold, and it keeps these fresh arrays without them.
     if not np.isfinite(z).all():
         raise ValueError(f"a draw at error_scale {error_scale} overflowed "
                          "to a non-finite depth")
-    return EnsembleTable(names=[f"b{i}" for i in range(n_branches)], z=z, sigma=sigmas,
-                         z_star=truths)
+    return EnsembleTable._of_fresh([f"b{i}" for i in range(n_branches)], z.T, sigmas.T,
+                                   truths)
 
 
 @dataclass(frozen=True)
@@ -157,15 +163,17 @@ def _levels(values, name: str, lo: float, hi: float, bounds: str) -> list:
     return levels
 
 
-def _gather(table: EnsembleTable, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Each object's absolute error under the untouched fusion, and the
-    fusion weights, a copy of the depths and the truths of rows."""
-    w = weights(table)
-    w_rows, z_rows = w[rows], table.z[rows]
-    w *= table.z
-    errors = w.sum(axis=1)
+def _gather(table: EnsembleTable, rows: np.ndarray,
+            branches: slice = slice(None)) -> tuple[np.ndarray, ...]:
+    """Each object's absolute error under the untouched fusion, and for
+    rows, one vector per branch, the fusion weights of the given branches
+    and the weighted depths of every branch."""
+    w = weights(table).T
+    w_rows = np.take(w[branches], rows, axis=1)
+    w *= table.z.T
+    errors = row_sums(w)
     errors -= table.z_star
-    return np.abs(errors, out=errors), w_rows, z_rows, table.z_star[rows]
+    return np.abs(errors, out=errors), w_rows, np.take(w, rows, axis=1)
 
 
 def _fused_mae(errors: np.ndarray, rows: np.ndarray, fused_rows: np.ndarray,
@@ -213,11 +221,11 @@ def flip_sweep(table: EnsembleTable, branch_name: str,
     n = len(table)
     # the prefixes of one order: fuse the largest flipped set once
     rows = np.random.default_rng(seed).permutation(n)[:int(round(props[-1] * n))]
-    errors, w_rows, z_rows, z_star_rows = _gather(table, rows)
+    errors, (w_col,), terms = _gather(table, rows, slice(col, col + 1))
     baseline = float(np.mean(errors))
-    z_rows[:, col] = flip(z_rows[:, col], z_star_rows)
-    z_rows *= w_rows
-    flipped = z_rows.sum(axis=1)
+    z_star_rows = table.z_star[rows]
+    terms[col] = flip(table.z[rows, col], z_star_rows) * w_col
+    flipped = row_sums(terms)
     flipped -= z_star_rows
     np.abs(flipped, out=flipped)
     maes = []
@@ -251,18 +259,18 @@ def disturb_sweep(table: EnsembleTable, branch_name: str,
     rows = _half(n, rng)
     noise = rng.uniform(-1.0, 1.0, size=n)[rows]
 
-    errors, w_rows, z_rows, z_star_rows = _gather(table, rows)
+    # every level re-weights only terms[col]
+    errors, (w_col,), terms = _gather(table, rows, slice(col, col + 1))
     baseline = float(np.mean(errors))
-    flipped = flip(z_rows[:, col], z_star_rows)
-    w_col = w_rows[:, col]
-    z_rows *= w_rows  # every level re-weights only the disturbed column
+    z_star_rows = table.z_star[rows]
+    flipped = flip(table.z[rows, col], z_star_rows)
     disturbed = np.empty_like(flipped)
     maes = []
     for a in amps:
         np.multiply(noise, a, out=disturbed)
         disturbed += flipped
-        np.multiply(disturbed, w_col, out=z_rows[:, col])
-        maes.append(_fused_mae(errors, rows, z_rows.sum(axis=1), z_star_rows))
+        np.multiply(disturbed, w_col, out=terms[col])
+        maes.append(_fused_mae(errors, rows, row_sums(terms), z_star_rows))
     return SweepCurve(x=tuple(amps), mae=tuple(maes), counts=(n,) * len(amps),
                       baseline_mae=baseline, label=f"disturb:{branch_name}")
 
@@ -289,18 +297,16 @@ def multi_flip_sweep(table: EnsembleTable, ks: Sequence[int], seed: int = 0) -> 
     n = len(table)
     rows = _half(n, np.random.default_rng(seed))
 
-    errors, w_rows, z_rows, z_star_rows = _gather(table, rows)
+    errors, w_rows, kept = _gather(table, rows)
     baseline = float(np.mean(errors))
-    # each level takes its weighted terms from these two grids
-    w_flipped = flip(z_rows, z_star_rows[:, None])
-    w_flipped *= w_rows
-    z_rows *= w_rows
-    fused = np.empty_like(z_rows)
+    z_star_rows = table.z_star[rows]
+    # each level takes each branch's weighted terms from kept or flipped
+    flipped = flip(np.take(table.z.T, rows, axis=1), z_star_rows)
+    flipped *= w_rows
     maes = []
     for k in ks:
-        cols = slice(k) if 2 * k <= n_br else slice(n_br - k, n_br)
-        fused[...] = z_rows
-        fused[:, cols] = w_flipped[:, cols]
-        maes.append(_fused_mae(errors, rows, fused.sum(axis=1), z_star_rows))
+        terms = ((*flipped[:k], *kept[k:]) if 2 * k <= n_br
+                 else (*kept[:n_br - k], *flipped[n_br - k:]))
+        maes.append(_fused_mae(errors, rows, row_sums(terms), z_star_rows))
     return SweepCurve(x=tuple(float(k) for k in ks), mae=tuple(maes), counts=(n,) * len(ks),
                       baseline_mae=baseline, label="multiflip")

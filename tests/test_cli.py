@@ -682,9 +682,9 @@ BAD_INPUT = [
     # negative cell count passes that ceiling, and the truths' draw would
     # then ask for 8 TiB
     (["lab", "--mode", "flip", "--n-branches", "1"], "--n-branches",
-     "error: --n-branches must be at least 2, got 1"),
+     "error: need at least 2 branches, got 1"),
     (["lab", "--mode", "flip", "--n-objects", "1099511627776", "--n-branches", "-1"],
-     "--n-branches", "error: --n-branches must be at least 2, got -1"),
+     "--n-branches", "error: need at least 2 branches, got -1"),
 ]
 
 

@@ -2,8 +2,8 @@
 every public function has a caller outside the tests and none takes a
 singularity guard, every exception type in compdepth.errors is raised
 somewhere, every exception the package raises is a ValueError or an
-AssertionError, and the reports and curves share one CSV writer and one
-indented JSON dump."""
+AssertionError, the reports and curves share one CSV writer and one
+indented JSON dump, and fusion and the lab sum rows in one helper."""
 
 import ast
 import inspect
@@ -104,3 +104,21 @@ def test_one_csv_writer_and_one_indented_json_dump():
              for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)]
     assert sum(func == "csv.writer" for func, _ in calls) == 1
     assert sum(func == "json.dumps" and "indent" in keywords for func, keywords in calls) == 1
+
+
+def test_one_row_sum_kernel():
+    """fusion.py and lab.py call .sum(axis=1) only in fusion.row_sums, so no
+    per-row sum loop creeps back into fusion or the sweeps."""
+    sums = []
+    for name in ("fusion.py", "lab.py"):
+        tree = ast.parse((Path(compdepth.__file__).parent / name).read_text())
+        helper = {id(node) for function in tree.body
+                  if isinstance(function, ast.FunctionDef) and function.name == "row_sums"
+                  for node in ast.walk(function)}
+        sums += [(name, "row_sums" if id(node) in helper else ast.unparse(node))
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "sum"
+                 and any(k.arg == "axis" and ast.unparse(k.value) in ("1", "-1")
+                         for k in node.keywords)]
+    assert sums == [("fusion.py", "row_sums")]

@@ -1,5 +1,6 @@
 """Property tests of the masked fusion kernel, and of the ensemble evaluation
-built on it, against the scalar references."""
+built on it, against the scalar references; and of the row-sum helper, the
+weights and the fusion against numpy's own row sums, bit for bit."""
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from compdepth import (  # noqa: E402
     esop,
     evaluate_ensembles,
     fuse,
+    generate_ensembles,
     weights,
 )
+from compdepth.fusion import row_sums  # noqa: E402
 from fusion_reference import soft_fuse, table_of  # noqa: E402
 from prediction_records import read_records  # noqa: E402
 
@@ -90,3 +93,77 @@ def test_evaluation_matches_scalar_references_on_ragged_ensembles(case, data):
                 continue
             expected = esop(z[shared, ja] - z_star[shared], z[shared, jb] - z_star[shared])
             assert report.esop[(a, b)] == pytest.approx(expected, rel=1e-12)
+
+
+# Cells at the edges of float arithmetic: signed zeros, infinities, NaN and
+# magnitudes whose sums overflow.
+EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308]
+FINITE_EDGES = [0.0, -0.0, 1e308, -1e308, 5e-324]
+
+
+def same_bits(got: np.ndarray, expected: np.ndarray) -> bool:
+    """Equal bit for bit, except that any NaN matches any NaN: which input
+    NaN an add returns is left open by IEEE 754, and numpy's own add loops
+    return different ones for the same operands."""
+    nan = np.isnan(expected)
+    return (got.shape == expected.shape and np.array_equal(np.isnan(got), nan)
+            and got[~nan].tobytes() == expected[~nan].tobytes())
+
+
+@st.composite
+def edge_grids(draw, finite=False):
+    """An (n, b) float grid, with edge cells among drawn ones. Most have
+    1-20 columns, on both sides of numpy's switch from adding a row left to
+    right to 8 interleaved partial sums at 8 cells; some have 120-300, on
+    both sides of its split of a row into two parts above 128 cells."""
+    b = draw(st.one_of(st.integers(1, 20), st.integers(1, 20), st.integers(120, 300)))
+    n = draw(st.integers(0 if not finite else 1, 12))
+    edges = FINITE_EDGES if finite else EDGES
+    floats = st.floats(-1e300, 1e300) if finite else st.floats()
+    return draw(arrays(float, (n, b), elements=st.one_of(st.sampled_from(edges), floats)))
+
+
+@given(edge_grids())
+def test_row_sums_are_numpys_row_sums(grid):
+    # an all -0.0 row sums to 0.0: numpy's sum starts from +0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = grid.sum(axis=1)
+        for columns in (grid.T, list(grid.T), np.ascontiguousarray(grid.T)):
+            assert same_bits(row_sums(columns), expected)
+
+
+def reference_weights(table) -> np.ndarray:
+    """The weights as the row-major (N, B) formula with .sum(axis=1) gives them."""
+    w = np.zeros(table.sigma.shape)
+    np.divide(1.0, np.ascontiguousarray(table.sigma), out=w, where=table.valid)
+    w /= w.sum(axis=1, keepdims=True)
+    return w
+
+
+@given(edge_grids(finite=True), st.data())
+def test_weights_and_fusion_are_the_row_major_formulas(z, data):
+    n, b = z.shape
+    sigma = data.draw(arrays(float, (n, b), elements=st.one_of(
+        st.sampled_from([5e-324, 1e-308, 1.0, 1e308]), st.floats(1e-300, 1e300))))
+    valid = data.draw(st.sampled_from([None, "dense", "ragged"]))
+    if valid == "dense":
+        valid = np.ones((n, b), dtype=bool)
+    elif valid == "ragged":
+        valid = data.draw(arrays(bool, (n, b)))
+        valid[np.arange(n), data.draw(arrays(np.int64, n, elements=st.integers(0, b - 1)))] = True
+    table = table_of(z, sigma, valid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = reference_weights(table)
+        assert same_bits(weights(table), expected)
+        assert same_bits(fuse(table), (expected * table.z).sum(axis=1))
+
+
+@given(st.integers(1, 300), st.integers(2, 12), st.sampled_from(["constant", "proportional"]),
+       st.integers(0, 2**32 - 1))
+def test_fusion_of_generated_tables_is_the_row_major_formula(n, b, sigma_model, seed):
+    # generated tables keep their grids branch-major
+    truths = np.random.default_rng(seed).uniform(1.0, 80.0, n)
+    table = generate_ensembles(truths, n_branches=b, sigma_model=sigma_model, seed=seed)
+    expected = reference_weights(table)
+    assert same_bits(weights(table), expected)
+    assert same_bits(fuse(table), (expected * np.ascontiguousarray(table.z)).sum(axis=1))

@@ -455,6 +455,18 @@ def test_ensemble_table_take():
     assert len(none) == 0 and none.names == ()
 
 
+@pytest.mark.parametrize("masked", [False, True])
+def test_ensemble_table_ignores_later_writes_to_the_callers_arrays(masked):
+    z, sigma = np.array([[21.0, 19.0], [30.0, 29.0]]), np.array([[1.0, 2.0], [0.5, 1.0]])
+    valid, z_star = np.ones((2, 2), dtype=bool) if masked else None, np.array([20.0, 31.0])
+    table = EnsembleTable(names=("a", "b"), z=z, sigma=sigma, valid=valid, z_star=z_star)
+    for array in (z, sigma, z_star, *([valid] if masked else [])):
+        array[...] = 0  # the caller's arrays stay writeable
+    assert table.z.tolist() == [[21.0, 19.0], [30.0, 29.0]]
+    assert table.sigma.tolist() == [[1.0, 2.0], [0.5, 1.0]]
+    assert table.valid.all() and table.z_star.tolist() == [20.0, 31.0]
+
+
 def test_ensemble_table_masked_cells_are_zero_and_one():
     table = _table(z=[[21.0, 19.0], [30.0, np.nan]], sigma=[[1.0, 2.0], [0.5, -1.0]])
     assert table.z.tolist() == [[21.0, 19.0], [30.0, 0.0]]

@@ -83,7 +83,7 @@ def test_config_validation():
         generate_ensembles(truths, coupling_rate=0.4)
     with pytest.raises(ValueError, match=coupling):
         generate_ensembles(truths, coupling_rate=1.01)
-    with pytest.raises(ValueError, match="^need at least 2 branches$"):
+    with pytest.raises(ValueError, match="^need at least 2 branches, got 1$"):
         generate_ensembles(truths, n_branches=1)
     for bad in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="error_scale must be finite and positive"):
