@@ -16,12 +16,7 @@ from .depth_branches import (
     z_global,
     z_key,
 )
-from .errors import (
-    CompdepthError,
-    JoinError,
-    MalformedLine,
-    SchemaError,
-)
+from .errors import CompdepthError
 from .fusion import fuse, weights
 from .ground_plane import (
     DEFAULT_CAM_HEIGHT,
@@ -74,8 +69,7 @@ __all__ = [
     "BinnedMae", "CameraIntrinsics", "CompdepthError", "ComplementarityReport",
     "DEFAULT_CAM_HEIGHT", "DEFAULT_DEPTH_EDGES", "DEFAULT_EPS_DEN",
     "DEFAULT_INTRINSICS", "EnsembleTable", "GroundPlane", "HorizonFitInfo",
-    "HorizonLine", "JoinError", "LabelTable",
-    "MalformedLine", "Object3D", "Scene", "SchemaError", "SweepCurve",
+    "HorizonLine", "LabelTable", "Object3D", "Scene", "SweepCurve",
     "binned_mae", "box_keypoints", "complementarity_score", "disturb_sweep", "esop",
     "evaluate_ensembles", "fit_horizon", "fit_plane", "flip", "flip_sweep",
     "format_calib", "format_labels", "fuse", "generate_ensembles", "heatmap_from_pgm",

@@ -33,7 +33,7 @@ import numpy as np
 
 from .camera import CameraIntrinsics, project
 from .depth_branches import box_keypoints, z_alt, z_comp, z_global, z_key
-from .errors import JoinError
+from .errors import CompdepthError
 from .ground_plane import (
     DEFAULT_CAM_HEIGHT,
     GroundPlane,
@@ -323,9 +323,11 @@ def _cmd_eval(args) -> int:
         matched[rows] = True
         dontcare[rows] = labels.dontcare[index]
         truth[rows] = labels.z[index]
-    if not matched.all():
-        raise JoinError([(table.frame[row], int(table.index[row]))
-                         for row in np.flatnonzero(~matched)])
+    unmatched = np.flatnonzero(~matched)
+    if unmatched.size:
+        shown = ", ".join(f"({table.frame[row]}, {table.index[row]})" for row in unmatched[:5])
+        more = f" and {unmatched.size - 5} more" if unmatched.size > 5 else ""
+        raise CompdepthError(f"unmatched prediction keys: {shown}{more}")
 
     kept = np.flatnonzero(~dontcare)
     dontcare_skipped = int(np.count_nonzero(dontcare))

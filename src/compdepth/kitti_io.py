@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .camera import CameraIntrinsics
-from .errors import MalformedLine, SchemaError
+from .errors import CompdepthError
 from .metrics import ComplementarityReport
 
 # ---------------------------------------------------------------------------
@@ -75,8 +75,8 @@ def parse_calib(text: str) -> CameraIntrinsics:
     Reads f_x, f_y, c_u, c_v; the translation column is validated but plays
     no role in the ideal-pinhole math here. Other keys are ignored.
 
-    Raises ValueError when no line starts with 'P2:' and on wrong arity or
-    non-numeric or non-finite entries.
+    Raises CompdepthError when no line starts with 'P2:' and on wrong arity
+    or non-numeric or non-finite entries.
     """
     for raw in text.splitlines():
         line = raw.strip()
@@ -84,16 +84,16 @@ def parse_calib(text: str) -> CameraIntrinsics:
             continue
         tokens = line[3:].split()
         if len(tokens) != 12:
-            raise ValueError(f"'P2' needs 12 entries, got {len(tokens)}")
+            raise CompdepthError(f"'P2' needs 12 entries, got {len(tokens)}")
         try:
             p = [float(t) for t in tokens]
         except ValueError as exc:
-            raise ValueError(f"'P2' has a non-numeric entry: {exc}") from None
+            raise CompdepthError(f"'P2' has a non-numeric entry: {exc}") from None
         if not all(math.isfinite(v) for v in p):
-            raise ValueError("'P2' has a non-finite entry")
+            raise CompdepthError("'P2' has a non-finite entry")
         # row-major 3x4: f_x, c_u in row 0 and f_y, c_v in row 1
         return CameraIntrinsics(f_x=p[0], f_y=p[5], c_u=p[2], c_v=p[6])
-    raise ValueError("no 'P2:' line in calibration text")
+    raise CompdepthError("no 'P2:' line in calibration text")
 
 
 def format_calib(k: CameraIntrinsics) -> str:
@@ -133,7 +133,7 @@ def parse_labels(text: str) -> LabelTable:
     'DontCare' rows are kept (flagged in LabelTable.dontcare) so indices
     match the file.
 
-    Raises MalformedLine (with the 1-based line number) on wrong token count
+    Raises CompdepthError ('line N: ...', N 1-based) on a wrong token count
     or unparseable or non-finite numbers; nothing is returned on failure.
     """
     rows = [tokens for tokens in map(str.split, text.splitlines()) if tokens]
@@ -168,7 +168,7 @@ def _label_values(rows: list[list[str]]) -> np.ndarray | None:
 
 
 def _check_label_lines(text: str) -> None:
-    """Raise MalformedLine for the first line with a wrong token count or a
+    """Raise CompdepthError for the first line with a wrong token count or a
     non-numeric or non-finite field, checked line by line."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -176,17 +176,14 @@ def _check_label_lines(text: str) -> None:
             continue
         tokens = line.split()
         if len(tokens) not in (_N_LABEL_FIELDS, _N_LABEL_FIELDS + 1):
-            raise MalformedLine(
-                line_no,
-                f"expected {_N_LABEL_FIELDS} or {_N_LABEL_FIELDS + 1} fields, "
-                f"got {len(tokens)}",
-            )
+            raise CompdepthError(f"line {line_no}: expected {_N_LABEL_FIELDS} or "
+                                 f"{_N_LABEL_FIELDS + 1} fields, got {len(tokens)}")
         try:
             values = [float(t) for t in tokens[1:]]
         except ValueError as exc:
-            raise MalformedLine(line_no, f"non-numeric field: {exc}") from None
+            raise CompdepthError(f"line {line_no}: non-numeric field: {exc}") from None
         if not all(math.isfinite(v) for v in values):
-            raise MalformedLine(line_no, "non-finite field")
+            raise CompdepthError(f"line {line_no}: non-finite field")
 
 
 def format_labels(objects: Iterable[Object3D]) -> str:
@@ -327,7 +324,7 @@ class EnsembleTable:
 
 def _require(condition: bool, line_no: int, fieldpath: str, message: str):
     if not condition:
-        raise SchemaError(line_no, fieldpath, message)
+        raise CompdepthError(f"line {line_no}: field '{fieldpath}': {message}")
 
 
 def _is_number(x) -> bool:
@@ -348,10 +345,10 @@ def read_predictions(text: str) -> EnsembleTable:
     sigma defaults to 1.0; z_star is optional (NaN in the table when
     absent). Branch columns follow first appearance across the file. Blank
     lines and lines starting with '#' are skipped; a file without records
-    gives an empty table. Raises SchemaError with the line number and field
-    path on the first violation, including a repeated (frame, index) and a
-    record whose 1/sigma values sum past the float range, which fusion
-    divides by.
+    gives an empty table. Raises CompdepthError ("line N: field 'F': ...",
+    with the line number and field path) on the first violation, including
+    a repeated (frame, index) and a record whose 1/sigma values sum past
+    the float range, which fusion divides by.
     """
     lines = text.splitlines()
     try:
@@ -451,8 +448,8 @@ def _read_columns(lines) -> EnsembleTable | None:
 
 
 def _check_records(lines) -> None:
-    """Raise SchemaError for the first schema violation, checking record by
-    record and field by field."""
+    """Raise CompdepthError for the first schema violation, checking record
+    by record and field by field."""
     seen_keys = set()
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -461,7 +458,7 @@ def _check_records(lines) -> None:
         try:
             doc = json.loads(line)
         except (ValueError, RecursionError) as exc:  # also too deep or too long an int
-            raise SchemaError(line_no, "", f"invalid JSON: {exc}") from None
+            raise CompdepthError(f"line {line_no}: field '': invalid JSON: {exc}") from None
         _require(isinstance(doc, dict), line_no, "", "record must be a JSON object")
         frame = doc.get("frame")
         _require(isinstance(frame, str) and frame != "",

@@ -3,7 +3,7 @@ columnar compdepth.parse_labels must agree with."""
 
 import math
 
-from compdepth import MalformedLine, Object3D
+from compdepth import CompdepthError, Object3D
 
 _N_LABEL_FIELDS = 15
 
@@ -12,7 +12,7 @@ def parse_labels(text: str) -> list[Object3D]:
     """Parse a KITTI label file. Empty lines are skipped; 'DontCare' rows are
     kept (flagged via Object3D.is_dontcare) so indices match the file.
 
-    Raises MalformedLine (with the 1-based line number) on wrong token count
+    Raises CompdepthError ('line N: ...', N 1-based) on a wrong token count
     or unparseable numbers; nothing is returned on failure.
     """
     objects: list[Object3D] = []
@@ -22,17 +22,16 @@ def parse_labels(text: str) -> list[Object3D]:
             continue
         tokens = line.split()
         if len(tokens) not in (_N_LABEL_FIELDS, _N_LABEL_FIELDS + 1):
-            raise MalformedLine(
-                line_no,
-                f"expected {_N_LABEL_FIELDS} or {_N_LABEL_FIELDS + 1} fields, "
-                f"got {len(tokens)}",
+            raise CompdepthError(
+                f"line {line_no}: expected {_N_LABEL_FIELDS} or {_N_LABEL_FIELDS + 1} "
+                f"fields, got {len(tokens)}"
             )
         try:
             values = [float(t) for t in tokens[1:]]
         except ValueError as exc:
-            raise MalformedLine(line_no, f"non-numeric field: {exc}") from None
+            raise CompdepthError(f"line {line_no}: non-numeric field: {exc}") from None
         if not all(math.isfinite(v) for v in values):
-            raise MalformedLine(line_no, "non-finite field")
+            raise CompdepthError(f"line {line_no}: non-finite field")
         objects.append(Object3D(
             class_name=tokens[0],
             truncation=values[0],

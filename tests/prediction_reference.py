@@ -6,12 +6,12 @@ import math
 
 import numpy as np
 
-from compdepth import EnsembleTable, SchemaError
+from compdepth import CompdepthError, EnsembleTable
 
 
 def _require(condition: bool, line_no: int, fieldpath: str, message: str):
     if not condition:
-        raise SchemaError(line_no, fieldpath, message)
+        raise CompdepthError(f"line {line_no}: field '{fieldpath}': {message}")
 
 
 def _is_number(x) -> bool:
@@ -32,10 +32,10 @@ def read_predictions(source) -> EnsembleTable:
     sigma defaults to 1.0; z_star is optional (NaN in the table when
     absent). Branch columns follow first appearance across the file. Blank
     lines and lines starting with '#' are skipped; a file without records
-    gives an empty table. Raises SchemaError with the line number and field
-    path on the first violation, including a repeated (frame, index) and a
-    record whose 1/sigma values sum past the float range, which fusion
-    divides by.
+    gives an empty table. Raises CompdepthError ("line N: field 'F': ...",
+    with the line number and field path) on the first violation, including
+    a repeated (frame, index) and a record whose 1/sigma values sum past
+    the float range, which fusion divides by.
     """
     lines = source.splitlines() if isinstance(source, str) else source
     columns: dict[str, int] = {}
@@ -49,7 +49,7 @@ def read_predictions(source) -> EnsembleTable:
         try:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise SchemaError(line_no, "", f"invalid JSON: {exc}") from None
+            raise CompdepthError(f"line {line_no}: field '': invalid JSON: {exc}") from None
         _require(isinstance(doc, dict), line_no, "", "record must be a JSON object")
         frame = doc.get("frame")
         _require(isinstance(frame, str) and frame != "",

@@ -12,10 +12,9 @@ import pytest
 
 from compdepth import (
     CameraIntrinsics,
+    CompdepthError,
     GroundPlane,
     HorizonLine,
-    MalformedLine,
-    SchemaError,
     box_keypoints,
     complementarity_score,
     disturb_sweep,
@@ -310,16 +309,15 @@ def test_c11_parser_goldens():
     assert theta == -1.59
     assert tuple(bbox2d) == (587.0, 173.3, 614.1, 200.1)
 
-    with pytest.raises(MalformedLine) as exc:
+    with pytest.raises(CompdepthError) as exc:
         parse_labels(label_text + "Car 1 2 3\n")
-    assert exc.value.line_no == 2
+    assert str(exc.value) == "line 2: expected 15 or 16 fields, got 4"
 
-    with pytest.raises(SchemaError) as exc:
+    with pytest.raises(CompdepthError) as exc:
         read_predictions('{"frame":"0","index":0,"branches":'
                          '[{"name":"key","z":1.0}]}\n'
                          '{"frame":"0","index":0,"branches":'
                          '[{"name":"key","z":1.0,"sigma":-1.0}]}\n')
-    assert exc.value.line_no == 2
-    assert "sigma" in exc.value.field
+    assert str(exc.value) == "line 2: field 'branches[0].sigma': must be a finite positive number"
     print("criterion 11 PASS: calib, label, and prediction fixtures parse "
           "exactly; malformed inputs report line numbers")

@@ -204,6 +204,23 @@ def test_eval_unmatched_prediction(dataset, tmp_path, capsys):
         assert captured.err == f"error: unmatched prediction keys: ({frame}, {index})\n"
 
 
+def test_eval_many_unmatched_predictions(dataset, tmp_path, capsys):
+    # seven unmatched records among matched ones: the first five in file
+    # order, then the count of the rest
+    keys = [("000000", 0), ("000000", 999), ("000000", 1000), ("000009", 0), ("000000", 1),
+            ("000009", 1), ("000009", 2), ("000009", 3), ("000009", 4)]
+    preds = tmp_path / "bad.jsonl"
+    preds.write_text("".join(json.dumps({"frame": frame, "index": index,
+                                         "branches": [{"name": "key", "z": 20.0}]}) + "\n"
+                             for frame, index in keys))
+    code = run(["eval", "--calib-dir", dataset / "calib",
+                "--label-dir", dataset / "label_2", "--predictions", preds])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == ("error: unmatched prediction keys: (000000, 999), (000000, 1000), "
+                            "(000009, 0), (000009, 1), (000009, 2) and 2 more\n")
+
+
 def test_eval_record_on_dontcare_row(dataset, tmp_path, capsys):
     # the record of a DontCare row is skipped and counted: exit 3
     labels = dataset / "label_2" / "000000.txt"

@@ -1,17 +1,19 @@
 """compdepth.__all__ is exactly the public names that __init__.py imports,
 every public function has a caller outside the tests and none takes a
-singularity guard, every exception type in compdepth.errors is raised
-somewhere, every exception the package raises is a ValueError or an
-AssertionError, the reports and curves share one CSV writer and one
-indented JSON dump, and fusion and the lab sum rows in one helper."""
+singularity guard, the package has one exception class of its own and
+raises only it, ValueError and AssertionError, no module imports a name it
+does not use, the reports and curves share one CSV writer and one indented
+JSON dump, and fusion and the lab sum rows in one helper."""
 
 import ast
 import inspect
-import re
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 import compdepth
-from compdepth import errors
+from compdepth import cli, errors
 
 
 def imported_public_names() -> list[str]:
@@ -35,19 +37,85 @@ def test_all_equals_imported_public_names():
     assert set(compdepth.__all__) == set(imported)
 
 
-def test_every_error_type_is_raised():
-    sources = "".join(path.read_text()
-                      for path in Path(compdepth.__file__).parent.glob("*.py"))
-    types = [cls.__name__ for cls in vars(errors).values()
-             if inspect.isclass(cls) and issubclass(cls, errors.CompdepthError)
-             and cls is not errors.CompdepthError]
-    assert types
-    assert [name for name in types if not re.search(rf"raise {name}\(", sources)] == []
-    # The CLI's `except (OSError, ValueError)` sees every input error; an
-    # AssertionError marks a broken invariant and stays a traceback.
-    assert issubclass(errors.CompdepthError, ValueError)
-    raised = set(re.findall(r"\braise (\w+)", sources))
-    assert raised - {"ValueError", "AssertionError", *types} == set()
+def raised_names(tree: ast.AST) -> set[str]:
+    """Names of the exceptions that tree raises, as `raise E(...)` or
+    `raise E`; a bare `raise` re-raises and names none."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            found.add(ast.unparse(exc))
+    return found
+
+
+def test_one_input_error_class():
+    """compdepth.errors defines CompdepthError(ValueError) and nothing else,
+    and the package raises only it, ValueError and AssertionError. The CLI's
+    `except (OSError, ValueError)` sees every input error; an AssertionError
+    marks a broken invariant and stays a traceback."""
+    classes = [cls for cls in vars(errors).values() if inspect.isclass(cls)]
+    assert classes == [errors.CompdepthError]
+    assert errors.CompdepthError.__bases__ == (ValueError,)
+    raised = set().union(*(raised_names(ast.parse(path.read_text()))
+                           for path in Path(compdepth.__file__).parent.glob("*.py")))
+    assert raised == {"ValueError", "AssertionError", "CompdepthError"}
+
+
+def test_malformed_or_unjoined_input_raises_compdepth_error(tmp_path):
+    """A bad label line, prediction record or calibration text, and a
+    prediction key without a label row, each raise CompdepthError. Bad PGM
+    bytes still raise a plain ValueError, whose type name the benchmark's
+    read-back check pins."""
+    bad = [(compdepth.parse_labels, "Car 1 2 3\n"),
+           (compdepth.read_predictions, '{"frame":"0","index":-1}\n'),
+           (compdepth.parse_calib, "P2: 1 2 3\n")]
+    for parse, data in bad:
+        with pytest.raises(errors.CompdepthError):
+            parse(data)
+    with pytest.raises(ValueError) as exc:
+        compdepth.heatmap_from_pgm(b"P5 2 2 255\n\x00")
+    assert type(exc.value) is ValueError
+    predictions = tmp_path / "predictions.jsonl"  # and no label file for frame 000000
+    predictions.write_text('{"frame":"000000","index":0,"branches":[{"name":"a","z":1.0}]}\n')
+    with pytest.raises(errors.CompdepthError, match=r"^unmatched prediction keys: \(000000, 0\)$"):
+        cli._cmd_eval(SimpleNamespace(predictions=predictions, label_dir=tmp_path))
+
+
+def string_annotations(tree: ast.AST) -> list[str]:
+    """The annotations in tree written as strings, such as "EnsembleTable"."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    return [a.value for a in annotations
+            if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+
+
+def test_no_unused_imports():
+    """Every name a module of the package imports is read in it, or, in
+    __init__.py, exported through __all__, so a dropped use cannot leave its
+    import behind."""
+    unused = []
+    for path in sorted(Path(compdepth.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]: node.lineno
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read |= {node.id for annotation in string_annotations(tree)
+                 for node in ast.walk(ast.parse(annotation, mode="eval"))
+                 if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            read |= set(compdepth.__all__)
+        unused += [f"{path.name}:{line}: {name}"
+                   for name, line in imported.items() if name not in read]
+    assert unused == []
 
 
 def called_names(tree: ast.AST) -> set[str]:

@@ -7,10 +7,9 @@ import pytest
 from compdepth import (
     BinnedMae,
     ComplementarityReport,
+    CompdepthError,
     EnsembleTable,
-    MalformedLine,
     Object3D,
-    SchemaError,
     format_calib,
     format_labels,
     parse_calib,
@@ -134,21 +133,22 @@ def test_parse_labels_empty():
 
 
 def test_parse_labels_wrong_token_count():
-    with pytest.raises(MalformedLine) as exc:
+    with pytest.raises(CompdepthError) as exc:
         parse_labels(LABEL_LINE + "\n" + "Car 0.0 0\n")
-    assert exc.value.line_no == 2
+    assert str(exc.value) == "line 2: expected 15 or 16 fields, got 3"
 
 
 def test_parse_labels_bad_number():
     bad = LABEL_LINE.replace("20.00", "twenty")
-    with pytest.raises(MalformedLine) as exc:
+    with pytest.raises(CompdepthError) as exc:
         parse_labels(bad)
-    assert exc.value.line_no == 1
+    assert str(exc.value) == ("line 1: non-numeric field: "
+                              "could not convert string to float: 'twenty'")
 
 
 def test_parse_labels_all_or_nothing():
     text = LABEL_LINE + "\njunk line\n"
-    with pytest.raises(MalformedLine):
+    with pytest.raises(CompdepthError, match="^line 2: expected 15 or 16 fields, got 2$"):
         parse_labels(text)
 
 
@@ -239,67 +239,66 @@ def test_read_predictions_without_records():
 
 
 def test_read_predictions_schema_errors():
-    with pytest.raises(SchemaError) as exc:
+    with pytest.raises(CompdepthError) as exc:
         read_predictions('{"frame":"0","index":0,"branches":[{"name":"a","z":1.0}]}\n'
                          '{"frame":"0","index":"one","branches":[{"name":"a","z":1.0}]}\n')
-    assert exc.value.line_no == 2
-    assert "index" in exc.value.field
+    assert str(exc.value) == "line 2: field 'index': required non-negative integer"
 
-    with pytest.raises(SchemaError) as exc:
+    with pytest.raises(CompdepthError) as exc:
         read_predictions('{"frame":"0","index":0,'
                          '"branches":[{"name":"a","z":1.0,"sigma":0.0}]}\n')
-    assert "sigma" in exc.value.field
+    assert str(exc.value) == "line 1: field 'branches[0].sigma': must be a finite positive number"
 
-    with pytest.raises(SchemaError):
+    with pytest.raises(CompdepthError) as exc:
         read_predictions("not json\n")
+    assert str(exc.value) == ("line 1: field '': invalid JSON: "
+                              "Expecting value: line 1 column 1 (char 0)")
 
-    with pytest.raises(SchemaError):  # duplicate branch names
+    with pytest.raises(CompdepthError) as exc:  # duplicate branch names
         read_predictions('{"frame":"0","index":0,"branches":'
                          '[{"name":"a","z":1.0},{"name":"a","z":2.0}]}\n')
+    assert str(exc.value) == "line 1: field 'branches[1].name': duplicate branch name 'a'"
 
-    with pytest.raises(SchemaError) as exc:  # a record without branches
+    with pytest.raises(CompdepthError) as exc:  # a record without branches
         read_predictions('{"frame":"0","index":0,"branches":[]}\n')
-    assert exc.value.field == "branches"
+    assert str(exc.value) == "line 1: field 'branches': required non-empty list"
 
     for z in ("NaN", "1" + "0" * 400):  # z must be a finite number
-        with pytest.raises(SchemaError) as exc:
+        with pytest.raises(CompdepthError) as exc:
             read_predictions('{"frame":"0","index":0,"branches":[{"name":"a","z":%s}]}\n' % z)
-        assert exc.value.field == "branches[0].z"
+        assert str(exc.value) == "line 1: field 'branches[0].z': required finite number"
 
-    with pytest.raises(SchemaError) as exc:  # the index column is 64-bit
+    with pytest.raises(CompdepthError) as exc:  # the index column is 64-bit
         read_predictions('{"frame":"0","index":%d,"branches":[{"name":"a","z":1}]}\n' % 2**63)
-    assert exc.value.field == "index"
+    assert str(exc.value) == "line 1: field 'index': must be below 2**63"
     assert len(read_predictions(
         '{"frame":"0","index":%d,"branches":[{"name":"a","z":1}]}\n' % (2**63 - 1))) == 1
 
     # a subnormal sigma is finite and positive, but its inverse weight is not
-    with pytest.raises(SchemaError) as exc:
+    with pytest.raises(CompdepthError) as exc:
         read_predictions('{"frame":"0","index":0,"branches":'
                          '[{"name":"a","z":1.0},{"name":"b","z":1.0,"sigma":1e-320}]}\n')
-    assert exc.value.field == "branches[1].sigma"
-    assert "1/sigma" in str(exc.value)
+    assert str(exc.value) == "line 1: field 'branches[1].sigma': too small: 1/sigma overflows"
     assert len(read_predictions('{"frame":"0","index":0,"branches":'
                                 '[{"name":"a","z":1.0,"sigma":1e-308}]}\n')) == 1
 
 
 def test_read_predictions_extra_data_is_invalid_json():
     line = '{"frame":"0","index":0,"branches":[{"name":"a","z":1.0}]}'
-    for extra in (" junk", line, ",1"):
-        with pytest.raises(SchemaError) as exc:
+    for extra, column in ((" junk", 59), (line, 58), (",1", 58)):
+        with pytest.raises(CompdepthError) as exc:
             read_predictions(line + "\n" + line.replace('"index":0', '"index":1') + extra)
-        assert (exc.value.line_no, exc.value.field) == (2, "")
-        assert "invalid JSON: Extra data" in str(exc.value)
+        assert str(exc.value) == (f"line 2: field '': invalid JSON: Extra data: "
+                                  f"line 1 column {column} (char {column - 1})")
 
 
 def test_read_predictions_rejects_duplicate_records():
     line = '{"frame":"000000","index":3,"branches":[{"name":"a","z":1.0}]}\n'
     other = '{"frame":"000001","index":3,"branches":[{"name":"a","z":1.0}]}\n'
     assert len(read_predictions(line + other)) == 2
-    with pytest.raises(SchemaError) as exc:
+    with pytest.raises(CompdepthError) as exc:
         read_predictions(line + other + "# comment\n" + line)
-    assert exc.value.line_no == 4
-    assert exc.value.field == "index"
-    assert "duplicate record (000000, 3)" in str(exc.value)
+    assert str(exc.value) == "line 4: field 'index': duplicate record (000000, 3)"
 
 
 def test_read_predictions_across_chunks():
@@ -310,9 +309,10 @@ def test_read_predictions_across_chunks():
     text = "# header\n" + "\n".join(lines) + "\n"
     assert columns(read_predictions(text)) == columns(reference_read(text))
     lines[2050] = lines[2050].replace('"z"', '"sigma": 0, "z"')
-    with pytest.raises(SchemaError) as exc:
+    with pytest.raises(CompdepthError) as exc:
         read_predictions("# header\n" + "\n".join(lines) + "\n")
-    assert (exc.value.line_no, exc.value.field) == (2052, "branches[0].sigma")
+    assert str(exc.value) == ("line 2052: field 'branches[0].sigma': "
+                              "must be a finite positive number")
 
 
 # ---------------------------------------------------------------------------

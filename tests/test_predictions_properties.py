@@ -14,8 +14,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from compdepth import (  # noqa: E402
+    CompdepthError,
     EnsembleTable,
-    SchemaError,
     read_predictions,
     write_predictions,
 )
@@ -138,11 +138,11 @@ def mutated_records(draw):
 
 
 def outcome(read, text):
-    """The columns read, or the SchemaError's line, field and text."""
+    """The columns read, or the CompdepthError's type and text."""
     try:
         return repr(columns(read(text)))  # repr tells -0.0 from 0.0
-    except SchemaError as exc:
-        return exc.line_no, exc.field, str(exc)
+    except CompdepthError as exc:
+        return type(exc), str(exc)
 
 
 @settings(max_examples=100)
