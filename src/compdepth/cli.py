@@ -184,6 +184,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +230,8 @@ class _Corpus(NamedTuple):
     and positive depth), frame after frame: frame i's rows are
     bounds[i]:bounds[i + 1]. index is each row's line index in its label
     file, and x, y, z and h are its columns. skipped counts the other
-    non-DontCare rows.
+    non-DontCare rows. fits holds each frame's plane, horizon and fallback
+    flag, as _plane_or_flat gives them for the fit of its rows.
     """
 
     frames: list[str]
@@ -239,6 +243,7 @@ class _Corpus(NamedTuple):
     z: np.ndarray
     h: np.ndarray
     skipped: int
+    fits: list[tuple[GroundPlane, HorizonLine, bool]]
 
     def per_row(self, records: Sequence) -> SimpleNamespace:
         """The fields of one record per frame (CameraIntrinsics or
@@ -251,12 +256,11 @@ class _Corpus(NamedTuple):
             for field in dataclasses.fields(records[0])})
 
 
-def _read_corpus(args, frames: list[str], fits: list) -> _Corpus:
+def _read_corpus(args, frames: list[str]) -> _Corpus:
     """The calib and label files of the frames, read and parsed in order, so
-    that the first failing file is the one named. Each frame's plane fit,
-    as _plane_or_flat gives it, is appended to fits as soon as the frame is
-    read: when a file fails, fits holds those of the frames before it."""
-    intrinsics, index, columns = [], [], []
+    that the first failing file is the one named, and each frame's plane
+    fit. A failing file ends the read with nothing returned."""
+    intrinsics, index, columns, fits = [], [], [], []
     skipped = 0
     for frame in frames:
         with _file_text(args.calib_dir / f"{frame}.txt") as text:
@@ -271,7 +275,7 @@ def _read_corpus(args, frames: list[str], fits: list) -> _Corpus:
                                    intrinsics[-1], args))
     bounds = np.cumsum([0] + [rows.size for rows in index])
     return _Corpus(frames, intrinsics, bounds, np.concatenate(index),
-                   *(np.concatenate(column) for column in zip(*columns)), skipped)
+                   *(np.concatenate(column) for column in zip(*columns)), skipped, fits)
 
 
 def _plane_or_flat(plane: GroundPlane | None, k: CameraIntrinsics,
@@ -358,8 +362,7 @@ def _cmd_oracle(args) -> int:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value > MAX_NOISE:  # a draw from uniform(-a, a) needs a finite width 2a
             raise ValueError(f"{flag} must be at most {MAX_NOISE:g}, got {value:g}")
-    fits = []
-    corpus = _read_corpus(args, _frames(args.label_dir), fits)
+    corpus = _read_corpus(args, _frames(args.label_dir))
     names = ("key", "glo", "comp", "alt") if args.include_alt else ("key", "glo", "comp")
     n_frames, n_rows = len(corpus.frames), corpus.index.size
 
@@ -376,7 +379,7 @@ def _cmd_oracle(args) -> int:
                                .reshape(n_rows, 3)).T
 
     planes, plane_fallbacks = [], 0
-    for k, (plane, horizon, used_fallback), ds, di in zip(corpus.intrinsics, fits,
+    for k, (plane, horizon, used_fallback), ds, di in zip(corpus.intrinsics, corpus.fits,
                                                           d_slope, d_intercept):
         plane_used = horizon_to_plane(HorizonLine(horizon.k_h + ds, horizon.b_h + di),
                                       k, cam_height=plane.cam_height)
@@ -412,9 +415,7 @@ def _cmd_oracle(args) -> int:
 
     frame_of = np.repeat(np.arange(n_frames), np.diff(corpus.bounds))[kept]
     frames = [corpus.frames[i] for i in frame_of.tolist()]
-    valid = valid[kept]
-    z_branch = np.where(valid, z_branch[kept], 0.0)
-    z_star = corpus.z[kept]
+    valid, z_branch, z_star = valid[kept], z_branch[kept], corpus.z[kept]
     sigma = branch_sigmas(z_branch - z_star[:, None], args.sigma_model)
     table = EnsembleTable(names=names, z=z_branch, sigma=sigma, valid=valid,
                           z_star=z_star, frame=frames, index=corpus.index[kept])
@@ -541,18 +542,8 @@ def _cmd_plane(args) -> int:
     if width * height > MAX_IMAGE_PIXELS:
         raise ValueError(f"--image-size must be at most {MAX_IMAGE_PIXELS} pixels "
                          f"(width x height), got {width * height}")
-    frames = _frames(args.label_dir)
-    if args.heatmap_dir is not None:
-        args.heatmap_dir.mkdir(parents=True, exist_ok=True)
-    fits = []
-    try:
-        corpus = _read_corpus(args, frames, fits)
-    finally:  # a bad file ends the run after the heatmaps of the frames before it
-        if args.heatmap_dir is not None:
-            for frame, (_, horizon, _) in zip(frames, fits):
-                (args.heatmap_dir / f"{frame}.pgm").write_bytes(
-                    horizon_pgm(horizon, width, height))
-    planes, horizons, fallbacks = zip(*fits)
+    corpus = _read_corpus(args, _frames(args.label_dir))
+    planes, horizons, fallbacks = zip(*corpus.fits)
 
     k = corpus.per_row(corpus.intrinsics)
     y_hat = y_global(*project(corpus.x, corpus.y, corpus.z, k), corpus.per_row(planes), k)
@@ -562,7 +553,7 @@ def _cmd_plane(args) -> int:
     scored = np.concatenate([[0], np.cumsum(ok)])[corpus.bounds].tolist()
 
     rows = []
-    for i, (frame, horizon) in enumerate(zip(frames, horizons)):
+    for i, (frame, horizon) in enumerate(zip(corpus.frames, horizons)):
         frame_error = error[scored[i]:scored[i + 1]]
         rows.append({
             "frame": frame,
@@ -579,8 +570,13 @@ def _cmd_plane(args) -> int:
     if len(error):
         summary["y_mae"] = float(np.mean(error))
 
-    _emit(write_plane_report(rows, summary, args.format, header=config_header(args)),
-          args.out)
+    # Every input is read and the report built before the first file is written.
+    report = write_plane_report(rows, summary, args.format, header=config_header(args))
+    if args.heatmap_dir is not None:
+        args.heatmap_dir.mkdir(parents=True, exist_ok=True)
+        for frame, horizon in zip(corpus.frames, horizons):
+            (args.heatmap_dir / f"{frame}.pgm").write_bytes(horizon_pgm(horizon, width, height))
+    _emit(report, args.out)
     if elevation_failed:
         print(f"warning: elevation_failed: {elevation_failed}", file=sys.stderr)
     return EXIT_DEGENERACY if fallback_frames or elevation_failed else EXIT_OK

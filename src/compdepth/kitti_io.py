@@ -135,55 +135,43 @@ def parse_labels(text: str) -> LabelTable:
 
     Raises CompdepthError ('line N: ...', N 1-based) on a wrong token count
     or unparseable or non-finite numbers; nothing is returned on failure.
+    Only a failing file has its lines checked one by one, to name the first.
     """
     rows = [tokens for tokens in map(str.split, text.splitlines()) if tokens]
-    values = _label_values(rows)
-    if values is None:
-        _check_label_lines(text)
-        raise AssertionError("the label columns rejected a file the line check accepts")
+    try:
+        values = _label_values(rows)
+    except CompdepthError:
+        for line_no, tokens in enumerate(map(str.split, text.splitlines()), start=1):
+            try:
+                _label_values([tokens] if tokens else [])
+            except CompdepthError as exc:
+                raise CompdepthError(f"line {line_no}: {exc}") from None
+        raise AssertionError("the label columns rejected a file whose every line they accept")
     values.setflags(write=False)
     dontcare = np.array([tokens[0] == "DontCare" for tokens in rows], dtype=bool)
     dontcare.setflags(write=False)
     return LabelTable(tuple(tokens[0] for tokens in rows), values, dontcare)
 
 
-def _label_values(rows: list[list[str]]) -> np.ndarray | None:
-    """The (N, 15) numeric fields of the token rows, one block per row width,
-    or None when a row has a wrong token count or a non-numeric or
-    non-finite field."""
+def _label_values(rows: list[list[str]]) -> np.ndarray:
+    """The (N, 15) numeric fields of the token rows, one block per row width.
+    Raises CompdepthError, without a line number, for a row with a wrong
+    token count or a non-numeric or non-finite field (any one of several)."""
     values = np.full((len(rows), _N_LABEL_FIELDS), np.nan)
     for width in {len(tokens) for tokens in rows}:
         if width not in (_N_LABEL_FIELDS, _N_LABEL_FIELDS + 1):
-            return None
+            raise CompdepthError(f"expected {_N_LABEL_FIELDS} or {_N_LABEL_FIELDS + 1} "
+                                 f"fields, got {width}")
         at = [i for i, tokens in enumerate(rows) if len(tokens) == width]
         fields = chain.from_iterable(rows[i][1:] for i in at)
         try:
             block = np.fromiter(map(float, fields), float, len(at) * (width - 1))
-        except ValueError:
-            return None
+        except ValueError as exc:
+            raise CompdepthError(f"non-numeric field: {exc}") from None
         if not np.isfinite(block).all():
-            return None
+            raise CompdepthError("non-finite field")
         values[at, :width - 1] = block.reshape(len(at), width - 1)
     return values
-
-
-def _check_label_lines(text: str) -> None:
-    """Raise CompdepthError for the first line with a wrong token count or a
-    non-numeric or non-finite field, checked line by line."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) not in (_N_LABEL_FIELDS, _N_LABEL_FIELDS + 1):
-            raise CompdepthError(f"line {line_no}: expected {_N_LABEL_FIELDS} or "
-                                 f"{_N_LABEL_FIELDS + 1} fields, got {len(tokens)}")
-        try:
-            values = [float(t) for t in tokens[1:]]
-        except ValueError as exc:
-            raise CompdepthError(f"line {line_no}: non-numeric field: {exc}") from None
-        if not all(math.isfinite(v) for v in values):
-            raise CompdepthError(f"line {line_no}: non-finite field")
 
 
 def format_labels(objects: Iterable[Object3D]) -> str:
@@ -233,8 +221,7 @@ class EnsembleTable:
         if z.ndim != 2 or z.shape[1] != len(names):
             raise ValueError(f"z must have shape (N, {len(names)}), got {z.shape}")
         n = z.shape[0]
-        masked = valid is not None
-        valid = np.array(valid, dtype=bool) if masked else np.ones(z.shape, dtype=bool)
+        valid = np.ones(z.shape, dtype=bool) if valid is None else np.array(valid, dtype=bool)
         sigma = np.asarray(sigma, dtype=float)
         z_star = np.array(z_star, dtype=float)
         index = np.zeros(n, dtype=np.int64) if index is None else np.array(index, dtype=np.int64)
@@ -245,12 +232,9 @@ class EnsembleTable:
             frame = tuple(frame)
             if len(frame) != n:
                 raise ValueError(f"{len(frame)} frames for {n} ensembles")
-        # copies either way, so that setting them read-only leaves the
-        # caller's arrays alone
-        if masked:
-            z, sigma = np.where(valid, z, 0.0), np.where(valid, sigma, 1.0)
-        else:
-            z, sigma = z.copy(), sigma.copy()
+        # New C-order arrays, z = 0 and sigma = 1 outside the mask whatever
+        # the caller's cells hold there (NaN too); the caller's stay writable.
+        z, sigma = np.where(valid, z, 0.0), np.where(valid, sigma, 1.0)
         # Each check runs on the whole grid, one at a time; the per-row
         # reduction runs only to name the first failing row. A full mask
         # with at least one column gives every row a branch.

@@ -833,25 +833,27 @@ def test_plane_heatmap_path_is_a_directory(dataset, capsys):
 
 
 def test_plane_fails_in_frame_order(dataset, capsys):
-    # As frame by frame: frame 0's heatmap is written, frame 1's fails
-    # before frame 2's bad label file is reached.
+    # Every input is read before any heatmap is written: frame 2's bad
+    # label file is named although frame 1's heatmap path is unwritable,
+    # and nothing is written. With the label file mended, the heatmaps are
+    # written in frame order and frame 1's write fails after frame 0's.
     heat_dir = dataset / "heat"
     (heat_dir / "000001.pgm").mkdir(parents=True)
+    label = dataset / "label_2" / "000002.txt"
     (dataset / "calib" / "000002.txt").write_text((dataset / "calib" / "000000.txt").read_text())
-    (dataset / "label_2" / "000002.txt").write_text("Car 1 2\n")
+    label.write_text("Car 1 2\n")
     args = ["plane", "--calib-dir", dataset / "calib", "--label-dir", dataset / "label_2",
             "--heatmap-dir", heat_dir, "--image-size", "64,20"]
     assert run(args) == 1
-    assert capsys.readouterr().err == (
-        f"error: [Errno 21] Is a directory: '{heat_dir / '000001.pgm'}'\n")
-    assert sorted(p.name for p in heat_dir.iterdir()) == ["000000.pgm", "000001.pgm"]
-    (heat_dir / "000001.pgm").rmdir()
-    (heat_dir / "000000.pgm").unlink()
+    assert capsys.readouterr() == ("", f"error: {label}: line 1: expected 15 or 16 fields, "
+                                       "got 3\n")
+    assert [p.name for p in heat_dir.iterdir()] == ["000001.pgm"]
+    label.write_text((dataset / "label_2" / "000000.txt").read_text())
     assert run(args) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {dataset / 'label_2' / '000002.txt'}: ")
-    assert err.count("\n") == 1
+    assert capsys.readouterr() == (
+        "", f"error: [Errno 21] Is a directory: '{heat_dir / '000001.pgm'}'\n")
     assert sorted(p.name for p in heat_dir.iterdir()) == ["000000.pgm", "000001.pgm"]
+    assert (heat_dir / "000001.pgm").is_dir()
 
 
 def test_plane_fallback_exit_code(tmp_path, capsys):
@@ -1353,6 +1355,8 @@ CHOICES = {
 #: run this long.
 CHILD_MEMORY_BYTES = 2**30
 CHILD_TIMEOUT_S = 20
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+             "OPENBLAS_NUM_THREADS": "1"}
 #: Command lines per child: the child's start-up, about a quarter second,
 #: is paid once for all of them.
 MAX_LINES_PER_CHILD = 16
@@ -1427,8 +1431,6 @@ def test_any_extreme_options_end_cleanly(shared_dataset, tmp_path):
     preds = tmp_path / "preds.jsonl"
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert run(["oracle", *dirs, "--out", preds]) == 0
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
-           "OPENBLAS_NUM_THREADS": "1"}
     batch = [sys.executable, str(Path(__file__).with_name("cli_batch.py")),
              str(CHILD_TIMEOUT_S)]
 
@@ -1447,7 +1449,7 @@ def test_any_extreme_options_end_cleanly(shared_dataset, tmp_path):
     @given(st.lists(option_lines(), min_size=1, max_size=MAX_LINES_PER_CHILD))
     def check(lines):
         lines = [full_line(args) for args in lines]
-        child = subprocess.run(batch, input=json.dumps(lines), env=env, capture_output=True,
+        child = subprocess.run(batch, input=json.dumps(lines), env=CHILD_ENV, capture_output=True,
                                text=True, timeout=CHILD_TIMEOUT_S * (len(lines) + 1),
                                preexec_fn=limit_memory)
         assert (child.returncode, child.stderr) == (0, ""), child.stderr
@@ -1470,3 +1472,27 @@ def test_any_extreme_options_end_cleanly(shared_dataset, tmp_path):
                 assert_finite_output(out)
 
     check()
+
+
+def test_fuzzed_tables_cover_every_numeric_and_choice_option():
+    # A new numeric option, or one with choices, must be drawn by the test above.
+    for command, p in _build_parser()[1].items():
+        for action in p._actions:
+            flag = max(action.option_strings, key=len, default=None)
+            if action.type in (int, float, _float_list):
+                assert flag in FUZZED_OPTIONS[command], (command, flag)
+            if action.choices is not None and (command, flag) != ("lab", "--mode"):
+                assert flag in CHOICES[command], (command, flag)
+
+
+def test_lab_out_of_memory_is_one_error_line():
+    # Within the cell ceiling, the flip sweep's per-object vectors push this
+    # table past the fuzzer's address-space cap; numpy's MemoryError names
+    # the allocation that failed.
+    child = subprocess.run([sys.executable, "-m", "compdepth.cli", "lab", "--mode", "flip",
+                            "--n-objects", "8388608", "--n-branches", "2"],
+                           env=CHILD_ENV, capture_output=True, text=True, timeout=60,
+                           preexec_fn=limit_memory)
+    assert (child.returncode, child.stdout, child.stderr) == (
+        1, "", "error: Unable to allocate 64.0 MiB for an array with shape (8388608,) and "
+               "data type float64\n")
