@@ -306,18 +306,19 @@ class EnsembleTable:
             frame=[self.frame[i] for i in rows], index=self.index[rows])
 
 
-def _require(condition: bool, line_no: int, fieldpath: str, message: str):
-    if not condition:
-        raise CompdepthError(f"line {line_no}: field '{fieldpath}': {message}")
+def _reject(line_no: int, fieldpath: str, message: str):
+    """Raise the CompdepthError that names a prediction line and field."""
+    raise CompdepthError(f"line {line_no}: field '{fieldpath}': {message}")
 
 
 def _is_number(x) -> bool:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
-    try:
-        return math.isfinite(x)
+    try:  # an exact type, so a bool is no number
+        return type(x) in (int, float) and math.isfinite(x)
     except OverflowError:  # an integer beyond the float range
         return False
+
+
+_decode = json.JSONDecoder().raw_decode
 
 
 def read_predictions(text: str) -> EnsembleTable:
@@ -333,155 +334,86 @@ def read_predictions(text: str) -> EnsembleTable:
     with the line number and field path) on the first violation, including
     a repeated (frame, index) and a record whose 1/sigma values sum past
     the float range, which fusion divides by.
+
+    One pass checks each record field by field, in file order, and moves
+    its fields into the columns; only one parsed record is held at a time.
     """
-    lines = text.splitlines()
-    try:
-        table = _read_columns(lines)
-    except (ValueError, OverflowError, RecursionError):  # bad JSON, an int beyond float
-        table = None
-    if table is None:
-        _check_records(lines)
-        raise AssertionError("the prediction columns rejected records the record check "
-                             "accepts")
-    return table
-
-
-_decode = json.JSONDecoder().raw_decode
-
-#: Records parsed at a time before their fields move into the columns.
-_CHUNK = 256
-
-
-def _records(lines):
-    """The parsed records of the data lines, in lists of up to _CHUNK."""
-    chunk = []
-    for raw in lines:
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            doc, end = _decode(line)
-            if end != len(line):
-                raise ValueError("extra data after the record")
-            chunk.append(doc)
-            if len(chunk) == _CHUNK:
-                yield chunk
-                chunk = []
-    yield chunk
-
-
-def _read_columns(lines) -> EnsembleTable | None:
-    """The table of the records, or None when any record breaks the schema.
-
-    Checks whole columns at once; on None, _check_records finds and names
-    the first violation. EnsembleTable checks the rest, and its ValueError
-    leads there too: a record without branches, an empty branch name, a
-    non-finite z, and a sigma that is not finite and positive.
-    """
-    frames, indices, truths, counts, cols, zs, sigmas = [], [], [], [], [], [], []
     columns: dict[str, int] = {}
-    for docs in _records(lines):
-        if not set(map(type, docs)) <= {dict}:
-            return None
-        frames += [doc.get("frame") for doc in docs]
-        indices += [doc.get("index") for doc in docs]
-        truths += [doc.get("z_star") for doc in docs]
-        lists = [doc.get("branches") for doc in docs]
-        if not set(map(type, lists)) <= {list}:
-            return None
-        counts += map(len, lists)
-        branches = [branch for branch_list in lists for branch in branch_list]
-        if not set(map(type, branches)) <= {dict}:
-            return None
-        names = [branch.get("name") for branch in branches]
-        if not set(map(type, names)) <= {str}:
-            return None
-        cols += [columns.setdefault(name, len(columns)) for name in names]
-        zs += [branch.get("z") for branch in branches]
-        sigmas += [branch.get("sigma", 1.0) for branch in branches]
-    # exact types: json gives no subclasses, and bool is not a number here
-    numbers = {int, float}
-    if not (set(map(type, frames)) <= {str} and "" not in frames
-            and set(map(type, indices)) <= {int}
-            and set(map(type, zs)) | set(map(type, sigmas)) <= numbers
-            and set(map(type, truths)) <= numbers | {type(None)}):
-        return None
-    n = len(frames)
-    if n and not (min(indices) >= 0 and max(indices) < 2**63):
-        return None
-    if len(set(zip(frames, indices))) < n:
-        return None
-    z = np.array(zs, dtype=float)
-    sigma = np.array(sigmas, dtype=float)
-    given = np.array([t for t in truths if t is not None], dtype=float)
-    rows = np.repeat(np.arange(n), counts)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # a row sum of 1/sigma is inf also where one 1/sigma is
-        inverse_sums = np.bincount(rows, 1.0 / sigma, minlength=n)
-    if not (np.isfinite(given).all() and np.isfinite(inverse_sums).all()):
-        return None
-    shape = (n, len(columns))
-    valid = np.zeros(shape, dtype=bool)
-    valid[rows, cols] = True
-    if np.count_nonzero(valid) < len(cols):  # a branch name repeated in a record
-        return None
-    z_grid, sigma_grid = np.zeros(shape), np.ones(shape)
-    z_grid[rows, cols] = z
-    sigma_grid[rows, cols] = sigma
-    z_star = [math.nan if t is None else t for t in truths]
-    return EnsembleTable(names=tuple(columns), z=z_grid, sigma=sigma_grid, valid=valid,
-                         z_star=z_star, frame=frames, index=indices)
-
-
-def _check_records(lines) -> None:
-    """Raise CompdepthError for the first schema violation, checking record
-    by record and field by field."""
-    seen_keys = set()
-    for line_no, raw in enumerate(lines, start=1):
+    frames, indices, truths, counts, cols, zs, sigmas = [], [], [], [], [], [], []
+    keys = set()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         try:
-            doc = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # also too deep or too long an int
-            raise CompdepthError(f"line {line_no}: field '': invalid JSON: {exc}") from None
-        _require(isinstance(doc, dict), line_no, "", "record must be a JSON object")
+            doc, end = _decode(line)
+        except (ValueError, RecursionError):  # also too deep or too long an int
+            end = None
+        if end != len(line):  # json.loads names the fault, extra data and a BOM too
+            try:
+                json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                _reject(line_no, "", f"invalid JSON: {exc}")
+            raise AssertionError(f"line {line_no}: json.loads accepts what raw_decode rejects")
+        # exact types: json gives no subclasses, and a bool is no int here
+        if type(doc) is not dict:
+            _reject(line_no, "", "record must be a JSON object")
         frame = doc.get("frame")
-        _require(isinstance(frame, str) and frame != "",
-                 line_no, "frame", "required non-empty string")
+        if type(frame) is not str or not frame:
+            _reject(line_no, "frame", "required non-empty string")
         index = doc.get("index")
-        _require(isinstance(index, int) and not isinstance(index, bool) and index >= 0,
-                 line_no, "index", "required non-negative integer")
-        _require(index < 2**63, line_no, "index", "must be below 2**63")
+        if type(index) is not int or index < 0:
+            _reject(line_no, "index", "required non-negative integer")
+        if index >= 2**63:
+            _reject(line_no, "index", "must be below 2**63")
         truth = doc.get("z_star")
-        if truth is not None:
-            _require(_is_number(truth), line_no, "z_star", "must be a finite number")
-        raw_branches = doc.get("branches")
-        _require(isinstance(raw_branches, list) and len(raw_branches) > 0,
-                 line_no, "branches", "required non-empty list")
+        if truth is not None and not _is_number(truth):
+            _reject(line_no, "z_star", "must be a finite number")
+        branches = doc.get("branches")
+        if type(branches) is not list or not branches:
+            _reject(line_no, "branches", "required non-empty list")
         inverse_sum = 0.0
-        seen = set()
-        for j, rb in enumerate(raw_branches):
-            path = f"branches[{j}]"
-            _require(isinstance(rb, dict), line_no, path, "must be an object")
-            name = rb.get("name")
-            _require(isinstance(name, str) and name != "",
-                     line_no, f"{path}.name", "required non-empty string")
-            _require(name not in seen, line_no, f"{path}.name",
-                     f"duplicate branch name '{name}'")
-            seen.add(name)
-            z = rb.get("z")
-            _require(_is_number(z), line_no, f"{path}.z", "required finite number")
-            sigma = rb.get("sigma", 1.0)
-            _require(_is_number(sigma) and sigma > 0, line_no, f"{path}.sigma",
-                     "must be a finite positive number")
+        row_cols = []  # the record's columns so far
+        for j, branch in enumerate(branches):
+            if type(branch) is not dict:
+                _reject(line_no, f"branches[{j}]", "must be an object")
+            name = branch.get("name")
+            if type(name) is not str or not name:
+                _reject(line_no, f"branches[{j}].name", "required non-empty string")
+            col = columns.setdefault(name, len(columns))
+            if col in row_cols:
+                _reject(line_no, f"branches[{j}].name", f"duplicate branch name '{name}'")
+            z = branch.get("z")
+            if not _is_number(z):
+                _reject(line_no, f"branches[{j}].z", "required finite number")
+            sigma = branch.get("sigma", 1.0)
+            if not (_is_number(sigma) and sigma > 0):
+                _reject(line_no, f"branches[{j}].sigma", "must be a finite positive number")
             inverse = 1.0 / sigma
-            _require(math.isfinite(inverse), line_no, f"{path}.sigma",
-                     "too small: 1/sigma overflows")
+            if not math.isfinite(inverse):
+                _reject(line_no, f"branches[{j}].sigma", "too small: 1/sigma overflows")
             inverse_sum += inverse
-        _require(math.isfinite(inverse_sum), line_no, "branches",
-                 "sigmas too small: the sum of 1/sigma overflows")
-        _require((frame, index) not in seen_keys, line_no, "index",
-                 f"duplicate record ({frame}, {index})")
-        seen_keys.add((frame, index))
+            row_cols.append(col)
+            zs.append(z)
+            sigmas.append(sigma)
+        if not math.isfinite(inverse_sum):
+            _reject(line_no, "branches", "sigmas too small: the sum of 1/sigma overflows")
+        if (frame, index) in keys:
+            _reject(line_no, "index", f"duplicate record ({frame}, {index})")
+        keys.add((frame, index))
+        frames.append(frame)
+        indices.append(index)
+        truths.append(math.nan if truth is None else truth)
+        counts.append(len(row_cols))
+        cols += row_cols
+    rows = np.repeat(np.arange(len(frames)), counts)
+    shape = (len(frames), len(columns))
+    z_grid, sigma_grid, valid = np.zeros(shape), np.ones(shape), np.zeros(shape, dtype=bool)
+    z_grid[rows, cols] = zs
+    sigma_grid[rows, cols] = sigmas
+    valid[rows, cols] = True
+    return EnsembleTable(names=tuple(columns), z=z_grid, sigma=sigma_grid, valid=valid,
+                         z_star=truths, frame=frames, index=indices)
 
 
 def write_predictions(table: EnsembleTable, header: dict | None = None) -> str:

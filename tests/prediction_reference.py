@@ -1,5 +1,5 @@
 """The record-by-record prediction JSONL reader, kept as the reference that
-the columnar compdepth.read_predictions must agree with."""
+compdepth.read_predictions must agree with, table and error alike."""
 
 import json
 import math

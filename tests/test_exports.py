@@ -3,10 +3,12 @@ every public function has a caller outside the tests and none takes a
 singularity guard, the package has one exception class of its own and
 raises only it, ValueError and AssertionError, no module imports a name it
 does not use, the reports and curves share one CSV writer and one indented
-JSON dump, and fusion and the lab sum rows in one helper."""
+JSON dump, fusion and the lab sum rows in one helper, and one function
+builds the text of a prediction error."""
 
 import ast
 import inspect
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -190,3 +192,17 @@ def test_one_row_sum_kernel():
                  and any(k.arg == "axis" and ast.unparse(k.value) in ("1", "-1")
                          for k in node.keywords)]
     assert sums == [("fusion.py", "row_sums")]
+
+
+def test_one_prediction_validator():
+    """Exactly one function builds the "line N: field 'F': ..." text of a
+    prediction error, so a second, field-by-field re-check of the records
+    cannot grow back next to the reader's one pass."""
+    builders = set()
+    for path in sorted(Path(compdepth.__file__).parent.glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if isinstance(function, ast.FunctionDef):
+                builders |= {f"{path.stem}.{function.name}" for node in ast.walk(function)
+                             if isinstance(node, ast.JoinedStr)
+                             and re.search(r"line \{[^}]*\}: field '", ast.unparse(node))}
+    assert len(builders) == 1, builders

@@ -290,6 +290,10 @@ def test_read_predictions_extra_data_is_invalid_json():
             read_predictions(line + "\n" + line.replace('"index":0', '"index":1') + extra)
         assert str(exc.value) == (f"line 2: field '': invalid JSON: Extra data: "
                                   f"line 1 column {column} (char {column - 1})")
+    with pytest.raises(CompdepthError) as exc:  # json.loads names a leading BOM
+        read_predictions(line + "\n\ufeff" + line.replace('"index":0', '"index":1'))
+    assert str(exc.value) == ("line 2: field '': invalid JSON: Unexpected UTF-8 BOM "
+                              "(decode using utf-8-sig): line 1 column 1 (char 0)")
 
 
 def test_read_predictions_rejects_duplicate_records():
@@ -301,9 +305,8 @@ def test_read_predictions_rejects_duplicate_records():
     assert str(exc.value) == "line 4: field 'index': duplicate record (000000, 3)"
 
 
-def test_read_predictions_across_chunks():
-    # more records than the reader parses at a time, with the one bad record
-    # past the first chunk
+def test_read_predictions_names_a_late_bad_record():
+    # a long file whose one bad record comes near its end, after a header
     lines = [json.dumps({"frame": f"{i % 7:06d}", "index": i,
                          "branches": [{"name": "key", "z": i / 3}]}) for i in range(2100)]
     text = "# header\n" + "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""Property tests of the prediction JSONL reader and writer: the columnar
+"""Property tests of the prediction JSONL reader and writer: the one-pass
 reader against the record-by-record reference in prediction_reference.py,
 and the writer against one json.dumps per record."""
 
@@ -88,7 +88,7 @@ def test_column_ordered_text_is_a_fixed_point(records, seed):
 
 
 # ---------------------------------------------------------------------------
-# the columnar reader agrees with the record-by-record reference
+# the one-pass reader agrees with the record-by-record reference
 # ---------------------------------------------------------------------------
 
 #: Values a mutation writes into one field: wrong types, bool, null, NaN,
