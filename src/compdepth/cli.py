@@ -310,24 +310,19 @@ def _cmd_eval(args) -> int:
     rows_of: dict[str, list[int]] = {}
     for row, frame in enumerate(table.frame):
         rows_of.setdefault(frame, []).append(row)
-    # Each record's label depth, and which records found their label row
-    # and which of those rows are DontCare.
+    # Each record's label depth (finite; NaN where no row of a file that _frames
+    # lists joins it) and DontCare flag, in frame order: the first bad file is named.
     truth = np.full(len(table), np.nan)
-    matched = np.zeros(len(table), dtype=bool)
     dontcare = np.zeros(len(table), dtype=bool)
-    for frame, rows in sorted(rows_of.items()):  # frame order: the first bad file is named
-        label_path = args.label_dir / f"{frame}.txt"
-        if not label_path.exists():
-            continue
-        with _file_text(label_path) as text:
+    for frame in sorted(rows_of.keys() & _frames(args.label_dir)):
+        with _file_text(args.label_dir / f"{frame}.txt") as text:
             labels = parse_labels(text)
-        rows = np.array(rows)
+        rows = np.array(rows_of[frame])
         rows = rows[table.index[rows] < len(labels)]
         index = table.index[rows]
-        matched[rows] = True
         dontcare[rows] = labels.dontcare[index]
         truth[rows] = labels.z[index]
-    unmatched = np.flatnonzero(~matched)
+    unmatched = np.flatnonzero(np.isnan(truth))
     if unmatched.size:
         shown = ", ".join(f"({table.frame[row]}, {table.index[row]})" for row in unmatched[:5])
         more = f" and {unmatched.size - 5} more" if unmatched.size > 5 else ""

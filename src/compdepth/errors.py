@@ -4,8 +4,9 @@ Every input error the package raises is a ValueError: bad text, bad
 arrays, out-of-range settings and numerical degeneracies alike, so one
 `except ValueError` sees them all. CompdepthError, itself a ValueError,
 marks input-file content that is malformed or does not join: a label
-line, a prediction record or calibration text that breaks its format,
-and prediction keys without a label row. Its text names the place, e.g.
+line, prediction record or calibration text (focal lengths <= 0 too)
+that breaks its format, and prediction keys without a row in a listed
+label file. Its text names the place, as in
 `line 2: field 'branches[0].sigma': ...`. Every other error, a bad PGM
 among them, is a plain ValueError. Undefined geometry is no error:
 projection, ground elevation, the depth kernels and a plane's horizon

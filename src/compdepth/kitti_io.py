@@ -75,8 +75,8 @@ def parse_calib(text: str) -> CameraIntrinsics:
     Reads f_x, f_y, c_u, c_v; the translation column is validated but plays
     no role in the ideal-pinhole math here. Other keys are ignored.
 
-    Raises CompdepthError when no line starts with 'P2:' and on wrong arity
-    or non-numeric or non-finite entries.
+    Raises CompdepthError when no line starts with 'P2:', on wrong arity or
+    non-numeric or non-finite entries, and on f_x <= 0 or f_y <= 0.
     """
     for raw in text.splitlines():
         line = raw.strip()
@@ -91,6 +91,8 @@ def parse_calib(text: str) -> CameraIntrinsics:
             raise CompdepthError(f"'P2' has a non-numeric entry: {exc}") from None
         if not all(math.isfinite(v) for v in p):
             raise CompdepthError("'P2' has a non-finite entry")
+        if p[0] <= 0 or p[5] <= 0:
+            raise CompdepthError("focal lengths must be strictly positive")
         # row-major 3x4: f_x, c_u in row 0 and f_y, c_v in row 1
         return CameraIntrinsics(f_x=p[0], f_y=p[5], c_u=p[2], c_v=p[6])
     raise CompdepthError("no 'P2:' line in calibration text")

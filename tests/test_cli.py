@@ -204,6 +204,43 @@ def test_eval_unmatched_prediction(dataset, tmp_path, capsys):
         assert captured.err == f"error: unmatched prediction keys: ({frame}, {index})\n"
 
 
+@pytest.mark.parametrize("where", ["../outside/x", "absolute", "sub/y"])
+def test_eval_joins_only_listed_label_files(dataset, tmp_path, capsys, where):
+    # a frame with a path part names no file that --label-dir lists, even
+    # where a valid label file sits at that path: it is unmatched
+    frame = str(tmp_path / "abs" / "x") if where == "absolute" else where
+    label = dataset / "label_2" / f"{frame}.txt"
+    label.parent.mkdir(parents=True, exist_ok=True)
+    label.write_text((dataset / "label_2" / "000000.txt").read_text())
+    preds = tmp_path / "p.jsonl"
+    preds.write_text(json.dumps({"frame": frame, "index": 0,
+                                 "branches": [{"name": "key", "z": 20.0}]}) + "\n")
+    code = run(["eval", "--calib-dir", dataset / "calib",
+                "--label-dir", dataset / "label_2", "--predictions", preds])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"error: unmatched prediction keys: ({frame}, 0)\n"
+
+
+@pytest.mark.parametrize("label_dir,message", [
+    ("missing", "label directory not found: {dir}"),
+    ("empty", "no label files (*.txt) in {dir}"),
+], ids=["missing", "empty"])
+def test_eval_label_dir_without_label_files(dataset, tmp_path, capsys, label_dir, message):
+    # eval ends on the same line as oracle and plane, not on unmatched keys
+    label_dir = tmp_path / label_dir
+    if label_dir.name == "empty":
+        label_dir.mkdir()
+    preds = tmp_path / "p.jsonl"
+    preds.write_text(json.dumps({"frame": "000000", "index": 0,
+                                 "branches": [{"name": "key", "z": 20.0}]}) + "\n")
+    for command in (["eval", "--predictions", preds], ["oracle"]):
+        code = run([*command, "--calib-dir", dataset / "calib", "--label-dir", label_dir])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: " + message.replace("{dir}", str(label_dir)) + "\n"
+
+
 def test_eval_many_unmatched_predictions(dataset, tmp_path, capsys):
     # seven unmatched records among matched ones: the first five in file
     # order, then the count of the rest
@@ -272,7 +309,7 @@ def test_eval_overflowing_metric_one_line_error(fmt, dataset, tmp_path, capsys):
 
 
 def test_eval_duplicate_record(dataset, tmp_path, capsys):
-    # a repeated (frame, index) line was scored twice: exit 0, n_objects 2
+    # a repeated (frame, index) line is rejected, naming its line, not scored twice
     preds = tmp_path / "dup.jsonl"
     line = '{"frame":"000000","index":0,"branches":[{"name":"key","z":20.0}]}\n'
     preds.write_text("# header\n" + line + line)
@@ -1024,7 +1061,9 @@ PLANE_LEAKS = {
     ("P0: 700.0 0.0 600.0 0.0 0.0 700.0 200.0 0.0 0.0 0.0 1.0 0.0\n",
      "error: {calib}: no 'P2:' line in calibration text"),
     ("P2: 700.0 0.0 600.0\n", "error: {calib}: 'P2' needs 12 entries, got 3"),
-], ids=["no_P2", "3_entry_P2"])
+    ("P2: 0 0 600 0 0 700 170 0 0 0 1 0\n",
+     "error: {calib}: focal lengths must be strictly positive"),
+], ids=["no_P2", "3_entry_P2", "zero_f_x"])
 def test_bad_calib_one_line_error(command, calib_text, message, tmp_path, capsys):
     code = run([command, *label_dirs(tmp_path, car_rows((1, 1.6, 20)), calib_text)])
     captured = capsys.readouterr()

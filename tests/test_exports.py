@@ -70,14 +70,16 @@ def test_malformed_or_unjoined_input_raises_compdepth_error(tmp_path):
     read-back check pins."""
     bad = [(compdepth.parse_labels, "Car 1 2 3\n"),
            (compdepth.read_predictions, '{"frame":"0","index":-1}\n'),
-           (compdepth.parse_calib, "P2: 1 2 3\n")]
+           (compdepth.parse_calib, "P2: 1 2 3\n"),
+           (compdepth.parse_calib, "P2: 0 0 600 0 0 700 170 0 0 0 1 0")]
     for parse, data in bad:
         with pytest.raises(errors.CompdepthError):
             parse(data)
     with pytest.raises(ValueError) as exc:
         compdepth.heatmap_from_pgm(b"P5 2 2 255\n\x00")
     assert type(exc.value) is ValueError
-    predictions = tmp_path / "predictions.jsonl"  # and no label file for frame 000000
+    predictions = tmp_path / "predictions.jsonl"
+    (tmp_path / "000001.txt").write_text("")  # a label file, but none for frame 000000
     predictions.write_text('{"frame":"000000","index":0,"branches":[{"name":"a","z":1.0}]}\n')
     with pytest.raises(errors.CompdepthError, match=r"^unmatched prediction keys: \(000000, 0\)$"):
         cli._cmd_eval(SimpleNamespace(predictions=predictions, label_dir=tmp_path))
