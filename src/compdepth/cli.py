@@ -25,6 +25,7 @@ import math
 import sys
 from collections import Counter
 from collections.abc import Sequence
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -46,6 +47,7 @@ from .ground_plane import (
 )
 from .kitti_io import (
     EnsembleTable,
+    LabelTable,
     config_header,
     parse_calib,
     parse_labels,
@@ -203,11 +205,16 @@ def _require_finite(args, flags: tuple[str, ...], *, positive: bool) -> None:
 
 
 def _frames(label_dir: Path) -> list[str]:
+    """The frames of a label directory: the name of each *.txt file in it
+    without its final '.txt', sorted. A file named '.txt' has no frame
+    name, which ends the read with an error that names it."""
     if not label_dir.is_dir():
         raise ValueError(f"label directory not found: {label_dir}")
-    frames = sorted(p.stem for p in label_dir.glob("*.txt"))
+    frames = sorted(p.name[:-len(".txt")] for p in label_dir.glob("*.txt"))
     if not frames:
         raise ValueError(f"no label files (*.txt) in {label_dir}")
+    if not frames[0]:
+        raise ValueError(f"{label_dir / '.txt'}: empty frame name")
     return frames
 
 
@@ -260,22 +267,27 @@ def _read_corpus(args, frames: list[str]) -> _Corpus:
     """The calib and label files of the frames, read and parsed in order, so
     that the first failing file is the one named, and each frame's plane
     fit. A failing file ends the read with nothing returned."""
-    intrinsics, index, columns, fits = [], [], [], []
-    skipped = 0
+    intrinsics, tables = [], []
     for frame in frames:
         with _file_text(args.calib_dir / f"{frame}.txt") as text:
             intrinsics.append(parse_calib(text))
         with _file_text(args.label_dir / f"{frame}.txt") as text:
-            labels = parse_labels(text)
-        usable = ~labels.dontcare & (labels.h > 0) & (labels.z > 0)
-        index.append(np.flatnonzero(usable))
-        columns.append((labels.x[usable], labels.y[usable], labels.z[usable], labels.h[usable]))
-        skipped += len(labels) - int(np.count_nonzero(labels.dontcare)) - index[-1].size
-        fits.append(_plane_or_flat(fit_plane(np.column_stack(columns[-1][:3])),
-                                   intrinsics[-1], args))
-    bounds = np.cumsum([0] + [rows.size for rows in index])
-    return _Corpus(frames, intrinsics, bounds, np.concatenate(index),
-                   *(np.concatenate(column) for column in zip(*columns)), skipped, fits)
+            tables.append(parse_labels(text))
+    # The rest in one pass over every frame's labels: frame i's label rows
+    # are starts[i]:starts[i + 1] of the whole corpus.
+    labels = LabelTable(tuple(chain.from_iterable(t.class_names for t in tables)),
+                        np.concatenate([t.values for t in tables]),
+                        np.concatenate([t.dontcare for t in tables]))
+    starts = np.cumsum([0] + [len(t) for t in tables])
+    rows = np.flatnonzero(~labels.dontcare & (labels.h > 0) & (labels.z > 0))
+    bounds = np.searchsorted(rows, starts)
+    index = rows - np.repeat(starts[:-1], np.diff(bounds))
+    x, y, z, h = labels.x[rows], labels.y[rows], labels.z[rows], labels.h[rows]
+    skipped = len(labels) - int(np.count_nonzero(labels.dontcare)) - rows.size
+    points, at = np.column_stack((x, y, z)), bounds.tolist()
+    fits = [_plane_or_flat(fit_plane(points[at[i]:at[i + 1]]), k, args)
+            for i, k in enumerate(intrinsics)]
+    return _Corpus(frames, intrinsics, bounds, index, x, y, z, h, skipped, fits)
 
 
 def _plane_or_flat(plane: GroundPlane | None, k: CameraIntrinsics,

@@ -185,20 +185,19 @@ def horizon_pgm(h: HorizonLine, width: int, height: int) -> bytes:
     cols = np.nonzero(lo <= hi)[0]
     if not cols.size:
         return header + bytes(height * width)
-    v, rows, hi = v[cols], lo[cols].astype(np.intp), hi[cols].astype(np.intp)
-    top = int(rows.min())
+    v, lo, hi = v[cols], lo[cols].astype(np.intp), hi[cols].astype(np.intp)
+    top = int(lo.min())
     band = np.zeros((int(hi.max()) + 1 - top, width), dtype=np.uint8)
-    # One pass per row offset inside the window (floor(2 * radius) + 1 at
-    # most); each column leaves once its row passes hi <= height - 1, so
-    # the loop also ends within height passes.
-    while cols.size:
-        value = np.exp(-((rows - v) ** 2) / (2.0 * sigma * sigma))
-        # exp of a non-positive number lies in [0, 1], so every rounded
-        # pixel is a whole number in 0..255
-        value *= 255.0
-        band[rows - top, cols] = np.rint(value, out=value)
-        more = rows < hi
-        rows, cols, v, hi = rows[more] + 1, cols[more], v[more], hi[more]
+    # One (offsets, columns) grid of every column's window rows, at most
+    # floor(2 * radius) + 1 of them; the rows past a column's hi are masked.
+    rows = lo + np.arange(int((hi - lo).max()) + 1)[:, None]
+    inside = rows <= hi
+    value = np.exp(-((rows - v) ** 2) / (2.0 * sigma * sigma))
+    # exp of a non-positive number lies in [0, 1], so every rounded pixel
+    # is a whole number in 0..255
+    value *= 255.0
+    np.rint(value, out=value)
+    band.reshape(-1)[((rows - top) * width + cols)[inside]] = value[inside]
     below = height - top - len(band)
     return b"".join((header, bytes(top * width), band.tobytes(), bytes(below * width)))
 
@@ -209,7 +208,8 @@ def fit_horizon(grid: np.ndarray, with_info: bool = False):
 
     Takes the per-column peak location, skips columns with no positive
     evidence (an all-zero column is legal), and fits a line by ordinary
-    least squares.
+    least squares, in closed form from the centred sums (no LAPACK or BLAS
+    call).
 
     Peaks are localized to sub-pixel precision: the vertical profile is
     Gaussian, so its log is quadratic in the row index and a three-point
@@ -228,8 +228,10 @@ def fit_horizon(grid: np.ndarray, with_info: bool = False):
     # the evidence test read the pixels as given; only the three rows of
     # the parabola become floats.
     # A positive column peak lies between the first and last nonzero rows,
-    # so the search skips the all-zero rows above and below them.
-    nonzero_rows = np.flatnonzero(grid.any(axis=1))
+    # so the search skips the all-zero rows above and below them. A row's
+    # max is nonzero where any of its pixels is, and is the faster test;
+    # initial=0 keeps a grid without columns to the column count's error.
+    nonzero_rows = np.flatnonzero(grid.max(axis=1, initial=0))
     top, bottom = ((nonzero_rows[0], nonzero_rows[-1] + 1) if nonzero_rows.size
                    else (0, grid.shape[0]))
     argmax = top + np.argmax(grid[top:bottom], axis=0)
@@ -253,8 +255,13 @@ def fit_horizon(grid: np.ndarray, with_info: bool = False):
 
     border_frac = float(np.mean((argmax == 0) | (argmax == grid.shape[0] - 1)))
 
-    k_h, b_h = np.polyfit(cols.astype(float), rows, 1)
-    line = HorizonLine(float(k_h), float(b_h))
+    # slope sum(dx * dy) / sum(dx * dx) over the deviations from the means;
+    # elementwise products and sums, where np.dot or @ would call BLAS
+    x = cols.astype(float)
+    x_mean, y_mean = x.mean(), rows.mean()
+    dx = x - x_mean
+    k_h = np.sum(dx * (rows - y_mean)) / np.sum(dx * dx)
+    line = HorizonLine(float(k_h), float(y_mean - k_h * x_mean))
     if not with_info:
         return line
     residuals = rows - (line.k_h * cols + line.b_h)

@@ -39,9 +39,30 @@ def pgm_decode_reference(data: bytes) -> np.ndarray:
     return (np.frombuffer(body, dtype=np.uint8).reshape(height, width) / 255.0).astype(float)
 
 
-def fit_reference(grid: np.ndarray):
+def closed_form_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """The least-squares line y = k * x + b in closed form from the centred
+    sums, in fit_horizon's order of operations."""
+    x_mean, y_mean = x.mean(), y.mean()
+    dx = x - x_mean
+    k = np.sum(dx * (y - y_mean)) / np.sum(dx * dx)
+    return float(k), float(y_mean - k * x_mean)
+
+
+def polyfit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """The same line from np.polyfit, which solves it through LAPACK."""
+    k, b = np.polyfit(x, y, 1)
+    return float(k), float(b)
+
+
+def gap_px(a: HorizonLine, b: HorizonLine, width: int) -> float:
+    """Largest distance between two lines over the columns of an image."""
+    return max(abs((a.k_h - b.k_h) * u + a.b_h - b.b_h) for u in (0, width - 1))
+
+
+def fit_reference(grid: np.ndarray, line_fit=closed_form_line):
     """fit_horizon(pixels, with_info=True) for the float grid pixels / 255,
-    with the column max and the fancy-indexed argmax it used before."""
+    with the column max and the fancy-indexed argmax it used before, and
+    line_fit(columns, peak rows) for its line."""
     usable = grid.max(axis=0) > 0.0
     cols = np.nonzero(usable)[0]
     if cols.size < 2:
@@ -60,8 +81,7 @@ def fit_reference(grid: np.ndarray):
     np.clip(offset, -1.0, 1.0, out=offset)
     rows[np.nonzero(inner)[0][ok]] += offset
     border_frac = float(np.mean((argmax == 0) | (argmax == grid.shape[0] - 1)))
-    k_h, b_h = np.polyfit(cols.astype(float), rows, 1)
-    line = HorizonLine(float(k_h), float(b_h))
+    line = HorizonLine(*line_fit(cols.astype(float), rows))
     residuals = rows - (line.k_h * cols + line.b_h)
     return line, (int(cols.size), float(np.sqrt(np.mean(residuals ** 2))),
                   cols.size < 0.5 * grid.shape[1] or border_frac > 0.25)

@@ -241,6 +241,23 @@ def test_eval_label_dir_without_label_files(dataset, tmp_path, capsys, label_dir
         assert captured.err == "error: " + message.replace("{dir}", str(label_dir)) + "\n"
 
 
+@pytest.mark.parametrize("command", ["oracle", "plane", "eval"])
+def test_label_file_without_frame_name(dataset, tmp_path, capsys, command):
+    # a frame is a file name minus its final '.txt', so the file '.txt'
+    # names the empty frame, which no prediction record can carry
+    for kind in ("calib", "label_2"):
+        shutil.copy(dataset / kind / "000000.txt", dataset / kind / ".txt")
+    preds = tmp_path / "p.jsonl"
+    preds.write_text(json.dumps({"frame": "000000", "index": 0,
+                                 "branches": [{"name": "key", "z": 20.0}]}) + "\n")
+    extra = ["--predictions", preds] if command == "eval" else []
+    code = run([command, *extra, "--calib-dir", dataset / "calib",
+                "--label-dir", dataset / "label_2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"error: {dataset / 'label_2' / '.txt'}: empty frame name\n"
+
+
 def test_eval_many_unmatched_predictions(dataset, tmp_path, capsys):
     # seven unmatched records among matched ones: the first five in file
     # order, then the count of the rest

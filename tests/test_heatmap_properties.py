@@ -1,6 +1,7 @@
 """Property tests of the horizon heatmap path against the per-column and
 per-call references it replaced: rasterization, PGM encode/decode and the
-peak search of the line fit must give the same bits."""
+peak search of the line fit must give the same bits, and the closed-form
+line must stay within 1e-9 px of np.polyfit's through the same peaks."""
 
 import math
 import re
@@ -16,8 +17,10 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from compdepth import HorizonLine, fit_horizon, heatmap_from_pgm, horizon_pgm  # noqa: E402
 from heatmap_reference import (  # noqa: E402
     fit_reference,
+    gap_px,
     pgm_decode_reference,
     pgm_encode_reference,
+    polyfit_line,
     rasterize_reference,
 )
 
@@ -89,6 +92,13 @@ def test_pgm_encode_decode_match_references(grid):
     assert (back / 255.0).tobytes() == pgm_decode_reference(data).tobytes()
 
 
+def assert_near_polyfit(line, grid):
+    """line within 1e-9 px, over the grid's columns, of np.polyfit's line
+    through the peaks of the float grid."""
+    old, _ = fit_reference(grid, line_fit=polyfit_line)
+    assert gap_px(line, old, grid.shape[1]) <= 1e-9
+
+
 # few distinct pixels, so columns tie on their peak and have flat tops
 tie_grids = st.integers(1, 12).flatmap(lambda h: st.integers(1, 16).flatmap(
     lambda w: arrays(np.uint8, (h, w), elements=st.sampled_from([0, 0, 26, 128, 255]))))
@@ -105,6 +115,7 @@ def test_fit_horizon_matches_reference(grid):
     line, info = fit_horizon(grid, with_info=True)
     assert repr(line) == repr(expected[0])
     assert (info.columns_used, info.rms_residual, info.degraded) == expected[1]
+    assert_near_polyfit(line, grid / 255.0)
 
 
 @given(st.one_of(
@@ -122,6 +133,7 @@ def test_fit_horizon_of_pgm_matches_float_decode(data):
     line, info = fit_horizon(heatmap_from_pgm(data), with_info=True)
     assert repr(line) == repr(expected[0])
     assert repr((info.columns_used, info.rms_residual, info.degraded)) == repr(expected[1])
+    assert_near_polyfit(line, pgm_decode_reference(data))
 
 
 whitespace = st.text(" \t\n\r\v\f", min_size=1, max_size=3)

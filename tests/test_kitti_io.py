@@ -403,6 +403,14 @@ def test_writers_without_header_echo_nothing():
         "000001,0,1,0,172.854,\n")
 
 
+def test_writers_reject_unknown_format():
+    message = r"^unknown format 'xml' \(expected 'json' or 'csv'\)$"
+    with pytest.raises(ValueError, match=message):
+        write_report(make_report(), format="xml")
+    with pytest.raises(ValueError, match=message):
+        write_plane_report(PLANE_FRAMES, PLANE_SUMMARY, format="xml")
+
+
 def test_write_curves_golden():
     from compdepth import SweepCurve
     text = write_curves([SweepCurve((0.0, 0.5), (1.0, 0.75), (10, 10),
