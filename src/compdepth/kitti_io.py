@@ -208,9 +208,11 @@ class EnsembleTable:
     frame defaults to the zero-padded row number ('000000', '000001', ...),
     formatted on first read; index defaults to 0.
 
-    Raises ValueError on shape mismatches, an object without a valid branch,
-    a non-finite z, a sigma that is not finite and positive, an infinite
-    z_star, or a negative index.
+    Raises ValueError on shape mismatches; on a non-empty index of a
+    non-integer dtype (bool too) or holding 2**63 or more; and on an object
+    without a valid branch, a non-finite z, a sigma that is not finite and
+    positive, an infinite z_star, or a negative index: five per-row verdicts,
+    each computed once, whose first failure names its first failing row.
     """
 
     def __init__(self, *, names: Sequence[str], z, sigma, z_star, valid=None,
@@ -226,7 +228,12 @@ class EnsembleTable:
         valid = np.ones(z.shape, dtype=bool) if valid is None else np.array(valid, dtype=bool)
         sigma = np.asarray(sigma, dtype=float)
         z_star = np.array(z_star, dtype=float)
-        index = np.zeros(n, dtype=np.int64) if index is None else np.array(index, dtype=np.int64)
+        index = np.zeros(n, dtype=np.int64) if index is None else np.asarray(index)
+        if index.size and index.dtype.kind not in "iu":  # a bool is no index
+            raise ValueError(f"index must hold integers, got {index.dtype}")
+        if index.size and index.max() >= 2**63:
+            raise ValueError("index must be below 2**63")
+        index = index.astype(np.int64)
         if (sigma.shape, valid.shape, z_star.shape, index.shape) != (z.shape, z.shape, (n,), (n,)):
             raise ValueError("z, sigma, valid must share one (N, B) shape; "
                              "z_star and index must have shape (N,)")
@@ -237,21 +244,16 @@ class EnsembleTable:
         # New C-order arrays, z = 0 and sigma = 1 outside the mask whatever
         # the caller's cells hold there (NaN too); the caller's stay writable.
         z, sigma = np.where(valid, z, 0.0), np.where(valid, sigma, 1.0)
-        # Each check runs on the whole grid, one at a time; the per-row
-        # reduction runs only to name the first failing row. A full mask
-        # with at least one column gives every row a branch.
-        checks = (
-            (lambda: valid if valid.all() and names else valid.any(axis=1), "has no branch"),
-            (lambda: np.isfinite(z), "has a non-finite z"),
-            (lambda: np.isfinite(sigma) & (sigma > 0),
+        verdicts = (
+            (valid.any(axis=1), "has no branch"),
+            (np.isfinite(z).all(axis=1), "has a non-finite z"),
+            ((np.isfinite(sigma) & (sigma > 0)).all(axis=1),
              "has a sigma that is not finite and positive"),
-            (lambda: ~np.isinf(z_star), "has an infinite z_star"),
-            (lambda: index >= 0, "has a negative index"),
+            (~np.isinf(z_star), "has an infinite z_star"),
+            (index >= 0, "has a negative index"),
         )
-        for check, problem in checks:
-            if not check().all():
-                ok = check()
-                row_ok = ok.all(axis=1) if ok.ndim == 2 else ok
+        for row_ok, problem in verdicts:
+            if not row_ok.all():
                 raise ValueError(f"ensemble row {int(np.argmin(row_ok))} {problem}")
         self._keep(names, z, sigma, valid, z_star, index, frame)
 
@@ -281,9 +283,6 @@ class EnsembleTable:
 
     def __len__(self) -> int:
         return self.z.shape[0]
-
-    def __repr__(self) -> str:
-        return f"EnsembleTable(n={len(self)}, names={self.names})"
 
     def column(self, name: str) -> int:
         """The column of branch name; ValueError when no column has it."""

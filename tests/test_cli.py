@@ -191,6 +191,35 @@ def test_eval_custom_edges_and_reference(dataset, capsys):
     assert report["binned"]["fused"]["edges"] == [0.0, 30.0, "inf"]
 
 
+def test_eval_unknown_reference(dataset, capsys):
+    preds = dataset / "preds.jsonl"
+    assert run(["oracle", "--calib-dir", dataset / "calib",
+                "--label-dir", dataset / "label_2", "--out", preds]) == 0
+    code = run(["eval", "--calib-dir", dataset / "calib", "--label-dir", dataset / "label_2",
+                "--predictions", preds, "--reference", "nope"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: reference branch 'nope' not found\n"
+
+
+def esop_of(out, a, b):
+    """ESOP(a, b) of an eval JSON report."""
+    return next(row["value"] for row in json.loads(out)["esop"]
+                if (row["a"], row["b"]) == (a, b))
+
+
+def test_eval_esop_follows_the_sign_table(dataset, capsys):
+    # the horizon moves glo and comp the same way (README, "Complementarity
+    # in form"), so no object has them err on opposite sides
+    code, out = oracle_then_eval(dataset, capsys, oracle_extra=[
+        "--seed", 6, "--noise-horizon-intercept", 5.0])
+    assert code == 0 and esop_of(out, "glo", "comp") == 0.0
+    # height noise moves key and comp opposite ways: every object, measured
+    code, out = oracle_then_eval(dataset, capsys, oracle_extra=[
+        "--seed", 6, "--noise-h-rel", 0.1])
+    assert code == 0 and esop_of(out, "key", "comp") == 100.0
+
+
 def test_eval_unmatched_prediction(dataset, tmp_path, capsys):
     # an index past its frame's label rows, and a frame with no label file
     preds = tmp_path / "bad.jsonl"

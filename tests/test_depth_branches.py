@@ -3,7 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from compdepth import box_keypoints, make_scene, z_alt, z_comp, z_global, z_key
+from compdepth import (
+    HorizonLine,
+    box_keypoints,
+    horizon_to_plane,
+    make_scene,
+    plane_to_horizon,
+    y_global,
+    z_alt,
+    z_comp,
+    z_global,
+    z_key,
+)
 
 
 def scene_columns(scene):
@@ -117,3 +128,54 @@ def test_top_row_sensitivity_signs(kitti_cam):
     d_comp = central_diff(lambda vt: z_comp(y, h, v_b, vt, k), v_t)
     assert (d_key * d_comp < 0)[below].all()
     assert below.sum() > 100
+
+
+# ---------------------------------------------------------------------------
+# complementarity in form: the sign table
+# ---------------------------------------------------------------------------
+
+# The sign of d(branch)/d(source) for oracle's noise sources, over the
+# branches key, glo, comp and alt: + and - hold for every object, 0 means
+# the branch does not read the source, ~ means both signs occur.
+SIGN_TABLE = {
+    "h_rel": "+0--",
+    "v_b": "---~",
+    "v_t": "+0--",
+    "k_h": "0+++",
+    "b_h": "0+++",
+}
+STEPS = {"h_rel": 1e-6, "v_b": 1e-4, "v_t": 1e-4, "k_h": 1e-7, "b_h": 1e-4}
+
+
+def oracle_branches(scene, h_rel=0.0, v_b=0.0, v_t=0.0, k_h=0.0, b_h=0.0):
+    """The (N, 4) key, glo, comp and alt depths of a scene's objects, computed
+    as oracle computes them, with each noise source shifted by its argument:
+    the relative height, the two keypoint rows and the horizon's slope and
+    intercept."""
+    k, plane = scene.intrinsics, scene.plane
+    x, y, z, h = scene_columns(scene)
+    horizon = plane_to_horizon(plane, k)
+    g = horizon_to_plane(HorizonLine(horizon.k_h + k_h, horizon.b_h + b_h), k,
+                         cam_height=plane.cam_height)
+    u_b, row_b, row_t = box_keypoints(x, y, z, h, k)
+    row_b, row_t, height = row_b + v_b, row_t + v_t, h * (1.0 + h_rel)
+    y_glo = y_global(u_b, row_b, g, k)
+    return np.column_stack([z_key(height, row_b, row_t, k), z_global(y_glo, row_b, k),
+                            z_comp(y_glo, height, row_b, row_t, k),
+                            z_alt(y_glo, height, row_t, k)])
+
+
+def test_sign_table_of_complementarity_in_form():
+    diffs = {source: [] for source in SIGN_TABLE}
+    for seed in range(200):
+        scene = make_scene(40, seed=seed)
+        for source, step in STEPS.items():
+            diffs[source].append(oracle_branches(scene, **{source: step})
+                                 - oracle_branches(scene, **{source: -step}))
+    for source, signs in SIGN_TABLE.items():
+        for name, diff, sign in zip(("key", "glo", "comp", "alt"),
+                                    np.concatenate(diffs[source]).T, signs):
+            if sign == "~":
+                assert (diff > 0).any() and (diff < 0).any(), (source, name)
+            else:
+                assert (np.sign(diff) == "-0+".index(sign) - 1).all(), (source, name)

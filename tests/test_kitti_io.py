@@ -497,6 +497,26 @@ def test_ensemble_table_is_read_only():
         assert table.z[0, 0] == 3.0 and table.sigma[0, 0] == 1.0
 
 
+@pytest.mark.parametrize("index, message", [
+    ([0.5, 1.9], "index must hold integers, got float64"),  # not truncated to [0, 1]
+    ([True, False], "index must hold integers, got bool"),
+    ([2**63, 2**63 + 1], "index must be below 2**63"),  # not an OverflowError
+])
+def test_ensemble_table_rejects_an_index_the_reader_rejects(index, message):
+    with pytest.raises(ValueError) as exc:
+        _table(index=index)
+    assert str(exc.value) == message
+
+
+def test_ensemble_table_keeps_integer_indices_below_2_63():
+    table = _table(index=np.array([2**63 - 1, 0], dtype=np.uint64))
+    assert table.index.dtype == np.int64 and table.index.tolist() == [2**63 - 1, 0]
+    # an empty index is an index of no rows, whatever its dtype
+    empty = EnsembleTable(names=(), z=np.empty((0, 0)), sigma=np.empty((0, 0)), z_star=[],
+                          index=[])
+    assert empty.index.dtype == np.int64 and empty.index.size == 0
+
+
 @pytest.mark.parametrize("overrides", [
     {"z": [[21.0, np.inf], [30.0, 0.0]]},
     {"z": [[21.0, np.nan], [30.0, 0.0]]},

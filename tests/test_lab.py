@@ -227,6 +227,16 @@ def test_disturb_sweep_validation(ensembles):
             flip_sweep(ensembles, "b0", (0.0, bad))
 
 
+def test_sweep_curve_rejects_unequal_lengths_and_unordered_x():
+    with pytest.raises(ValueError) as exc:
+        SweepCurve(x=(0.0, 1.0), mae=(1.0,), counts=(2, 2))
+    assert str(exc.value) == "x, mae, counts must have equal length"
+    for x in ((0.0, 0.0), (1.0, 0.0)):
+        with pytest.raises(ValueError) as exc:
+            SweepCurve(x=x, mae=(1.0, 1.0), counts=(2, 2))
+        assert str(exc.value) == "x must be strictly increasing"
+
+
 def test_sweep_curve_rejects_non_finite_mae():
     with pytest.raises(ValueError):
         SweepCurve(x=(0.0, 1.0), mae=(1.0, float("inf")), counts=(2, 2))

@@ -170,6 +170,13 @@ def test_evaluate_ensembles_explicit_reference():
     assert report.branch_cs["glo"] is None
 
 
+def test_evaluate_ensembles_unknown_reference():
+    records = [ensemble("0", 0, 20.0, key=21.0, glo=19.0)]
+    with pytest.raises(ValueError) as exc:
+        evaluate_ensembles(read_records(records), reference="nope")
+    assert str(exc.value) == "reference branch 'nope' not found"
+
+
 def test_evaluate_ensembles_skips_missing_truth():
     records = [
         ensemble("0", 0, 20.0, key=21.0),
