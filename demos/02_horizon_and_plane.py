@@ -18,7 +18,7 @@ from compdepth import (
     CameraIntrinsics,
     GroundPlane,
     fit_horizon,
-    fit_plane,
+    fit_planes,
     heatmap_from_pgm,
     horizon_pgm,
     horizon_to_plane,
@@ -63,10 +63,11 @@ for v, y in zip(rows, y_global(k.c_u, rows, plane, k)):
 
 # fitting a plane to sampled bottom-face points recovers the heightfield;
 # points that pin no plane (fewer than three, or all on one line) give None,
-# and the caller picks the fallback (the CLI takes a flat plane)
+# and the caller picks the fallback (the CLI takes a flat plane). One call
+# fits every frame: here rows 0:40 are one frame and rows 40:42 another
 rng = np.random.default_rng(7)
 x, z = rng.uniform(-15, 15, 40), rng.uniform(5, 60, 40)
 pts = np.column_stack([x, 0.01 * x - 0.02 * z + 1.62, z])
-refit = fit_plane(pts)
+refit, few = fit_planes(np.concatenate([pts, pts[:2]]), [0, 40, 42])
 print(f"refit cam_height {refit.cam_height:.4f} m from {len(pts)} points; "
-      f"from 2 points: {fit_plane(pts[:2])}")
+      f"from 2 points: {few}")

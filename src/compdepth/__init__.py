@@ -24,7 +24,7 @@ from .ground_plane import (
     HorizonFitInfo,
     HorizonLine,
     fit_horizon,
-    fit_plane,
+    fit_planes,
     heatmap_from_pgm,
     horizon_pgm,
     horizon_to_plane,
@@ -71,7 +71,7 @@ __all__ = [
     "DEFAULT_INTRINSICS", "EnsembleTable", "GroundPlane", "HorizonFitInfo",
     "HorizonLine", "LabelTable", "Object3D", "Scene", "SweepCurve",
     "binned_mae", "box_keypoints", "complementarity_score", "disturb_sweep", "esop",
-    "evaluate_ensembles", "fit_horizon", "fit_plane", "flip", "flip_sweep",
+    "evaluate_ensembles", "fit_horizon", "fit_planes", "flip", "flip_sweep",
     "format_calib", "format_labels", "fuse", "generate_ensembles", "heatmap_from_pgm",
     "horizon_pgm", "horizon_to_plane", "make_scene", "multi_flip_sweep", "parse_calib",
     "parse_labels", "plane_to_horizon", "project", "read_predictions", "weights",

@@ -39,7 +39,7 @@ from .ground_plane import (
     DEFAULT_CAM_HEIGHT,
     GroundPlane,
     HorizonLine,
-    fit_plane,
+    fit_planes,
     horizon_pgm,
     horizon_to_plane,
     plane_to_horizon,
@@ -284,9 +284,8 @@ def _read_corpus(args, frames: list[str]) -> _Corpus:
     index = rows - np.repeat(starts[:-1], np.diff(bounds))
     x, y, z, h = labels.x[rows], labels.y[rows], labels.z[rows], labels.h[rows]
     skipped = len(labels) - int(np.count_nonzero(labels.dontcare)) - rows.size
-    points, at = np.column_stack((x, y, z)), bounds.tolist()
-    fits = [_plane_or_flat(fit_plane(points[at[i]:at[i + 1]]), k, args)
-            for i, k in enumerate(intrinsics)]
+    fits = [_plane_or_flat(plane, k, args) for plane, k
+            in zip(fit_planes(np.column_stack((x, y, z)), bounds), intrinsics)]
     return _Corpus(frames, intrinsics, bounds, index, x, y, z, h, skipped, fits)
 
 

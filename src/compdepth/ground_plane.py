@@ -76,22 +76,31 @@ class HorizonFitInfo:
 # plane fitting
 # ---------------------------------------------------------------------------
 
-def fit_plane(points) -> GroundPlane | None:
-    """Least-squares ground plane through object bottom-center points,
-    given as an (N, 3) array of camera-frame (x, y, z) rows.
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def fit_planes(points, bounds) -> list[GroundPlane | None]:
+    """Least-squares ground plane of each frame through its object bottom
+    centers: points holds (N, 3) camera-frame (x, y, z) rows, frame i's being
+    rows bounds[i]:bounds[i + 1]. Fits y = p*x + q*z + r from the centred 2x2
+    normal equations, solved by their explicit inverse, and normalizes.
 
-    Fits the height field y = p*x + q*z + r and normalizes. None where the
-    points pin no plane: a rank-deficient system (fewer than 3 points, or
-    all of them collinear in the x-z plane) or a solution too large to
-    normalize (non-finite, or p*p + q*q overflows).
+    Elementwise numpy and per-frame sums in row order only: no BLAS kernel
+    picks the last bits, and a frame fits the same alone as among others.
+    None where the points pin no plane: fewer than 3 points, det <= 1e-12 *
+    Sxx * Szz (all collinear in the x-z plane), or p*p + q*q or r not finite.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    design = np.column_stack([pts[:, 0], pts[:, 2], np.ones(len(pts))])
-    solution, _, rank, _ = np.linalg.lstsq(design, pts[:, 1], rcond=None)
-    p, q, r = solution.tolist()
-    if rank < 3 or not (math.isfinite(p * p + q * q) and math.isfinite(r)):
-        return None
-    return GroundPlane.from_heightfield(p, q, r)
+    x, y, z = np.asarray(points, dtype=float).reshape(-1, 3).T
+    counts = np.diff(bounds)
+    frame = np.repeat(np.arange(counts.size), counts)
+    mx, my, mz = (np.bincount(frame, v, counts.size) / counts for v in (x, y, z))
+    dx, dy, dz = x - mx[frame], y - my[frame], z - mz[frame]
+    sxx, sxz, szz, sxy, szy = (np.bincount(frame, u * v, counts.size) for u, v in
+                               ((dx, dx), (dx, dz), (dz, dz), (dx, dy), (dz, dy)))
+    det = sxx * szz - sxz * sxz
+    p, q = (szz * sxy - sxz * szy) / det, (sxx * szy - sxz * sxy) / det
+    r = my - p * mx - q * mz
+    ok = (counts >= 3) & (det > 1e-12 * sxx * szz) & np.isfinite(p * p + q * q) & np.isfinite(r)
+    return [GroundPlane.from_heightfield(*pqr) if good else None
+            for good, *pqr in zip(ok.tolist(), p.tolist(), q.tolist(), r.tolist())]
 
 
 # ---------------------------------------------------------------------------

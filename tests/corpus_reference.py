@@ -19,7 +19,7 @@ from compdepth.camera import project
 from compdepth.cli import (EXIT_DEGENERACY, EXIT_OK, MAX_IMAGE_PIXELS, MAX_NOISE, _emit,
                            _file_text, _frames, _plane_or_flat, _require_finite)
 from compdepth.depth_branches import box_keypoints, z_alt, z_comp, z_global, z_key
-from compdepth.ground_plane import (HorizonLine, fit_plane, horizon_pgm, horizon_to_plane,
+from compdepth.ground_plane import (HorizonLine, fit_planes, horizon_pgm, horizon_to_plane,
                                     y_global)
 from compdepth.kitti_io import (EnsembleTable, config_header, parse_calib, parse_labels,
                                 write_plane_report, write_predictions)
@@ -60,7 +60,7 @@ def oracle(args) -> int:
             diagnostics["object_invalid_geometry"] += skipped
 
         plane, horizon, used_fallback = _plane_or_flat(
-            fit_plane(np.column_stack([x, y, z])), k, args)
+            fit_planes(np.column_stack([x, y, z]), [0, x.size])[0], k, args)
 
         d_slope = rng.uniform(-args.noise_horizon_slope, args.noise_horizon_slope)
         d_intercept = rng.uniform(-args.noise_horizon_intercept,
@@ -129,7 +129,7 @@ def plane(args) -> int:
     for frame in frames:
         k, _, (x, y, z, _), _ = load_frame(args.calib_dir, args.label_dir, frame)
         plane, horizon, used_fallback = _plane_or_flat(
-            fit_plane(np.column_stack([x, y, z])), k, args)
+            fit_planes(np.column_stack([x, y, z]), [0, x.size])[0], k, args)
         fallback_frames += used_fallback
 
         y_hat = y_global(*project(x, y, z, k), plane, k)

@@ -12,15 +12,28 @@ The horizon heatmaps of `plane --heatmap-dir` are pinned too: small ones
 (HEATMAP_SMALL, tall enough that every frame's horizon crosses the image)
 byte for byte, and the full-size default ones by their sha256 digests.
 
+The oracle and plane bytes do not depend on which BLAS kernel numpy
+loads: the package makes no LAPACK or BLAS call (test_exports.py checks
+its source), and test_goldens_hold_under_other_blas_kernels reruns those
+goldens in a child process under OpenBLAS's Haswell and Prescott kernels.
+The plane report's y_mae on these exact fixtures is rounding noise of the
+plane fit (1.42109e-15) printed to 6 digits, so any change to the fit's
+arithmetic changes those digits, and the plane goldens, again.
+
 Regenerate (only when a change to the numbers is intended) with
     PYTHONPATH=src python tests/test_cli_goldens.py
 """
 
 import hashlib
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import compdepth
 from compdepth import format_calib, format_labels, make_scene
 from compdepth.cli import main
 
@@ -159,6 +172,22 @@ def test_plane_heatmap_golden_full_size(tmp_path):
     # writing heatmaps leaves the report as it is without them
     assert (code, text) == _split(DATA / "plane.json")
     assert _digests(pgms) == (DATA / "heatmaps_full.sha256").read_text()
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="OPENBLAS_CORETYPE names x86_64 kernels")
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_goldens_hold_under_other_blas_kernels(coretype):
+    """The oracle and plane goldens pass in a child process whose OpenBLAS
+    runs the given kernel instead of the one it picks for this CPU."""
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
+           "PYTHONPATH": str(Path(compdepth.__file__).parent.parent)}
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k",
+         "test_oracle_golden or test_plane_golden or test_plane_heatmap_golden_full_size"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stdout[-3000:]
+    assert "7 passed" in child.stdout
 
 
 if __name__ == "__main__":

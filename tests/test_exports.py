@@ -3,8 +3,8 @@ every public function has a caller outside the tests and none takes a
 singularity guard, the package has one exception class of its own and
 raises only it, ValueError and AssertionError, no module imports a name it
 does not use, the reports and curves share one CSV writer and one indented
-JSON dump, fusion and the lab sum rows in one helper, and one function
-builds the text of a prediction error."""
+JSON dump, fusion and the lab sum rows in one helper, one function
+builds the text of a prediction error, and no code reaches LAPACK or BLAS."""
 
 import ast
 import inspect
@@ -208,3 +208,36 @@ def test_one_prediction_validator():
                              if isinstance(node, ast.JoinedStr)
                              and re.search(r"line \{[^}]*\}: field '", ast.unparse(node))}
     assert len(builders) == 1, builders
+
+
+
+#: numpy names whose calls go to LAPACK or BLAS, or to numpy code built on them.
+BLAS_NAMES = {"linalg", "polyfit", "polynomial", "dot", "vdot", "inner", "matmul",
+              "tensordot", "einsum"}
+
+
+def names_used(tree: ast.AST):
+    """(line, name) of every attribute and every imported name or module
+    part in tree, and (line, "@") of every matrix product. A local variable
+    is not counted: it reaches numpy only through one of these."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            dotted = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+            yield from ((node.lineno, part) for name in dotted for part in name.split("."))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno, "@"
+
+
+def test_no_lapack_or_blas_call():
+    """No module of the package names np.linalg, polyfit, a BLAS product
+    (dot, vdot, inner, matmul, tensordot, einsum) or the @ operator. Their
+    last bits depend on the kernel OpenBLAS picks for the CPU, so the bytes
+    of oracle and plane output would too; the plane and line fits are
+    closed forms in elementwise numpy instead."""
+    found = [f"{path.name}:{line}: {name}"
+             for path in sorted(Path(compdepth.__file__).parent.glob("*.py"))
+             for line, name in names_used(ast.parse(path.read_text()))
+             if name in BLAS_NAMES or name == "@"]
+    assert found == []

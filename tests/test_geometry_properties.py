@@ -3,7 +3,8 @@ in geometry_reference.py: projection, keypoints, ground elevation and the
 four depth kernels give the same bits, and NaN exactly where the reference
 raised. The rows include keypoints within DEFAULT_EPS_DEN of the principal
 row and non-positive heights, where the guards fire. A plane fit and a
-horizon's plane give a plane or None for any finite input, never an error."""
+horizon's plane give a plane or None for any finite input, never an error,
+and a frame's plane is the same bits whether fitted alone or among others."""
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from compdepth import (  # noqa: E402
     GroundPlane,
     HorizonLine,
     box_keypoints,
-    fit_plane,
+    fit_planes,
     horizon_to_plane,
     project,
     y_global,
@@ -126,7 +127,20 @@ coordinates = st.one_of(st.floats(**finite), meters, st.sampled_from([0.0, 1.0, 
 
 @given(st.lists(st.tuples(coordinates, coordinates, coordinates), max_size=8))
 def test_fit_plane_gives_a_plane_or_none(rows):
-    assert_plane_or_none(fit_plane(np.array(rows, dtype=float).reshape(-1, 3)))
+    assert_plane_or_none(fit_planes(np.array(rows, dtype=float).reshape(-1, 3),
+                                    [0, len(rows)])[0])
+
+
+@given(st.lists(st.lists(st.tuples(*[st.one_of(meters, coordinates)] * 3), max_size=6),
+                max_size=6))
+def test_fit_planes_per_frame_equals_alone(frames):
+    """One call over several frames, empty ones included, gives each frame
+    the plane (or None) that fitting it alone gives, bit for bit."""
+    points = np.array([row for frame in frames for row in frame], dtype=float).reshape(-1, 3)
+    bounds = np.cumsum([0] + [len(frame) for frame in frames])
+    alone = [fit_planes(np.array(frame, dtype=float).reshape(-1, 3), [0, len(frame)])[0]
+             for frame in frames]
+    assert repr(fit_planes(points, bounds)) == repr(alone)
 
 
 extreme_cameras = st.builds(CameraIntrinsics, *[st.floats(5e-324, 1.7e308)] * 2,

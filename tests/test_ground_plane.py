@@ -7,7 +7,7 @@ from compdepth import (
     GroundPlane,
     HorizonLine,
     fit_horizon,
-    fit_plane,
+    fit_planes,
     heatmap_from_pgm,
     horizon_pgm,
     horizon_to_plane,
@@ -78,7 +78,23 @@ def test_vertical_plane_has_no_height_field():
 # plane fitting
 # ---------------------------------------------------------------------------
 
-def test_fit_plane_exact_recovery():
+def fit_one(points):
+    """The plane of one frame: fit_planes over a single segment."""
+    return fit_planes(points, [0, len(points)])[0]
+
+
+def lstsq_plane(points) -> GroundPlane | None:
+    """Reference fit by np.linalg.lstsq on the design [x, z, 1], with its
+    rank, as the package fitted before the closed form."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    design = np.column_stack([pts[:, 0], pts[:, 2], np.ones(len(pts))])
+    (p, q, r), _, rank, _ = np.linalg.lstsq(design, pts[:, 1], rcond=None)
+    if rank < 3 or not (math.isfinite(p * p + q * q) and math.isfinite(r)):
+        return None
+    return GroundPlane.from_heightfield(p, q, r)
+
+
+def exact_cloud():
     true = GroundPlane.from_heightfield(0.01, -0.02, 1.62)
     rng = np.random.default_rng(7)
     pts = []
@@ -86,41 +102,71 @@ def test_fit_plane_exact_recovery():
         x = rng.uniform(-20, 20)
         z = rng.uniform(5, 70)
         pts.append((x, true.height_at(x, z), z))
-    fitted = fit_plane(np.array(pts))
+    return true, np.array(pts)
+
+
+def test_fit_plane_exact_recovery():
+    true, pts = exact_cloud()
+    fitted = fit_one(pts)
     for got, want in zip(heightfield(fitted), heightfield(true)):
         assert got == pytest.approx(want, abs=1e-9)
 
 
+def test_fit_planes_match_lstsq():
+    """The closed form stays within 1e-12 of lstsq on every normalized
+    coefficient, over 200 make_scene frames of 40 objects fitted in one call
+    and over the exact-recovery cloud, and gives None where lstsq does."""
+    clouds = [np.array([(o.x, o.y, o.z) for o in make_scene(40, seed=seed).objects])
+              for seed in range(200)]
+    clouds += [exact_cloud()[1], clouds[0][:2], clouds[1][:0]]
+    fitted = fit_planes(np.concatenate(clouds), np.cumsum([0] + [len(c) for c in clouds]))
+    assert [g is None for g in fitted] == [False] * 201 + [True, True]
+    for got, cloud in zip(fitted[:201], clouds):
+        want = lstsq_plane(cloud)
+        assert np.abs(np.subtract([got.a, got.b, got.c, got.cam_height],
+                                  [want.a, want.b, want.c, want.cam_height])).max() <= 1e-12
+
+
 def test_fit_plane_flat_cloud():
     pts = [(x, 1.65, z) for x, z in [(-3, 10), (4, 25), (0, 50), (7, 8)]]
-    fitted = fit_plane(pts)
+    fitted = fit_one(pts)
     assert fitted.a == pytest.approx(0.0, abs=1e-12)
     assert fitted.b == pytest.approx(-1.0)
     assert fitted.cam_height == pytest.approx(1.65)
 
 
 def test_fit_plane_fallback_too_few_points():
-    assert fit_plane(np.array([(0.0, 1.7, 10.0), (1.0, 1.7, 20.0)])) is None
+    assert fit_one(np.array([(0.0, 1.7, 10.0), (1.0, 1.7, 20.0)])) is None
 
 
 def test_fit_plane_fallback_collinear():
     # all points share x = 0: the x-slope column is all zero, rank 2
     pts = [(0.0, 1.6 + 0.01 * z, z) for z in (10.0, 20.0, 30.0, 40.0)]
-    assert fit_plane(pts) is None
+    assert fit_one(pts) is None
+
+
+def test_fit_planes_rank_rule_on_a_slanted_line():
+    """Points on the x-z line x = 0.3 * z - 1.7: rounding leaves the
+    determinant a little above 0 but far below 1e-12 * Sxx * Szz, so the
+    fit is None, as lstsq's rank of 2 says."""
+    z = np.array([10.1, 20.3, 30.7, 41.9, 55.3])
+    pts = np.column_stack([0.3 * z - 1.7, 1.6 + 0.01 * z, z])
+    assert lstsq_plane(pts) is None
+    assert fit_one(pts) is None
 
 
 @pytest.mark.parametrize("pts", [
-    # the height field's intercept overflows to inf
+    # the height field's intercept overflows to inf, and so do the centred sums
     [(1.0, 1e308, 20.0), (-2.0, -1e308, 30.0), (3.0, 1.6, 25.0)],
     # a finite slope of 1e200, whose square overflows when normalized
     [(0.0, 0.0, 10.0), (1.0, 1e200, 10.0), (0.0, 0.0, 20.0)],
 ])
 def test_fit_plane_fallback_unnormalizable(pts):
-    assert fit_plane(np.array(pts)) is None
+    assert fit_one(np.array(pts)) is None
 
 
 def test_fit_plane_empty():
-    assert fit_plane(np.empty((0, 3))) is None
+    assert fit_one(np.empty((0, 3))) is None
 
 
 # ---------------------------------------------------------------------------
