@@ -61,13 +61,14 @@ rows = np.array([220.0, 260.0, 330.0, k.c_v])
 for v, y in zip(rows, y_global(k.c_u, rows, plane, k)):
     print(f"  pixel row {v:.0f} -> ground {y:.3f} m below camera")
 
-# fitting a plane to sampled bottom-face points recovers the heightfield;
-# points that pin no plane (fewer than three, or all on one line) give None,
-# and the caller picks the fallback (the CLI takes a flat plane). One call
-# fits every frame: here rows 0:40 are one frame and rows 40:42 another
+# fitting a plane to sampled bottom-face points recovers the heightfield.
+# One call fits every frame, into one plane of per-frame arrays: here rows
+# 0:40 are one frame and rows 40:42 another. Points that pin no plane (fewer
+# than three, or all on one line) give NaN coefficients, and the caller
+# picks the fallback (the CLI takes a flat plane)
 rng = np.random.default_rng(7)
 x, z = rng.uniform(-15, 15, 40), rng.uniform(5, 60, 40)
 pts = np.column_stack([x, 0.01 * x - 0.02 * z + 1.62, z])
-refit, few = fit_planes(np.concatenate([pts, pts[:2]]), [0, 40, 42])
-print(f"refit cam_height {refit.cam_height:.4f} m from {len(pts)} points; "
-      f"from 2 points: {few}")
+refit = fit_planes(np.concatenate([pts, pts[:2]]), [0, 40, 42])
+print(f"refit cam_height {refit.cam_height[0]:.4f} m from {len(pts)} points; "
+      f"from 2 points: normal ({refit.a[1]}, {refit.b[1]}, {refit.c[1]})")

@@ -5,16 +5,16 @@ Conventions follow the KITTI camera frame: x right, y down, z forward
 assumes zero skew and ignores lens distortion.
 
 The geometry functions of this package (project here, the depth kernels
-in depth_branches, y_global in ground_plane) are elementwise: each takes
-scalars or broadcastable arrays and returns NaN wherever the geometry is
-undefined instead of raising, so one call covers a whole corpus. They read
+in depth_branches, y_global, the plane fit and the plane/horizon
+conversions in ground_plane) are elementwise: each takes scalars or
+broadcastable arrays and returns NaN wherever the geometry is undefined,
+a missing plane included, so one call covers a whole corpus. They read
 the intrinsics and the plane field by field, so each field may be a
-per-row array too.
+per-frame or per-row array too.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +26,7 @@ DEFAULT_EPS_DEN = 1e-6
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
-    """Focal lengths and principal point, in pixels."""
+    """Focal lengths and principal point in pixels: scalars or arrays of one shape."""
 
     f_x: float
     f_y: float
@@ -34,10 +34,10 @@ class CameraIntrinsics:
     c_v: float
 
     def __post_init__(self):
-        values = (self.f_x, self.f_y, self.c_u, self.c_v)
-        if not all(math.isfinite(v) for v in values):
+        values = np.array((self.f_x, self.f_y, self.c_u, self.c_v), dtype=float)
+        if not np.isfinite(values).all():
             raise ValueError("intrinsics must be finite")
-        if self.f_x <= 0 or self.f_y <= 0:
+        if not (values[:2] > 0).all():
             raise ValueError("focal lengths must be strictly positive")
 
 

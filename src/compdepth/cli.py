@@ -20,14 +20,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import math
 import sys
 from collections import Counter
 from collections.abc import Sequence
 from itertools import chain
 from pathlib import Path
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -232,17 +230,18 @@ def _file_text(path: Path):
 class _Corpus(NamedTuple):
     """Every frame of a label directory, read before the kernels run.
 
-    frames and intrinsics hold one entry per frame, in sorted order. The
-    rows are the labels with usable geometry (not DontCare, positive height
-    and positive depth), frame after frame: frame i's rows are
+    frames holds the frame names, sorted; k, plane and horizon hold per-frame
+    arrays, and fallback one bool per frame: the flat plane at --cam-height
+    stands in for the fitted one where its horizon is not finite. The rows
+    are the labels with usable geometry (not DontCare, positive height and
+    positive depth), frame after frame: frame i's rows are
     bounds[i]:bounds[i + 1]. index is each row's line index in its label
     file, and x, y, z and h are its columns. skipped counts the other
-    non-DontCare rows. fits holds each frame's plane, horizon and fallback
-    flag, as _plane_or_flat gives them for the fit of its rows.
+    non-DontCare rows.
     """
 
     frames: list[str]
-    intrinsics: list[CameraIntrinsics]
+    k: CameraIntrinsics
     bounds: np.ndarray
     index: np.ndarray
     x: np.ndarray
@@ -250,27 +249,25 @@ class _Corpus(NamedTuple):
     z: np.ndarray
     h: np.ndarray
     skipped: int
-    fits: list[tuple[GroundPlane, HorizonLine, bool]]
+    plane: GroundPlane
+    horizon: HorizonLine
+    fallback: np.ndarray
 
-    def per_row(self, records: Sequence) -> SimpleNamespace:
-        """The fields of one record per frame (CameraIntrinsics or
-        GroundPlane), each repeated over its frame's rows, under the same
-        names: the elementwise kernels read them as they read the record.
-        Each record has passed its own validators."""
+    def per_row(self, record):
+        """The per-frame record with each field repeated over its frame's rows."""
         counts = np.diff(self.bounds)
-        return SimpleNamespace(**{
-            field.name: np.repeat([getattr(r, field.name) for r in records], counts)
-            for field in dataclasses.fields(records[0])})
+        return type(record)(*(np.repeat(v, counts) for v in vars(record).values()))
 
 
 def _read_corpus(args, frames: list[str]) -> _Corpus:
     """The calib and label files of the frames, read and parsed in order, so
-    that the first failing file is the one named, and each frame's plane
-    fit. A failing file ends the read with nothing returned."""
+    that the first failing file is the one named, and the frames' planes.
+    A failing file ends the read with nothing returned."""
     intrinsics, tables = [], []
     for frame in frames:
         with _file_text(args.calib_dir / f"{frame}.txt") as text:
-            intrinsics.append(parse_calib(text))
+            k = parse_calib(text)
+            intrinsics.append((k.f_x, k.f_y, k.c_u, k.c_v))
         with _file_text(args.label_dir / f"{frame}.txt") as text:
             tables.append(parse_labels(text))
     # The rest in one pass over every frame's labels: frame i's label rows
@@ -284,23 +281,19 @@ def _read_corpus(args, frames: list[str]) -> _Corpus:
     index = rows - np.repeat(starts[:-1], np.diff(bounds))
     x, y, z, h = labels.x[rows], labels.y[rows], labels.z[rows], labels.h[rows]
     skipped = len(labels) - int(np.count_nonzero(labels.dontcare)) - rows.size
-    fits = [_plane_or_flat(plane, k, args) for plane, k
-            in zip(fit_planes(np.column_stack((x, y, z)), bounds), intrinsics)]
-    return _Corpus(frames, intrinsics, bounds, index, x, y, z, h, skipped, fits)
+    k = CameraIntrinsics(*np.array(intrinsics).T)
+    fit = fit_planes(np.column_stack((x, y, z)), bounds)
+    horizon = plane_to_horizon(fit, k)
+    fallback = ~(np.isfinite(horizon.k_h) & np.isfinite(horizon.b_h))
+    plane = _flat_where(fallback, fit, args.cam_height)
+    return _Corpus(frames, k, bounds, index, x, y, z, h, skipped, plane,
+                   plane_to_horizon(plane, k), fallback)
 
 
-def _plane_or_flat(plane: GroundPlane | None, k: CameraIntrinsics,
-                   args) -> tuple[GroundPlane, HorizonLine, bool]:
-    """The plane and its horizon, and whether they fell back to the flat
-    plane at --cam-height: where there is no plane (None) or it is too close
-    to vertical to have a finite horizon (NaN where |b| < DEFAULT_EPS_DEN,
-    or a slope or intercept that overflows)."""
-    if plane is not None:
-        horizon = plane_to_horizon(plane, k)
-        if math.isfinite(horizon.k_h) and math.isfinite(horizon.b_h):
-            return plane, horizon, False
-    flat = GroundPlane(0.0, -1.0, 0.0, args.cam_height)
-    return flat, plane_to_horizon(flat, k), True
+def _flat_where(mask: np.ndarray, plane: GroundPlane, cam_height: float) -> GroundPlane:
+    """plane, with the flat plane at cam_height in the frames where mask is set."""
+    return GroundPlane(*np.where(mask, [[0.0], [-1.0], [0.0], [cam_height]],
+                                 [plane.a, plane.b, plane.c, plane.cam_height]))
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -378,23 +371,18 @@ def _cmd_oracle(args) -> int:
     # not, so the random stream lines up across noise configurations.
     u = np.random.default_rng(args.seed).random(2 * n_frames + 3 * n_rows)
     at = 2 * np.arange(n_frames) + 3 * corpus.bounds[:-1]
-    d_slope = _uniform(args.noise_horizon_slope, u[at]).tolist()
-    d_intercept = _uniform(args.noise_horizon_intercept, u[at + 1]).tolist()
+    horizon = HorizonLine(corpus.horizon.k_h + _uniform(args.noise_horizon_slope, u[at]),
+                          corpus.horizon.b_h + _uniform(args.noise_horizon_intercept, u[at + 1]))
     amplitudes = np.array([args.noise_h_rel, args.noise_px, args.noise_px])
     d_h, d_vb, d_vt = _uniform(amplitudes, np.delete(u, np.concatenate([at, at + 1]))
                                .reshape(n_rows, 3)).T
 
-    planes, plane_fallbacks = [], 0
-    for k, (plane, horizon, used_fallback), ds, di in zip(corpus.intrinsics, corpus.fits,
-                                                          d_slope, d_intercept):
-        plane_used = horizon_to_plane(HorizonLine(horizon.k_h + ds, horizon.b_h + di),
-                                      k, cam_height=plane.cam_height)
-        if plane_used is None:  # the horizon's plane is too close to vertical
-            plane_used, _, used_fallback = _plane_or_flat(None, k, args)
-        planes.append(plane_used)
-        plane_fallbacks += used_fallback
+    plane = horizon_to_plane(horizon, corpus.k, cam_height=corpus.plane.cam_height)
+    none = np.isnan(plane.b)  # the horizon's plane is too close to vertical
+    plane = _flat_where(none, plane, args.cam_height)
+    plane_fallbacks = int(np.count_nonzero(corpus.fallback | none))
 
-    k, g = corpus.per_row(corpus.intrinsics), corpus.per_row(planes)
+    k, g = corpus.per_row(corpus.k), corpus.per_row(plane)
     u_b, v_b, v_t = box_keypoints(corpus.x, corpus.y, corpus.z, corpus.h, k)
     v_b, v_t, height = v_b + d_vb, v_t + d_vt, corpus.h * (1.0 + d_h)
 
@@ -549,10 +537,11 @@ def _cmd_plane(args) -> int:
         raise ValueError(f"--image-size must be at most {MAX_IMAGE_PIXELS} pixels "
                          f"(width x height), got {width * height}")
     corpus = _read_corpus(args, _frames(args.label_dir))
-    planes, horizons, fallbacks = zip(*corpus.fits)
+    horizons = [*map(HorizonLine, corpus.horizon.k_h.tolist(), corpus.horizon.b_h.tolist())]
+    fallbacks = corpus.fallback.tolist()
 
-    k = corpus.per_row(corpus.intrinsics)
-    y_hat = y_global(*project(corpus.x, corpus.y, corpus.z, k), corpus.per_row(planes), k)
+    k = corpus.per_row(corpus.k)
+    y_hat = y_global(*project(corpus.x, corpus.y, corpus.z, k), corpus.per_row(corpus.plane), k)
     ok = np.isfinite(y_hat)
     error = np.abs(y_hat[ok] - corpus.y[ok])
     # Frame i's scored rows are error[scored[i]:scored[i + 1]].
@@ -570,7 +559,7 @@ def _cmd_plane(args) -> int:
             "y_mae": float(np.mean(frame_error)) if frame_error.size else None,
         })
 
-    fallback_frames = sum(fallbacks)
+    fallback_frames = fallbacks.count(True)
     elevation_failed = int(np.count_nonzero(~ok))
     summary: dict = {"fallback_frames": fallback_frames, "n_objects": len(error)}
     if len(error):

@@ -9,9 +9,9 @@ that breaks its format, and prediction keys without a row in a listed
 label file. Its text names the place, as in
 `line 2: field 'branches[0].sigma': ...`. Every other error, a bad PGM
 among them, is a plain ValueError. Undefined geometry is no error:
-projection, ground elevation, the depth kernels and a plane's horizon
-return NaN, and a plane fit or a horizon's plane returns None. The CLI
-counts those as failed branches or elevations, or as plane fallbacks.
+projection, ground elevation, the depth kernels, a plane fit and the
+plane/horizon conversions return NaN, a frame without a plane included.
+The CLI counts those as failed branches or elevations, or plane fallbacks.
 """
 
 

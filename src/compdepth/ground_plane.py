@@ -28,33 +28,37 @@ HEATMAP_RADIUS = 2.0
 
 @dataclass(frozen=True)
 class GroundPlane:
-    """Plane a*x + b*y + c*z + cam_height = 0, coefficients unit-normalized."""
+    """Plane a*x + b*y + c*z + cam_height = 0, (a, b, c) a unit normal or all NaN."""
 
     a: float
     b: float
     c: float
     cam_height: float = DEFAULT_CAM_HEIGHT
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
-        norm2 = self.a * self.a + self.b * self.b + self.c * self.c
-        if not math.isfinite(norm2) or abs(norm2 - 1.0) > 1e-9:
+        a, b, c = np.array((self.a, self.b, self.c), dtype=float)
+        unit = np.abs(a * a + b * b + c * c - 1.0) <= 1e-9
+        if not (unit | (np.isnan(a) & np.isnan(b) & np.isnan(c))).all():
             raise ValueError(
                 "plane coefficients must be unit-normalized; "
                 "use from_heightfield() to build a plane from a height field"
             )
 
     @classmethod
-    def from_heightfield(cls, p: float, q: float, r: float) -> "GroundPlane":
+    @np.errstate(over="ignore", invalid="ignore")
+    def from_heightfield(cls, p, q, r) -> "GroundPlane":
         """Plane through the height field y = p*x + q*z + r: the triple
         (p, -1, q) and the constant r, rescaled together to a unit normal."""
-        norm = math.sqrt(p * p + 1.0 + q * q)
+        norm = np.sqrt(p * p + 1.0 + q * q)
         return cls(p / norm, -1.0 / norm, q / norm, r / norm)
 
-    def height_at(self, x: float, z: float) -> float:
-        """Vertical (y) coordinate of the plane below camera-frame (x, z)."""
-        if abs(self.b) < DEFAULT_EPS_DEN:
-            raise ValueError("vertical plane has no height field")
-        return -(self.a * x + self.c * z + self.cam_height) / self.b
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
+    def height_at(self, x, z):
+        """Vertical (y) coordinate of the plane below camera-frame (x, z); NaN
+        where |b| < DEFAULT_EPS_DEN (a vertical plane has no height field)."""
+        y = np.divide(-(self.a * x + self.c * z + self.cam_height), self.b)
+        return np.where(np.abs(self.b) < DEFAULT_EPS_DEN, np.nan, y)[()]
 
 
 @dataclass(frozen=True)
@@ -77,15 +81,16 @@ class HorizonFitInfo:
 # ---------------------------------------------------------------------------
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def fit_planes(points, bounds) -> list[GroundPlane | None]:
+def fit_planes(points, bounds) -> GroundPlane:
     """Least-squares ground plane of each frame through its object bottom
-    centers: points holds (N, 3) camera-frame (x, y, z) rows, frame i's being
-    rows bounds[i]:bounds[i + 1]. Fits y = p*x + q*z + r from the centred 2x2
-    normal equations, solved by their explicit inverse, and normalizes.
+    centers, as one plane of per-frame arrays: points holds (N, 3) camera-frame
+    (x, y, z) rows, frame i's being rows bounds[i]:bounds[i + 1]. Fits
+    y = p*x + q*z + r from the centred 2x2 normal equations, solved by their
+    explicit inverse, and normalizes.
 
     Elementwise numpy and per-frame sums in row order only: no BLAS kernel
     picks the last bits, and a frame fits the same alone as among others.
-    None where the points pin no plane: fewer than 3 points, det <= 1e-12 *
+    NaN where the points pin no plane: fewer than 3 points, det <= 1e-12 *
     Sxx * Szz (all collinear in the x-z plane), or p*p + q*q or r not finite.
     """
     x, y, z = np.asarray(points, dtype=float).reshape(-1, 3).T
@@ -99,16 +104,16 @@ def fit_planes(points, bounds) -> list[GroundPlane | None]:
     p, q = (szz * sxy - sxz * szy) / det, (sxx * szy - sxz * sxy) / det
     r = my - p * mx - q * mz
     ok = (counts >= 3) & (det > 1e-12 * sxx * szz) & np.isfinite(p * p + q * q) & np.isfinite(r)
-    return [GroundPlane.from_heightfield(*pqr) if good else None
-            for good, *pqr in zip(ok.tolist(), p.tolist(), q.tolist(), r.tolist())]
+    return GroundPlane.from_heightfield(*(np.where(ok, v, np.nan) for v in (p, q, r)))
 
 
 # ---------------------------------------------------------------------------
 # plane <-> horizon conversions
 # ---------------------------------------------------------------------------
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def horizon_to_plane(h: HorizonLine, k: CameraIntrinsics,
-                     cam_height: float = DEFAULT_CAM_HEIGHT) -> GroundPlane | None:
+                     cam_height=DEFAULT_CAM_HEIGHT) -> GroundPlane:
     """Ground plane whose directions at infinity image to the given horizon.
 
     The horizon fixes the orientation only: up to positive scale the
@@ -116,28 +121,27 @@ def horizon_to_plane(h: HorizonLine, k: CameraIntrinsics,
     The offset comes from cam_height, stored as the constant term of the
     normalized equation.
 
-    None when that triple overflows: the plane is too close to vertical to
-    normalize.
+    NaN in a, b and c where that triple overflows: the plane is too close to
+    vertical to normalize.
     """
     a0 = h.k_h * k.f_x / k.f_y
     c0 = (h.k_h * k.c_u + h.b_h - k.c_v) / k.f_y
-    norm = math.sqrt(a0 * a0 + 1.0 + c0 * c0)
-    if not math.isfinite(norm):
-        return None
+    norm = np.sqrt(a0 * a0 + 1.0 + c0 * c0)
+    norm = np.where(np.isfinite(norm), norm, np.nan)[()]
     return GroundPlane(a0 / norm, -1.0 / norm, c0 / norm, cam_height)
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def plane_to_horizon(g: GroundPlane, k: CameraIntrinsics) -> HorizonLine:
     """Horizon line of a ground plane.
 
-    HorizonLine(nan, nan) where |b| < DEFAULT_EPS_DEN: a vertical plane has
-    no horizon in the slope-intercept parameterization.
+    NaN where |b| < DEFAULT_EPS_DEN: a vertical plane has no horizon in the
+    slope-intercept parameterization.
     """
-    if abs(g.b) < DEFAULT_EPS_DEN:
-        return HorizonLine(math.nan, math.nan)
-    k_h = -g.a * k.f_y / (g.b * k.f_x)
-    b_h = -g.c * k.f_y / g.b - k_h * k.c_u + k.c_v
-    return HorizonLine(k_h, b_h)
+    k_h = np.divide(-g.a * k.f_y, g.b * k.f_x)
+    b_h = np.divide(-g.c * k.f_y, g.b) - k_h * k.c_u + k.c_v
+    vertical = np.abs(g.b) < DEFAULT_EPS_DEN
+    return HorizonLine(np.where(vertical, np.nan, k_h)[()], np.where(vertical, np.nan, b_h)[()])
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")

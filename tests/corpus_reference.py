@@ -4,8 +4,8 @@ corpus-at-once ones are checked against.
 Each frame is read, fitted and computed before the next is read: one
 parse, one set of kernel calls and one pair of horizon draws plus an
 (n, 3) noise block from the generator per frame, and each heatmap is
-written with Path.write_bytes. The frame listing, the file reading and
-the plane fallback are imported from compdepth.cli; the loops are the
+written with Path.write_bytes. The frame listing and the file reading are
+imported from compdepth.cli; the loops and the plane fallback are the
 reference. Use them in place of compdepth.cli's commands, through main.
 """
 
@@ -17,10 +17,10 @@ import numpy as np
 
 from compdepth.camera import project
 from compdepth.cli import (EXIT_DEGENERACY, EXIT_OK, MAX_IMAGE_PIXELS, MAX_NOISE, _emit,
-                           _file_text, _frames, _plane_or_flat, _require_finite)
+                           _file_text, _frames, _require_finite)
 from compdepth.depth_branches import box_keypoints, z_alt, z_comp, z_global, z_key
-from compdepth.ground_plane import (HorizonLine, fit_planes, horizon_pgm, horizon_to_plane,
-                                    y_global)
+from compdepth.ground_plane import (GroundPlane, HorizonLine, fit_planes, horizon_pgm,
+                                    horizon_to_plane, plane_to_horizon, y_global)
 from compdepth.kitti_io import (EnsembleTable, config_header, parse_calib, parse_labels,
                                 write_plane_report, write_predictions)
 from compdepth.lab import branch_sigmas
@@ -41,6 +41,20 @@ def load_frame(calib_dir, label_dir, frame):
     return intrinsics, index, columns, skipped
 
 
+def fitted_or_flat(x, y, z, k, cam_height):
+    """The plane fitted to one frame's points and its horizon, or the flat
+    plane at cam_height and its horizon, and whether it fell back: where no
+    plane fits (NaN) or the fitted one has no finite horizon."""
+    fit = fit_planes(np.column_stack([x, y, z]), [0, x.size])
+    plane = GroundPlane(fit.a[0], fit.b[0], fit.c[0], fit.cam_height[0])
+    if not math.isnan(plane.b):
+        horizon = plane_to_horizon(plane, k)
+        if math.isfinite(horizon.k_h) and math.isfinite(horizon.b_h):
+            return plane, horizon, False
+    flat = GroundPlane(0.0, -1.0, 0.0, cam_height)
+    return flat, plane_to_horizon(flat, k), True
+
+
 def oracle(args) -> int:
     noise_flags = ("--noise-h-rel", "--noise-px", "--noise-horizon-slope",
                    "--noise-horizon-intercept")
@@ -59,8 +73,7 @@ def oracle(args) -> int:
         if skipped:
             diagnostics["object_invalid_geometry"] += skipped
 
-        plane, horizon, used_fallback = _plane_or_flat(
-            fit_planes(np.column_stack([x, y, z]), [0, x.size])[0], k, args)
+        plane, horizon, used_fallback = fitted_or_flat(x, y, z, k, args.cam_height)
 
         d_slope = rng.uniform(-args.noise_horizon_slope, args.noise_horizon_slope)
         d_intercept = rng.uniform(-args.noise_horizon_intercept,
@@ -68,8 +81,8 @@ def oracle(args) -> int:
         plane_used = horizon_to_plane(
             HorizonLine(horizon.k_h + d_slope, horizon.b_h + d_intercept),
             k, cam_height=plane.cam_height)
-        if plane_used is None:
-            plane_used, _, used_fallback = _plane_or_flat(None, k, args)
+        if math.isnan(plane_used.b):  # no plane, not merely no finite horizon
+            plane_used, used_fallback = GroundPlane(0.0, -1.0, 0.0, args.cam_height), True
         diagnostics["plane_fallback"] += used_fallback
 
         d_h, d_vb, d_vt = rng.uniform(-amplitudes, amplitudes, size=(len(index), 3)).T
@@ -128,8 +141,7 @@ def plane(args) -> int:
 
     for frame in frames:
         k, _, (x, y, z, _), _ = load_frame(args.calib_dir, args.label_dir, frame)
-        plane, horizon, used_fallback = _plane_or_flat(
-            fit_planes(np.column_stack([x, y, z]), [0, x.size])[0], k, args)
+        plane, horizon, used_fallback = fitted_or_flat(x, y, z, k, args.cam_height)
         fallback_frames += used_fallback
 
         y_hat = y_global(*project(x, y, z, k), plane, k)

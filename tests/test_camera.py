@@ -85,3 +85,15 @@ def test_intrinsics_validation():
 def test_intrinsics_frozen(simple_cam):
     with pytest.raises(AttributeError):
         simple_cam.f_x = 1.0
+
+
+def test_intrinsics_validation_elementwise():
+    # per-frame arrays pass when every entry does, with the scalar messages
+    ones = np.ones(3)
+    CameraIntrinsics(700.0 * ones, 700.0 * ones, 600.0 * ones, 200.0 * ones)
+    bad = np.array([700.0, 700.0, 0.0])
+    with pytest.raises(ValueError, match="^focal lengths must be strictly positive$"):
+        CameraIntrinsics(700.0 * ones, bad, 600.0 * ones, 200.0 * ones)
+    bad[2] = math.nan
+    with pytest.raises(ValueError, match="^intrinsics must be finite$"):
+        CameraIntrinsics(700.0 * ones, 700.0 * ones, bad, 200.0 * ones)

@@ -1138,6 +1138,16 @@ def test_plane_infinite_horizon_falls_back(tmp_path, capsys):
     assert heatmap_from_pgm((heatmap_dir / "000000.pgm").read_bytes()).shape == (8, 24)
 
 
+def test_plane_infinite_horizon_intercept_falls_back(tmp_path, capsys):
+    # bottoms on y = 0.01 x + 4 z + 1.65 seen with f = 1.7e308: the fitted
+    # horizon's slope (0.01) is finite, its intercept (4 f_y + ...) is not
+    label_text = car_rows((1, 81.66, 20), (-2, 121.63, 30), (3, 101.68, 25))
+    calib_text = "P2: 1.7e308 0.0 609.6 0.0 0.0 1.7e308 172.8 0.0 0.0 0.0 1.0 0.0\n"
+    assert run(["plane", *label_dirs(tmp_path, label_text, calib_text)]) == 3
+    row = json.loads(capsys.readouterr().out)["frames"][0]
+    assert (row["fallback"], row["k_h"], row["b_h"]) == (True, 0.0, 172.8)
+
+
 @pytest.mark.parametrize("label_text", [
     # a finite slope of 1e200, whose square overflows when normalized; the
     # "unnormalizable fit" frame above ends in plane's one-line y_mae error

@@ -16,7 +16,7 @@ from compdepth import cli
 import corpus_reference
 
 try:
-    from hypothesis import given, settings, strategies as st
+    from hypothesis import example, given, settings, strategies as st
 except ImportError:  # the property test below skips itself
     given = None
 
@@ -71,11 +71,25 @@ if given is not None:
         "--seed": st.sampled_from(("0", "5")),
         "--noise-h-rel": st.sampled_from(("0", "0.1")),
         "--noise-px": st.sampled_from(("0", "2.5")),
-        "--noise-horizon-slope": st.sampled_from(("0", "0.01", "0.3")),
+        # 1e7 gives finite planes with |b| about 1e-7, whose own horizon is
+        # not finite (no fallback); 1e200 gives no plane (a fallback)
+        "--noise-horizon-slope": st.sampled_from(("0", "0.01", "0.3", "1e7", "1e200")),
         "--noise-horizon-intercept": st.sampled_from(("0", "4", "40")),
         "--sigma-model": st.sampled_from(("constant", "proportional")),
         "--cam-height": st.sampled_from(("1.65", "2")),
     })
+
+# Two frames whose four Cars fit a plane, as run with each horizon slope
+# noise that pins oracle's fallback rule: 1e7 keeps the finite, nearly
+# vertical planes and 1e200 falls back where no plane exists.
+CAMERA = "P2: 721.5377 0.0 609.5593 0.0 0.0 721.5377 172.854 0.0 0.0 0.0 1.0 0.0\n"
+CLEAN = {f"{i:06d}": [CAMERA, "".join(
+    f"Car 0 0 0 0 0 10 10 1.5 1.6 3.9 {x} {1.6 + 0.01 * z} {z} 0\n"
+    for x, z in ((-3.0, 12.0), (2.0, 20.0), (5.0, 35.0), (-1.0, 50.0 + i)))] for i in range(2)}
+STEEP_SLOPES = [{"--seed": "0", "--noise-h-rel": "0", "--noise-px": "0",
+                 "--noise-horizon-slope": slope, "--noise-horizon-intercept": "0",
+                 "--sigma-model": "constant", "--cam-height": "1.65"}
+                for slope in ("1e7", "1e200")]
 
 
 def outcome(args) -> tuple[int, str, str]:
@@ -94,6 +108,8 @@ def test_corpus_at_once_matches_per_frame_loops(tmp_path):
 
     @settings(max_examples=60, deadline=None)
     @given(corpora(), options, st.booleans(), st.sampled_from(("json", "csv")))
+    @example(CLEAN, STEEP_SLOPES[0], False, "json")
+    @example(CLEAN, STEEP_SLOPES[1], False, "json")
     def check(frames, opts, include_alt, fmt):
         for d in tmp_path.iterdir():
             shutil.rmtree(d)

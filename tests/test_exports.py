@@ -4,7 +4,8 @@ singularity guard, the package has one exception class of its own and
 raises only it, ValueError and AssertionError, no module imports a name it
 does not use, the reports and curves share one CSV writer and one indented
 JSON dump, fusion and the lab sum rows in one helper, one function
-builds the text of a prediction error, and no code reaches LAPACK or BLAS."""
+builds the text of a prediction error, no code reaches LAPACK or BLAS, and
+the geometry modules signal undefined geometry with NaN, never None."""
 
 import ast
 import inspect
@@ -240,4 +241,23 @@ def test_no_lapack_or_blas_call():
              for path in sorted(Path(compdepth.__file__).parent.glob("*.py"))
              for line, name in names_used(ast.parse(path.read_text()))
              if name in BLAS_NAMES or name == "@"]
+    assert found == []
+
+
+def test_geometry_has_no_none():
+    """camera.py, depth_branches.py and ground_plane.py have no `return
+    None`, no bare `return` and no return annotation naming None, so NaN
+    stays the one sign of undefined geometry, a missing plane included."""
+    found = []
+    for name in ("camera.py", "depth_branches.py", "ground_plane.py"):
+        tree = ast.parse((Path(compdepth.__file__).parent / name).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Return) and (
+                    node.value is None
+                    or isinstance(node.value, ast.Constant) and node.value.value is None):
+                found.append(f"{name}:{node.lineno}: return")
+            elif (isinstance(node, ast.FunctionDef) and node.returns is not None
+                  and re.search(r"\bNone\b|Optional", ast.unparse(node.returns))):
+                found.append(f"{name}:{node.lineno}: {node.name} -> "
+                             f"{ast.unparse(node.returns)}")
     assert found == []

@@ -3,8 +3,13 @@ in geometry_reference.py: projection, keypoints, ground elevation and the
 four depth kernels give the same bits, and NaN exactly where the reference
 raised. The rows include keypoints within DEFAULT_EPS_DEN of the principal
 row and non-positive heights, where the guards fire. A plane fit and a
-horizon's plane give a plane or None for any finite input, never an error,
-and a frame's plane is the same bits whether fitted alone or among others."""
+horizon's plane give a plane or NaN (no plane) for any finite input, never
+an error, and a frame's plane is the same bits whether fitted alone or
+among others. The plane/horizon conversions and height_at over per-frame
+arrays give the bits of their scalar calls, frame by frame."""
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -22,6 +27,7 @@ from compdepth import (  # noqa: E402
     box_keypoints,
     fit_planes,
     horizon_to_plane,
+    plane_to_horizon,
     project,
     y_global,
     z_alt,
@@ -116,9 +122,12 @@ def test_y_global_matches_reference(k, g, rows):
                       lambda *a: reference(ref.y_global, *a, g, k), (u_b, v_b))
 
 
-def assert_plane_or_none(plane) -> None:
-    assert plane is None or (isinstance(plane, GroundPlane) and all(
-        np.isfinite([plane.a, plane.b, plane.c, plane.cam_height])))
+def assert_plane_or_nan(plane) -> None:
+    """Each frame of the plane is finite, or NaN in a, b and c (no plane)."""
+    assert isinstance(plane, GroundPlane)
+    fields = np.broadcast_arrays(plane.a, plane.b, plane.c, plane.cam_height)
+    none = np.isnan(fields[:3]).all(axis=0)
+    assert (none | np.isfinite(fields).all(axis=0)).all()
 
 
 # anything finite, and ordinary meters so that many draws fit a plane
@@ -127,20 +136,22 @@ coordinates = st.one_of(st.floats(**finite), meters, st.sampled_from([0.0, 1.0, 
 
 @given(st.lists(st.tuples(coordinates, coordinates, coordinates), max_size=8))
 def test_fit_plane_gives_a_plane_or_none(rows):
-    assert_plane_or_none(fit_planes(np.array(rows, dtype=float).reshape(-1, 3),
-                                    [0, len(rows)])[0])
+    assert_plane_or_nan(fit_planes(np.array(rows, dtype=float).reshape(-1, 3),
+                                   [0, len(rows)]))
 
 
 @given(st.lists(st.lists(st.tuples(*[st.one_of(meters, coordinates)] * 3), max_size=6),
                 max_size=6))
 def test_fit_planes_per_frame_equals_alone(frames):
     """One call over several frames, empty ones included, gives each frame
-    the plane (or None) that fitting it alone gives, bit for bit."""
+    the plane (or NaN) that fitting it alone gives, bit for bit."""
     points = np.array([row for frame in frames for row in frame], dtype=float).reshape(-1, 3)
     bounds = np.cumsum([0] + [len(frame) for frame in frames])
-    alone = [fit_planes(np.array(frame, dtype=float).reshape(-1, 3), [0, len(frame)])[0]
+    fitted = fit_planes(points, bounds)
+    alone = [fit_planes(np.array(frame, dtype=float).reshape(-1, 3), [0, len(frame)])
              for frame in frames]
-    assert repr(fit_planes(points, bounds)) == repr(alone)
+    for field in ("a", "b", "c", "cam_height"):
+        assert_same_bits(getattr(fitted, field), [getattr(g, field)[0] for g in alone])
 
 
 extreme_cameras = st.builds(CameraIntrinsics, *[st.floats(5e-324, 1.7e308)] * 2,
@@ -150,4 +161,43 @@ extreme_cameras = st.builds(CameraIntrinsics, *[st.floats(5e-324, 1.7e308)] * 2,
 @given(st.one_of(cameras, extreme_cameras), st.builds(HorizonLine, coordinates, coordinates),
        st.floats(0.5, 3.0))
 def test_horizon_to_plane_gives_a_plane_or_none(k, h, cam_height):
-    assert_plane_or_none(horizon_to_plane(h, k, cam_height=cam_height))
+    assert_plane_or_nan(horizon_to_plane(h, k, cam_height=cam_height))
+
+
+# one frame's plane: a height field's, a vertical one whose |b| is on,
+# inside, at and just past the guard, or no plane (NaN)
+frame_planes = st.one_of(
+    planes,
+    st.sampled_from([0.0, -0.0, 0.5e-6, -0.5e-6, DEFAULT_EPS_DEN, -DEFAULT_EPS_DEN,
+                     2e-6, -2e-6]).map(lambda b: GroundPlane(math.sqrt(1.0 - b * b), b, 0.0)),
+    st.just(GroundPlane(math.nan, math.nan, math.nan)))
+# one frame's horizon: ordinary, anything finite (its plane may overflow), or NaN
+frame_horizons = st.one_of(
+    st.builds(HorizonLine, st.floats(-0.1, 0.1), st.floats(-500.0, 1500.0)),
+    st.builds(HorizonLine, coordinates, coordinates),
+    st.just(HorizonLine(math.nan, math.nan)))
+
+
+def stack(records):
+    """One record of per-frame arrays from scalar records of one type."""
+    return type(records[0])(*np.array([dataclasses.astuple(r) for r in records]).T)
+
+
+@given(st.lists(st.tuples(st.one_of(cameras, extreme_cameras), frame_planes, frame_horizons,
+                          meters, depths, st.floats(0.5, 3.0)), min_size=1, max_size=8))
+def test_plane_conversions_are_elementwise(frames):
+    """plane_to_horizon, horizon_to_plane and height_at over per-frame
+    arrays (with cameras that overflow a horizon or its plane) give each
+    frame the bits of its scalar call, NaN in the same places."""
+    ks, gs, hs, xs, zs, cam_heights = (list(c) for c in zip(*frames))
+    k, g, h = stack(ks), stack(gs), stack(hs)
+    horizon = plane_to_horizon(g, k)
+    alone = [plane_to_horizon(*frame) for frame in zip(gs, ks)]
+    for field in ("k_h", "b_h"):
+        assert_same_bits(getattr(horizon, field), [getattr(one, field) for one in alone])
+    plane = horizon_to_plane(h, k, cam_height=np.array(cam_heights))
+    alone = [horizon_to_plane(*frame, cam_height=c) for *frame, c in zip(hs, ks, cam_heights)]
+    for field in ("a", "b", "c", "cam_height"):
+        assert_same_bits(getattr(plane, field), [getattr(one, field) for one in alone])
+    assert_same_bits(g.height_at(np.array(xs), np.array(zs)),
+                     [one.height_at(x, z) for one, x, z in zip(gs, xs, zs)])

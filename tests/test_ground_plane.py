@@ -69,23 +69,40 @@ def test_cam_height_is_perpendicular_distance():
 
 
 def test_vertical_plane_has_no_height_field():
+    # |b| below the guard: no height field, NaN like the rest of the geometry
     g = GroundPlane(1.0, 0.0, 0.0, 1.0)
-    with pytest.raises(ValueError, match="^vertical plane has no height field$"):
-        g.height_at(0.0, 10.0)
+    assert math.isnan(g.height_at(0.0, 10.0))
+    g = GroundPlane(np.array([1.0, 0.0]), np.array([0.0, -1.0]), np.zeros(2), 1.0)
+    assert np.array_equal(g.height_at(0.0, 10.0), [np.nan, 1.0], equal_nan=True)
+
+
+def test_plane_is_unit_or_nan_elementwise():
+    nan = math.nan
+    GroundPlane(np.array([0.0, nan]), np.array([-1.0, nan]), np.array([0.0, nan]))
+    for a, b, c in [(nan, -1.0, nan), (0.0, nan, nan), (nan, nan, 0.0), (math.inf, -1.0, 0.0),
+                    (0.0, -1.0, 1e-4)]:
+        with pytest.raises(ValueError, match="^plane coefficients must be unit-normalized"):
+            GroundPlane(np.array([0.0, a]), np.array([-1.0, b]), np.array([0.0, c]))
 
 
 # ---------------------------------------------------------------------------
 # plane fitting
 # ---------------------------------------------------------------------------
 
-def fit_one(points):
-    """The plane of one frame: fit_planes over a single segment."""
-    return fit_planes(points, [0, len(points)])[0]
+def fit_one(points) -> GroundPlane:
+    """The plane of one frame, as scalars: fit_planes over a single segment."""
+    g = fit_planes(points, [0, len(points)])
+    return GroundPlane(g.a[0], g.b[0], g.c[0], g.cam_height[0])
+
+
+def no_plane(g: GroundPlane) -> bool:
+    return all(math.isnan(v) for v in (g.a, g.b, g.c))
 
 
 def lstsq_plane(points) -> GroundPlane | None:
     """Reference fit by np.linalg.lstsq on the design [x, z, 1], with its
-    rank, as the package fitted before the closed form."""
+    rank, as the package fitted before the closed form; None where the rank
+    or the normalization fails."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     design = np.column_stack([pts[:, 0], pts[:, 2], np.ones(len(pts))])
     (p, q, r), _, rank, _ = np.linalg.lstsq(design, pts[:, 1], rcond=None)
@@ -115,16 +132,17 @@ def test_fit_plane_exact_recovery():
 def test_fit_planes_match_lstsq():
     """The closed form stays within 1e-12 of lstsq on every normalized
     coefficient, over 200 make_scene frames of 40 objects fitted in one call
-    and over the exact-recovery cloud, and gives None where lstsq does."""
+    and over the exact-recovery cloud, and gives NaN where lstsq has no plane."""
     clouds = [np.array([(o.x, o.y, o.z) for o in make_scene(40, seed=seed).objects])
               for seed in range(200)]
     clouds += [exact_cloud()[1], clouds[0][:2], clouds[1][:0]]
     fitted = fit_planes(np.concatenate(clouds), np.cumsum([0] + [len(c) for c in clouds]))
-    assert [g is None for g in fitted] == [False] * 201 + [True, True]
-    for got, cloud in zip(fitted[:201], clouds):
+    assert np.isnan(fitted.b).tolist() == [False] * 201 + [True, True]
+    assert np.isnan([fitted.a, fitted.c, fitted.cam_height])[:, 201:].all()
+    for i, cloud in enumerate(clouds[:201]):
         want = lstsq_plane(cloud)
-        assert np.abs(np.subtract([got.a, got.b, got.c, got.cam_height],
-                                  [want.a, want.b, want.c, want.cam_height])).max() <= 1e-12
+        got = [fitted.a[i], fitted.b[i], fitted.c[i], fitted.cam_height[i]]
+        assert np.abs(np.subtract(got, [want.a, want.b, want.c, want.cam_height])).max() <= 1e-12
 
 
 def test_fit_plane_flat_cloud():
@@ -136,23 +154,23 @@ def test_fit_plane_flat_cloud():
 
 
 def test_fit_plane_fallback_too_few_points():
-    assert fit_one(np.array([(0.0, 1.7, 10.0), (1.0, 1.7, 20.0)])) is None
+    assert no_plane(fit_one(np.array([(0.0, 1.7, 10.0), (1.0, 1.7, 20.0)])))
 
 
 def test_fit_plane_fallback_collinear():
     # all points share x = 0: the x-slope column is all zero, rank 2
     pts = [(0.0, 1.6 + 0.01 * z, z) for z in (10.0, 20.0, 30.0, 40.0)]
-    assert fit_one(pts) is None
+    assert no_plane(fit_one(pts))
 
 
 def test_fit_planes_rank_rule_on_a_slanted_line():
     """Points on the x-z line x = 0.3 * z - 1.7: rounding leaves the
     determinant a little above 0 but far below 1e-12 * Sxx * Szz, so the
-    fit is None, as lstsq's rank of 2 says."""
+    fit is NaN, as lstsq's rank of 2 says."""
     z = np.array([10.1, 20.3, 30.7, 41.9, 55.3])
     pts = np.column_stack([0.3 * z - 1.7, 1.6 + 0.01 * z, z])
     assert lstsq_plane(pts) is None
-    assert fit_one(pts) is None
+    assert no_plane(fit_one(pts))
 
 
 @pytest.mark.parametrize("pts", [
@@ -162,11 +180,11 @@ def test_fit_planes_rank_rule_on_a_slanted_line():
     [(0.0, 0.0, 10.0), (1.0, 1e200, 10.0), (0.0, 0.0, 20.0)],
 ])
 def test_fit_plane_fallback_unnormalizable(pts):
-    assert fit_one(np.array(pts)) is None
+    assert no_plane(fit_one(np.array(pts)))
 
 
 def test_fit_plane_empty():
-    assert fit_one(np.empty((0, 3))) is None
+    assert no_plane(fit_one(np.empty((0, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +246,7 @@ def test_horizon_to_plane_flat(kitti_cam):
 @pytest.mark.parametrize("line", [HorizonLine(1e300, 0.0), HorizonLine(0.0, 1e300)])
 def test_horizon_to_plane_too_steep(kitti_cam, line):
     # the unnormalized coefficients square past the float range
-    assert horizon_to_plane(line, kitti_cam) is None
+    assert no_plane(horizon_to_plane(line, kitti_cam))
 
 
 # ---------------------------------------------------------------------------
