@@ -38,9 +38,9 @@ from .ground_plane import (
     GroundPlane,
     HorizonLine,
     fit_planes,
-    horizon_pgm,
     horizon_to_plane,
     plane_to_horizon,
+    write_horizon_pgms,
     y_global,
 )
 from .kitti_io import (
@@ -569,8 +569,8 @@ def _cmd_plane(args) -> int:
     report = write_plane_report(rows, summary, args.format, header=config_header(args))
     if args.heatmap_dir is not None:
         args.heatmap_dir.mkdir(parents=True, exist_ok=True)
-        for frame, horizon in zip(corpus.frames, horizons):
-            (args.heatmap_dir / f"{frame}.pgm").write_bytes(horizon_pgm(horizon, width, height))
+        write_horizon_pgms([args.heatmap_dir / f"{frame}.pgm" for frame in corpus.frames],
+                           horizons, width, height)
     _emit(report, args.out)
     if elevation_failed:
         print(f"warning: elevation_failed: {elevation_failed}", file=sys.stderr)

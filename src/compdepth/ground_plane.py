@@ -12,6 +12,7 @@ horizon take cam_height as an explicit argument.
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass
 
@@ -170,17 +171,13 @@ def y_global(u_b, v_b, g: GroundPlane, k: CameraIntrinsics):
 # horizon heatmap: binary PGM (P5, maxval 255, row-major), read as uint8 pixels
 # ---------------------------------------------------------------------------
 
-def horizon_pgm(h: HorizonLine, width: int, height: int) -> bytes:
-    """Render a horizon line as a (height, width) heatmap, written as a
-    binary PGM (P5, maxval 255).
+def _horizon_band(h: HorizonLine, width: int, height: int):
+    """A horizon heatmap's PGM in four parts: (header, top, band, below).
 
-    Each column u gets a 1-D Gaussian centered on the line row v(u), with
-    sigma = HEATMAP_RADIUS / 3, truncated at +/- HEATMAP_RADIUS and peak
-    value 1; a value is stored as the pixel round(255 * value). Columns
-    whose line row falls outside the image keep whatever truncated tail
-    still intersects the image; columns farther away than the radius stay
-    zero. Only the band of rows the window touches is computed; every other
-    pixel is written as a zero byte.
+    header is the P5 header; band is the (rows, width) uint8 array of the
+    rows the Gaussian window touches, after top all-zero rows and before
+    below all-zero rows. A line whose window misses the image has an empty
+    band and top == height.
 
     Raises ValueError for a non-finite line or an empty image.
     """
@@ -197,7 +194,7 @@ def horizon_pgm(h: HorizonLine, width: int, height: int) -> bytes:
     hi = np.minimum(height - 1.0, np.floor(v + HEATMAP_RADIUS))
     cols = np.nonzero(lo <= hi)[0]
     if not cols.size:
-        return header + bytes(height * width)
+        return header, height, np.zeros((0, width), dtype=np.uint8), 0
     v, lo, hi = v[cols], lo[cols].astype(np.intp), hi[cols].astype(np.intp)
     top = int(lo.min())
     band = np.zeros((int(hi.max()) + 1 - top, width), dtype=np.uint8)
@@ -211,8 +208,47 @@ def horizon_pgm(h: HorizonLine, width: int, height: int) -> bytes:
     value *= 255.0
     np.rint(value, out=value)
     band.reshape(-1)[((rows - top) * width + cols)[inside]] = value[inside]
-    below = height - top - len(band)
-    return b"".join((header, bytes(top * width), band.tobytes(), bytes(below * width)))
+    return header, top, band, height - top - len(band)
+
+
+def horizon_pgm(h: HorizonLine, width: int, height: int) -> bytes:
+    """Render a horizon line as a (height, width) heatmap, written as a
+    binary PGM (P5, maxval 255).
+
+    Each column u gets a 1-D Gaussian centered on the line row v(u), with
+    sigma = HEATMAP_RADIUS / 3, truncated at +/- HEATMAP_RADIUS and peak
+    value 1; a value is stored as the pixel round(255 * value). Columns
+    whose line row falls outside the image keep whatever truncated tail
+    still intersects the image; columns farther away than the radius stay
+    zero. Only the band of rows the window touches is computed; every other
+    pixel is a zero byte. write_horizon_pgms writes the same bytes to files.
+
+    Raises ValueError for a non-finite line or an empty image.
+    """
+    header, top, band, below = _horizon_band(h, width, height)
+    return b"".join((header, bytes(top * width), band, bytes(below * width)))
+
+
+def write_horizon_pgms(paths, lines, width: int, height: int):
+    """Write horizon_pgm(line, width, height) to each path, in order.
+
+    Each file is written in place from its parts: the header, a zero run
+    sliced from one zero buffer, the band and a closing zero run. An
+    existing file is overwritten from its start, without truncating it
+    first, and then cut to its length; it keeps its permissions, and a new
+    file gets 0o666 less the umask. A write that fails partway leaves the
+    new prefix over the old file's tail.
+
+    Raises ValueError for a non-finite line or an empty image, and OSError
+    for a path that cannot be written, after every earlier file is written.
+    """
+    # max: a negative size is left to _horizon_band's error
+    zeros = memoryview(bytes(max(height * width, 0)))
+    for path, line in zip(paths, lines):
+        header, top, band, below = _horizon_band(line, width, height)
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+            f.writelines((header, zeros[:top * width], band, zeros[:below * width]))
+            f.truncate()
 
 
 def fit_horizon(grid: np.ndarray, with_info: bool = False):

@@ -883,17 +883,21 @@ def heatmap_files(dataset, heat_dir, size) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(heat_dir.iterdir())}
 
 
-@pytest.mark.parametrize("stale", ["larger", "smaller", "other"])
+@pytest.mark.parametrize("stale", ["larger", "smaller", "other", "same-size"])
 def test_plane_rewrites_stale_heatmaps(stale, dataset, capsys):
     # Over files of the same names, each file ends as a run into an empty
-    # directory writes it: a longer stale file is cut to length. An
+    # directory writes it: a longer stale file is cut to length, and every
+    # byte of a stale file of the same length is written again. An
     # existing file keeps its permissions; a new one gets write_bytes' own.
     fresh = heatmap_files(dataset, dataset / "fresh", "64,20")
     heat_dir = dataset / "stale"
-    if stale == "other":
+    if stale in ("other", "same-size"):
         heat_dir.mkdir()
-        for name in fresh:
-            (heat_dir / name).write_text("not a heatmap\n" * 4000)
+        for name, data in fresh.items():
+            if stale == "other":
+                (heat_dir / name).write_text("not a heatmap\n" * 4000)
+            else:
+                (heat_dir / name).write_bytes(b"\xff" * len(data))
             (heat_dir / name).chmod(0o600)
     else:
         heatmap_files(dataset, heat_dir, "96,40" if stale == "larger" else "32,10")

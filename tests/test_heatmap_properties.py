@@ -11,10 +11,11 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from compdepth import HorizonLine, fit_horizon, heatmap_from_pgm, horizon_pgm  # noqa: E402
+from compdepth.ground_plane import write_horizon_pgms  # noqa: E402
 from heatmap_reference import (  # noqa: E402
     fit_reference,
     gap_px,
@@ -54,6 +55,38 @@ def test_horizon_pgm_matches_rasterized_encoding(line, width, height):
         rasterize_reference(line, width, height, 2.0))
 
 
+@pytest.fixture(scope="module")
+def heat_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("heat")
+
+
+# a pre-existing file: its length and the bytes it repeats
+stale_files = st.tuples(st.integers(0, 200_000), st.binary(min_size=1, max_size=8))
+FF = b"\xff"
+
+
+@given(st.lists(st.tuples(any_lines, stale_files), min_size=1, max_size=3), sizes, sizes)
+# a line wholly outside the image: an all-zero file over a longer, a
+# same-size and a shorter one (a 20x10 PGM is 13 header bytes + 200)
+@example([(HorizonLine(0.0, -100.0), (10**4, FF)), (HorizonLine(0.5, 500.0), (20 * 10 + 13, FF)),
+          (HorizonLine(0.0, 30.0), (3, FF))], 20, 10)
+# bands touching row 0, the last row, and both
+@example([(HorizonLine(0.0, 0.0), (10**4, FF)), (HorizonLine(0.0, 9.0), (20 * 10 + 13, FF)),
+          (HorizonLine(0.1, -1.5), (0, FF))], 20, 10)
+@example([(HorizonLine(0.0, 1.0), (100, FF))], 7, 3)
+# a 1x1 image, lit and dark
+@example([(HorizonLine(0.0, 0.0), (100, FF)), (HorizonLine(0.0, 3.0), (0, FF))], 1, 1)
+def test_write_horizon_pgms_gives_horizon_pgm_over_any_file(heat_dir, frames, width, height):
+    """Over pre-existing files of any length and content, each written
+    file is exactly horizon_pgm's bytes."""
+    paths = [heat_dir / f"{i}.pgm" for i in range(len(frames))]
+    for path, (_, (length, pattern)) in zip(paths, frames):
+        path.write_bytes((pattern * length)[:length])
+    write_horizon_pgms(paths, [line for line, _ in frames], width, height)
+    assert [path.read_bytes() for path in paths] == [
+        horizon_pgm(line, width, height) for line, _ in frames]
+
+
 REJECTED = [
     (HorizonLine(math.nan, 1.0), 8, 6, "k_h must be finite, got nan"),
     (HorizonLine(math.inf, 1.0), 8, 6, "k_h must be finite, got inf"),
@@ -61,15 +94,20 @@ REJECTED = [
     (HorizonLine(0.0, 1.0), 0, 6, "heatmap dimensions must be at least 1x1"),
     (HorizonLine(0.0, 1.0), 8, 0, "heatmap dimensions must be at least 1x1"),
     (HorizonLine(math.nan, 1.0), 0, 6, "heatmap dimensions must be at least 1x1"),
+    (HorizonLine(0.0, 1.0), -8, 6, "heatmap dimensions must be at least 1x1"),
 ]
 
 
 @pytest.mark.parametrize("line, width, height, message", REJECTED,
                          ids=[f"line{i}-{w}-{h}" for i, (_, w, h, _) in enumerate(REJECTED)])
-def test_horizon_pgm_rejects_what_rasterize_rejects(line, width, height, message):
-    """A non-finite line or an empty image, the size checked first."""
+def test_horizon_pgm_rejects_what_rasterize_rejects(line, width, height, message, tmp_path):
+    """A non-finite line or an empty image, the size checked first; the
+    writer raises the same error before it opens the file."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         horizon_pgm(line, width, height)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        write_horizon_pgms([tmp_path / "x.pgm"], [line], width, height)
+    assert not (tmp_path / "x.pgm").exists()
 
 
 # values near [0, 1], a pixel's rounding tie or step, and the whole finite range
