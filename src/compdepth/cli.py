@@ -283,17 +283,20 @@ def _read_corpus(args, frames: list[str]) -> _Corpus:
     skipped = len(labels) - int(np.count_nonzero(labels.dontcare)) - rows.size
     k = CameraIntrinsics(*np.array(intrinsics).T)
     fit = fit_planes(np.column_stack((x, y, z)), bounds)
-    horizon = plane_to_horizon(fit, k)
-    fallback = ~(np.isfinite(horizon.k_h) & np.isfinite(horizon.b_h))
-    plane = _flat_where(fallback, fit, args.cam_height)
+    plane, fallback = _fallback_to_flat(fit, k, args.cam_height)
     return _Corpus(frames, k, bounds, index, x, y, z, h, skipped, plane,
                    plane_to_horizon(plane, k), fallback)
 
 
-def _flat_where(mask: np.ndarray, plane: GroundPlane, cam_height: float) -> GroundPlane:
-    """plane, with the flat plane at cam_height in the frames where mask is set."""
-    return GroundPlane(*np.where(mask, [[0.0], [-1.0], [0.0], [cam_height]],
-                                 [plane.a, plane.b, plane.c, plane.cam_height]))
+def _fallback_to_flat(plane: GroundPlane, k: CameraIntrinsics,
+                      cam_height: float) -> tuple[GroundPlane, np.ndarray]:
+    """The one rule for "no plane": plane, with the flat plane at cam_height
+    in the frames where it has no finite horizon (a NaN plane has none),
+    and the mask of those frames."""
+    horizon = plane_to_horizon(plane, k)
+    flat = ~(np.isfinite(horizon.k_h) & np.isfinite(horizon.b_h))
+    return GroundPlane(*np.where(flat, [[0.0], [-1.0], [0.0], [cam_height]],
+                                 [plane.a, plane.b, plane.c, plane.cam_height])), flat
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -378,9 +381,8 @@ def _cmd_oracle(args) -> int:
                                .reshape(n_rows, 3)).T
 
     plane = horizon_to_plane(horizon, corpus.k, cam_height=corpus.plane.cam_height)
-    none = np.isnan(plane.b)  # the horizon's plane is too close to vertical
-    plane = _flat_where(none, plane, args.cam_height)
-    plane_fallbacks = int(np.count_nonzero(corpus.fallback | none))
+    plane, flat = _fallback_to_flat(plane, corpus.k, args.cam_height)
+    plane_fallbacks = int(np.count_nonzero(corpus.fallback | flat))
 
     k, g = corpus.per_row(corpus.k), corpus.per_row(plane)
     u_b, v_b, v_t = box_keypoints(corpus.x, corpus.y, corpus.z, corpus.h, k)

@@ -16,37 +16,19 @@ import numpy as np
 if TYPE_CHECKING:
     from .kitti_io import EnsembleTable
 
-#: numpy adds a row of fewer cells than _UNROLL left to right, and a row of
-#: up to _BLOCK cells in _UNROLL interleaved partial sums, then the rest of
-#: its cells left to right. A longer row it sums in two parts.
-_UNROLL, _BLOCK = 8, 128
-
 
 def row_sums(columns: Sequence[np.ndarray]) -> np.ndarray:
-    """Each row's sum over B columns of N cells: bit for bit what
-    .sum(axis=1) gives over the row-major (N, B) grid of them, except which
-    NaN a NaN sum is, which numpy's own add loops do not agree on either.
+    """Each row's sum over B columns of N cells, added left to right from
+    +0.0: ((0.0 + c_0) + c_1) + ... + c_(B-1). So a row of -0.0 sums to 0.0,
+    and a row's bits depend on nothing but its own cells.
 
     columns is B vectors: the rows of a branch-major (B, N) array, an
-    (N, B) grid's .T, or a list or tuple of them. Up to _BLOCK columns
-    they are added whole, one vector op per column, in the order numpy adds
-    the cells of each row, without its loop over rows.
+    (N, B) grid's .T, or a list or tuple of them. Each is added whole, one
+    vector op per column; a (0, N) array sums to N zeros.
     """
-    n = len(columns)
-    if not 0 < n <= _BLOCK:
-        # beyond one block, numpy's own sum runs over a row-major copy
-        return np.ascontiguousarray(np.transpose(columns)).sum(axis=1)
-    head = n - n % _UNROLL  # the columns that go into the partial sums
-    if head:
-        r = list(columns[:_UNROLL])
-        for i in range(_UNROLL, head, _UNROLL):
-            r = [a + b for a, b in zip(r, columns[i:i + _UNROLL])]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    else:
-        head, total = 1, columns[0].copy()
-    for column in columns[head:]:
+    total = np.zeros(np.shape(columns[:1])[1:])
+    for column in columns:
         total += column
-    total += 0.0  # numpy's sum starts from +0.0, so a row of -0.0 sums to 0.0
     return total
 
 

@@ -41,18 +41,23 @@ def load_frame(calib_dir, label_dir, frame):
     return intrinsics, index, columns, skipped
 
 
-def fitted_or_flat(x, y, z, k, cam_height):
-    """The plane fitted to one frame's points and its horizon, or the flat
-    plane at cam_height and its horizon, and whether it fell back: where no
-    plane fits (NaN) or the fitted one has no finite horizon."""
-    fit = fit_planes(np.column_stack([x, y, z]), [0, x.size])
-    plane = GroundPlane(fit.a[0], fit.b[0], fit.c[0], fit.cam_height[0])
+def plane_or_flat(plane, k, cam_height):
+    """One frame's plane and its horizon, or the flat plane at cam_height
+    and its horizon, and whether it fell back: where there is no plane (NaN)
+    or the plane has no finite horizon."""
     if not math.isnan(plane.b):
         horizon = plane_to_horizon(plane, k)
         if math.isfinite(horizon.k_h) and math.isfinite(horizon.b_h):
             return plane, horizon, False
     flat = GroundPlane(0.0, -1.0, 0.0, cam_height)
     return flat, plane_to_horizon(flat, k), True
+
+
+def fitted_or_flat(x, y, z, k, cam_height):
+    """plane_or_flat of the plane fitted to one frame's points."""
+    fit = fit_planes(np.column_stack([x, y, z]), [0, x.size])
+    return plane_or_flat(GroundPlane(fit.a[0], fit.b[0], fit.c[0], fit.cam_height[0]), k,
+                         cam_height)
 
 
 def oracle(args) -> int:
@@ -78,12 +83,10 @@ def oracle(args) -> int:
         d_slope = rng.uniform(-args.noise_horizon_slope, args.noise_horizon_slope)
         d_intercept = rng.uniform(-args.noise_horizon_intercept,
                                   args.noise_horizon_intercept)
-        plane_used = horizon_to_plane(
+        plane_used, _, used_flat = plane_or_flat(horizon_to_plane(
             HorizonLine(horizon.k_h + d_slope, horizon.b_h + d_intercept),
-            k, cam_height=plane.cam_height)
-        if math.isnan(plane_used.b):  # no plane, not merely no finite horizon
-            plane_used, used_fallback = GroundPlane(0.0, -1.0, 0.0, args.cam_height), True
-        diagnostics["plane_fallback"] += used_fallback
+            k, cam_height=plane.cam_height), k, args.cam_height)
+        diagnostics["plane_fallback"] += used_fallback or used_flat
 
         d_h, d_vb, d_vt = rng.uniform(-amplitudes, amplitudes, size=(len(index), 3)).T
         u_b, v_b, v_t = box_keypoints(x, y, z, h, k)

@@ -1,5 +1,6 @@
-"""Test helpers: the scalar soft fusion that fuse is checked against, and
-the table that fuse takes built from raw arrays."""
+"""Test helpers: the scalar soft fusion that fuse is checked against, the
+left-to-right row sums that the whole-grid fusion references use, and the
+table that fuse takes built from raw arrays."""
 
 from dataclasses import dataclass
 from typing import Sequence
@@ -28,6 +29,14 @@ def soft_fuse(branches: Sequence[tuple[float, float]]) -> FusedDepth:
     weights = tuple(w / total for w in inverse)
     z_soft = sum(w * z for w, (z, _) in zip(weights, branches))
     return FusedDepth(z_soft=z_soft, weights=weights)
+
+
+def left_to_right_sums(grid) -> np.ndarray:
+    """Each row of an (N, B) grid summed left to right from +0.0: the last
+    of the running sums that np.add.accumulate takes one cell at a time
+    along a row that starts with a 0.0 cell."""
+    grid = np.asarray(grid, dtype=float)
+    return np.add.accumulate(np.column_stack([np.zeros(len(grid)), grid]), axis=1)[:, -1]
 
 
 def table_of(z, sigma, valid=None) -> EnsembleTable:

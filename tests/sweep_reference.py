@@ -12,13 +12,15 @@ from typing import Sequence
 import numpy as np
 
 from compdepth import EnsembleTable, SweepCurve, flip
+from fusion_reference import left_to_right_sums
 
 
 def fuse(table: EnsembleTable, z: np.ndarray) -> np.ndarray:
-    """Each row's inverse-sigma fusion of z over the table's valid cells."""
+    """Each row's inverse-sigma fusion of z over the table's valid cells,
+    each row summed left to right from +0.0."""
     inverse = np.where(table.valid, 1.0 / table.sigma, 0.0)
-    total = inverse.sum(axis=1, keepdims=True)
-    return (inverse / total * z).sum(axis=1)
+    total = left_to_right_sums(inverse)[:, None]
+    return left_to_right_sums(inverse / total * z)
 
 
 def _fused_mae(table: EnsembleTable, z: np.ndarray) -> float:

@@ -71,8 +71,8 @@ if given is not None:
         "--seed": st.sampled_from(("0", "5")),
         "--noise-h-rel": st.sampled_from(("0", "0.1")),
         "--noise-px": st.sampled_from(("0", "2.5")),
-        # 1e7 gives finite planes with |b| about 1e-7, whose own horizon is
-        # not finite (no fallback); 1e200 gives no plane (a fallback)
+        # 1e7 gives finite planes with |b| about 1e-7, which have no finite
+        # horizon, and 1e200 gives no plane: both fall back to the flat one
         "--noise-horizon-slope": st.sampled_from(("0", "0.01", "0.3", "1e7", "1e200")),
         "--noise-horizon-intercept": st.sampled_from(("0", "4", "40")),
         "--sigma-model": st.sampled_from(("constant", "proportional")),
@@ -80,8 +80,9 @@ if given is not None:
     })
 
 # Two frames whose four Cars fit a plane, as run with each horizon slope
-# noise that pins oracle's fallback rule: 1e7 keeps the finite, nearly
-# vertical planes and 1e200 falls back where no plane exists.
+# noise that pins oracle's fallback rule, which is plane's: a plane
+# without a finite horizon falls back to the flat plane, whether it is
+# finite and nearly vertical (1e7) or no plane at all (1e200).
 CAMERA = "P2: 721.5377 0.0 609.5593 0.0 0.0 721.5377 172.854 0.0 0.0 0.0 1.0 0.0\n"
 CLEAN = {f"{i:06d}": [CAMERA, "".join(
     f"Car 0 0 0 0 0 10 10 1.5 1.6 3.9 {x} {1.6 + 0.01 * z} {z} 0\n"

@@ -3,7 +3,7 @@ every public function has a caller outside the tests and none takes a
 singularity guard, the package has one exception class of its own and
 raises only it, ValueError and AssertionError, no module imports a name it
 does not use, the reports and curves share one CSV writer and one indented
-JSON dump, fusion and the lab sum rows in one helper, one function
+JSON dump, fusion and the lab sum rows in one left-to-right loop, one function
 builds the text of a prediction error, no code reaches LAPACK or BLAS, and
 the geometry modules signal undefined geometry with NaN, never None."""
 
@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import pytest
 
 import compdepth
-from compdepth import cli, errors
+from compdepth import cli, errors, fusion
 
 
 def imported_public_names() -> list[str]:
@@ -180,21 +180,21 @@ def test_one_csv_writer_and_one_indented_json_dump():
 
 
 def test_one_row_sum_kernel():
-    """fusion.py and lab.py call .sum(axis=1) only in fusion.row_sums, so no
-    per-row sum loop creeps back into fusion or the sweeps."""
-    sums = []
+    """fusion.py and lab.py make no .sum(axis=1) call, whose order is numpy's,
+    and fusion.row_sums has no branch, so no column count gets an order of
+    its own: every row sum is row_sums' one left-to-right loop."""
     for name in ("fusion.py", "lab.py"):
         tree = ast.parse((Path(compdepth.__file__).parent / name).read_text())
-        helper = {id(node) for function in tree.body
-                  if isinstance(function, ast.FunctionDef) and function.name == "row_sums"
-                  for node in ast.walk(function)}
-        sums += [(name, "row_sums" if id(node) in helper else ast.unparse(node))
-                 for node in ast.walk(tree)
-                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                 and node.func.attr == "sum"
-                 and any(k.arg == "axis" and ast.unparse(k.value) in ("1", "-1")
-                         for k in node.keywords)]
-    assert sums == [("fusion.py", "row_sums")]
+        assert not [ast.unparse(node) for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "sum"
+                    and any(k.arg == "axis" and ast.unparse(k.value) in ("1", "-1")
+                            for k in node.keywords)]
+    tree = ast.parse(inspect.getsource(fusion.row_sums))
+    loops = [node for node in ast.walk(tree) if isinstance(node, ast.For)]
+    assert len(loops) == 1
+    assert not [node for node in ast.walk(tree) if isinstance(
+        node, (ast.If, ast.IfExp, ast.While, ast.Match, ast.BoolOp, ast.Compare, ast.Try))]
 
 
 def test_one_prediction_validator():

@@ -1,6 +1,7 @@
 """Property tests of the masked fusion kernel, and of the ensemble evaluation
 built on it, against the scalar references; and of the row-sum helper, the
-weights and the fusion against numpy's own row sums, bit for bit."""
+weights and the fusion against row sums taken left to right from +0.0, bit
+for bit."""
 
 import numpy as np
 import pytest
@@ -15,10 +16,11 @@ from compdepth import (  # noqa: E402
     evaluate_ensembles,
     fuse,
     generate_ensembles,
+    read_predictions,
     weights,
 )
 from compdepth.fusion import row_sums  # noqa: E402
-from fusion_reference import soft_fuse, table_of  # noqa: E402
+from fusion_reference import left_to_right_sums, soft_fuse, table_of  # noqa: E402
 from prediction_records import read_records  # noqa: E402
 
 
@@ -48,7 +50,7 @@ def test_all_valid_mask_is_bit_identical_to_unmasked(case):
     z, sigma, _ = case
     masked = fuse(table_of(z, sigma, valid=np.ones(z.shape, dtype=bool)))
     inverse = 1.0 / sigma
-    unmasked = (inverse / inverse.sum(axis=1, keepdims=True) * z).sum(axis=1)
+    unmasked = left_to_right_sums(inverse / left_to_right_sums(inverse)[:, None] * z)
     assert np.array_equal(masked, unmasked)
 
 
@@ -113,9 +115,9 @@ def same_bits(got: np.ndarray, expected: np.ndarray) -> bool:
 @st.composite
 def edge_grids(draw, finite=False):
     """An (n, b) float grid, with edge cells among drawn ones. Most have
-    1-20 columns, on both sides of numpy's switch from adding a row left to
-    right to 8 interleaved partial sums at 8 cells; some have 120-300, on
-    both sides of its split of a row into two parts above 128 cells."""
+    1-20 columns; some have 120-300. No column count is special to the
+    package's order, but numpy's own .sum(axis=1) changes its order at 8
+    and 128 cells, so a sum that leaned on it would show on both sides."""
     b = draw(st.one_of(st.integers(1, 20), st.integers(1, 20), st.integers(120, 300)))
     n = draw(st.integers(0 if not finite else 1, 12))
     edges = FINITE_EDGES if finite else EDGES
@@ -124,19 +126,30 @@ def edge_grids(draw, finite=False):
 
 
 @given(edge_grids())
-def test_row_sums_are_numpys_row_sums(grid):
-    # an all -0.0 row sums to 0.0: numpy's sum starts from +0.0
+def test_row_sums_add_left_to_right(grid):
+    # an all -0.0 row sums to 0.0: the sum starts from +0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        expected = grid.sum(axis=1)
+        expected = left_to_right_sums(grid)
         for columns in (grid.T, list(grid.T), np.ascontiguousarray(grid.T)):
             assert same_bits(row_sums(columns), expected)
 
 
+def test_no_columns_sum_to_zeros():
+    # a table with no branch columns, as read_predictions("") gives it
+    assert np.array_equal(row_sums(np.zeros((0, 5))), np.zeros(5))
+    assert np.array_equal(row_sums(np.zeros((5, 0)).T), np.zeros(5))
+    table = read_predictions("")
+    assert table.z.shape == (0, 0)
+    assert weights(table).shape == (0, 0)
+    assert fuse(table).shape == (0,)
+
+
 def reference_weights(table) -> np.ndarray:
-    """The weights as the row-major (N, B) formula with .sum(axis=1) gives them."""
+    """The weights as the row-major (N, B) formula gives them, each row
+    summed left to right from +0.0."""
     w = np.zeros(table.sigma.shape)
     np.divide(1.0, np.ascontiguousarray(table.sigma), out=w, where=table.valid)
-    w /= w.sum(axis=1, keepdims=True)
+    w /= left_to_right_sums(w)[:, None]
     return w
 
 
@@ -155,7 +168,7 @@ def test_weights_and_fusion_are_the_row_major_formulas(z, data):
     with np.errstate(over="ignore", invalid="ignore"):
         expected = reference_weights(table)
         assert same_bits(weights(table), expected)
-        assert same_bits(fuse(table), (expected * table.z).sum(axis=1))
+        assert same_bits(fuse(table), left_to_right_sums(expected * table.z))
 
 
 @given(st.integers(1, 300), st.integers(2, 12), st.sampled_from(["constant", "proportional"]),
@@ -166,4 +179,4 @@ def test_fusion_of_generated_tables_is_the_row_major_formula(n, b, sigma_model, 
     table = generate_ensembles(truths, n_branches=b, sigma_model=sigma_model, seed=seed)
     expected = reference_weights(table)
     assert same_bits(weights(table), expected)
-    assert same_bits(fuse(table), (expected * np.ascontiguousarray(table.z)).sum(axis=1))
+    assert same_bits(fuse(table), left_to_right_sums(expected * table.z))

@@ -268,13 +268,16 @@ def test_multi_flip_k_out_of_range(ensembles):
 # bench scale: the sweeps against the full-table reference
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(params=["constant", "proportional", "ragged"])
+@pytest.fixture(params=["constant", "proportional", "ragged", "16-branch"])
 def bench_table(request):
-    """100k objects: the lab command's 4-branch tables, or 8 branches with
-    arbitrary sigmas and about 30% of the cells missing."""
+    """100k objects: the lab command's 4-branch tables; 8 branches with
+    arbitrary sigmas and about 30% of the cells missing, in C order; or a
+    generated 16-branch table, branch-major like every generated one."""
     n = 100_000
     rng = np.random.default_rng(2)
     truths = rng.uniform(5.0, 60.0, n)
+    if request.param == "16-branch":
+        return generate_ensembles(truths, n_branches=16, sigma_model="proportional", seed=1)
     if request.param != "ragged":
         return generate_ensembles(truths, sigma_model=request.param, seed=1)
     valid = rng.random((n, 8)) >= 0.3
