@@ -539,44 +539,28 @@ def _cmd_plane(args) -> int:
         raise ValueError(f"--image-size must be at most {MAX_IMAGE_PIXELS} pixels "
                          f"(width x height), got {width * height}")
     corpus = _read_corpus(args, _frames(args.label_dir))
-    horizons = [*map(HorizonLine, corpus.horizon.k_h.tolist(), corpus.horizon.b_h.tolist())]
-    fallbacks = corpus.fallback.tolist()
-
     k = corpus.per_row(corpus.k)
     y_hat = y_global(*project(corpus.x, corpus.y, corpus.z, k), corpus.per_row(corpus.plane), k)
     ok = np.isfinite(y_hat)
     error = np.abs(y_hat[ok] - corpus.y[ok])
-    # Frame i's scored rows are error[scored[i]:scored[i + 1]].
-    scored = np.concatenate([[0], np.cumsum(ok)])[corpus.bounds].tolist()
-
-    rows = []
-    for i, (frame, horizon) in enumerate(zip(corpus.frames, horizons)):
-        frame_error = error[scored[i]:scored[i + 1]]
-        rows.append({
-            "frame": frame,
-            "n_points": int(corpus.bounds[i + 1] - corpus.bounds[i]),
-            "fallback": fallbacks[i],
-            "k_h": horizon.k_h,
-            "b_h": horizon.b_h,
-            "y_mae": float(np.mean(frame_error)) if frame_error.size else None,
-        })
-
-    fallback_frames = fallbacks.count(True)
     elevation_failed = int(np.count_nonzero(~ok))
-    summary: dict = {"fallback_frames": fallback_frames, "n_objects": len(error)}
-    if len(error):
-        summary["y_mae"] = float(np.mean(error))
+    # Frame i's scored rows are error[scored[i]:scored[i + 1]].
+    scored = np.concatenate([[0], np.cumsum(ok)])[corpus.bounds]
+    y_mae = [float(np.mean(e)) if e.size else None for e in np.split(error, scored[1:-1])]
 
     # Every input is read and the report built before the first file is written.
-    report = write_plane_report(rows, summary, args.format, header=config_header(args))
+    report = write_plane_report(corpus.frames, np.diff(corpus.bounds), corpus.fallback,
+                                corpus.horizon, y_mae, len(error),
+                                float(np.mean(error)) if len(error) else None,
+                                args.format, header=config_header(args))
     if args.heatmap_dir is not None:
         args.heatmap_dir.mkdir(parents=True, exist_ok=True)
         write_horizon_pgms([args.heatmap_dir / f"{frame}.pgm" for frame in corpus.frames],
-                           horizons, width, height)
+                           corpus.horizon, width, height)
     _emit(report, args.out)
     if elevation_failed:
         print(f"warning: elevation_failed: {elevation_failed}", file=sys.stderr)
-    return EXIT_DEGENERACY if fallback_frames or elevation_failed else EXIT_OK
+    return EXIT_DEGENERACY if corpus.fallback.any() or elevation_failed else EXIT_OK
 
 
 _COMMANDS = {"eval": _cmd_eval, "oracle": _cmd_oracle, "lab": _cmd_lab, "plane": _cmd_plane}

@@ -171,8 +171,9 @@ def y_global(u_b, v_b, g: GroundPlane, k: CameraIntrinsics):
 # horizon heatmap: binary PGM (P5, maxval 255, row-major), read as uint8 pixels
 # ---------------------------------------------------------------------------
 
-def _horizon_band(h: HorizonLine, width: int, height: int):
-    """A horizon heatmap's PGM in four parts: (header, top, band, below).
+def _horizon_band(k_h: float, b_h: float, width: int, height: int):
+    """The PGM of the heatmap of the horizon line v = k_h * u + b_h, in four
+    parts: (header, top, band, below).
 
     header is the P5 header; band is the (rows, width) uint8 array of the
     rows the Gaussian window touches, after top all-zero rows and before
@@ -183,13 +184,13 @@ def _horizon_band(h: HorizonLine, width: int, height: int):
     """
     if width < 1 or height < 1:
         raise ValueError("heatmap dimensions must be at least 1x1")
-    if not math.isfinite(h.k_h):
-        raise ValueError(f"k_h must be finite, got {h.k_h}")
-    if not math.isfinite(h.b_h):
-        raise ValueError(f"b_h must be finite, got {h.b_h}")
+    if not math.isfinite(k_h):
+        raise ValueError(f"k_h must be finite, got {k_h}")
+    if not math.isfinite(b_h):
+        raise ValueError(f"b_h must be finite, got {b_h}")
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
     sigma = HEATMAP_RADIUS / 3.0
-    v = h.k_h * np.arange(width) + h.b_h
+    v = k_h * np.arange(width) + b_h
     lo = np.maximum(0.0, np.ceil(v - HEATMAP_RADIUS))
     hi = np.minimum(height - 1.0, np.floor(v + HEATMAP_RADIUS))
     cols = np.nonzero(lo <= hi)[0]
@@ -225,12 +226,13 @@ def horizon_pgm(h: HorizonLine, width: int, height: int) -> bytes:
 
     Raises ValueError for a non-finite line or an empty image.
     """
-    header, top, band, below = _horizon_band(h, width, height)
+    header, top, band, below = _horizon_band(h.k_h, h.b_h, width, height)
     return b"".join((header, bytes(top * width), band, bytes(below * width)))
 
 
-def write_horizon_pgms(paths, lines, width: int, height: int):
-    """Write horizon_pgm(line, width, height) to each path, in order.
+def write_horizon_pgms(paths, horizon: HorizonLine, width: int, height: int):
+    """Write horizon_pgm of each frame's line to its path, in order: horizon
+    is a HorizonLine of per-frame arrays, frame i's line going to paths[i].
 
     Each file is written in place from its parts: the header, a zero run
     sliced from one zero buffer, the band and a closing zero run. An
@@ -244,8 +246,8 @@ def write_horizon_pgms(paths, lines, width: int, height: int):
     """
     # max: a negative size is left to _horizon_band's error
     zeros = memoryview(bytes(max(height * width, 0)))
-    for path, line in zip(paths, lines):
-        header, top, band, below = _horizon_band(line, width, height)
+    for path, k_h, b_h in zip(paths, horizon.k_h, horizon.b_h):
+        header, top, band, below = _horizon_band(k_h, b_h, width, height)
         with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
             f.writelines((header, zeros[:top * width], band, zeros[:below * width]))
             f.truncate()

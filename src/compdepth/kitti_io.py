@@ -31,6 +31,7 @@ import numpy as np
 
 from .camera import CameraIntrinsics
 from .errors import CompdepthError
+from .ground_plane import HorizonLine
 from .metrics import ComplementarityReport
 
 # ---------------------------------------------------------------------------
@@ -548,33 +549,41 @@ def write_report(report: ComplementarityReport, format: str = "json",
     return _csv(columns, rows, header)
 
 
-def write_plane_report(frames: Sequence[dict], summary: dict, format: str = "json",
+def write_plane_report(frames: Sequence[str], n_points, fallback, horizon: HorizonLine,
+                       y_mae: Sequence[float | None], n_objects: int,
+                       overall_y_mae: float | None, format: str = "json",
                        header: dict | None = None) -> str:
-    """Serialize a ground-plane report as JSON or CSV.
+    """Serialize a ground-plane report as JSON or CSV, from per-frame columns.
 
-    frames holds one dict per frame with frame, n_points, fallback, k_h, b_h
-    and y_mae (None when no elevation was scored). summary holds
-    fallback_frames, n_objects and, when any elevation was scored, y_mae.
-    CSV writes the summary as '# key: value' lines under the header.
-    Floats are written at 6 significant digits. Raises ValueError naming
-    the field when a float is not finite.
+    frames holds the frame names, and n_points, fallback (bool), horizon (a
+    HorizonLine of arrays) and y_mae (None where no elevation was scored)
+    one value per frame. The summary holds fallback_frames, the count of
+    frames that fell back, n_objects and overall_y_mae as y_mae; JSON writes
+    a None y_mae as null, CSV leaves it out. CSV writes the summary as
+    '# key: value' lines under the header. Floats are written at 6
+    significant digits. Raises ValueError naming the first float that is
+    not finite: frame by frame, k_h, b_h and y_mae, then the summary's.
     """
-    for where, record in [*((f"frame {r['frame']}", r) for r in frames), ("summary", summary)]:
-        for key, value in record.items():
-            if isinstance(value, float) and not math.isfinite(value):
+    columns = ("frame", "n_points", "fallback", "k_h", "b_h", "y_mae")
+    rows = [*zip(frames, np.asarray(n_points).tolist(), np.asarray(fallback).tolist(),
+                 np.asarray(horizon.k_h).tolist(), np.asarray(horizon.b_h).tolist(), y_mae)]
+    for where, fields in [*((f"frame {row[0]}", zip(columns[3:], row[3:])) for row in rows),
+                          ("summary", [("y_mae", overall_y_mae)])]:
+        for key, value in fields:
+            if value is not None and not math.isfinite(value):
                 raise ValueError(f"plane report: {key} of {where} is not finite ({value})")
     _check_format(format)
+    summary = {"fallback_frames": int(np.count_nonzero(fallback)), "n_objects": n_objects}
     if format == "json":
         return _json({
-            "frames": [{**r, "k_h": _round6(r["k_h"]), "b_h": _round6(r["b_h"]),
-                        "y_mae": _round6(r["y_mae"])} for r in frames],
-            "summary": {**summary, "y_mae": _round6(summary.get("y_mae"))},
+            "frames": [dict(zip(columns, (*row[:3], *map(_round6, row[3:])))) for row in rows],
+            "summary": {**summary, "y_mae": _round6(overall_y_mae)},
         }, header)
-    notes = [f"# {key}: {_fmt6(value) if isinstance(value, float) else value}"
-             for key, value in sorted(summary.items())]
-    rows = [(r["frame"], r["n_points"], int(r["fallback"]), _fmt6(r["k_h"]), _fmt6(r["b_h"]),
-             _fmt6(r["y_mae"])) for r in frames]
-    return _csv(("frame", "n_points", "fallback", "k_h", "b_h", "y_mae"), rows, header, notes)
+    if overall_y_mae is not None:
+        summary["y_mae"] = _fmt6(overall_y_mae)
+    notes = [f"# {key}: {value}" for key, value in summary.items()]
+    return _csv(columns, [(*row[:2], int(row[2]), *map(_fmt6, row[3:])) for row in rows],
+                header, notes)
 
 
 def write_curves(curves, header: dict | None = None) -> str:

@@ -171,7 +171,11 @@ def plane(args) -> int:
     if len(y_pred):
         summary["y_mae"] = float(np.mean(np.abs(y_pred - y_true)))
 
-    _emit(write_plane_report(rows, summary, args.format, header=config_header(args)),
+    column = {key: [row[key] for row in rows] for key in rows[0]}
+    _emit(write_plane_report(column["frame"], column["n_points"], column["fallback"],
+                             HorizonLine(column["k_h"], column["b_h"]), column["y_mae"],
+                             summary["n_objects"], summary.get("y_mae"), args.format,
+                             header=config_header(args)),
           args.out)
     if elevation_failed:
         print(f"warning: elevation_failed: {elevation_failed}", file=sys.stderr)

@@ -23,7 +23,7 @@ from compdepth import (
     read_predictions,
     write_predictions,
 )
-from compdepth.cli import MAX_DEPTH, _build_parser, _float_list, main
+from compdepth.cli import MAX_DEPTH, MAX_NOISE, _build_parser, _float_list, main
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -1428,6 +1428,17 @@ ORDINARY_VALUES = {
     "--proportions": ("0", "0.5"), "--amplitudes": ("0", "2"), "--k": ("all", "2"),
     "--depth-edges": ("0", "20", "inf"), "--image-size": ("60", "20"),
 }
+#: Values drawn next to EXTREME_VALUES for each option with a float ceiling:
+#: the ceiling and the next float beyond it, at both ends for --depth-range.
+#: The cell and pixel ceilings are left out: a lab line at 2**24 cells takes
+#: about 2 s, and a heatmap at the pixel ceiling is 64 MiB.
+CEILING_VALUES = {
+    **dict.fromkeys(("--noise-h-rel", "--noise-px", "--noise-horizon-slope",
+                     "--noise-horizon-intercept"),
+                    (repr(MAX_NOISE), repr(math.nextafter(MAX_NOISE, math.inf)))),
+    "--depth-range": tuple(repr(v) for end in (MAX_DEPTH, -MAX_DEPTH)
+                           for v in (end, math.nextafter(end, math.copysign(math.inf, end)))),
+}
 LIST_OPTIONS = {"--depth-range", "--proportions", "--amplitudes", "--k", "--depth-edges",
                 "--image-size"}
 #: The numeric options of each command, and its other choices (lab's --mode
@@ -1466,7 +1477,9 @@ if given is not None:
     def option_lines(draw):
         """One command's arguments: the command drawn in proportion to its
         numeric options, each of them left at its default or drawn from
-        EXTREME_VALUES or its ordinary values, each choice left out or drawn."""
+        EXTREME_VALUES, its CEILING_VALUES or its ordinary values, each choice
+        left out or drawn. A drawn value is joined to its flag by '=', so that
+        argparse does not take a value such as -1e-300 for an option."""
         command = draw(st.sampled_from(COMMAND_PER_OPTION))
         args = [command]
         if command == "lab":
@@ -1476,13 +1489,13 @@ if given is not None:
             if value is not None:
                 args += [flag, value] if value else [flag]
         for flag in FUZZED_OPTIONS[command]:
-            value = st.one_of(st.sampled_from(EXTREME_VALUES),
+            value = st.one_of(st.sampled_from(EXTREME_VALUES + CEILING_VALUES.get(flag, ())),
                               st.sampled_from(ORDINARY_VALUES[flag]))
             if flag in LIST_OPTIONS:
                 value = st.lists(value, min_size=1, max_size=3).map(",".join)
             drawn = draw(st.one_of(st.none(), value))
             if drawn is not None:
-                args += [flag, drawn]
+                args.append(f"{flag}={drawn}")
         return args
 
 
@@ -1539,8 +1552,8 @@ def test_any_extreme_options_end_cleanly(shared_dataset, tmp_path):
         if command != "lab":
             args += [str(a) for a in dirs]
         # lab sweeps the oracle's file unless a table size was drawn
-        if command == "eval" or (command == "lab" and "--n-objects" not in args
-                                 and "--n-branches" not in args):
+        sized = any(a.startswith(("--n-objects=", "--n-branches=")) for a in args)
+        if command == "eval" or (command == "lab" and not sized):
             args += ["--predictions", str(preds)]
         return args
 

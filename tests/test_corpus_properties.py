@@ -1,6 +1,7 @@
 """oracle and plane, which read every frame before they compute any, write
 the same bytes, stderr and exit code as the per-frame loops of
-corpus_reference on small random corpora. Only where a file fails do the
+corpus_reference on small random corpora, and plane does on a corpus of
+the sparse_noisy benchmark's shape. Only where a file fails do the
 heatmaps differ: the loops have written those of the frames before it,
 plane none."""
 
@@ -11,7 +12,7 @@ from unittest import mock
 
 import pytest
 
-from compdepth import cli
+from compdepth import cli, format_calib, format_labels, make_scene
 
 import corpus_reference
 
@@ -139,3 +140,31 @@ def test_corpus_at_once_matches_per_frame_loops(tmp_path):
         assert heatmaps[0] == heatmaps[1]
 
     check()
+
+
+@pytest.fixture(scope="module")
+def bench_corpus(tmp_path_factory):
+    """100 make_scene frames of 6 objects, seeded as the sparse_noisy
+    benchmark workload seeds its frames at --seed 1."""
+    root = tmp_path_factory.mktemp("bench_corpus")
+    (root / "calib").mkdir()
+    (root / "label_2").mkdir()
+    for f in range(100):
+        scene = make_scene(6, seed=(1 << 20) + f)
+        (root / "calib" / f"{f:06d}.txt").write_text(format_calib(scene.intrinsics))
+        (root / "label_2" / f"{f:06d}.txt").write_text(format_labels(scene.objects))
+    return root
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_plane_at_bench_scale_matches_per_frame_loop(bench_corpus, tmp_path, fmt):
+    """plane over the 100 frames, at the default --image-size, writes the
+    report, stderr, exit code and heatmaps of the per-frame loop."""
+    plane = ["plane", "--calib-dir", bench_corpus / "calib", "--label-dir",
+             bench_corpus / "label_2", "--format", fmt, "--heatmap-dir"]
+    with mock.patch.dict(cli._COMMANDS, {"plane": corpus_reference.plane}):
+        expected = outcome(plane + [tmp_path / "ref"])
+    assert outcome(plane + [tmp_path / "new"]) == expected
+    heatmaps = [{p.name: p.read_bytes() for p in sorted((tmp_path / d).iterdir())}
+                for d in ("ref", "new")]
+    assert len(heatmaps[0]) == 100 and heatmaps[0] == heatmaps[1]

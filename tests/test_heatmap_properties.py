@@ -82,7 +82,8 @@ def test_write_horizon_pgms_gives_horizon_pgm_over_any_file(heat_dir, frames, wi
     paths = [heat_dir / f"{i}.pgm" for i in range(len(frames))]
     for path, (_, (length, pattern)) in zip(paths, frames):
         path.write_bytes((pattern * length)[:length])
-    write_horizon_pgms(paths, [line for line, _ in frames], width, height)
+    horizon = HorizonLine(*np.array([(line.k_h, line.b_h) for line, _ in frames]).T)
+    write_horizon_pgms(paths, horizon, width, height)
     assert [path.read_bytes() for path in paths] == [
         horizon_pgm(line, width, height) for line, _ in frames]
 
@@ -106,7 +107,8 @@ def test_horizon_pgm_rejects_what_rasterize_rejects(line, width, height, message
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         horizon_pgm(line, width, height)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        write_horizon_pgms([tmp_path / "x.pgm"], [line], width, height)
+        write_horizon_pgms([tmp_path / "x.pgm"], HorizonLine([line.k_h], [line.b_h]), width,
+                           height)
     assert not (tmp_path / "x.pgm").exists()
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from compdepth import (
     ComplementarityReport,
     CompdepthError,
     EnsembleTable,
+    HorizonLine,
     Object3D,
     format_calib,
     format_labels,
@@ -366,19 +368,17 @@ def test_write_report_deterministic():
     assert a == b
 
 
-PLANE_FRAMES = [
-    {"frame": "000000", "n_points": 3, "fallback": False, "k_h": -0.05544421,
-     "b_h": 166.5973, "y_mae": 0.01234567},
-    {"frame": "000001", "n_points": 0, "fallback": True, "k_h": 0.0, "b_h": 172.854,
-     "y_mae": None},
-]
-PLANE_SUMMARY = {"fallback_frames": 1, "n_objects": 3, "y_mae": 0.01234567}
+#: The per-frame columns and summary of a plane report: frame 000001 fell
+#: back and scored no elevation.
+PLANE = dict(frames=["000000", "000001"], n_points=np.array([3, 0]),
+             fallback=np.array([False, True]),
+             horizon=HorizonLine(np.array([-0.05544421, 0.0]), np.array([166.5973, 172.854])),
+             y_mae=[0.01234567, None], n_objects=3, overall_y_mae=0.01234567)
 
 
 def test_plane_report_json_round_trip():
     # canonical plain JSON, like the eval report, with the header's keys sorted
-    first = write_plane_report(PLANE_FRAMES, PLANE_SUMMARY,
-                               header={"command": "plane", "cam-height": 1.65})
+    first = write_plane_report(**PLANE, header={"command": "plane", "cam-height": 1.65})
     doc = json.loads(first, parse_constant=lambda token: pytest.fail(token))
     assert json.dumps(doc, indent=2) + "\n" == first
     assert list(doc["header"]) == ["cam-height", "command"]
@@ -388,13 +388,13 @@ def test_plane_report_json_round_trip():
 
 def test_writers_without_header_echo_nothing():
     from compdepth import SweepCurve
-    for text in (write_report(make_report()), write_plane_report(PLANE_FRAMES, PLANE_SUMMARY)):
+    for text in (write_report(make_report()), write_plane_report(**PLANE)):
         assert "header" not in json.loads(text)
     assert write_report(make_report(), "csv").startswith("metric,branch,")
     assert write_curves([SweepCurve((0.0,), (1.0,), (10,), label="flip:key")]) == (
         "label,x,mae,count,baseline_mae\nflip:key,0,1,10,\n")
     # the plane CSV keeps its summary lines, and only those
-    assert write_plane_report(PLANE_FRAMES, PLANE_SUMMARY, "csv") == (
+    assert write_plane_report(**PLANE, format="csv") == (
         "# fallback_frames: 1\n"
         "# n_objects: 3\n"
         "# y_mae: 0.0123457\n"
@@ -408,7 +408,31 @@ def test_writers_reject_unknown_format():
     with pytest.raises(ValueError, match=message):
         write_report(make_report(), format="xml")
     with pytest.raises(ValueError, match=message):
-        write_plane_report(PLANE_FRAMES, PLANE_SUMMARY, format="xml")
+        write_plane_report(**PLANE, format="xml")
+
+
+#: (k_h, b_h, y_mae, overall_y_mae) columns of PLANE's two frames with
+#: non-finite floats, and the field the error names: the first in frame
+#: order, then k_h, b_h and y_mae within a frame, then the summary's.
+NON_FINITE = {
+    "y_mae-of-frame-0": (([-0.05544421, math.nan], [166.5973, 172.854], [math.inf, None],
+                          math.nan), "y_mae of frame 000000 is not finite (inf)"),
+    "k_h-of-frame-1": (([-0.05544421, -math.inf], [166.5973, math.nan], [0.01234567, math.inf],
+                        math.inf), "k_h of frame 000001 is not finite (-inf)"),
+    "b_h-of-frame-1": (([-0.05544421, 0.0], [166.5973, math.nan], [0.01234567, math.inf],
+                        math.inf), "b_h of frame 000001 is not finite (nan)"),
+    "y_mae-of-summary": (([-0.05544421, 0.0], [166.5973, 172.854], [0.01234567, None],
+                          math.inf), "y_mae of summary is not finite (inf)"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("columns, field", NON_FINITE.values(), ids=list(NON_FINITE))
+def test_plane_report_names_the_first_non_finite_field(columns, field, fmt):
+    k_h, b_h, y_mae, overall_y_mae = columns
+    with pytest.raises(ValueError, match=f"^plane report: {re.escape(field)}$"):
+        write_plane_report(**{**PLANE, "horizon": HorizonLine(np.array(k_h), np.array(b_h)),
+                              "y_mae": y_mae, "overall_y_mae": overall_y_mae}, format=fmt)
 
 
 def test_write_curves_golden():
